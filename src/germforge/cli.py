@@ -1,9 +1,11 @@
 """Command-line front end: germ-forge <command> [flags] [file].
 
 Commands dispatch to the library and emit a report in text or JSON form.
-Exit codes: 0 success (and, for `examples run`, verdict matched), 1 verdict
-mismatch, 2 input error, 3 an internal bound was reached where the command
-needed a decision (closure cap, inconclusive order, unresolved witnesses).
+Closures are enumerated serially; `moebius-holonomy` honours `--witness-bound`
+and `--closure-cap` like the jet commands.  Exit codes: 0 success (and, for
+`examples run`, verdict matched), 1 verdict mismatch, 2 input error, 3 no
+decision within the bounds or the field (closure cap, inconclusive order,
+unresolved witnesses, unresolved holonomy verdict).
 """
 
 from __future__ import annotations
@@ -145,8 +147,8 @@ def _linearize_payload(doc: InputDocument) -> dict:
     return payload
 
 
-def _closure_payload(doc: InputDocument, cap: int, workers: int) -> dict:
-    result = closure_enumerate(doc.presentation(), cap, workers=workers)
+def _closure_payload(doc: InputDocument, cap: int) -> dict:
+    result = closure_enumerate(doc.presentation(), cap)
     payload = {"status": result.status, "count": result.count}
     if result.status == "closed" and result.count <= 64:
         payload["elements"] = [jet_payload(e) for e in result.elements]
@@ -188,11 +190,11 @@ def _keylemma_payload(doc: InputDocument) -> dict:
     }
 
 
-def _holonomy_payload(doc: InputDocument, bound: int, truncation: int) -> dict:
+def _holonomy_payload(doc: InputDocument, bound: int, cap: int, truncation: int) -> dict:
     if not doc.moebius_generators:
         raise DocumentError("document has no moebius_generators")
     gens = [m for _, m in doc.moebius_generators]
-    verdict = holonomy_check(gens, len(gens), word_bound=bound, order=max(truncation, 2))
+    verdict = holonomy_check(gens, word_bound=bound, order=max(truncation, 2), closure_cap=cap)
     payload: dict[str, Any] = {
         "finite_cyclic": verdict.finite_cyclic,
         "model": verdict.model,
@@ -238,11 +240,11 @@ def run_corpus_entry(name: str, bound: int, cap: int, truncation: Optional[int])
         elif check == "order":
             got = _order_payload(doc, want["element"])
         elif check == "closure":
-            got = _closure_payload(doc, cap, workers=1)
+            got = _closure_payload(doc, cap)
         elif check == "cyclic":
             got = _cyclic_payload(doc, cap).get("cyclic")
         elif check == "holonomy":
-            got = _holonomy_payload(doc, bound, doc.truncation or 3)
+            got = _holonomy_payload(doc, bound, cap, doc.truncation or 3)
         else:
             raise DocumentError(f"unknown expected check {check!r} in corpus entry {name}")
         checks[check] = {
@@ -304,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
         p.add_argument("--truncation", type=int, default=None, help="override document truncation")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--workers", type=int, default=1, help="parallel closure expansion threads")
 
     add_common(sub.add_parser("check-basic-set", help="verify the two basic-set conditions"))
     add_common(sub.add_parser("resonances", help="enumerate multiplicative resonances"))
@@ -381,7 +382,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "linearize":
             verdict = _linearize_payload(doc)
         elif args.command == "closure":
-            verdict = _closure_payload(doc, args.closure_cap, args.workers)
+            verdict = _closure_payload(doc, args.closure_cap)
             if verdict["status"] == "cap-exceeded":
                 exit_code = EXIT_LIMIT
         elif args.command == "order":
@@ -391,7 +392,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "keylemma":
             verdict = _keylemma_payload(doc)
         elif args.command == "moebius-holonomy":
-            verdict = _holonomy_payload(doc, args.witness_bound, truncation)
+            verdict = _holonomy_payload(doc, args.witness_bound, args.closure_cap, truncation)
+            if verdict["finite_cyclic"] == "unresolved":
+                exit_code = EXIT_LIMIT
         else:  # pragma: no cover - argparse guards this
             raise DocumentError(f"unknown command {args.command}")
         report = {

@@ -1,37 +1,34 @@
-"""Group-level machinery for finitely generated jet groups.
+"""Group-level machinery for finitely generated jet and Moebius groups.
 
 Covers the two generator conditions (ordered product is the identity;
 generators pairwise conjugate), bounded witness search, closure enumeration,
 the degree-slice coefficient morphisms, the affine conjugacy criterion, and
 the simultaneous linearization algorithm for groups whose common diagonal
 linear part has prime-power eigenvalue orders.
+
+The conditions, witness search and closure run on any `GroupElement`: jets
+and Moebius maps alike.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Protocol, Sequence
 
-from .cyclo import CycloField, CycloNum, is_prime_power, prime_factors, root_of_unity_order
+from .cyclo import CycloNum, is_prime_power, prime_factors, root_of_unity_order
 from .jets import (
-    DEFAULT_ORDER_BOUND,
     GermJet,
     Matrix,
     MultiIndex,
     OrderResult,
-    char_poly,
     compose,
-    conjugate,
-    germ_order,
     grlex_key,
-    invert,
     mat_is_diagonal,
     power,
 )
-from .resonance import eigenvalue_power, homological_solve, is_resonant
+from .resonance import eigenvalue_power, homological_step, is_resonant
 
 DEFAULT_WITNESS_BOUND = 6
 DEFAULT_CLOSURE_CAP = 10_000
@@ -41,15 +38,32 @@ class WordError(ValueError):
     """Malformed word or unknown generator name."""
 
 
+class GroupElement(Protocol):
+    """What presentations need of an element; `GermJet` and `MoebiusMap` have it.
+
+    Elements are hashable and compare with `==`; `type(x).identity(*x.shape)`
+    is the identity, `conjugacy_invariant()` is equal on conjugate elements,
+    and `canonical_key()` sorts elements deterministically.
+    """
+
+    shape: tuple
+    def compose(self, other): ...
+    def inverse(self): ...
+    def is_identity(self) -> bool: ...
+    def order(self) -> OrderResult: ...
+    def conjugacy_invariant(self): ...
+    def canonical_key(self): ...
+
+
 # ---------------------------------------------------------------------------
 # presentations and words
 
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Named jet generators sharing one shape, plus optional witness words."""
+    """Named generators of one type and shape, plus optional witness words."""
 
-    generators: tuple[tuple[str, GermJet], ...]
+    generators: tuple[tuple[str, GroupElement], ...]
     witnesses: dict = dc_field(default_factory=dict)  # (i, j) -> word
 
     def __post_init__(self):
@@ -58,7 +72,7 @@ class GroupPresentation:
         names = [name for name, _ in self.generators]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
-        shapes = {(j.n, j.K, j.field.conductor) for _, j in self.generators}
+        shapes = {x.shape for _, x in self.generators}
         if len(shapes) != 1:
             raise ValueError("generators must share dimension, truncation and field")
         for (i, j), word in self.witnesses.items():
@@ -73,20 +87,16 @@ class GroupPresentation:
         return [name for name, _ in self.generators]
 
     @property
-    def jets(self) -> list[GermJet]:
-        return [j for _, j in self.generators]
+    def elements(self) -> list[GroupElement]:
+        return [x for _, x in self.generators]
 
     @property
-    def field(self) -> CycloField:
-        return self.generators[0][1].field
+    def shape(self) -> tuple:
+        return self.generators[0][1].shape
 
-    @property
-    def n(self) -> int:
-        return self.generators[0][1].n
-
-    @property
-    def K(self) -> int:
-        return self.generators[0][1].K
+    def identity(self) -> GroupElement:
+        first = self.generators[0][1]
+        return type(first).identity(*first.shape)
 
 
 _WORD_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(-?\d+))?\s*")
@@ -118,8 +128,9 @@ def format_word(tokens: Sequence[tuple[str, int]]) -> str:
 
 
 def evaluate_word(presentation: GroupPresentation, word: str) -> GermJet:
+    """The jet a word names in a jet presentation."""
     by_name = dict(presentation.generators)
-    out = GermJet.identity(presentation.field, presentation.n, presentation.K)
+    out = presentation.identity()
     for name, e in parse_word(word):
         if name not in by_name:
             raise WordError(f"unknown generator {name!r}")
@@ -131,12 +142,12 @@ def evaluate_word(presentation: GroupPresentation, word: str) -> GermJet:
 # condition (a)
 
 
-def check_product_identity(g: GroupPresentation) -> tuple[bool, GermJet]:
+def check_product_identity(g: GroupPresentation) -> tuple[bool, GroupElement]:
     """Compose generators in listed order; the residual is the composite."""
-    jets = g.jets
-    out = jets[0]
-    for j in jets[1:]:
-        out = compose(out, j)
+    elements = g.elements
+    out = elements[0]
+    for x in elements[1:]:
+        out = out.compose(x)
     return out.is_identity(), out
 
 
@@ -170,15 +181,20 @@ def bfs_ball(identity, letters, depth: int, compose_fn: Callable):
 
 
 def _distinct_letters(g: GroupPresentation):
-    """Generators and inverses, deduplicated by jet value, in listing order."""
+    """Generators and inverses, deduplicated by value, in listing order."""
     letters = []
     seen = set()
-    for name, jet in g.generators:
-        for token_exp, value in (((name, 1), jet), ((name, -1), invert(jet))):
+    for name, x in g.generators:
+        for token_exp, value in (((name, 1), x), ((name, -1), x.inverse())):
             if value not in seen:
                 seen.add(value)
                 letters.append((token_exp, value))
     return letters
+
+
+def _word_ball(g: GroupPresentation, bound: int):
+    ident = g.identity()
+    return bfs_ball(ident, _distinct_letters(g), bound, type(ident).compose)
 
 
 # ---------------------------------------------------------------------------
@@ -196,30 +212,28 @@ class WitnessResult:
         return self.status == "witness"
 
 
-def _conjugation_prescreen(
-    fi: GermJet, fj: GermJet, order_bound: int
-) -> Optional[WitnessResult]:
+def _conjugation_prescreen(fi: GroupElement, fj: GroupElement) -> Optional[WitnessResult]:
     """Sound non-conjugacy certificates that avoid any search."""
     if fi == fj:
         return WitnessResult("witness", word="")
-    oi, oj = germ_order(fi, order_bound), germ_order(fj, order_bound)
+    oi, oj = fi.order(), fj.order()
     if "inconclusive" not in (oi.kind, oj.kind) and (oi.kind, oi.order) != (oj.kind, oj.order):
         return WitnessResult(
             "disproved",
             reason=f"order-mismatch: {oi.order or oi.kind} vs {oj.order or oj.kind}",
         )
-    if char_poly(fi.linear_matrix()) != char_poly(fj.linear_matrix()):
+    if fi.conjugacy_invariant() != fj.conjugacy_invariant():
         return WitnessResult("disproved", reason="linear-part-charpoly-mismatch")
     return None
 
 
 def _generators_commute(g: GroupPresentation) -> bool:
-    jets = []
-    for _, j in g.generators:
-        if j not in jets:
-            jets.append(j)
+    distinct = []
+    for _, x in g.generators:
+        if x not in distinct:
+            distinct.append(x)
     return all(
-        compose(a, b) == compose(b, a) for i, a in enumerate(jets) for b in jets[i + 1 :]
+        a.compose(b) == b.compose(a) for i, a in enumerate(distinct) for b in distinct[i + 1 :]
     )
 
 
@@ -231,7 +245,6 @@ def find_conjugacy_witness(
     *,
     _ball=None,
     _abelian: Optional[bool] = None,
-    order_bound: int = DEFAULT_ORDER_BOUND,
 ) -> WitnessResult:
     """Witness word w with w o f_j o w^{-1} = f_i, searched to word length `bound`.
 
@@ -240,16 +253,16 @@ def find_conjugacy_witness(
     commuting generators generate an abelian group, where conjugacy is
     equality); an exhausted search is only ever "unresolved".
     """
-    fi, fj = g.jets[i], g.jets[j]
+    fi, fj = g.elements[i], g.elements[j]
     if i == j:
         return WitnessResult("witness", word="")
     supplied = g.witnesses.get((i, j))
     if supplied is not None:
         w = evaluate_word(g, supplied)
-        if compose(w, fj) != compose(fi, w):
+        if w.compose(fj) != fi.compose(w):
             raise ValueError(f"supplied witness {supplied!r} fails for pair ({i}, {j})")
         return WitnessResult("witness", word=supplied)
-    screened = _conjugation_prescreen(fi, fj, order_bound)
+    screened = _conjugation_prescreen(fi, fj)
     if screened is not None:
         return screened
     if _abelian is None:
@@ -258,14 +271,10 @@ def find_conjugacy_witness(
         return WitnessResult(
             "disproved", reason="commuting-generators: abelian group, conjugacy is equality"
         )
-    ball = _ball if _ball is not None else bfs_ball(
-        GermJet.identity(g.field, g.n, g.K), _distinct_letters(g), bound, compose
-    )
+    ball = _ball if _ball is not None else _word_ball(g, bound)
     for elem, word in ball:
-        if compose(elem, fj) == compose(fi, elem):
-            return WitnessResult(
-                "witness", word=format_word(word)
-            )
+        if elem.compose(fj) == fi.compose(elem):
+            return WitnessResult("witness", word=format_word(word))
     return WitnessResult("unresolved", reason=f"no witness within word length {bound}")
 
 
@@ -276,24 +285,21 @@ def find_conjugacy_witness(
 @dataclass(frozen=True)
 class BasicSetReport:
     product_is_identity: bool
-    residual: GermJet
+    residual: GroupElement
     conjugacy: dict  # (i, j), i < j -> WitnessResult
     verdict: str  # "irreducible-verified" | "condition-a-failed" | "condition-b-unresolved"
 
 
-def check_basic_set(
-    g: GroupPresentation,
-    bound: int = DEFAULT_WITNESS_BOUND,
-    order_bound: int = DEFAULT_ORDER_BOUND,
-) -> BasicSetReport:
+def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) -> BasicSetReport:
+    elements = g.elements
     prod_ok, residual = check_product_identity(g)
     abelian = _generators_commute(g)
     ball = None
     cache: dict = {}
     conjugacy = {}
-    for i in range(len(g.generators)):
-        for j in range(i + 1, len(g.generators)):
-            key = (g.jets[i], g.jets[j])
+    for i in range(len(elements)):
+        for j in range(i + 1, len(elements)):
+            key = (elements[i], elements[j])
             if key in cache:
                 conjugacy[(i, j)] = cache[key]
                 continue
@@ -301,18 +307,11 @@ def check_basic_set(
                 ball is None
                 and not abelian
                 and (i, j) not in g.witnesses
-                and g.jets[i] != g.jets[j]
-                and _conjugation_prescreen(g.jets[i], g.jets[j], order_bound) is None
+                and elements[i] != elements[j]
+                and _conjugation_prescreen(elements[i], elements[j]) is None
             ):
-                ball = bfs_ball(
-                    GermJet.identity(g.field, g.n, g.K),
-                    _distinct_letters(g),
-                    bound,
-                    compose,
-                )
-            res = find_conjugacy_witness(
-                g, i, j, bound, _ball=ball, _abelian=abelian, order_bound=order_bound
-            )
+                ball = _word_ball(g, bound)
+            res = find_conjugacy_witness(g, i, j, bound, _ball=ball, _abelian=abelian)
             cache[key] = res
             conjugacy[(i, j)] = res
     if not prod_ok:
@@ -331,42 +330,33 @@ def check_basic_set(
 @dataclass(frozen=True)
 class ClosureResult:
     status: str  # "closed" | "cap-exceeded"
-    elements: Optional[tuple[GermJet, ...]]
+    elements: Optional[tuple[GroupElement, ...]]
     count: int
 
 
-def closure_enumerate(
-    g: GroupPresentation, cap: int = DEFAULT_CLOSURE_CAP, workers: int = 1
-) -> ClosureResult:
-    """BFS closure of the generated subgroup inside the K-jet group.
+def closure_enumerate(g: GroupPresentation, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
+    """BFS closure of the generated group, serially, one frontier at a time.
 
     Stops with cap-exceeded as soon as more than `cap` distinct elements have
-    been found.  `workers` > 1 expands each frontier with a thread pool;
-    deduplication happens on the main thread in frontier order, so the result
-    is schedule-independent.
+    been found; `count` is then the number found so far.  A closed result
+    lists the elements sorted by `canonical_key()`.
     """
     letters = [value for _, value in _distinct_letters(g)]
-    ident = GermJet.identity(g.field, g.n, g.K)
+    ident = g.identity()
     seen = {ident}
     frontier = [ident]
     while frontier:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                batches = list(
-                    pool.map(lambda e: [compose(e, l) for l in letters], frontier)
-                )
-        else:
-            batches = ([compose(e, l) for l in letters] for e in frontier)
         nxt = []
-        for batch in batches:
-            for candidate in batch:
+        for e in frontier:
+            for letter in letters:
+                candidate = e.compose(letter)
                 if candidate not in seen:
                     seen.add(candidate)
                     nxt.append(candidate)
             if len(seen) > cap:
                 return ClosureResult("cap-exceeded", None, len(seen))
         frontier = nxt
-    elements = tuple(sorted(seen, key=lambda j: j._canonical_key()))
+    elements = tuple(sorted(seen, key=lambda x: x.canonical_key()))
     return ClosureResult("closed", elements, len(elements))
 
 
@@ -377,7 +367,7 @@ def is_cyclic(elements: Sequence[GermJet]) -> Optional[GermJet]:
     is the canonical element order, so the result is deterministic.
     """
     pool = set(elements)
-    ordered = sorted(pool, key=lambda j: j._canonical_key())
+    ordered = sorted(pool, key=lambda j: j.canonical_key())
     for a in ordered:
         for b in ordered:
             if compose(a, b) not in pool:
@@ -432,7 +422,8 @@ def slice_morphism_report(g: GroupPresentation, k: int) -> list[SliceMorphismEnt
     listed product must vanish; nonresonant monomials yield a family of
     affine maps whose multiplier is lambda_r / lambda^Q.
     """
-    jets = g.jets
+    jets = g.elements
+    _, n, _ = g.shape
     lin = jets[0].linear_matrix()
     if not mat_is_diagonal(lin):
         raise ValueError("generators must have a diagonal linear part")
@@ -442,7 +433,7 @@ def slice_morphism_report(g: GroupPresentation, k: int) -> list[SliceMorphismEnt
         low = [key for key in j.coeffs if 1 < sum(key[1]) < k]
         if low:
             raise ValueError(f"generator {name} has nonlinear terms below degree {k}")
-    eigenvalues = [lin[i][i] for i in range(g.n)]
+    eigenvalues = [lin[i][i] for i in range(n)]
     orders = [root_of_unity_order(lam) for lam in eigenvalues]
     nominal = None
     if all(o is not None for o in orders):
@@ -454,8 +445,8 @@ def slice_morphism_report(g: GroupPresentation, k: int) -> list[SliceMorphismEnt
 
     entries = []
     nu_plus_1 = len(jets)
-    for s in range(g.n):
-        for q in iter_multiindices(g.n, k):
+    for s in range(n):
+        for q in iter_multiindices(n, k):
             coeffs = [j.coeff(s, q) for j in jets]
             if is_resonant(eigenvalues, s, q):
                 lam_r = eigenvalues[s]
@@ -609,7 +600,8 @@ def linearize_group(g: GroupPresentation):
     part, and cancels the shared nonresonant slice through one homological
     step applied to every generator simultaneously.
     """
-    jets = list(g.jets)
+    jets = g.elements
+    fld, n, K = g.shape
     names = g.names
     prod_ok, residual = check_product_identity(g)
     if not prod_ok:
@@ -626,7 +618,7 @@ def linearize_group(g: GroupPresentation):
         return LinearizationFailure(
             "precondition-violated", detail="common linear part is not diagonal"
         )
-    eigenvalues = [lin[i][i] for i in range(g.n)]
+    eigenvalues = [lin[i][i] for i in range(n)]
     orders = []
     for lam in eigenvalues:
         o = root_of_unity_order(lam)
@@ -661,8 +653,8 @@ def linearize_group(g: GroupPresentation):
         )
 
     current = jets
-    chi = GermJet.identity(g.field, g.n, g.K)
-    for k in range(2, g.K + 1):
+    chi = g.identity()
+    for k in range(2, K + 1):
         slices = [j.degree_slice(k) for j in current]
         keys = sorted(
             {key for sl in slices for key in sl}, key=lambda key: (key[0], grlex_key(key[1]))
@@ -671,8 +663,8 @@ def linearize_group(g: GroupPresentation):
         offending = []
         for idx, sl in enumerate(slices[1:], start=1):
             for key in keys:
-                if sl.get(key, g.field.zero()) != reference.get(key, g.field.zero()):
-                    offending.append((names[idx], key[0], key[1], sl.get(key, g.field.zero())))
+                if sl.get(key, fld.zero()) != reference.get(key, fld.zero()):
+                    offending.append((names[idx], key[0], key[1], sl.get(key, fld.zero())))
         if offending:
             return LinearizationFailure(
                 "generators-differ",
@@ -693,14 +685,10 @@ def linearize_group(g: GroupPresentation):
                 detail=f"nonzero resonant coefficients survive at degree {k}",
             )
         if reference:
-            p = homological_solve(eigenvalues, reference)
-            step = dict(GermJet.identity(g.field, g.n, g.K).coeffs)
-            step.update(p)
-            h = GermJet(g.n, g.K, g.field, step)
-            h_inv = invert(h)
+            h, h_inv = homological_step(eigenvalues, reference, g.shape)
             current = [compose(h_inv, compose(j, h)) for j in current]
             chi = compose(h_inv, chi)
-    linear_target = GermJet.from_linear(lin, g.K)
+    linear_target = GermJet.from_linear(lin, K)
     assert all(j == linear_target for j in current), "linearization left nonlinear residue"
     return LinearizationSuccess(
         conjugator=chi,

@@ -226,6 +226,10 @@ class GermJet:
 
     # -- group structure -----------------------------------------------------------
 
+    @property
+    def shape(self) -> tuple[CycloField, int, int]:
+        return (self.field, self.n, self.K)
+
     def compose(self, other: "GermJet") -> "GermJet":
         return compose(self, other)
 
@@ -235,9 +239,16 @@ class GermJet:
     def power(self, m: int) -> "GermJet":
         return power(self, m)
 
+    def order(self) -> "OrderResult":
+        return germ_order(self)
+
+    def conjugacy_invariant(self) -> tuple[CycloNum, ...]:
+        """Characteristic polynomial of the linear part."""
+        return char_poly(self.linear_matrix())
+
     # -- equality / hashing ----------------------------------------------------------
 
-    def _canonical_key(self):
+    def canonical_key(self):
         if self._key is None:
             items = tuple(
                 (s, q, c.coeffs) for (s, q), c in self.canonical_items()
@@ -248,10 +259,10 @@ class GermJet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GermJet):
             return NotImplemented
-        return self._canonical_key() == other._canonical_key()
+        return self.canonical_key() == other.canonical_key()
 
     def __hash__(self) -> int:
-        return hash(self._canonical_key())
+        return hash(self.canonical_key())
 
     def __repr__(self) -> str:
         parts = []

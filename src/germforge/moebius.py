@@ -22,13 +22,16 @@ from .cyclo import (
     FieldMismatchError,
     euler_phi,
     is_prime_power,
-    root_of_unity_order,
 )
 from .jets import GermJet, OrderResult
 from .groupkit import (
+    DEFAULT_CLOSURE_CAP,
+    DEFAULT_WITNESS_BOUND,
     GroupPresentation,
     LinearizationSuccess,
-    bfs_ball,
+    check_basic_set,
+    check_product_identity,
+    closure_enumerate,
     linearize_group,
 )
 
@@ -107,9 +110,27 @@ class MoebiusMap:
         one, zero = fld.one(), fld.zero()
         return cls(((one, zero), (zero, one)))
 
+    @property
+    def shape(self) -> tuple[CycloField]:
+        return (self.field,)
+
     def is_identity(self) -> bool:
         (a, b), (c, d) = self.matrix
         return b.is_zero() and c.is_zero() and a == d
+
+    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
+        return moebius_compose(self, other)
+
+    def order(self) -> OrderResult:
+        return moebius_order(self)
+
+    def conjugacy_invariant(self) -> CycloNum:
+        """trace^2 / det, the projective class of the characteristic polynomial."""
+        t = self.trace()
+        return t * t / self.det()
+
+    def canonical_key(self):
+        return (self.field.conductor, tuple(c.coeffs for row in self.matrix for c in row))
 
     def entries(self):
         (a, b), (c, d) = self.matrix
@@ -137,7 +158,7 @@ class MoebiusMap:
         return self.field.conductor == other.field.conductor and self.matrix == other.matrix
 
     def __hash__(self) -> int:
-        return hash((self.field.conductor, tuple(c.coeffs for row in self.matrix for c in row)))
+        return hash(self.canonical_key())
 
     def __repr__(self) -> str:
         a, b, c, d = self.entries()
@@ -167,13 +188,13 @@ def _torsion_order_bound(fld: CycloField) -> int:
     return max(k for k in range(1, limit + 1) if euler_phi(k) <= budget)
 
 
-def moebius_order(m: MoebiusMap, bound: int = 0) -> OrderResult:
+def moebius_order(m: MoebiusMap) -> OrderResult:
     """Projective order: least k with m^k a scalar matrix; exact.
 
     With ratio r = mu1/mu2 of the eigenvalues, w_m = r^m + r^-m satisfies the
     recurrence w_{m+1} = w_1 * w_m - w_{m-1} inside the field, and m^k is
-    scalar iff w_k = 2.  Scanning k up to the field's torsion bound (or
-    `bound` if larger) decides finiteness outright.
+    scalar iff w_k = 2.  Scanning k up to the field's torsion bound decides
+    finiteness outright.
     """
     if m.is_identity():
         return OrderResult("finite", order=1)
@@ -186,7 +207,7 @@ def moebius_order(m: MoebiusMap, bound: int = 0) -> OrderResult:
             "infinite",
             certificate="parabolic: equal eigenvalues on a non-scalar matrix",
         )
-    limit = max(_torsion_order_bound(m.field), bound)
+    limit = _torsion_order_bound(m.field)
     w_prev, w_cur = two, w1
     for k in range(1, limit + 1):
         if w_cur == two:
@@ -356,7 +377,10 @@ def germ_at_fixed_point(m: MoebiusMap, q: ProjectivePoint, order: int) -> GermJe
 
 @dataclass(frozen=True)
 class HolonomyVerdict:
-    finite_cyclic: bool
+    """`finite_cyclic` is True, False, or "unresolved": the witness search was
+    exhausted without a disproof, or the fixed points lie outside the field."""
+
+    finite_cyclic: bool | str
     order: Optional[int] = None
     model: Optional[str] = None  # "rotation" | "inversion" | "other"
     first_integral_exponent: Optional[int] = None
@@ -364,49 +388,31 @@ class HolonomyVerdict:
     certificate: Optional[str] = None
 
 
-def _moebius_letters(generators: Sequence[MoebiusMap]):
-    letters = []
-    seen = set()
-    for idx, g in enumerate(generators):
-        for tag, val in (((f"g{idx+1}", 1), g), ((f"g{idx+1}", -1), g.inverse())):
-            if val not in seen:
-                seen.add(val)
-                letters.append((tag, val))
-    return letters
-
-
 def holonomy_check(
     generators: Sequence[MoebiusMap],
-    expected_count: int,
-    word_bound: int = 6,
+    word_bound: int = DEFAULT_WITNESS_BOUND,
     order: int = 3,
-    closure_cap: int = 4096,
+    closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> HolonomyVerdict:
     """Decide whether the generated Moebius group is finite cyclic.
 
-    The generator list must have prime-power length (the ramification-degree
-    hypothesis).  The generators must satisfy the two basic-set conditions in
-    the Moebius group; a common fixed point is then localized to a
-    1-dimensional jet presentation which is linearized simultaneously.  The
-    closure of the Moebius group itself is enumerated as an independent
-    finiteness certificate and both routes are reported.
+    The number of generators must be 1 or a prime power (the
+    ramification-degree hypothesis).  The generators must have finite order
+    and satisfy the two basic-set conditions, checked by `check_basic_set`
+    with witness words up to `word_bound`; a common fixed point is then
+    localized to a 1-dimensional jet presentation which is linearized
+    simultaneously.  The closure of the Moebius group, enumerated up to
+    `closure_cap` elements, is reported as an independent finiteness
+    certificate.
     """
     gens = list(generators)
-    if len(gens) != expected_count:
-        raise ValueError("generator count does not match the declared count")
-    if is_prime_power(expected_count) is None and expected_count != 1:
-        raise ValueError(f"expected_count {expected_count} is not a prime power")
-    fld = gens[0].field
-    if any(g.field.conductor != fld.conductor for g in gens):
-        raise FieldMismatchError("generators from different fields")
+    if len(gens) != 1 and is_prime_power(len(gens)) is None:
+        raise ValueError(f"generator count {len(gens)} is not a prime power")
+    pres = GroupPresentation(tuple((f"g{i+1}", g) for i, g in enumerate(gens)))
+    distinct = list(dict.fromkeys(gens))
 
-    distinct = []
-    for g in gens:
-        if g not in distinct:
-            distinct.append(g)
-
-    orders = [moebius_order(g) for g in distinct]
-    for g, o in zip(distinct, orders):
+    for g in distinct:
+        o = moebius_order(g)
         if o.kind != "finite":
             return HolonomyVerdict(
                 False,
@@ -415,33 +421,20 @@ def holonomy_check(
                 certificate=o.certificate,
             )
 
-    # condition (a)
-    prod = gens[0]
-    for g in gens[1:]:
-        prod = moebius_compose(prod, g)
-    if not prod.is_identity():
+    if not check_product_identity(pres)[0]:
         return HolonomyVerdict(
             False, model="other", detail="ordered product of generators is not the identity"
         )
-    # condition (b): exact witness search in the Moebius group
-    if len(distinct) > 1:
-        ball = bfs_ball(
-            MoebiusMap.identity(fld), _moebius_letters(gens), word_bound, moebius_compose
+    report = check_basic_set(pres, word_bound)
+    failed = [(pair, r) for pair, r in sorted(report.conjugacy.items()) if not r.found]
+    if failed:
+        disproved = [(pair, r) for pair, r in failed if r.status == "disproved"]
+        (i, j), res = (disproved or failed)[0]
+        return HolonomyVerdict(
+            False if disproved else "unresolved",
+            model="other" if disproved else None,
+            detail=f"generator pair ({i}, {j}): {res.reason}",
         )
-        for i in range(len(distinct)):
-            for j in range(i + 1, len(distinct)):
-                if not any(
-                    moebius_compose(e, distinct[j]) == moebius_compose(distinct[i], e)
-                    for e, _ in ball
-                ):
-                    return HolonomyVerdict(
-                        False,
-                        model="other",
-                        detail=(
-                            f"no conjugacy witness within word length {word_bound} "
-                            f"for generator pair ({i}, {j})"
-                        ),
-                    )
 
     nontrivial = [g for g in distinct if not g.is_identity()]
     if not nontrivial:
@@ -450,9 +443,12 @@ def holonomy_check(
             detail="all generators are the identity",
         )
     common: Optional[list[ProjectivePoint]] = None
-    for g in nontrivial:
-        pts = fixed_points(g)
-        common = pts if common is None else [p for p in common if p in pts]
+    try:
+        for g in nontrivial:
+            pts = fixed_points(g)
+            common = pts if common is None else [p for p in common if p in pts]
+    except ExtensionRequiredError as exc:
+        return HolonomyVerdict("unresolved", detail=str(exc))
     if not common:
         return HolonomyVerdict(
             False, model="other", detail="generators have no common fixed point"
@@ -469,30 +465,14 @@ def holonomy_check(
         )
     k = outcome.group_order
 
-    # independent route: closure of the Moebius group itself
-    seen = {MoebiusMap.identity(fld)}
-    frontier = list(seen)
-    letters = [v for _, v in _moebius_letters(gens)]
-    while frontier and len(seen) <= closure_cap:
-        nxt = []
-        for e in frontier:
-            for l in letters:
-                cand = moebius_compose(e, l)
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
+    closure = closure_enumerate(pres, closure_cap)
     closure_note = (
-        f"moebius closure has {len(seen)} elements"
-        if len(seen) <= closure_cap
+        f"moebius closure has {closure.count} elements"
+        if closure.status == "closed"
         else f"moebius closure exceeded cap {closure_cap}"
     )
 
-    if (
-        len(distinct) == 1
-        and moebius_order(distinct[0]).order == 2
-        and len(fixed_points(distinct[0])) == 2
-    ):
+    if len(distinct) == 1 and moebius_order(distinct[0]).order == 2 and len(common) == 2:
         return HolonomyVerdict(
             True, order=2, model="inversion",
             detail=f"single order-2 generator with two fixed points; {closure_note}",

@@ -98,6 +98,17 @@ def homological_solve(eigenvalues: Sequence[CycloNum], degree_slice: dict) -> di
     return out
 
 
+def homological_step(
+    eigenvalues: Sequence[CycloNum], degree_slice: dict, shape: tuple
+) -> tuple[GermJet, GermJet]:
+    """(h, h^{-1}) for h = Id + P, P from `homological_solve`, jets of `shape`."""
+    fld, n, K = shape
+    step = dict(GermJet.identity(*shape).coeffs)
+    step.update(homological_solve(eigenvalues, degree_slice))
+    h = GermJet(n, K, fld, step)
+    return h, invert(h)
+
+
 def _diagonal_eigenvalues(f: GermJet) -> list[CycloNum]:
     lin = f.linear_matrix()
     if not mat_is_diagonal(lin):
@@ -126,11 +137,7 @@ def poincare_dulac_normalize(f: GermJet) -> NormalizationResult:
             continue
         for (s, q), c in sorted(nonres.items(), key=lambda kv: (kv[0][0], grlex_key(kv[0][1]))):
             removed.append((s, q, c))
-        p = homological_solve(eigenvalues, nonres)
-        step = dict(GermJet.identity(f.field, f.n, f.K).coeffs)
-        step.update(p)
-        h = GermJet(f.n, f.K, f.field, step)
-        h_inv = invert(h)
+        h, h_inv = homological_step(eigenvalues, nonres, f.shape)
         current = compose(h_inv, compose(current, h))
         chi = compose(h_inv, chi)
     return NormalizationResult(current, chi, tuple(removed))
