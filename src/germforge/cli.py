@@ -4,8 +4,8 @@ Commands dispatch to the library and emit a report in text or JSON form.
 Closures are enumerated serially; `moebius-holonomy` honours `--witness-bound`
 and `--closure-cap` like the jet commands.  Exit codes: 0 success (and, for
 `examples run`, verdict matched), 1 verdict mismatch, 2 input error, 3 no
-decision within the bounds or the field (closure cap, inconclusive order,
-unresolved witnesses, unresolved holonomy verdict).
+decision within the bounds or the field (closure cap, unresolved witnesses,
+unresolved holonomy verdict).  Element orders are always decided exactly.
 """
 
 from __future__ import annotations
@@ -387,8 +387,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 exit_code = EXIT_LIMIT
         elif args.command == "order":
             verdict = _order_payload(doc, args.element)
-            if verdict["kind"] == "inconclusive":
-                exit_code = EXIT_LIMIT
         elif args.command == "keylemma":
             verdict = _keylemma_payload(doc)
         elif args.command == "moebius-holonomy":

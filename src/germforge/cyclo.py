@@ -9,10 +9,12 @@ numeric evaluation exists only as a diagnostic.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import threading
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import mpmath
 
@@ -74,6 +76,68 @@ def euler_phi(n: int) -> int:
     for p in prime_factors(n):
         out -= out // p
     return out
+
+
+def torsion_exponent(conductor: int, n: int) -> int:
+    """A multiple of every finite element order in GL_n(Q(zeta_N)).
+
+    An eigenvalue of order k generates Q(zeta_L), L = lcm(N, k), which has
+    degree at most n over Q(zeta_N); so k divides the lcm of all multiples L
+    of N with phi(L) <= n*phi(N).  phi(L) >= sqrt(L/2) caps the scan.
+    """
+    budget = n * euler_phi(conductor)
+    limit = 2 * budget * budget
+    return math.lcm(
+        *(L for L in range(conductor, limit + 1, conductor) if euler_phi(L) <= budget)
+    )
+
+
+# ---------------------------------------------------------------------------
+# powers and element orders in any group, given its multiplication
+
+
+def binary_power(x, e: int, mul: Callable):
+    """x**e for e >= 1 by square-and-multiply, squaring only below the top bit."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = mul(x, x)
+
+
+@dataclass(frozen=True)
+class OrderResult:
+    kind: str  # "finite" | "infinite"; every order is decided exactly
+    order: Optional[int] = None
+    certificate: Optional[str] = None
+
+    @property
+    def is_finite(self) -> bool:
+        return self.kind == "finite"
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.kind == "infinite"
+
+
+def element_order(x, exponent: int, mul: Callable, identity) -> OrderResult:
+    """Exact order of x, given a multiple `exponent` of every finite order x can have.
+
+    x**exponent != identity proves infinite order (see `torsion_exponent`);
+    otherwise the order divides `exponent`, and scanning x, x**2, ... finds
+    it within `exponent` products.
+    """
+    if binary_power(x, exponent, mul) != identity:
+        return OrderResult("infinite", certificate=(
+            f"power {exponent} is not the identity, and every finite order divides {exponent}"
+        ))
+    power, order = x, 1
+    while power != identity:
+        power, order = mul(power, x), order + 1
+    return OrderResult("finite", order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +390,9 @@ class CycloNum:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        out = self.field.one()
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if n == 0:
+            return self.field.one()
+        return binary_power(self if n > 0 else self.inverse(), abs(n), operator.mul)
 
     # -- comparisons ----------------------------------------------------------
 
@@ -404,17 +462,11 @@ def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 def root_of_unity_order(a: CycloNum) -> Optional[int]:
     """Least m >= 1 with a**m == 1, or None when a is not a root of unity.
 
-    The torsion of Q(zeta_N)* is the group of lcm(2, N)-th roots of unity,
-    so a single power test decides membership.
+    The torsion of Q(zeta_N)* is the group of lcm(2, N)-th roots of unity:
+    `torsion_exponent` with n = 1.
     """
-    n = math.lcm(2, a.field.conductor)
-    if not (a ** n).is_one():
-        return None
-    order = n
-    for p in prime_factors(n):
-        while order % p == 0 and (a ** (order // p)).is_one():
-            order //= p
-    return order
+    fld = a.field
+    return element_order(a, torsion_exponent(fld.conductor, 1), operator.mul, fld.one()).order
 
 
 def embed_to_conductor(a: CycloNum, m: int) -> CycloNum:

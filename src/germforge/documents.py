@@ -163,10 +163,13 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
         pair = w["pair"]
         _expect(isinstance(pair, list) and len(pair) == 2 and all(p in gen_names for p in pair),
                 f"{path}.pair", "must name two known generators")
+        _expect(isinstance(w["word"], str), f"{path}.word", "must be a string")
         try:
-            parse_word(w["word"])
+            tokens = parse_word(w["word"])
         except ValueError as exc:
             raise DocumentError(f"{path}.word: {exc}") from exc
+        for wname, _ in tokens:
+            _expect(wname in gen_names, f"{path}.word", f"unknown generator {wname!r}")
         witnesses[(gen_names.index(pair[0]), gen_names.index(pair[1]))] = w["word"]
 
     return InputDocument(

@@ -17,16 +17,22 @@ import re
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Protocol, Sequence
 
-from .cyclo import CycloNum, is_prime_power, prime_factors, root_of_unity_order
+from .cyclo import (
+    CycloNum,
+    OrderResult,
+    binary_power,
+    is_prime_power,
+    prime_factors,
+    root_of_unity_order,
+)
 from .jets import (
     GermJet,
     Matrix,
     MultiIndex,
-    OrderResult,
     compose,
     grlex_key,
+    iter_multiindices,
     mat_is_diagonal,
-    power,
 )
 from .resonance import eigenvalue_power, homological_step, is_resonant
 
@@ -127,15 +133,18 @@ def format_word(tokens: Sequence[tuple[str, int]]) -> str:
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in merged)
 
 
-def evaluate_word(presentation: GroupPresentation, word: str) -> GermJet:
-    """The jet a word names in a jet presentation."""
+def evaluate_word(presentation: GroupPresentation, word: str) -> GroupElement:
+    """The element a word names, composed left to right from its first factor."""
     by_name = dict(presentation.generators)
-    out = presentation.identity()
+    out = None
     for name, e in parse_word(word):
         if name not in by_name:
             raise WordError(f"unknown generator {name!r}")
-        out = compose(out, power(by_name[name], e))
-    return out
+        if e:
+            x = by_name[name] if e > 0 else by_name[name].inverse()
+            factor = binary_power(x, abs(e), type(x).compose)
+            out = factor if out is None else out.compose(factor)
+    return presentation.identity() if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +226,7 @@ def _conjugation_prescreen(fi: GroupElement, fj: GroupElement) -> Optional[Witne
     if fi == fj:
         return WitnessResult("witness", word="")
     oi, oj = fi.order(), fj.order()
-    if "inconclusive" not in (oi.kind, oj.kind) and (oi.kind, oi.order) != (oj.kind, oj.order):
+    if (oi.kind, oi.order) != (oj.kind, oj.order):
         return WitnessResult(
             "disproved",
             reason=f"order-mismatch: {oi.order or oi.kind} vs {oj.order or oj.kind}",
@@ -413,6 +422,33 @@ class SliceMorphismEntry:
     order_differs_from_nominal: Optional[bool] = None
 
 
+def _prime_power_spectrum(eigenvalues) -> tuple[tuple, Optional[str]]:
+    """Root-of-unity orders of the eigenvalues, and why they are not all
+    powers of one prime (None when they are, 1 included).
+
+    The orders stop at the first eigenvalue that is not a root of unity,
+    which is recorded as None.
+    """
+    orders = []
+    for lam in eigenvalues:
+        orders.append(root_of_unity_order(lam))
+        if orders[-1] is None:
+            return tuple(orders), f"eigenvalue {lam} is not a root of unity"
+    powers = [(o, is_prime_power(o)) for o in orders if o > 1]
+    for o, pp in powers:
+        if pp is None:
+            return tuple(orders), f"eigenvalue order {o} is not a prime power"
+    primes = sorted({pp[0] for _, pp in powers})
+    if len(primes) > 1:
+        return tuple(orders), (
+            "eigenvalue orders "
+            + ", ".join(str(o) for o in orders)
+            + " are powers of distinct primes "
+            + ", ".join(str(p) for p in primes)
+        )
+    return tuple(orders), None
+
+
 def slice_morphism_report(g: GroupPresentation, k: int) -> list[SliceMorphismEntry]:
     """Per-(coordinate, monomial) analysis of the degree-k coefficients.
 
@@ -434,15 +470,8 @@ def slice_morphism_report(g: GroupPresentation, k: int) -> list[SliceMorphismEnt
         if low:
             raise ValueError(f"generator {name} has nonlinear terms below degree {k}")
     eigenvalues = [lin[i][i] for i in range(n)]
-    orders = [root_of_unity_order(lam) for lam in eigenvalues]
-    nominal = None
-    if all(o is not None for o in orders):
-        pps = [is_prime_power(o) for o in orders if o > 1]
-        primes = {pp[0] for pp in pps if pp}
-        if all(pps) and len(primes) == 1:
-            nominal = primes.pop() ** sum(pp[1] for pp in pps)
-    from .jets import iter_multiindices
-
+    orders, problem = _prime_power_spectrum(eigenvalues)
+    nominal = math.prod(orders) if problem is None and math.prod(orders) > 1 else None
     entries = []
     nu_plus_1 = len(jets)
     for s in range(n):
@@ -619,37 +648,10 @@ def linearize_group(g: GroupPresentation):
             "precondition-violated", detail="common linear part is not diagonal"
         )
     eigenvalues = [lin[i][i] for i in range(n)]
-    orders = []
-    for lam in eigenvalues:
-        o = root_of_unity_order(lam)
-        if o is None:
-            return LinearizationFailure(
-                "precondition-violated",
-                detail=f"eigenvalue {lam} is not a root of unity",
-                eigenvalue_orders=tuple(orders) + (None,),
-            )
-        orders.append(o)
-    primes = set()
-    for o in orders:
-        if o > 1:
-            pp = is_prime_power(o)
-            if pp is None:
-                return LinearizationFailure(
-                    "precondition-violated",
-                    detail=f"eigenvalue order {o} is not a prime power",
-                    eigenvalue_orders=tuple(orders),
-                )
-            primes.add(pp[0])
-    if len(primes) > 1:
+    orders, problem = _prime_power_spectrum(eigenvalues)
+    if problem is not None:
         return LinearizationFailure(
-            "precondition-violated",
-            detail=(
-                "eigenvalue orders "
-                + ", ".join(str(o) for o in orders)
-                + " are powers of distinct primes "
-                + ", ".join(str(p) for p in sorted(primes))
-            ),
-            eigenvalue_orders=tuple(orders),
+            "precondition-violated", detail=problem, eigenvalue_orders=orders
         )
 
     current = jets

@@ -8,12 +8,18 @@ memoized per call since they dominate the cost.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator
 
-from .cyclo import CycloField, CycloNum, FieldMismatchError, root_of_unity_order
+from .cyclo import (
+    CycloField,
+    CycloNum,
+    FieldMismatchError,
+    OrderResult,
+    binary_power,
+    element_order,
+    torsion_exponent,
+)
 
 Matrix = tuple[tuple[CycloNum, ...], ...]
 MultiIndex = tuple[int, ...]
@@ -58,19 +64,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_pow(a: Matrix, e: int) -> Matrix:
-    n = len(a)
-    fld = a[0][0].field
-    out = mat_identity(fld, n)
-    base = a
-    while e:
-        if e & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return out
-
-
 def mat_det(a: Matrix) -> CycloNum:
     n = len(a)
     fld = a[0][0].field
@@ -113,13 +106,6 @@ def mat_inv(a: Matrix) -> Matrix:
 
 def mat_is_diagonal(a: Matrix) -> bool:
     return all(a[i][j].is_zero() for i in range(len(a)) for j in range(len(a)) if i != j)
-
-
-def mat_is_triangular(a: Matrix) -> bool:
-    n = len(a)
-    upper = all(a[i][j].is_zero() for i in range(n) for j in range(n) if i > j)
-    lower = all(a[i][j].is_zero() for i in range(n) for j in range(n) if i < j)
-    return upper or lower
 
 
 def char_poly(a: Matrix) -> tuple[CycloNum, ...]:
@@ -371,151 +357,40 @@ def conjugate(h: GermJet, f: GermJet) -> "GermJet":
 def power(f: GermJet, m: int) -> "GermJet":
     if m < 0:
         return power(invert(f), -m)
-    out = GermJet.identity(f.field, f.n, f.K)
-    base = f
-    while m:
-        if m & 1:
-            out = compose(out, base)
-        base = compose(base, base)
-        m >>= 1
-    return out
+    if m == 0:
+        return GermJet.identity(f.field, f.n, f.K)
+    return binary_power(f, m, compose)
 
 
 # ---------------------------------------------------------------------------
 # element orders
 
 
-@dataclass(frozen=True)
-class OrderResult:
-    kind: str  # "finite" | "infinite" | "inconclusive"
-    order: Optional[int] = None
-    certificate: Optional[str] = None
+def linear_order(a: Matrix) -> OrderResult:
+    """Exact order of an invertible n x n matrix over Q(zeta_N).
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.kind == "infinite"
-
-
-def _finite(order: int) -> OrderResult:
-    return OrderResult("finite", order=order)
-
-
-def _infinite(cert: str) -> OrderResult:
-    return OrderResult("infinite", certificate=cert)
-
-
-DEFAULT_ORDER_BOUND = 128
-
-
-def _rational_matrix(a: Matrix) -> Optional[list[list[Fraction]]]:
-    rows = []
-    for row in a:
-        out = []
-        for c in row:
-            q = c.as_rational()
-            if q is None:
-                return None
-            out.append(q)
-        rows.append(out)
-    return rows
-
-
-def _order_2x2_rational(a: Matrix) -> Optional[OrderResult]:
-    """Exact order of a non-diagonal rational 2x2 matrix, or None if it is Id.
-
-    Real distinct eigenvalues admit finite order only for char poly x^2 - 1;
-    complex pairs are roots of unity only when det = 1 and trace is in
-    {-1, 0, 1} (rational cosine argument).
+    Every finite order divides `torsion_exponent(N, n)`, so one power test
+    decides finiteness and a scan of the powers finds the order.
     """
-    rat = _rational_matrix(a)
-    if rat is None:
-        return None
-    (m00, m01), (m10, m11) = rat
-    t = m00 + m11
-    d = m00 * m11 - m01 * m10
-    disc = t * t - 4 * d
-    if disc > 0:
-        if t == 0 and d == -1:
-            return _finite(2)
-        return _infinite(
-            f"real distinct eigenvalues: trace {t}, det {d}, discriminant {disc} > 0"
-        )
-    if disc == 0:
-        # equal eigenvalues; non-scalar (diagonal handled earlier) means a
-        # nontrivial Jordan block, which has infinite order in char 0
-        return _infinite(f"repeated eigenvalue {t/2} with nontrivial Jordan block")
-    if d != 1:
-        return _infinite(f"complex eigenvalue pair with |det| != 1 (det {d})")
-    if t == 0:
-        return _finite(4)
-    if t == -1:
-        return _finite(3)
-    if t == 1:
-        return _finite(6)
-    return _infinite(f"eigenvalue argument has irrational cosine (trace {t}, det 1)")
-
-
-def linear_order(a: Matrix, bound: int = DEFAULT_ORDER_BOUND) -> OrderResult:
-    """Order of an invertible matrix over the field.
-
-    Diagonal and triangular matrices are decided exactly through root-of-unity
-    orders of the eigenvalues; rational 2x2 matrices through the
-    trace/determinant classification; anything else falls back to power
-    iteration up to `bound` and may come back inconclusive.
-    """
-    n = len(a)
     fld = a[0][0].field
-    if mat_is_triangular(a):
-        orders = []
-        for i in range(n):
-            o = root_of_unity_order(a[i][i])
-            if o is None:
-                return _infinite(f"eigenvalue {a[i][i]} is not a root of unity")
-            orders.append(o)
-        ell = math.lcm(*orders)
-        if mat_is_diagonal(a):
-            return _finite(ell)
-        if mat_pow(a, ell) == mat_identity(fld, n):
-            return _finite(ell)
-        return _infinite(
-            f"power {ell} is unipotent but not the identity (triangular Jordan block)"
-        )
-    if n == 2:
-        special = _order_2x2_rational(a)
-        if special is not None:
-            return special
-    ident = mat_identity(fld, n)
-    cur = a
-    for m in range(1, bound + 1):
-        if cur == ident:
-            return _finite(m)
-        cur = mat_mul(cur, a)
-    return OrderResult("inconclusive", certificate=f"no identity power up to {bound}")
+    n = len(a)
+    return element_order(a, torsion_exponent(fld.conductor, n), mat_mul, mat_identity(fld, n))
 
 
-def germ_order(f: GermJet, bound: int = DEFAULT_ORDER_BOUND) -> OrderResult:
-    """Order of a jet in the K-jet group.
+def germ_order(f: GermJet) -> OrderResult:
+    """Order of a jet in the K-jet group, with one jet power.
 
-    A finite-order jet must have finite-order linear part; when the linear
-    order is m0, f**m0 is tangent to the identity and any nonzero slice of it
-    is multiplied by m under further powers, so it can never return to Id.
+    A finite-order jet must have finite-order linear part; with m0 its order,
+    f**d has linear part != Id for d < m0, and f**m0 is tangent to the
+    identity: any nonzero slice of it is multiplied by m under further
+    powers, so it can never return to Id.
     """
-    lo = linear_order(f.linear_matrix(), bound)
-    if lo.kind == "inconclusive":
-        return lo
-    if lo.kind == "infinite":
-        return _infinite(f"linear part has infinite order: {lo.certificate}")
-    m0 = lo.order
-    ident = GermJet.identity(f.field, f.n, f.K)
-    if power(f, m0) != ident:
-        return _infinite(
-            f"f^{m0} is tangent to identity with a nonzero nonlinear slice"
+    lo = linear_order(f.linear_matrix())
+    if lo.is_infinite:
+        return OrderResult("infinite", certificate=f"linear part has infinite order: {lo.certificate}")
+    if not power(f, lo.order).is_identity():
+        return OrderResult(
+            "infinite",
+            certificate=f"f^{lo.order} is tangent to identity with a nonzero nonlinear slice",
         )
-    for d in sorted(d for d in range(1, m0 + 1) if m0 % d == 0):
-        if power(f, d) == ident:
-            return _finite(d)
-    return _finite(m0)
+    return lo

@@ -2,7 +2,7 @@
 
 Maps are 2x2 matrices up to scale, stored with the first nonzero entry in
 row-major order scaled to 1 so projective equality is plain comparison.
-Orders are decided exactly through the eigenvalue-ratio trace recurrence;
+Orders are decided exactly by the shared torsion-exponent power test;
 fixed points are eigenvector computations whose square roots are found by
 verified reconstruction or reported as requiring a field extension.
 """
@@ -20,10 +20,12 @@ from .cyclo import (
     CycloField,
     CycloNum,
     FieldMismatchError,
-    euler_phi,
+    OrderResult,
+    element_order,
     is_prime_power,
+    torsion_exponent,
 )
-from .jets import GermJet, OrderResult
+from .jets import GermJet
 from .groupkit import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_WITNESS_BOUND,
@@ -177,47 +179,16 @@ def moebius_compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
 # projective order
 
 
-def _torsion_order_bound(fld: CycloField) -> int:
-    """Largest k such that a primitive k-th root can satisfy [Q(zeta_k):Q] <= 2*phi(N).
-
-    The eigenvalue ratio lives in at most a quadratic extension of the field,
-    so its order k obeys phi(k) <= 2*phi(N); phi(k) >= sqrt(k/2) caps the scan.
-    """
-    budget = 2 * fld.degree
-    limit = 2 * (budget + 1) ** 2
-    return max(k for k in range(1, limit + 1) if euler_phi(k) <= budget)
-
-
 def moebius_order(m: MoebiusMap) -> OrderResult:
     """Projective order: least k with m^k a scalar matrix; exact.
 
-    With ratio r = mu1/mu2 of the eigenvalues, w_m = r^m + r^-m satisfies the
-    recurrence w_{m+1} = w_1 * w_m - w_{m-1} inside the field, and m^k is
-    scalar iff w_k = 2.  Scanning k up to the field's torsion bound decides
-    finiteness outright.
+    Maps are stored scale-normalized, so m^k is the identity map exactly when
+    the matrix power is scalar.  The eigenvalue ratio has degree <= 2 over
+    the field, so every finite order divides `torsion_exponent(N, 2)`.
     """
-    if m.is_identity():
-        return OrderResult("finite", order=1)
-    t = m.trace()
-    d = m.det()
-    w1 = (t * t) / d - 2
-    two = m.field.from_rational(2)
-    if w1 == two:
-        return OrderResult(
-            "infinite",
-            certificate="parabolic: equal eigenvalues on a non-scalar matrix",
-        )
-    limit = _torsion_order_bound(m.field)
-    w_prev, w_cur = two, w1
-    for k in range(1, limit + 1):
-        if w_cur == two:
-            return OrderResult("finite", order=k)
-        w_prev, w_cur = w_cur, w1 * w_cur - w_prev
-    return OrderResult(
-        "infinite",
-        certificate=(
-            f"eigenvalue ratio is not a root of unity (no order within torsion bound {limit})"
-        ),
+    fld = m.field
+    return element_order(
+        m, torsion_exponent(fld.conductor, 2), moebius_compose, MoebiusMap.identity(fld)
     )
 
 

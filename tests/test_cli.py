@@ -21,6 +21,21 @@ def moebius_document(path: Path, matrices) -> str:
     return str(path)
 
 
+def jet_document(path: Path, conductor: int, truncation: int, coords) -> str:
+    """One generator `f`; coords[s] lists (coeff, monomial) terms of coordinate s."""
+    doc = {
+        "conductor": conductor,
+        "dimension": len(coords),
+        "truncation": truncation,
+        "generators": [{
+            "name": "f",
+            "coords": [[{"coeff": c, "monomial": m} for c, m in terms] for terms in coords],
+        }],
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 S = [[0, 1], [1, 0]]
 T = [[-1, 1], [0, 1]]
 R3 = [[0, -1], [1, -1]]
@@ -87,3 +102,20 @@ def test_holonomy_honours_closure_cap(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert verdict["finite_cyclic"] is True
     assert "exceeded cap 3" in verdict["detail"]
+
+
+@pytest.mark.parametrize(
+    "conductor, truncation, coords",
+    [
+        # linear part [[0,0,1],[1,0,0],[0,1,1]]: char poly x^3 - x^2 - 1
+        (1, 1, [[("1", [0, 0, 1])], [("1", [1, 0, 0])], [("1", [0, 1, 0]), ("1", [0, 0, 1])]]),
+        # (x + z*y, x + y + x^2) over Q(zeta_3)
+        (3, 2, [[("1", [1, 0]), ("z", [0, 1])], [("1", [1, 0]), ("1", [0, 1]), ("1", [2, 0])]]),
+    ],
+)
+def test_order_is_always_decided(tmp_path, capsys, conductor, truncation, coords):
+    path = jet_document(tmp_path / "f.json", conductor, truncation, coords)
+    assert cli.main(["order", path, "--element", "f", "--format", "json"]) == cli.EXIT_OK
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["kind"] == "infinite"
+    assert "every finite order divides" in verdict["certificate"]

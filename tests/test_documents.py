@@ -1,0 +1,80 @@
+import copy
+
+import pytest
+
+from germforge.documents import DocumentError, parse_document
+
+
+def term(coeff, monomial):
+    return {"coeff": coeff, "monomial": monomial}
+
+
+# (x + y^2, -y) over Q and the inversion z -> 1/z
+VALID = {
+    "conductor": 1,
+    "dimension": 2,
+    "truncation": 2,
+    "generators": [
+        {"name": "f", "coords": [[term("1", [1, 0]), term("1", [0, 2])], [term("-1", [0, 1])]]},
+        {"name": "g", "coords": [[term("1", [1, 0])], [term("1", [0, 1])]]},
+    ],
+    "moebius_generators": [{"name": "m", "matrix": [["0", "1"], ["1", "0"]]}],
+    # g is the identity, so it conjugates f to itself
+    "witnesses": [{"pair": ["f", "f"], "word": "g"}],
+}
+
+
+def test_valid_document_parses():
+    doc = parse_document(VALID)
+    assert [name for name, _ in doc.generators] == ["f", "g"]
+    assert doc.witnesses == {(0, 0): "g"}
+    assert doc.presentation().names == ["f", "g"]
+
+
+def edited(path, value):
+    """A copy of VALID with the value at `path` (keys and indices) replaced."""
+    doc = copy.deepcopy(VALID)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is KeyError:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ([1, 2], "$: document must be a JSON object"),
+        (edited(["conductor"], KeyError), "$: missing 'conductor'"),
+        (edited(["conductor"], 0), "conductor: must be a positive integer"),
+        (edited(["generators", 0, "coords"], [[term("1", [1, 0])]]), "generators[0].coords:"),
+        (edited(["generators", 0, "coords", 0, 1, "monomial"], [0, 3]),
+         "generators[0].coords[0][1].monomial: degree 3 outside 1..2"),
+        (edited(["generators", 0, "coords", 0, 1, "monomial"], [0, 0]),
+         "generators[0].coords[0][1].monomial: degree 0 outside 1..2"),
+        (edited(["generators", 0, "coords", 0, 1], term("2", [1, 0])),
+         "generators[0].coords[0][1]: duplicate monomial [1, 0]"),
+        (edited(["generators", 1, "name"], "f"), "generators[1].name: duplicate name 'f'"),
+        (edited(["moebius_generators", 0, "name"], "g"),
+         "moebius_generators[0].name: duplicate name"),
+        (edited(["generators", 0, "coords", 1, 0, "coeff"], "2*"),
+         "generators[0].coords[1][0].coeff:"),
+        (edited(["generators", 0, "coords", 1, 0, "coeff"], "1/0"),
+         "generators[0].coords[1][0].coeff:"),
+        (edited(["moebius_generators", 0, "matrix"], [["1", "0", "0"], ["0", "1", "0"]]),
+         "moebius_generators[0].matrix: must be a 2x2"),
+        (edited(["moebius_generators", 0, "matrix"], [["1", "2"], ["2", "4"]]),
+         "moebius_generators[0]: matrix determinant is zero"),
+        (edited(["generators", 0, "coords", 1, 0, "monomial"], [1, 0]),
+         "generators[0]: linear part is not invertible"),
+        (edited(["witnesses", 0, "pair"], ["f", "h"]), "witnesses[0].pair: must name two known"),
+        (edited(["witnesses", 0, "word"], "f*h"), "witnesses[0].word: unknown generator 'h'"),
+    ],
+)
+def test_malformed_document_names_its_path(doc, where):
+    with pytest.raises(DocumentError) as info:
+        parse_document(doc)
+    assert str(info.value).startswith(where)
