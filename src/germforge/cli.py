@@ -48,6 +48,12 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
 
+WITNESS_BOUND_HELP = (
+    "longest conjugacy witness word searched (default %(default)s); the word ball "
+    "grows only until every generator pair is answered, and reaches this length "
+    "only for a pair left unresolved"
+)
+
 
 # ---------------------------------------------------------------------------
 # verdict payload builders (deterministic key order; all coefficients rendered
@@ -302,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, needs_file=True):
         if needs_file:
             p.add_argument("file", help="JSON input document")
-        p.add_argument("--witness-bound", type=int, default=DEFAULT_WITNESS_BOUND)
+        p.add_argument("--witness-bound", type=int, default=DEFAULT_WITNESS_BOUND,
+                       help=WITNESS_BOUND_HELP)
         p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
         p.add_argument("--truncation", type=int, default=None, help="override document truncation")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -323,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", help="list or run the built-in corpus")
     p.add_argument("action", choices=("list", "run"))
     p.add_argument("entry", nargs="?", default=None)
-    p.add_argument("--witness-bound", type=int, default=DEFAULT_WITNESS_BOUND)
+    p.add_argument("--witness-bound", type=int, default=DEFAULT_WITNESS_BOUND,
+                   help=WITNESS_BOUND_HELP)
     p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -359,8 +359,9 @@ class CycloNum:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.field.degree == 1:
             return CycloNum(self.field, (1 / self.coeffs[0],))
-        # extended gcd of (coeffs as polynomial, Phi_N) over Q
-        r0 = list(self.field.modulus)
+        # extended gcd of (coeffs as polynomial, Phi_N) over Q; Fraction
+        # remainders keep every quotient exact (int / int would be a float)
+        r0 = [Fraction(c) for c in self.field.modulus]
         r1 = list(self.coeffs)
         s0, s1 = [_ZERO], [_ONE]
         while True:

@@ -4,12 +4,15 @@ A document declares one ambient field (`conductor`), a shape (`dimension`,
 `truncation`), and named generators: jets as per-coordinate lists of
 {"coeff": <grammar string>, "monomial": [nat, ...]} in graded-lex order, or
 Moebius maps as 2x2 matrices of grammar strings.  Corpus entries additionally
-carry an `expected` block that `examples run` compares against.
+carry an `expected` block that `examples run` compares against.  The
+conductor, dimension, truncation and monomial count have fixed upper limits;
+a larger document is a `DocumentError`, like any other invalid input.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Optional
 
@@ -21,6 +24,15 @@ from .moebius import MoebiusMap
 
 class DocumentError(ValueError):
     """Invalid input document; the message carries the offending path."""
+
+
+# Fixed size limits, far above every corpus entry: field arithmetic grows
+# with the conductor's degree, and jet arithmetic with the number of
+# monomials of degree 1..truncation in `dimension` variables.
+MAX_CONDUCTOR = 1000
+MAX_DIMENSION = 8
+MAX_TRUNCATION = 16
+MAX_MONOMIALS = 1000
 
 
 @dataclass
@@ -49,6 +61,17 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise DocumentError(f"{path}: {message}")
 
 
+def _expect_at_most(value: int, limit: int, path: str) -> None:
+    _expect(value <= limit, path, f"{value} exceeds the limit {limit}")
+
+
+def _expect_monomials(dimension: int, truncation: int, path: str) -> None:
+    count = math.comb(dimension + truncation, dimension) - 1  # degrees 1..truncation
+    _expect(count <= MAX_MONOMIALS, path,
+            f"dimension {dimension} and truncation {truncation} give {count} monomials "
+            f"per coordinate, above the limit {MAX_MONOMIALS}")
+
+
 def _parse_coeff(text: Any, fld: CycloField, path: str) -> CycloNum:
     _expect(isinstance(text, str), path, f"coefficient must be a string, got {type(text).__name__}")
     try:
@@ -67,11 +90,15 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
     _expect("conductor" in obj, "$", "missing 'conductor'")
     conductor = obj["conductor"]
     _expect(isinstance(conductor, int) and conductor >= 1, "conductor", "must be a positive integer")
+    _expect_at_most(conductor, MAX_CONDUCTOR, "conductor")
     fld = field(conductor)
     dimension = obj.get("dimension", 1)
     _expect(isinstance(dimension, int) and dimension >= 1, "dimension", "must be a positive integer")
+    _expect_at_most(dimension, MAX_DIMENSION, "dimension")
     truncation = truncation_override if truncation_override is not None else obj.get("truncation", 1)
     _expect(isinstance(truncation, int) and truncation >= 1, "truncation", "must be a positive integer")
+    _expect_at_most(truncation, MAX_TRUNCATION, "truncation")
+    _expect_monomials(dimension, truncation, "truncation")
 
     generators = []
     names = set()
@@ -139,6 +166,9 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
     if "eigenvalues" in obj:
         ev = obj["eigenvalues"]
         _expect(isinstance(ev, list) and ev, "eigenvalues", "must be a nonempty list")
+        _expect(len(ev) <= MAX_DIMENSION, "eigenvalues",
+                f"{len(ev)} eigenvalues exceed the dimension limit {MAX_DIMENSION}")
+        _expect_monomials(len(ev), truncation, "eigenvalues")
         eigenvalues = tuple(
             _parse_coeff(e, fld, f"eigenvalues[{i}]") for i, e in enumerate(ev)
         )

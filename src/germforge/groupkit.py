@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field as dc_field
+from itertools import count
 from typing import Callable, Optional, Protocol, Sequence
 
 from .cyclo import (
@@ -75,6 +76,12 @@ class GroupPresentation:
     def __post_init__(self):
         if not self.generators:
             raise ValueError("presentation needs at least one generator")
+        # equal generators share one object, so a value memoized on it
+        # (such as its order) is computed once per distinct element
+        canonical: dict = {}
+        object.__setattr__(self, "generators", tuple(
+            (name, canonical.setdefault(x, x)) for name, x in self.generators
+        ))
         names = [name for name, _ in self.generators]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
@@ -164,25 +171,33 @@ def check_product_identity(g: GroupPresentation) -> tuple[bool, GroupElement]:
 # bounded BFS over group elements (shared by witness search and closures)
 
 
-def bfs_ball(identity, letters, depth: int, compose_fn: Callable):
+def bfs_ball(
+    identity, letters, depth: int, compose_fn: Callable, *, stop: Optional[Callable] = None
+):
     """Deduplicated (element, word) pairs reachable in <= depth letters.
 
     Letters are (token, value) pairs explored in list order; FIFO expansion
     yields, per element, the shortest and then lexicographically least word.
+    `stop` is called on each new element after the identity; the ball then
+    grows only until it is true and ends with that element, a prefix of the
+    full ball in the same order.  Without `stop`, or when it is never true,
+    the whole depth-`depth` ball is built.
     """
-    seen = {identity: ()}
     order = [(identity, ())]
-    frontier = [(identity, ())]
+    seen = {identity}
+    frontier = list(order)
     for _ in range(depth):
         nxt = []
         for elem, word in frontier:
             for token, value in letters:
                 new = compose_fn(elem, value)
                 if new not in seen:
-                    entry = word + (token,)
-                    seen[new] = entry
-                    order.append((new, entry))
-                    nxt.append((new, entry))
+                    seen.add(new)
+                    entry = (new, word + (token,))
+                    order.append(entry)
+                    nxt.append(entry)
+                    if stop is not None and stop(new):
+                        return order
         if not nxt:
             break
         frontier = nxt
@@ -190,10 +205,16 @@ def bfs_ball(identity, letters, depth: int, compose_fn: Callable):
 
 
 def _distinct_letters(g: GroupPresentation):
-    """Generators and inverses, deduplicated by value, in listing order."""
+    """Generators and inverses, deduplicated by value, in listing order.
+
+    A generator that is already a letter is skipped before it is inverted:
+    its inverse is then a letter too.
+    """
     letters = []
     seen = set()
     for name, x in g.generators:
+        if x in seen:
+            continue
         for token_exp, value in (((name, 1), x), ((name, -1), x.inverse())):
             if value not in seen:
                 seen.add(value)
@@ -201,9 +222,9 @@ def _distinct_letters(g: GroupPresentation):
     return letters
 
 
-def _word_ball(g: GroupPresentation, bound: int):
+def _word_ball(g: GroupPresentation, bound: int, stop: Callable):
     ident = g.identity()
-    return bfs_ball(ident, _distinct_letters(g), bound, type(ident).compose)
+    return bfs_ball(ident, _distinct_letters(g), bound, type(ident).compose, stop=stop)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +267,11 @@ def _generators_commute(g: GroupPresentation) -> bool:
     )
 
 
+def _conjugates(w: GroupElement, fi: GroupElement, fj: GroupElement) -> bool:
+    """w o f_j o w^{-1} = f_i."""
+    return w.compose(fj) == fi.compose(w)
+
+
 def find_conjugacy_witness(
     g: GroupPresentation,
     i: int,
@@ -260,7 +286,11 @@ def find_conjugacy_witness(
     A supplied witness is verified instead of searched.  Pre-screens can
     disprove conjugacy outright (order or characteristic polynomial mismatch;
     commuting generators generate an abelian group, where conjugacy is
-    equality); an exhausted search is only ever "unresolved".
+    equality).  The witness is the first element of the word ball, in BFS
+    order, that conjugates the pair: the ball grows only until it, so it is
+    the ball's last element, and only a pair with no witness within `bound`
+    letters ("unresolved") builds the full ball.  `_ball` is such a ball,
+    built by the caller (see `check_basic_set`).
     """
     fi, fj = g.elements[i], g.elements[j]
     if i == j:
@@ -268,7 +298,7 @@ def find_conjugacy_witness(
     supplied = g.witnesses.get((i, j))
     if supplied is not None:
         w = evaluate_word(g, supplied)
-        if w.compose(fj) != fi.compose(w):
+        if not _conjugates(w, fi, fj):
             raise ValueError(f"supplied witness {supplied!r} fails for pair ({i}, {j})")
         return WitnessResult("witness", word=supplied)
     screened = _conjugation_prescreen(fi, fj)
@@ -280,10 +310,10 @@ def find_conjugacy_witness(
         return WitnessResult(
             "disproved", reason="commuting-generators: abelian group, conjugacy is equality"
         )
-    ball = _ball if _ball is not None else _word_ball(g, bound)
-    for elem, word in ball:
-        if elem.compose(fj) == fi.compose(elem):
-            return WitnessResult("witness", word=format_word(word))
+    ball = _ball if _ball is not None else _word_ball(g, bound, lambda w: _conjugates(w, fi, fj))
+    last, word = ball[-1]
+    if _conjugates(last, fi, fj):
+        return WitnessResult("witness", word=format_word(word))
     return WitnessResult("unresolved", reason=f"no witness within word length {bound}")
 
 
@@ -300,29 +330,53 @@ class BasicSetReport:
 
 
 def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) -> BasicSetReport:
+    """Condition (a), then condition (b) for every generator pair i < j.
+
+    Pairs of equal elements share one answer.  Supplied witnesses and the
+    pre-screens answer what they can; the pairs left share one word ball,
+    which grows in BFS order only until every one of them has its witness.
+    Each pair reads its witness off the end of the ball prefix that ends at
+    it.  A pair with no witness within `bound` letters makes the ball the
+    full one and is reported unresolved.
+    """
     elements = g.elements
     prod_ok, residual = check_product_identity(g)
     abelian = _generators_commute(g)
-    ball = None
-    cache: dict = {}
-    conjugacy = {}
+    first: dict = {}  # (f_i, f_j) -> the first pair (i, j) naming it
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
-            key = (elements[i], elements[j])
-            if key in cache:
-                conjugacy[(i, j)] = cache[key]
-                continue
-            if (
-                ball is None
-                and not abelian
-                and (i, j) not in g.witnesses
-                and elements[i] != elements[j]
-                and _conjugation_prescreen(elements[i], elements[j]) is None
-            ):
-                ball = _word_ball(g, bound)
-            res = find_conjugacy_witness(g, i, j, bound, _ball=ball, _abelian=abelian)
-            cache[key] = res
-            conjugacy[(i, j)] = res
+            first.setdefault((elements[i], elements[j]), (i, j))
+    pending = [
+        (fi, fj)
+        for (fi, fj), pair in first.items()
+        if not abelian and pair not in g.witnesses and _conjugation_prescreen(fi, fj) is None
+    ]
+
+    ends: dict = {}  # pending pair -> length of the ball prefix ending at its witness
+    sizes = count(2)  # `stop` sees the ball's elements from the second on
+
+    def all_answered(w) -> bool:
+        size = next(sizes)
+        left = {fi: fi.compose(w) for fi in {fi for fi, _ in pending}}
+        right = {fj: w.compose(fj) for fj in {fj for _, fj in pending}}
+        for fi, fj in pending:
+            if left[fi] == right[fj]:
+                ends[(fi, fj)] = size
+        pending[:] = [pair for pair in pending if pair not in ends]
+        return not pending
+
+    ball = _word_ball(g, bound, all_answered) if pending else None
+    answers = {
+        key: find_conjugacy_witness(
+            g, i, j, bound, _ball=ball[: ends[key]] if key in ends else ball, _abelian=abelian
+        )
+        for key, (i, j) in first.items()
+    }
+    conjugacy = {
+        (i, j): answers[(elements[i], elements[j])]
+        for i in range(len(elements))
+        for j in range(i + 1, len(elements))
+    }
     if not prod_ok:
         verdict = "condition-a-failed"
     elif all(r.found for r in conjugacy.values()):

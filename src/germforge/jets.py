@@ -135,7 +135,7 @@ class GermJet:
     |Q| = 0 or |Q| > K are rejected.
     """
 
-    __slots__ = ("n", "K", "field", "coeffs", "_key")
+    __slots__ = ("n", "K", "field", "coeffs", "_key", "_order")
 
     def __init__(self, n: int, K: int, fld: CycloField, coeffs: dict):
         if n < 1 or K < 1:
@@ -159,6 +159,7 @@ class GermJet:
         self.field = fld
         self.coeffs = clean
         self._key = None
+        self._order = None
         if mat_det(self.linear_matrix()).is_zero():
             raise ValueError("linear part is not invertible")
 
@@ -226,7 +227,10 @@ class GermJet:
         return power(self, m)
 
     def order(self) -> "OrderResult":
-        return germ_order(self)
+        """`germ_order`, computed once per jet object."""
+        if self._order is None:
+            self._order = germ_order(self)
+        return self._order
 
     def conjugacy_invariant(self) -> tuple[CycloNum, ...]:
         """Characteristic polynomial of the linear part."""

@@ -82,7 +82,7 @@ class ProjectivePoint:
 class MoebiusMap:
     """z -> (a z + b) / (c z + d) as the matrix [[a, b], [c, d]], det != 0."""
 
-    __slots__ = ("matrix", "field")
+    __slots__ = ("matrix", "field", "_order")
 
     def __init__(self, matrix: Sequence[Sequence[CycloNum]]):
         (a, b), (c, d) = matrix
@@ -96,6 +96,7 @@ class MoebiusMap:
             raise ValueError("matrix determinant is zero")
         self.matrix = ((a, b), (c, d))
         self.field = fld
+        self._order = None
 
     @classmethod
     def scaling(cls, xi: CycloNum) -> "MoebiusMap":
@@ -124,7 +125,10 @@ class MoebiusMap:
         return moebius_compose(self, other)
 
     def order(self) -> OrderResult:
-        return moebius_order(self)
+        """`moebius_order`, computed once per map object."""
+        if self._order is None:
+            self._order = moebius_order(self)
+        return self._order
 
     def conjugacy_invariant(self) -> CycloNum:
         """trace^2 / det, the projective class of the characteristic polynomial."""
@@ -370,7 +374,8 @@ def holonomy_check(
     The number of generators must be 1 or a prime power (the
     ramification-degree hypothesis).  The generators must have finite order
     and satisfy the two basic-set conditions, checked by `check_basic_set`
-    with witness words up to `word_bound`; a common fixed point is then
+    with witness words up to `word_bound` (its word ball grows only until
+    every pair is answered); a common fixed point is then
     localized to a 1-dimensional jet presentation which is linearized
     simultaneously.  The closure of the Moebius group, enumerated up to
     `closure_cap` elements, is reported as an independent finiteness
@@ -383,7 +388,7 @@ def holonomy_check(
     distinct = list(dict.fromkeys(gens))
 
     for g in distinct:
-        o = moebius_order(g)
+        o = g.order()
         if o.kind != "finite":
             return HolonomyVerdict(
                 False,
@@ -443,7 +448,7 @@ def holonomy_check(
         else f"moebius closure exceeded cap {closure_cap}"
     )
 
-    if len(distinct) == 1 and moebius_order(distinct[0]).order == 2 and len(common) == 2:
+    if len(distinct) == 1 and distinct[0].order().order == 2 and len(common) == 2:
         return HolonomyVerdict(
             True, order=2, model="inversion",
             detail=f"single order-2 generator with two fixed points; {closure_note}",

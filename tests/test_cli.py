@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -8,10 +9,10 @@ from germforge import cli, corpus
 CORPUS_DIR = Path(cli.__file__).resolve().parent / "corpus"
 
 
-def moebius_document(path: Path, matrices) -> str:
+def moebius_document(path: Path, matrices, conductor: int = 1) -> str:
     doc = {
         "name": path.stem,
-        "conductor": 1,
+        "conductor": conductor,
         "moebius_generators": [
             {"name": f"m{i + 1}", "matrix": [[str(x) for x in row] for row in m]}
             for i, m in enumerate(matrices)
@@ -94,6 +95,25 @@ def test_holonomy_missing_square_root_exits_3(tmp_path, capsys):
     assert code == cli.EXIT_LIMIT
     assert verdict["finite_cyclic"] == "unresolved"
     assert "square root of -3" in verdict["detail"]
+
+
+def test_holonomy_order_3_over_zeta_3(tmp_path, capsys):
+    # the fixed points need sqrt(-3), which Q(zeta_3) has; exact inverses
+    # leave no residue in the local germs
+    path = moebius_document(tmp_path / "r3.json", [R3, R3, R3], conductor=3)
+    code, verdict = _holonomy([path], capsys)
+    assert code == cli.EXIT_OK
+    assert verdict["finite_cyclic"] is True
+    assert (verdict["model"], verdict["order"]) == ("rotation", 3)
+
+
+def test_oversized_conductor_exits_2_at_once(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"conductor": 1_000_000, "eigenvalues": ["z"]}))
+    started = time.monotonic()
+    assert cli.main(["resonances", str(path)]) == cli.EXIT_INPUT
+    assert time.monotonic() - started < 1.0
+    assert capsys.readouterr().err.startswith("error: conductor:")
 
 
 def test_holonomy_honours_closure_cap(tmp_path, capsys):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from germforge.cyclo import (
     CoefficientParseError,
@@ -111,6 +113,59 @@ def test_inverse_examples():
     assert lam.inverse() == lam ** 2
     i = field(4).zeta()
     assert i.inverse() == -i
+
+
+def test_inverse_stays_exact():
+    # Phi_4 = x^2 + 1 has int coefficients; an int / int quotient would be a float
+    inv = (field(4).zeta() * -3).inverse()
+    assert inv == field(4).zeta() * Fraction(1, 3)
+    assert all(type(c) is Fraction for c in inv.coeffs)
+    assert parse_coefficient(format_coefficient(inv), field(4)) == inv
+
+
+ORACLE_CONDUCTORS = (1, 3, 4, 5, 8, 9, 12)
+X = sympy.Symbol("x")
+
+
+@st.composite
+def elements(draw, conductor):
+    fld = field(conductor)
+    small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return fld.element(draw(st.lists(small, min_size=fld.degree, max_size=fld.degree)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_arithmetic_keeps_every_coefficient_a_fraction(data):
+    conductor = data.draw(st.sampled_from(ORACLE_CONDUCTORS))
+    a, b = data.draw(elements(conductor)), data.draw(elements(conductor))
+    e = data.draw(st.integers(-4, 4))
+    results = [a + b, a - b, a * b, a ** abs(e)]
+    if not b.is_zero():
+        results += [a / b, b ** e, b * b.inverse()]
+        assert (b * b.inverse()).is_one()
+    for r in results:
+        assert all(type(c) is Fraction for c in r.coeffs), r.coeffs
+
+
+@pytest.mark.parametrize("n", range(1, 37))
+def test_cyclotomic_polynomial_matches_sympy(n):
+    expected = sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()[::-1]
+    assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_inverse_matches_sympy_oracle(data):
+    conductor = data.draw(st.sampled_from(ORACLE_CONDUCTORS))
+    a = data.draw(elements(conductor))
+    assume(not a.is_zero())
+    poly = sum(sympy.Rational(c.numerator, c.denominator) * X ** i for i, c in enumerate(a.coeffs))
+    oracle = sympy.Poly(sympy.invert(poly, sympy.cyclotomic_poly(conductor, X), X), X)
+    coeffs = oracle.all_coeffs()[::-1]
+    coeffs += [0] * (a.field.degree - len(coeffs))
+    expected = tuple(Fraction(int(sympy.numer(c)), int(sympy.denom(c))) for c in coeffs)
+    assert a.inverse().coeffs == expected
 
 
 def test_inverse_of_zero_raises():

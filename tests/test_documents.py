@@ -2,7 +2,13 @@ import copy
 
 import pytest
 
-from germforge.documents import DocumentError, parse_document
+from germforge.documents import (
+    MAX_CONDUCTOR,
+    MAX_DIMENSION,
+    MAX_TRUNCATION,
+    DocumentError,
+    parse_document,
+)
 
 
 def term(coeff, monomial):
@@ -78,3 +84,32 @@ def test_malformed_document_names_its_path(doc, where):
     with pytest.raises(DocumentError) as info:
         parse_document(doc)
     assert str(info.value).startswith(where)
+
+
+def oversized(**fields):
+    return {"conductor": 1, **fields}
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (oversized(conductor=MAX_CONDUCTOR + 1), f"conductor: {MAX_CONDUCTOR + 1} exceeds the limit"),
+        (oversized(dimension=MAX_DIMENSION + 1), f"dimension: {MAX_DIMENSION + 1} exceeds the limit"),
+        (oversized(truncation=MAX_TRUNCATION + 1), f"truncation: {MAX_TRUNCATION + 1} exceeds the limit"),
+        # each within its own limit, but 3002 monomials of degree 1..8 in 6 variables
+        (oversized(dimension=6, truncation=8), "truncation: dimension 6 and truncation 8 give 3002"),
+        (oversized(eigenvalues=["1"] * (MAX_DIMENSION + 1)),
+         f"eigenvalues: {MAX_DIMENSION + 1} eigenvalues exceed"),
+        (oversized(truncation=8, eigenvalues=["1"] * 6), "eigenvalues: dimension 6 and truncation 8"),
+    ],
+)
+def test_oversized_document_names_its_path(doc, where):
+    with pytest.raises(DocumentError) as info:
+        parse_document(doc)
+    assert str(info.value).startswith(where)
+
+
+def test_truncation_override_is_bounded():
+    with pytest.raises(DocumentError, match=f"^truncation: {MAX_TRUNCATION + 1} exceeds"):
+        parse_document(VALID, truncation_override=MAX_TRUNCATION + 1)
+

@@ -2,16 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from germforge import corpus, groupkit, jets
 from germforge.cyclo import field, root_of_unity_order
 from germforge.groupkit import (
     AffineFamily,
     GroupPresentation,
     LinearizationFailure,
     LinearizationSuccess,
+    WitnessResult,
     WordError,
     affine_conjugacy_bruteforce,
     affine_conjugacy_decide,
+    bfs_ball,
     check_basic_set,
     check_product_identity,
     closure_enumerate,
@@ -230,6 +234,162 @@ def test_basic_set_5_1_1b_unresolved_with_disproofs():
 def test_basic_set_5_1_4_verified():
     report = check_basic_set(prop_514_presentation())
     assert report.verdict == "irreducible-verified"
+
+
+# --- the lazy witness ball ------------------------------------------------------------
+
+
+JET_ENTRIES = [name for name in corpus.ENTRIES if corpus.load(name).generators]
+
+
+def eager_ball(g, bound):
+    ident = g.identity()
+    return bfs_ball(ident, groupkit._distinct_letters(g), bound, type(ident).compose)
+
+
+def reference_answer(g, i, j, bound, ball):
+    """Pair (i, j) with every search scanning the full depth-`bound` ball."""
+    fi, fj = g.elements[i], g.elements[j]
+    # the identity alone answers nothing a screen leaves open
+    screened = find_conjugacy_witness(g, i, j, bound, _ball=ball[:1])
+    if screened.status != "unresolved":
+        return screened
+    for w, word in ball:
+        if w.compose(fj) == fi.compose(w):
+            return WitnessResult("witness", word=format_word(word))
+    return WitnessResult("unresolved", reason=f"no witness within word length {bound}")
+
+
+def reference_conjugacy(g, bound):
+    """Every pair i < j; pairs of equal elements take the first one's answer."""
+    ball = eager_ball(g, bound)
+    first = {}
+    out = {}
+    for i, fi in enumerate(g.elements):
+        for j in range(i + 1, len(g.elements)):
+            key = (fi, g.elements[j])
+            if key not in first:
+                first[key] = reference_answer(g, i, j, bound, ball)
+            out[(i, j)] = first[key]
+    return out
+
+
+@pytest.mark.parametrize("entry", JET_ENTRIES)
+def test_lazy_ball_matches_full_ball_on_corpus(entry):
+    g = corpus.load(entry).presentation()
+    assert check_basic_set(g).conjugacy == reference_conjugacy(g, 6)
+
+
+# 2x2 matrices over Q and Q(zeta_4): the finite groups they generate give
+# witnesses and disproofs; the unipotent U and L give pairs no ball resolves
+I4 = F4.zeta()
+POOL = {
+    "S": [[0, 1], [1, 0]],
+    "T": [[-1, 1], [0, 1]],
+    "R3": [[0, -1], [1, -1]],
+    "N": [[1, 0], [0, -1]],
+    "U": [[1, 1], [0, 1]],
+    "L": [[1, 0], [1, 1]],
+    "Li": [[1, 0], [-1, 1]],
+    "Di": [[I4, 0], [0, 1]],
+    "Ji": [[0, I4], [1, 0]],
+}
+RATIONAL = [name for name, m in POOL.items() if all(not hasattr(x, "field") for r in m for x in r)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lazy_ball_matches_full_ball_on_small_linear_groups(data):
+    fld = data.draw(st.sampled_from([F1, F4]))
+    names = RATIONAL if fld is F1 else list(POOL)
+    chosen = data.draw(st.lists(st.sampled_from(names), min_size=2, max_size=4))
+    bound = data.draw(st.integers(1, 3))
+    g = GroupPresentation(tuple(
+        (f"g{k}", linear_jet(fld, POOL[name])) for k, name in enumerate(chosen)
+    ))
+    assert check_basic_set(g, bound).conjugacy == reference_conjugacy(g, bound)
+
+
+def test_first_letter_can_be_the_witness():
+    s = linear_jet(F1, POOL["S"])
+    t = linear_jet(F1, POOL["T"])
+    g = GroupPresentation((("S", s), ("T", t), ("C", conjugate(s, t))))
+    conjugacy = check_basic_set(g).conjugacy
+    # S o C o S^-1 = T: the first letter answers pair (1, 2)
+    assert conjugacy[(1, 2)] == WitnessResult("witness", word="S")
+    assert conjugacy == reference_conjugacy(g, 6)
+
+
+def test_unresolved_pair_builds_the_full_ball(monkeypatch):
+    # U and L are conjugate in GL_2(Q) but not in the group they generate
+    u = linear_jet(F1, POOL["U"], K=2)
+    lo = linear_jet(F1, POOL["L"], K=2)
+    g = GroupPresentation((("U", u), ("L", lo)))
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(bfs_ball(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(groupkit, "bfs_ball", recording)
+    full = eager_ball(g, 3)
+    assert check_basic_set(g, 3).conjugacy[(0, 1)].status == "unresolved"
+    assert find_conjugacy_witness(g, 0, 1, 3).status == "unresolved"
+    assert built == [full, full] and len(full) > 40
+
+
+def test_ball_stops_at_the_last_answer():
+    g = corpus.load("ex-2-2").presentation()
+    full = eager_ball(g, 6)
+    pending = [(g.elements[0], g.elements[10]), (g.elements[0], g.elements[11])]
+    seen = []
+
+    def stop(w):
+        seen.append(w)
+        pending[:] = [(fi, fj) for fi, fj in pending if not groupkit._conjugates(w, fi, fj)]
+        return not pending
+
+    lazy = bfs_ball(g.identity(), groupkit._distinct_letters(g), 6, type(g.identity()).compose,
+                    stop=stop)
+    assert lazy == full[: len(lazy)] and len(lazy) < len(full)
+    assert seen == [w for w, _ in lazy[1:]]
+
+
+def counting(monkeypatch, name):
+    """Count calls of jets.<name>; `GermJet` methods call it through the module."""
+    calls = []
+    original = getattr(jets, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (jets, groupkit):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_basic_set_compose_count_ex_2_2(monkeypatch):
+    g = corpus.load("ex-2-2").presentation()
+    calls = counting(monkeypatch, "compose")
+    assert check_basic_set(g).verdict == "irreducible-verified"
+    assert len(calls) <= 200
+
+
+@pytest.mark.parametrize("entry", ["ex-2-2", "ex-2-3", "prop-5-1-3", "prop-5-1-4"])
+def test_basic_set_orders_each_distinct_generator_once(monkeypatch, entry):
+    g = corpus.load(entry).presentation()
+    calls = counting(monkeypatch, "germ_order")
+    check_basic_set(g)
+    assert len(calls) == len(set(g.elements))
+
+
+def test_letters_invert_each_distinct_generator_once(monkeypatch):
+    g = corpus.load("ex-2-3").presentation()
+    calls = counting(monkeypatch, "invert")
+    check_basic_set(g)
+    assert len(calls) == len(set(g.elements)) == 3
 
 
 # --- closures -----------------------------------------------------------------------------
