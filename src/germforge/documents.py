@@ -5,8 +5,9 @@ A document declares one ambient field (`conductor`), a shape (`dimension`,
 {"coeff": <grammar string>, "monomial": [nat, ...]} in graded-lex order, or
 Moebius maps as 2x2 matrices of grammar strings.  Corpus entries additionally
 carry an `expected` block that `examples run` compares against.  The
-conductor, dimension, truncation and monomial count have fixed upper limits;
-a larger document is a `DocumentError`, like any other invalid input.
+conductor, dimension, truncation, monomial count and number of generators
+have fixed upper limits; a larger document is a `DocumentError`, like any
+other invalid input.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ class DocumentError(ValueError):
 
 # Fixed size limits, far above every corpus entry: field arithmetic grows
 # with the conductor's degree, and jet arithmetic with the number of
-# monomials of degree 1..truncation in `dimension` variables.
+# monomials of degree 1..truncation in `dimension` variables; the basic-set
+# check compares every pair of generators.
 MAX_CONDUCTOR = 1000
 MAX_DIMENSION = 8
 MAX_TRUNCATION = 16
 MAX_MONOMIALS = 1000
+MAX_GENERATORS = 64
 
 
 @dataclass
@@ -72,6 +75,14 @@ def _expect_monomials(dimension: int, truncation: int, path: str) -> None:
             f"per coordinate, above the limit {MAX_MONOMIALS}")
 
 
+def _generator_list(obj: dict, key: str) -> list:
+    gens = obj.get(key, [])
+    _expect(isinstance(gens, list), key, "must be a list")
+    _expect(len(gens) <= MAX_GENERATORS, key,
+            f"{len(gens)} generators exceed the limit {MAX_GENERATORS}")
+    return gens
+
+
 def _parse_coeff(text: Any, fld: CycloField, path: str) -> CycloNum:
     _expect(isinstance(text, str), path, f"coefficient must be a string, got {type(text).__name__}")
     try:
@@ -102,7 +113,7 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
 
     generators = []
     names = set()
-    for gi, gen in enumerate(obj.get("generators", [])):
+    for gi, gen in enumerate(_generator_list(obj, "generators")):
         path = f"generators[{gi}]"
         _expect(isinstance(gen, dict), path, "must be an object")
         gname = gen.get("name")
@@ -140,7 +151,7 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
         generators.append((gname, jet))
 
     moebius_generators = []
-    for gi, gen in enumerate(obj.get("moebius_generators", [])):
+    for gi, gen in enumerate(_generator_list(obj, "moebius_generators")):
         path = f"moebius_generators[{gi}]"
         _expect(isinstance(gen, dict), path, "must be an object")
         gname = gen.get("name")

@@ -272,6 +272,9 @@ def _conjugates(w: GroupElement, fi: GroupElement, fj: GroupElement) -> bool:
     return w.compose(fj) == fi.compose(w)
 
 
+_UNSCREENED = object()  # `find_conjugacy_witness` runs the pre-screen itself
+
+
 def find_conjugacy_witness(
     g: GroupPresentation,
     i: int,
@@ -280,6 +283,7 @@ def find_conjugacy_witness(
     *,
     _ball=None,
     _abelian: Optional[bool] = None,
+    _screened=_UNSCREENED,
 ) -> WitnessResult:
     """Witness word w with w o f_j o w^{-1} = f_i, searched to word length `bound`.
 
@@ -289,8 +293,9 @@ def find_conjugacy_witness(
     equality).  The witness is the first element of the word ball, in BFS
     order, that conjugates the pair: the ball grows only until it, so it is
     the ball's last element, and only a pair with no witness within `bound`
-    letters ("unresolved") builds the full ball.  `_ball` is such a ball,
-    built by the caller (see `check_basic_set`).
+    letters ("unresolved") builds the full ball.  `_ball` is such a ball and
+    `_screened` the pre-screen's answer (None: left open), both from the
+    caller (see `check_basic_set`).
     """
     fi, fj = g.elements[i], g.elements[j]
     if i == j:
@@ -301,7 +306,7 @@ def find_conjugacy_witness(
         if not _conjugates(w, fi, fj):
             raise ValueError(f"supplied witness {supplied!r} fails for pair ({i}, {j})")
         return WitnessResult("witness", word=supplied)
-    screened = _conjugation_prescreen(fi, fj)
+    screened = _conjugation_prescreen(fi, fj) if _screened is _UNSCREENED else _screened
     if screened is not None:
         return screened
     if _abelian is None:
@@ -346,11 +351,10 @@ def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) ->
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
             first.setdefault((elements[i], elements[j]), (i, j))
-    pending = [
-        (fi, fj)
-        for (fi, fj), pair in first.items()
-        if not abelian and pair not in g.witnesses and _conjugation_prescreen(fi, fj) is None
-    ]
+    # each distinct pair is screened once, here; a supplied witness is verified instead
+    screens = {key: _conjugation_prescreen(*key) for key, pair in first.items()
+               if pair not in g.witnesses}
+    pending = [key for key, screened in screens.items() if screened is None and not abelian]
 
     ends: dict = {}  # pending pair -> length of the ball prefix ending at its witness
     sizes = count(2)  # `stop` sees the ball's elements from the second on
@@ -368,7 +372,8 @@ def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) ->
     ball = _word_ball(g, bound, all_answered) if pending else None
     answers = {
         key: find_conjugacy_witness(
-            g, i, j, bound, _ball=ball[: ends[key]] if key in ends else ball, _abelian=abelian
+            g, i, j, bound, _ball=ball[: ends[key]] if key in ends else ball, _abelian=abelian,
+            _screened=screens.get(key),
         )
         for key, (i, j) in first.items()
     }

@@ -4,6 +4,14 @@ A jet stores only nonzero coefficients for 1 <= |Q| <= K, keyed by
 (coordinate, multi-index); the linear part must be invertible.  Composition
 truncates eagerly at K, and powers of the substituted components are
 memoized per call since they dominate the cost.
+
+`GermJet(...)` validates its input: every key, every coefficient's field and,
+with a determinant, the invertibility of the linear part.  Documents and
+other outside input go through it.  The jets that group operations return
+(`compose`, `invert` and so `power` and `conjugate`, and `identity`) are built
+by `GermJet._trusted`, which skips all of that: their keys come from valid
+jets, and invertibility is preserved, since the linear part of f o g is the
+product of the linear parts and the determinant is multiplicative.
 """
 
 from __future__ import annotations
@@ -132,7 +140,9 @@ class GermJet:
     """K-jet of a holomorphic self-map of (C^n, 0) with invertible linear part.
 
     coeffs maps (coordinate, multi-index) to a nonzero field element; keys with
-    |Q| = 0 or |Q| > K are rejected.
+    |Q| = 0 or |Q| > K are rejected.  The constructor checks every key and
+    coefficient and rejects a singular linear part; `_trusted` builds the
+    results of group operations, invertible by construction, without checks.
     """
 
     __slots__ = ("n", "K", "field", "coeffs", "_key", "_order")
@@ -166,20 +176,26 @@ class GermJet:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, n: int, K: int, fld: CycloField, coeffs: dict) -> "GermJet":
+        """A jet from well-formed keys and `fld` coefficients with an invertible
+        linear part, as group operations produce them; only zeros are dropped."""
+        jet = object.__new__(cls)
+        jet.n = n
+        jet.K = K
+        jet.field = fld
+        jet.coeffs = {key: c for key, c in coeffs.items() if not c.is_zero()}
+        jet._key = None
+        jet._order = None
+        return jet
+
+    @classmethod
     def identity(cls, fld: CycloField, n: int, K: int) -> "GermJet":
         one = fld.one()
-        return cls(n, K, fld, {(s, unit_index(n, s)): one for s in range(n)})
+        return cls._trusted(n, K, fld, {(s, unit_index(n, s)): one for s in range(n)})
 
     @classmethod
     def from_linear(cls, matrix: Matrix, K: int) -> "GermJet":
-        n = len(matrix)
-        fld = matrix[0][0].field
-        coeffs = {}
-        for s in range(n):
-            for i in range(n):
-                if not matrix[s][i].is_zero():
-                    coeffs[(s, unit_index(n, i))] = matrix[s][i]
-        return cls(n, K, fld, coeffs)
+        return cls(len(matrix), K, matrix[0][0].field, _linear_coeffs(matrix))
 
     # -- accessors ---------------------------------------------------------------
 
@@ -264,6 +280,11 @@ class GermJet:
         return f"GermJet[{'; '.join(parts)}]"
 
 
+def _linear_coeffs(matrix: Matrix) -> dict:
+    n = len(matrix)
+    return {(s, unit_index(n, i)): matrix[s][i] for s in range(n) for i in range(n)}
+
+
 def _check_shapes(f: GermJet, g: GermJet) -> None:
     if (f.n, f.K) != (g.n, g.K):
         raise ShapeMismatchError(
@@ -326,13 +347,13 @@ def compose(f: GermJet, g: GermJet) -> "GermJet":
             prod = c * v
             cur = acc.get(key)
             acc[key] = prod if cur is None else cur + prod
-    return GermJet(n, cap, f.field, acc)
+    return GermJet._trusted(n, cap, f.field, acc)
 
 
 def invert(f: GermJet) -> "GermJet":
     """Jet inverse, solved degree by degree from the linear part."""
     lin_inv = mat_inv(f.linear_matrix())
-    g = GermJet.from_linear(lin_inv, f.K)
+    g = GermJet._trusted(f.n, f.K, f.field, _linear_coeffs(lin_inv))
     for k in range(2, f.K + 1):
         residual = compose(f, g).degree_slice(k)
         if not residual:
@@ -349,7 +370,7 @@ def invert(f: GermJet) -> "GermJet":
                     key = (s, q)
                     cur = correction.get(key, f.field.zero())
                     correction[key] = cur - val
-        g = GermJet(f.n, f.K, f.field, correction)
+        g = GermJet._trusted(f.n, f.K, f.field, correction)
     return g
 
 

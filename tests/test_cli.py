@@ -116,6 +116,19 @@ def test_oversized_conductor_exits_2_at_once(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: conductor:")
 
 
+def test_too_many_generators_exit_2_at_once(tmp_path, capsys):
+    path = tmp_path / "many.json"
+    negation = [[{"coeff": "-1", "monomial": [1]}]]
+    path.write_text(json.dumps({
+        "conductor": 1,
+        "generators": [{"name": f"f{i}", "coords": negation} for i in range(3000)],
+    }))
+    started = time.monotonic()
+    assert cli.main(["check-basic-set", str(path)]) == cli.EXIT_INPUT
+    assert time.monotonic() - started < 1.0
+    assert capsys.readouterr().err.startswith("error: generators: 3000 generators exceed")
+
+
 def test_holonomy_honours_closure_cap(tmp_path, capsys):
     path = str(CORPUS_DIR / "moebius-rotation-5.json")
     code, verdict = _holonomy([path, "--closure-cap", "3"], capsys)

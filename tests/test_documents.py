@@ -5,6 +5,7 @@ import pytest
 from germforge.documents import (
     MAX_CONDUCTOR,
     MAX_DIMENSION,
+    MAX_GENERATORS,
     MAX_TRUNCATION,
     DocumentError,
     parse_document,
@@ -90,6 +91,15 @@ def oversized(**fields):
     return {"conductor": 1, **fields}
 
 
+def negations(count):
+    """`count` copies of z -> -z, or of the Moebius map with matrix -Id."""
+    return [{"name": f"f{i}", "coords": [[term("-1", [1])]]} for i in range(count)]
+
+
+def moebius_negations(count):
+    return [{"name": f"m{i}", "matrix": [["-1", "0"], ["0", "-1"]]} for i in range(count)]
+
+
 @pytest.mark.parametrize(
     "doc, where",
     [
@@ -101,12 +111,23 @@ def oversized(**fields):
         (oversized(eigenvalues=["1"] * (MAX_DIMENSION + 1)),
          f"eigenvalues: {MAX_DIMENSION + 1} eigenvalues exceed"),
         (oversized(truncation=8, eigenvalues=["1"] * 6), "eigenvalues: dimension 6 and truncation 8"),
+        (oversized(generators=negations(MAX_GENERATORS + 1)),
+         f"generators: {MAX_GENERATORS + 1} generators exceed the limit {MAX_GENERATORS}"),
+        (oversized(moebius_generators=moebius_negations(MAX_GENERATORS + 1)),
+         f"moebius_generators: {MAX_GENERATORS + 1} generators exceed the limit"),
+        (oversized(generators={"f": []}), "generators: must be a list"),
     ],
 )
 def test_oversized_document_names_its_path(doc, where):
     with pytest.raises(DocumentError) as info:
         parse_document(doc)
     assert str(info.value).startswith(where)
+
+
+def test_generator_count_at_the_limit_parses():
+    doc = parse_document(oversized(generators=negations(MAX_GENERATORS),
+                                   moebius_generators=moebius_negations(MAX_GENERATORS)))
+    assert len(doc.generators) == len(doc.moebius_generators) == MAX_GENERATORS
 
 
 def test_truncation_override_is_bounded():

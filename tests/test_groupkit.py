@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germforge import corpus, groupkit, jets
+from germforge import cli, corpus, groupkit, jets
 from germforge.cyclo import field, root_of_unity_order
 from germforge.groupkit import (
     AffineFamily,
@@ -383,6 +383,18 @@ def test_basic_set_orders_each_distinct_generator_once(monkeypatch, entry):
     calls = counting(monkeypatch, "germ_order")
     check_basic_set(g)
     assert len(calls) == len(set(g.elements))
+
+
+def test_basic_set_screens_each_distinct_pair_once(monkeypatch):
+    calls = counting(monkeypatch, "char_poly")
+    for entry in ("ex-2-1", "ex-2-2", "ex-2-3"):
+        report = cli.run_corpus_entry(
+            entry, groupkit.DEFAULT_WITNESS_BOUND, groupkit.DEFAULT_CLOSURE_CAP, None
+        )
+        assert report["matched"]
+    # ex-2-2 and ex-2-3 each leave three distinct pairs to the characteristic-polynomial
+    # screen, two polynomials per pair; ex-2-1 supplies its witnesses
+    assert len(calls) == 12
 
 
 def test_letters_invert_each_distinct_generator_once(monkeypatch):

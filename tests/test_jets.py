@@ -3,8 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from germforge import corpus, jets
 from germforge.cyclo import field
+from germforge.documents import DocumentError, parse_document
+from germforge.groupkit import closure_enumerate
 from germforge.jets import (
     GermJet,
     ShapeMismatchError,
@@ -79,6 +83,17 @@ def test_rejects_degree_out_of_range():
 def test_rejects_singular_linear_part():
     with pytest.raises(ValueError):
         jet(F1, 2, 1, [(0, (1, 0), F1.one()), (1, (1, 0), F1.one())])
+    singular = {"conductor": 1, "dimension": 2, "generators": [{"name": "f", "coords": [
+        [{"coeff": "1", "monomial": [1, 0]}], [{"coeff": "1", "monomial": [1, 0]}]]}]}
+    with pytest.raises(DocumentError, match="^generators\\[0\\]: linear part is not invertible"):
+        parse_document(singular)
+
+
+def test_rejects_bad_key():
+    with pytest.raises(ShapeMismatchError):
+        jet(F1, 1, 1, [(1, (1,), F1.one())])
+    with pytest.raises(ShapeMismatchError):
+        jet(F1, 2, 1, [(0, (1,), F1.one())])
 
 
 def test_zero_coefficients_dropped():
@@ -415,3 +430,51 @@ def test_finite_order_nonlinear_germ():
     _, f5, _ = ex21_generators()
     assert germ_order(f5).order == 6
     assert power(f5, 6).is_identity()
+
+
+# --- trusted construction of group-operation results --------------------------
+
+
+@st.composite
+def invertible_jets(draw, fld, n, K):
+    """A jet with small coefficients in Z[zeta_N] and an invertible linear part."""
+    values = [fld.zero(), fld.one(), -fld.one(), fld.from_rational(2), fld.zeta()]
+    keys = [(s, q) for s in range(n) for q in jets.iter_multiindices(n, 1)]
+    higher = [(s, q) for s in range(n) for d in range(2, K + 1) for q in jets.iter_multiindices(n, d)]
+    if higher:
+        keys += draw(st.lists(st.sampled_from(higher), max_size=4, unique=True))
+    coeffs = {key: draw(st.sampled_from(values)) for key in keys}
+    try:
+        return GermJet(n, K, fld, coeffs)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def jet_pairs(draw):
+    fld = field(draw(st.sampled_from([1, 3, 4])))
+    n, K = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    return draw(invertible_jets(fld, n, K)), draw(invertible_jets(fld, n, K))
+
+
+@settings(max_examples=40, deadline=None)
+@given(jet_pairs(), st.integers(-3, 3))
+def test_group_operation_results_equal_validated_jets(pair, m):
+    f, g = pair
+    for r in (compose(f, g), invert(f), power(f, m), GermJet.identity(*f.shape)):
+        validated = GermJet(r.n, r.K, r.field, r.coeffs)
+        assert r == validated
+        assert r.canonical_key() == validated.canonical_key()
+        assert hash(r) == hash(validated)
+        assert not any(c.is_zero() for c in r.coeffs.values())
+
+
+def test_closure_runs_no_determinant(monkeypatch):
+    """Only validated input pays for `mat_det`; closure results are trusted."""
+    g = corpus.load("prop-5-1-3").presentation()
+    calls = []
+    original = jets.mat_det
+    monkeypatch.setattr(jets, "mat_det", lambda a: calls.append(a) or original(a))
+    result = closure_enumerate(g, cap=1000)
+    assert result.status == "cap-exceeded"
+    assert calls == []
