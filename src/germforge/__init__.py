@@ -41,7 +41,6 @@ from .groupkit import (
     LinearizationFailure,
     LinearizationSuccess,
     WitnessResult,
-    affine_conjugacy_bruteforce,
     affine_conjugacy_decide,
     check_basic_set,
     check_product_identity,

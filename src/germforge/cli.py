@@ -1,11 +1,14 @@
 """Command-line front end: germ-forge <command> [flags] [file].
 
-Commands dispatch to the library and emit a report in text or JSON form.
-Closures are enumerated serially; `moebius-holonomy` honours `--witness-bound`
-and `--closure-cap` like the jet commands.  Exit codes: 0 success (and, for
-`examples run`, verdict matched), 1 verdict mismatch, 2 input error, 3 no
-decision within the bounds or the field (closure cap, unresolved witnesses,
-unresolved holonomy verdict).  Element orders are always decided exactly.
+One table, `COMMANDS`, holds every command: its help text, the payload
+builder that calls the library, the corpus `expected` check it answers, its
+own options and the test that makes its verdict exit 3.  The parser, `main`
+and the corpus runner all read that table, so a new command is one new row.
+Every command takes `--witness-bound`, `--closure-cap`, `--truncation` and
+`--format`.  Exit codes: 0 success (and, for `examples run`, verdict
+matched), 1 verdict mismatch, 2 input error, 3 no decision within the bounds
+or the field (closure cap, unresolved witnesses, unresolved holonomy
+verdict).  Element orders are always decided exactly.
 """
 
 from __future__ import annotations
@@ -14,22 +17,16 @@ import argparse
 import json
 import sys
 import time
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from . import corpus
 from .cyclo import format_coefficient
-from .documents import (
-    DocumentError,
-    InputDocument,
-    jet_payload,
-    matrix_payload,
-    parse_document,
-)
+from .documents import DocumentError, InputDocument, jet_payload, matrix_payload, parse_document
 from .groupkit import (
     AffineFamily,
     DEFAULT_CLOSURE_CAP,
     DEFAULT_WITNESS_BOUND,
-    GroupPresentation,
     LinearizationSuccess,
     WordError,
     affine_conjugacy_decide,
@@ -48,21 +45,15 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
 
-WITNESS_BOUND_HELP = (
-    "longest conjugacy witness word searched (default %(default)s); the word ball "
-    "grows only until every generator pair is answered, and reaches this length "
-    "only for a pair left unresolved"
-)
-
-
 # ---------------------------------------------------------------------------
-# verdict payload builders (deterministic key order; all coefficients rendered
-# through the same grammar the input uses)
+# verdict payload builders: each takes the document and the parsed options
+# (deterministic key order; all coefficients rendered through the same
+# grammar the input uses)
 
 
-def _basic_set_payload(doc: InputDocument, bound: int) -> dict:
+def _basic_set_payload(doc: InputDocument, opts: Any) -> dict:
     pres = doc.presentation()
-    report = check_basic_set(pres, bound)
+    report = check_basic_set(pres, opts.witness_bound)
     names = pres.names
     pairs = {}
     for (i, j), res in sorted(report.conjugacy.items()):
@@ -83,7 +74,7 @@ def _basic_set_payload(doc: InputDocument, bound: int) -> dict:
     return payload
 
 
-def _resonances_payload(doc: InputDocument, truncation: int) -> dict:
+def _resonances_payload(doc: InputDocument, opts: Any) -> dict:
     if doc.eigenvalues is not None:
         eigenvalues = list(doc.eigenvalues)
     elif doc.generators:
@@ -91,16 +82,17 @@ def _resonances_payload(doc: InputDocument, truncation: int) -> dict:
         eigenvalues = [lin[i][i] for i in range(len(lin))]
     else:
         raise DocumentError("document provides neither eigenvalues nor generators")
-    records = enumerate_resonances(eigenvalues, truncation)
+    records = enumerate_resonances(eigenvalues, doc.truncation)
     return {
         "eigenvalues": [format_coefficient(e) for e in eigenvalues],
-        "truncation": truncation,
+        "truncation": doc.truncation,
         "records": [{"coord": r.coord, "monomial": list(r.order)} for r in records],
     }
 
 
-def _normalize_payload(doc: InputDocument, generator: Optional[str]) -> dict:
+def _normalize_payload(doc: InputDocument, opts: Any) -> dict:
     pres = doc.presentation()
+    generator = opts.generator
     if generator is None:
         if len(pres.generators) > 1:
             raise DocumentError("--generator NAME is required with several generators")
@@ -120,7 +112,7 @@ def _normalize_payload(doc: InputDocument, generator: Optional[str]) -> dict:
     }
 
 
-def _linearize_payload(doc: InputDocument) -> dict:
+def _linearize_payload(doc: InputDocument, opts: Any) -> dict:
     outcome = linearize_group(doc.presentation())
     if isinstance(outcome, LinearizationSuccess):
         return {
@@ -129,11 +121,8 @@ def _linearize_payload(doc: InputDocument) -> dict:
             "diagonal_generator": matrix_payload(outcome.diagonal_generator),
             "conjugator": jet_payload(outcome.conjugator),
         }
-    payload: dict[str, Any] = {
-        "outcome": "failure",
-        "reason": outcome.reason,
-        "detail": outcome.detail,
-    }
+    payload: dict[str, Any] = {"outcome": "failure", "reason": outcome.reason,
+                               "detail": outcome.detail}
     if outcome.degree is not None:
         payload["degree"] = outcome.degree
     if outcome.eigenvalue_orders is not None:
@@ -142,40 +131,31 @@ def _linearize_payload(doc: InputDocument) -> dict:
         ]
     if outcome.offending:
         payload["offending"] = [
-            {
-                "generator": name,
-                "coord": s,
-                "monomial": list(q),
-                "coeff": format_coefficient(c),
-            }
+            {"generator": name, "coord": s, "monomial": list(q), "coeff": format_coefficient(c)}
             for name, s, q, c in outcome.offending
         ]
     return payload
 
 
-def _closure_payload(doc: InputDocument, cap: int) -> dict:
-    result = closure_enumerate(doc.presentation(), cap)
+def _closure_payload(doc: InputDocument, opts: Any) -> dict:
+    result = closure_enumerate(doc.presentation(), opts.closure_cap)
     payload = {"status": result.status, "count": result.count}
     if result.status == "closed" and result.count <= 64:
         payload["elements"] = [jet_payload(e) for e in result.elements]
     return payload
 
 
-def _cyclic_payload(doc: InputDocument, cap: int) -> dict:
-    result = closure_enumerate(doc.presentation(), cap)
+def _cyclic_payload(doc: InputDocument, opts: Any) -> Optional[bool]:
+    """Whether the closure is cyclic; None when it exceeds the closure cap."""
+    result = closure_enumerate(doc.presentation(), opts.closure_cap)
     if result.status != "closed":
-        return {"status": "cap-exceeded", "count": result.count}
-    generator = is_cyclic(result.elements)
-    payload = {"status": "closed", "count": result.count, "cyclic": generator is not None}
-    if generator is not None:
-        payload["generator"] = jet_payload(generator)
-    return payload
+        return None
+    return is_cyclic(result.elements) is not None
 
 
-def _order_payload(doc: InputDocument, element: str) -> dict:
-    jet = evaluate_word(doc.presentation(), element)
-    result = germ_order(jet)
-    payload = {"element": element, "kind": result.kind}
+def _order_payload(doc: InputDocument, opts: Any) -> dict:
+    result = germ_order(evaluate_word(doc.presentation(), opts.element))
+    payload = {"element": opts.element, "kind": result.kind}
     if result.order is not None:
         payload["order"] = result.order
     if result.certificate is not None:
@@ -183,7 +163,7 @@ def _order_payload(doc: InputDocument, element: str) -> dict:
     return payload
 
 
-def _keylemma_payload(doc: InputDocument) -> dict:
+def _keylemma_payload(doc: InputDocument, opts: Any) -> dict:
     if doc.multiplier is None or doc.translations is None:
         raise DocumentError("keylemma needs 'multiplier' and 'translations'")
     family = AffineFamily(doc.multiplier, doc.translations)
@@ -196,15 +176,13 @@ def _keylemma_payload(doc: InputDocument) -> dict:
     }
 
 
-def _holonomy_payload(doc: InputDocument, bound: int, cap: int, truncation: int) -> dict:
+def _holonomy_payload(doc: InputDocument, opts: Any) -> dict:
     if not doc.moebius_generators:
         raise DocumentError("document has no moebius_generators")
     gens = [m for _, m in doc.moebius_generators]
-    verdict = holonomy_check(gens, word_bound=bound, order=max(truncation, 2), closure_cap=cap)
-    payload: dict[str, Any] = {
-        "finite_cyclic": verdict.finite_cyclic,
-        "model": verdict.model,
-    }
+    verdict = holonomy_check(gens, word_bound=opts.witness_bound,
+                             order=max(doc.truncation, 2), closure_cap=opts.closure_cap)
+    payload: dict[str, Any] = {"finite_cyclic": verdict.finite_cyclic, "model": verdict.model}
     if verdict.order is not None:
         payload["order"] = verdict.order
     if verdict.first_integral_exponent is not None:
@@ -213,6 +191,49 @@ def _holonomy_payload(doc: InputDocument, bound: int, cap: int, truncation: int)
     if verdict.certificate is not None:
         payload["certificate"] = verdict.certificate
     return payload
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+
+@dataclass(frozen=True)
+class Command:
+    """One command: `name` is its subcommand (None for a corpus-only check),
+    `check` the corpus `expected` key it answers (None for none), `options`
+    its own (dest, argparse keywords) pairs, which a corpus check reads from
+    its `expected` block, and `limited(verdict)` whether the verdict is a
+    non-decision (exit 3)."""
+
+    name: Optional[str]
+    help: str
+    build: Callable[[InputDocument, Any], Any]
+    check: Optional[str] = None
+    options: tuple = ()
+    limited: Callable[[Any], bool] = lambda verdict: False
+
+
+COMMANDS = (
+    Command("check-basic-set", "verify the two basic-set conditions", _basic_set_payload,
+            check="basic_set",
+            limited=lambda v: v["verdict"] == "condition-b-unresolved"
+            and any(p["status"] == "unresolved" for p in v["pairs"].values())),
+    Command("resonances", "enumerate multiplicative resonances", _resonances_payload),
+    Command("normalize", "Poincare-Dulac normalization of one generator", _normalize_payload,
+            options=(("generator", {"help": "generator name to normalize"}),)),
+    Command("linearize", "simultaneous linearization of the presentation", _linearize_payload,
+            check="linearize"),
+    Command("closure", "enumerate the generated subgroup", _closure_payload, check="closure",
+            limited=lambda v: v["status"] == "cap-exceeded"),
+    Command(None, "whether the generated subgroup is cyclic", _cyclic_payload, check="cyclic"),
+    Command("order", "order of a word in the generators", _order_payload, check="order",
+            options=(("element", {"required": True, "help": "word such as 'f1^4*f5*f1'"}),)),
+    Command("keylemma", "pairwise conjugacy in an affine family", _keylemma_payload),
+    Command("moebius-holonomy", "finite-cyclic holonomy verdict", _holonomy_payload,
+            check="holonomy", limited=lambda v: v["finite_cyclic"] == "unresolved"),
+)
+
+_CHECKS = {c.check: c for c in COMMANDS if c.check is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -236,28 +257,15 @@ def _expected_subset(expected: Any, actual: Any) -> bool:
 
 def run_corpus_entry(name: str, bound: int, cap: int, truncation: Optional[int]) -> dict:
     doc = corpus.load(name, truncation_override=truncation)
-    expected = doc.expected or {}
     checks = {}
-    for check, want in expected.items():
-        if check == "basic_set":
-            got = _basic_set_payload(doc, bound)
-        elif check == "linearize":
-            got = _linearize_payload(doc)
-        elif check == "order":
-            got = _order_payload(doc, want["element"])
-        elif check == "closure":
-            got = _closure_payload(doc, cap)
-        elif check == "cyclic":
-            got = _cyclic_payload(doc, cap).get("cyclic")
-        elif check == "holonomy":
-            got = _holonomy_payload(doc, bound, cap, doc.truncation or 3)
-        else:
+    for check, want in (doc.expected or {}).items():
+        if check not in _CHECKS:
             raise DocumentError(f"unknown expected check {check!r} in corpus entry {name}")
-        checks[check] = {
-            "expected": want,
-            "actual": got,
-            "match": _expected_subset(want, got),
-        }
+        command = _CHECKS[check]
+        opts = argparse.Namespace(witness_bound=bound, closure_cap=cap,
+                                  **{dest: want[dest] for dest, _ in command.options})
+        got = command.build(doc, opts)
+        checks[check] = {"expected": want, "actual": got, "match": _expected_subset(want, got)}
     return {
         "entry": name,
         "matched": all(c["match"] for c in checks.values()),
@@ -269,33 +277,38 @@ def run_corpus_entry(name: str, bound: int, cap: int, truncation: Optional[int])
 # rendering
 
 
-def _render_text(value: Any, indent: int = 0, out=None) -> None:
+def _render_text(value: Any, indent: int = 0) -> None:
     pad = "  " * indent
     if isinstance(value, dict):
         for k, v in value.items():
             if isinstance(v, (dict, list)):
-                print(f"{pad}{k}:", file=out)
-                _render_text(v, indent + 1, out)
+                print(f"{pad}{k}:")
+                _render_text(v, indent + 1)
             else:
-                print(f"{pad}{k}: {v}", file=out)
+                print(f"{pad}{k}: {v}")
     elif isinstance(value, list):
         for v in value:
             if isinstance(v, (dict, list)):
-                _render_text(v, indent + 1, out)
+                _render_text(v, indent + 1)
             else:
-                print(f"{pad}- {v}", file=out)
+                print(f"{pad}- {v}")
     else:
-        print(f"{pad}{value}", file=out)
-
-
-def emit_report(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        _render_text(report)
+        print(f"{pad}{value}")
 
 
 # ---------------------------------------------------------------------------
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than `low`."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,38 +316,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="germ-forge",
         description="Exact computations with finitely generated groups of polynomial jet germs.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--witness-bound", type=_int_at_least(0), default=DEFAULT_WITNESS_BOUND,
+                        help="longest conjugacy witness word searched (default %(default)s); the "
+                        "word ball grows only until every generator pair is answered, and reaches "
+                        "this length only for a pair left unresolved")
+    common.add_argument("--closure-cap", type=_int_at_least(1), default=DEFAULT_CLOSURE_CAP)
+    common.add_argument("--truncation", type=int, default=None, help="override document truncation")
+    common.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, needs_file=True):
-        if needs_file:
+    for command in COMMANDS:
+        if command.name is not None:
+            p = sub.add_parser(command.name, help=command.help, parents=[common])
             p.add_argument("file", help="JSON input document")
-        p.add_argument("--witness-bound", type=int, default=DEFAULT_WITNESS_BOUND,
-                       help=WITNESS_BOUND_HELP)
-        p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
-        p.add_argument("--truncation", type=int, default=None, help="override document truncation")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    add_common(sub.add_parser("check-basic-set", help="verify the two basic-set conditions"))
-    add_common(sub.add_parser("resonances", help="enumerate multiplicative resonances"))
-    p = sub.add_parser("normalize", help="Poincare-Dulac normalization of one generator")
-    add_common(p)
-    p.add_argument("--generator", default=None, help="generator name to normalize")
-    add_common(sub.add_parser("linearize", help="simultaneous linearization of the presentation"))
-    add_common(sub.add_parser("closure", help="enumerate the generated subgroup"))
-    p = sub.add_parser("order", help="order of a word in the generators")
-    add_common(p)
-    p.add_argument("--element", required=True, help="word such as 'f1^4*f5*f1'")
-    add_common(sub.add_parser("keylemma", help="pairwise conjugacy in an affine family"))
-    add_common(sub.add_parser("moebius-holonomy", help="finite-cyclic holonomy verdict"))
-
-    p = sub.add_parser("examples", help="list or run the built-in corpus")
+            for dest, kwargs in command.options:
+                p.add_argument(f"--{dest}", **kwargs)
+            p.set_defaults(row=command)
+    p = sub.add_parser("examples", help="list or run the built-in corpus", parents=[common])
     p.add_argument("action", choices=("list", "run"))
     p.add_argument("entry", nargs="?", default=None)
-    p.add_argument("--witness-bound", type=int, default=DEFAULT_WITNESS_BOUND,
-                   help=WITNESS_BOUND_HELP)
-    p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -348,68 +348,31 @@ def _load_file(path: str, truncation: Optional[int]) -> InputDocument:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         if args.command == "examples":
             if args.action == "list":
-                verdict: Any = {"entries": list(corpus.list_entries())}
+                verdict: Any = {"entries": list(corpus.ENTRIES)}
                 exit_code = EXIT_OK
             else:
                 if not args.entry:
                     raise DocumentError("examples run needs an entry name")
-                try:
-                    verdict = run_corpus_entry(
-                        args.entry, args.witness_bound, args.closure_cap, args.truncation
-                    )
-                except KeyError as exc:
-                    raise DocumentError(str(exc)) from exc
+                verdict = run_corpus_entry(
+                    args.entry, args.witness_bound, args.closure_cap, args.truncation
+                )
                 exit_code = EXIT_OK if verdict["matched"] else EXIT_MISMATCH
-            report = {
-                "command": f"examples {args.action}" + (f" {args.entry}" if args.entry else ""),
-                "verdict": verdict,
-                "timing_ms": round((time.monotonic() - started) * 1000, 3),
-            }
-            emit_report(report, args.format)
-            return exit_code
-
-        doc = _load_file(args.file, args.truncation)
-        truncation = args.truncation if args.truncation is not None else doc.truncation
-        exit_code = EXIT_OK
-        if args.command == "check-basic-set":
-            verdict = _basic_set_payload(doc, args.witness_bound)
-            if verdict["verdict"] == "condition-b-unresolved" and any(
-                p["status"] == "unresolved" for p in verdict["pairs"].values()
-            ):
-                exit_code = EXIT_LIMIT
-        elif args.command == "resonances":
-            verdict = _resonances_payload(doc, truncation)
-        elif args.command == "normalize":
-            verdict = _normalize_payload(doc, args.generator)
-        elif args.command == "linearize":
-            verdict = _linearize_payload(doc)
-        elif args.command == "closure":
-            verdict = _closure_payload(doc, args.closure_cap)
-            if verdict["status"] == "cap-exceeded":
-                exit_code = EXIT_LIMIT
-        elif args.command == "order":
-            verdict = _order_payload(doc, args.element)
-        elif args.command == "keylemma":
-            verdict = _keylemma_payload(doc)
-        elif args.command == "moebius-holonomy":
-            verdict = _holonomy_payload(doc, args.witness_bound, args.closure_cap, truncation)
-            if verdict["finite_cyclic"] == "unresolved":
-                exit_code = EXIT_LIMIT
-        else:  # pragma: no cover - argparse guards this
-            raise DocumentError(f"unknown command {args.command}")
-        report = {
-            "command": args.command,
-            "input": args.file,
-            "verdict": verdict,
-            "timing_ms": round((time.monotonic() - started) * 1000, 3),
-        }
-        emit_report(report, args.format)
+            report = {"command": " ".join(filter(None, ("examples", args.action, args.entry)))}
+        else:
+            verdict = args.row.build(_load_file(args.file, args.truncation), args)
+            exit_code = EXIT_LIMIT if args.row.limited(verdict) else EXIT_OK
+            report = {"command": args.command, "input": args.file}
+        report["verdict"] = verdict
+        report["timing_ms"] = round((time.monotonic() - started) * 1000, 3)
+        if args.format == "json":
+            print(json.dumps(report, indent=2))
+        else:
+            _render_text(report)
         return exit_code
     except (DocumentError, WordError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,7 @@
-"""Built-in example documents with recorded expected verdicts."""
+"""Built-in example documents with recorded expected verdicts.
+
+The entries are the package's JSON files, named by their stems.
+"""
 
 from __future__ import annotations
 
@@ -6,33 +9,16 @@ import json
 from importlib import resources
 from typing import Optional
 
-from ..documents import InputDocument, parse_document
+from ..documents import DocumentError, InputDocument, parse_document
 
-ENTRIES = (
-    "ex-2-1",
-    "ex-2-2",
-    "ex-2-3",
-    "prop-5-1-1a",
-    "prop-5-1-1b",
-    "prop-5-1-2",
-    "prop-5-1-2-abelian",
-    "prop-5-1-3",
-    "prop-5-1-4",
-    "moebius-rotation-5",
-    "moebius-inversion",
-    "moebius-dilation",
-)
-
-
-def list_entries() -> tuple[str, ...]:
-    return ENTRIES
+_FILES = resources.files("germforge.corpus")
+ENTRIES = tuple(sorted(p.name[:-5] for p in _FILES.iterdir() if p.name.endswith(".json")))
 
 
 def load_raw(name: str) -> dict:
     if name not in ENTRIES:
-        raise KeyError(f"unknown corpus entry {name!r}; available: {', '.join(ENTRIES)}")
-    data = resources.files("germforge.corpus").joinpath(name + ".json").read_text()
-    return json.loads(data)
+        raise DocumentError(f"unknown corpus entry {name!r}; available: {', '.join(ENTRIES)}")
+    return json.loads(_FILES.joinpath(name + ".json").read_text())
 
 
 def load(name: str, truncation_override: Optional[int] = None) -> InputDocument:

@@ -240,9 +240,5 @@ def jet_payload(jet: GermJet) -> list[list[dict]]:
     return coords
 
 
-def moebius_payload(m: MoebiusMap) -> list[list[str]]:
-    return [[format_coefficient(c) for c in row] for row in m.matrix]
-
-
 def matrix_payload(matrix) -> list[list[str]]:
     return [[format_coefficient(c) for c in row] for row in matrix]

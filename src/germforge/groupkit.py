@@ -39,6 +39,11 @@ from .resonance import eigenvalue_power, homological_step, is_resonant
 
 DEFAULT_WITNESS_BOUND = 6
 DEFAULT_CLOSURE_CAP = 10_000
+# Longest word, in letters (the sum of |exponent| over its factors), that
+# `parse_word` accepts: far above every corpus word and every witness the
+# default bound can find, and low enough that `evaluate_word` answers in well
+# under a second, since the coefficients of a power grow with its exponent.
+MAX_WORD_LETTERS = 1000
 
 
 class WordError(ValueError):
@@ -116,7 +121,10 @@ _WORD_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(-?\d+))?\s*")
 
 
 def parse_word(word: str) -> list[tuple[str, int]]:
-    """Parse 'f1^4*f5*f1' into [(name, exponent), ...]; '' is the empty word."""
+    """Parse 'f1^4*f5*f1' into [(name, exponent), ...]; '' is the empty word.
+
+    A word longer than MAX_WORD_LETTERS letters is a WordError.
+    """
     if word.strip() == "":
         return []
     out = []
@@ -125,6 +133,9 @@ def parse_word(word: str) -> list[tuple[str, int]]:
         if not m:
             raise WordError(f"bad word factor {chunk!r}")
         out.append((m.group(1), int(m.group(2)) if m.group(2) else 1))
+    letters = sum(abs(e) for _, e in out)
+    if letters > MAX_WORD_LETTERS:
+        raise WordError(f"word has {letters} letters, above the limit {MAX_WORD_LETTERS}")
     return out
 
 
@@ -516,6 +527,11 @@ def slice_morphism_report(g: GroupPresentation, k: int) -> list[SliceMorphismEnt
     character on the group (checked on generator pairs) whose total along the
     listed product must vanish; nonresonant monomials yield a family of
     affine maps whose multiplier is lambda_r / lambda^Q.
+
+    It stays public though no command calls it: it is the library's only
+    route from a jet presentation to the affine families that
+    `affine_conjugacy_decide` judges, while the `keylemma` command reads its
+    family from the document.
     """
     jets = g.elements
     _, n, _ = g.shape
@@ -599,51 +615,6 @@ def affine_conjugacy_decide(family: AffineFamily) -> tuple[bool, str]:
     if all(b == first for b in family.translations[1:]):
         return True, f"multiplier order {ell} is a prime power and all translations are equal"
     return False, f"multiplier order {ell} is a prime power but translations differ"
-
-
-def affine_conjugacy_bruteforce(family: AffineFamily, word_bound: int = 8) -> bool:
-    """Search certificate for the same question, words up to `word_bound`.
-
-    Affine maps are (multiplier, shift) pairs.  Every word of length <= 2d
-    factors as u o v with u, v in the radius-d ball, so candidate conjugators
-    are enumerated meet-in-the-middle; a pair (h_i, h_j) is conjugate when
-    some group element w satisfies w o h_i = h_j o w exactly.
-    """
-    eta = family.multiplier
-    gens = [(eta, b) for b in family.translations]
-
-    def a_compose(u, v):
-        return (u[0] * v[0], u[0] * v[1] + u[1])
-
-    def a_invert(u):
-        m_inv = u[0].inverse()
-        return (m_inv, -(m_inv * u[1]))
-
-    letters = []
-    seen_letters = set()
-    for h in gens:
-        for cand in (h, a_invert(h)):
-            if cand not in seen_letters:
-                seen_letters.add(cand)
-                letters.append((None, cand))
-    half = (word_bound + 1) // 2
-    ident = (eta.field.one(), eta.field.zero())
-    half_ball = [elem for elem, _ in bfs_ball(ident, letters, half, a_compose)]
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            hi, hj = gens[i], gens[j]
-            found = False
-            for u in half_ball:
-                for v in half_ball:
-                    w = a_compose(u, v)
-                    if a_compose(w, hi) == a_compose(hj, w):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

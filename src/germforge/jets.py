@@ -239,9 +239,6 @@ class GermJet:
     def inverse(self) -> "GermJet":
         return invert(self)
 
-    def power(self, m: int) -> "GermJet":
-        return power(self, m)
-
     def order(self) -> "OrderResult":
         """`germ_order`, computed once per jet object."""
         if self._order is None:

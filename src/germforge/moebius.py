@@ -23,6 +23,7 @@ from .cyclo import (
     OrderResult,
     element_order,
     is_prime_power,
+    prime_factors,
     torsion_exponent,
 )
 from .jets import GermJet
@@ -39,7 +40,8 @@ from .groupkit import (
 
 
 class ExtensionRequiredError(ArithmeticError):
-    """The answer lives in a quadratic extension of the working field."""
+    """No square root was found in the working field; the answer may live in
+    a quadratic extension of it."""
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +223,35 @@ def _fraction_from_mpf(x, max_den: int = 10**24) -> Optional[Fraction]:
     return None
 
 
+def _rational_root_in_field(m: int, n: int) -> bool:
+    """Whether Q(zeta_n) holds a square root of the nonzero integer m.
+
+    With d the squarefree part of m, Q(sqrt(d)) has conductor |d| when
+    d = 1 (mod 4) and 4|d| otherwise, and it lies in Q(zeta_n) iff n is a
+    multiple of that conductor.  Only the primes of 2n are divided out of m,
+    so nothing is factored: a remaining cofactor that is not a square holds a
+    prime of odd multiplicity that divides the conductor but not n.
+    """
+    d, rest = (1 if m > 0 else -1), abs(m)
+    for p in prime_factors(2 * n):
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e % 2:
+            d *= p
+    if math.isqrt(rest) ** 2 != rest:
+        return False
+    return n % (abs(d) if d % 4 == 1 else 4 * abs(d)) == 0
+
+
 def cyclo_sqrt(a: CycloNum, digits: int = 60) -> Optional[CycloNum]:
     """A square root of `a` in its own field, or None when none is found.
 
-    Rational perfect squares are handled exactly; otherwise a candidate is
-    reconstructed from the numeric embeddings (one sign choice per embedding)
-    and verified by exact squaring, so a returned value is always correct.
+    Rational perfect squares are handled exactly, and a rational radicand
+    whose root lies outside the field is None at once; otherwise a candidate
+    is reconstructed from the numeric embeddings and verified by exact
+    squaring, so a returned value is always correct.
     """
     fld = a.field
     if a.is_zero():
@@ -234,14 +259,21 @@ def cyclo_sqrt(a: CycloNum, digits: int = 60) -> Optional[CycloNum]:
     q = a.as_rational()
     if q is not None:
         num, den = q.numerator, q.denominator
-        if q > 0:
-            rn, rd = math.isqrt(num), math.isqrt(den)
-            if rn * rn == num and rd * rd == den:
+        rn, rd = math.isqrt(abs(num)), math.isqrt(den)
+        if rn * rn == abs(num) and rd * rd == den:
+            if q > 0:
                 return fld.from_rational(Fraction(rn, rd))
-        else:
-            rn, rd = math.isqrt(-num), math.isqrt(den)
-            if rn * rn == -num and rd * rd == den and fld.conductor % 4 == 0:
+            if fld.conductor % 4 == 0:
                 return fld.zeta(fld.conductor // 4) * Fraction(rn, rd)
+        if not _rational_root_in_field(num * den, fld.conductor):
+            return None
+    return _numeric_sqrt(a, digits)
+
+
+def _numeric_sqrt(a: CycloNum, digits: int) -> Optional[CycloNum]:
+    """Search the sign choices of the embeddings' square roots (one per
+    embedding but the first) for a root with rational coordinates."""
+    fld = a.field
     n, deg = fld.conductor, fld.degree
     units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
     with mpmath.workdps(digits):
@@ -289,8 +321,9 @@ def cyclo_sqrt(a: CycloNum, digits: int = 60) -> Optional[CycloNum]:
 def fixed_points(m: MoebiusMap) -> list[ProjectivePoint]:
     """Fixed points, i.e. the eigendirections of the matrix; 1 or 2 of them.
 
-    Raises ExtensionRequiredError when the eigenvalues need a quadratic
-    extension; the caller can embed into a larger conductor and retry.
+    Raises ExtensionRequiredError when no square root of the discriminant is
+    found in the field (for a rational discriminant, when none exists); the
+    caller can embed into a larger conductor and retry.
     """
     if m.is_identity():
         raise ValueError("the identity fixes every point")
@@ -314,7 +347,7 @@ def fixed_points(m: MoebiusMap) -> list[ProjectivePoint]:
     s = cyclo_sqrt(disc)
     if s is None:
         raise ExtensionRequiredError(
-            f"fixed points require a square root of {disc} outside Q(zeta_{m.field.conductor})"
+            f"no square root of {disc} found in Q(zeta_{m.field.conductor})"
         )
     mu1 = (t + s) * half
     mu2 = (t - s) * half

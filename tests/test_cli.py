@@ -1,4 +1,8 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -152,3 +156,101 @@ def test_order_is_always_decided(tmp_path, capsys, conductor, truncation, coords
     verdict = json.loads(capsys.readouterr().out)["verdict"]
     assert verdict["kind"] == "infinite"
     assert "every finite order divides" in verdict["certificate"]
+
+
+# --- the command table ------------------------------------------------------------
+
+TABLE_CAP = 200  # small enough that prop-5-1-3's closure stays fast
+
+SUBCOMMAND_CHECKS = [
+    (entry, command.name, check, want)
+    for entry in corpus.ENTRIES
+    for check, want in corpus.load_raw(entry)["expected"].items()
+    for command in cli.COMMANDS
+    if command.check == check and command.name is not None
+]
+
+
+@pytest.mark.parametrize("entry, command, check, want", SUBCOMMAND_CHECKS,
+                         ids=[f"{entry}-{check}" for entry, _, check, _ in SUBCOMMAND_CHECKS])
+def test_subcommand_verdict_is_the_corpus_actual(entry, command, check, want, capsys):
+    argv = [command, str(CORPUS_DIR / f"{entry}.json"), "--format", "json",
+            "--closure-cap", str(TABLE_CAP)]
+    if check == "order":
+        argv += ["--element", want["element"]]
+    cli.main(argv)
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    report = cli.run_corpus_entry(entry, 6, TABLE_CAP, None)
+    assert verdict == report["checks"][check]["actual"]
+
+
+def test_every_check_with_a_subcommand_is_compared():
+    assert {check for _, _, check, _ in SUBCOMMAND_CHECKS} == {
+        "basic_set", "linearize", "order", "closure", "holonomy"}
+
+
+def test_parser_subcommands_are_the_table_rows():
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    rows = {command.name for command in cli.COMMANDS if command.name is not None}
+    assert set(sub.choices) == rows | {"examples"}
+
+
+def test_examples_list_is_the_corpus_files(capsys):
+    assert cli.main(["examples", "list", "--format", "json"]) == cli.EXIT_OK
+    entries = json.loads(capsys.readouterr().out)["verdict"]["entries"]
+    assert entries == sorted(p.stem for p in CORPUS_DIR.glob("*.json"))
+
+
+def test_module_entry_point_runs_an_example():
+    env = dict(os.environ, PYTHONPATH=str(CORPUS_DIR.parents[1]))
+    done = subprocess.run([sys.executable, "-m", "germforge.cli", "examples", "run", "prop-5-1-2"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert "matched: True" in done.stdout
+
+
+@pytest.mark.parametrize("flag, value", [("--witness-bound", "-2"), ("--closure-cap", "-1")])
+def test_negative_bound_exits_2(flag, value, capsys):
+    path = str(CORPUS_DIR / "prop-5-1-2.json")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["closure", path, flag, value])
+    assert info.value.code == cli.EXIT_INPUT
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
+# --- inputs that used to hang -----------------------------------------------------
+
+NONLINEAR_F = [
+    [("2 + z", [1, 0]), ("1/3", [0, 1]), ("z^2", [2, 0]), ("1", [1, 2])],
+    [("3", [0, 1]), ("z", [1, 1]), ("5/7", [0, 3])],
+]
+
+
+def test_long_word_exits_2_at_once(tmp_path, capsys):
+    path = jet_document(tmp_path / "f.json", 9, 3, NONLINEAR_F)
+    started = time.monotonic()
+    assert cli.main(["order", path, "--element", "f^100000"]) == cli.EXIT_INPUT
+    assert time.monotonic() - started < 1.0
+    assert "word has 100000 letters, above the limit" in capsys.readouterr().err
+
+
+# z -> 2/z; its fixed points need sqrt(2), which Q(zeta_N) holds iff 8 divides N
+INVERSION_2 = [[0, 2], [1, 0]]
+
+
+def test_holonomy_rational_root_outside_the_field_exits_3_at_once(tmp_path, capsys):
+    path = moebius_document(tmp_path / "i13.json", [INVERSION_2, INVERSION_2], conductor=13)
+    started = time.monotonic()
+    code, verdict = _holonomy([path], capsys)
+    assert time.monotonic() - started < 1.0
+    assert code == cli.EXIT_LIMIT
+    assert verdict["finite_cyclic"] == "unresolved"
+    assert "no square root of 2 found in Q(zeta_13)" in verdict["detail"]
+
+
+def test_holonomy_rational_root_in_the_field(tmp_path, capsys):
+    path = moebius_document(tmp_path / "i8.json", [INVERSION_2, INVERSION_2], conductor=8)
+    code, verdict = _holonomy([path], capsys)
+    assert code == cli.EXIT_OK
+    assert (verdict["finite_cyclic"], verdict["model"], verdict["order"]) == (True, "inversion", 2)

@@ -79,6 +79,8 @@ def edited(path, value):
          "generators[0]: linear part is not invertible"),
         (edited(["witnesses", 0, "pair"], ["f", "h"]), "witnesses[0].pair: must name two known"),
         (edited(["witnesses", 0, "word"], "f*h"), "witnesses[0].word: unknown generator 'h'"),
+        (edited(["witnesses", 0, "word"], "g^100000"),
+         "witnesses[0].word: word has 100000 letters, above the limit"),
     ],
 )
 def test_malformed_document_names_its_path(doc, where):

@@ -13,7 +13,6 @@ from germforge.groupkit import (
     LinearizationSuccess,
     WitnessResult,
     WordError,
-    affine_conjugacy_bruteforce,
     affine_conjugacy_decide,
     bfs_ball,
     check_basic_set,
@@ -109,6 +108,15 @@ def test_word_round_trip():
     assert format_word([("f1", 1), ("f1", 3), ("f5", 1)]) == "f1^4*f5"
     with pytest.raises(WordError):
         parse_word("f1^^2")
+
+
+def test_word_length_is_bounded():
+    # letters are counted as the sum of |exponent| over the factors
+    half = groupkit.MAX_WORD_LETTERS // 2
+    at_limit = f"f^{half}*g^-{groupkit.MAX_WORD_LETTERS - half}"
+    assert sum(abs(e) for _, e in parse_word(at_limit)) == groupkit.MAX_WORD_LETTERS
+    with pytest.raises(WordError, match="above the limit"):
+        parse_word(at_limit + "*f")
 
 
 def test_evaluate_word_matches_manual_composition():
@@ -585,6 +593,51 @@ def test_affine_decide_rejects_trivial_multiplier():
         affine_conjugacy_decide(AffineFamily(F1.one(), (F1.zero(),)))
     with pytest.raises(ValueError):
         affine_conjugacy_decide(AffineFamily(F1.from_rational(2), (F1.zero(),)))
+
+
+def affine_conjugacy_bruteforce(family: AffineFamily, word_bound: int = 8) -> bool:
+    """Brute-force oracle for `affine_conjugacy_decide`, words up to `word_bound`.
+
+    Affine maps are (multiplier, shift) pairs.  Every word of length <= 2d
+    factors as u o v with u, v in the radius-d ball, so candidate conjugators
+    are enumerated meet-in-the-middle; a pair (h_i, h_j) is conjugate when
+    some group element w satisfies w o h_i = h_j o w exactly.
+    """
+    eta = family.multiplier
+    gens = [(eta, b) for b in family.translations]
+
+    def a_compose(u, v):
+        return (u[0] * v[0], u[0] * v[1] + u[1])
+
+    def a_invert(u):
+        m_inv = u[0].inverse()
+        return (m_inv, -(m_inv * u[1]))
+
+    letters = []
+    seen_letters = set()
+    for h in gens:
+        for cand in (h, a_invert(h)):
+            if cand not in seen_letters:
+                seen_letters.add(cand)
+                letters.append((None, cand))
+    half = (word_bound + 1) // 2
+    ident = (eta.field.one(), eta.field.zero())
+    half_ball = [elem for elem, _ in bfs_ball(ident, letters, half, a_compose)]
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            hi, hj = gens[i], gens[j]
+            found = False
+            for u in half_ball:
+                for v in half_ball:
+                    w = a_compose(u, v)
+                    if a_compose(w, hi) == a_compose(hj, w):
+                        found = True
+                        break
+                if found:
+                    break
+            if not found:
+                return False
+    return True
 
 
 def test_affine_oracle_agrees_on_small_sample():

@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import pytest
 
-from germforge import cli
+from germforge import cli, moebius as moebius_module
 from germforge.cyclo import field
 from germforge.groupkit import GroupPresentation, check_basic_set, closure_enumerate
 from germforge.moebius import (
     MoebiusMap,
     ProjectivePoint,
+    cyclo_sqrt,
     fixed_points,
     germ_at_fixed_point,
     holonomy_check,
@@ -122,3 +125,41 @@ def test_non_conjugate_generators_are_disproved():
 def test_generator_count_must_be_a_prime_power():
     with pytest.raises(ValueError, match="prime power"):
         holonomy_check([S] * 6)
+
+
+# --- square roots of rationals ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "m, n, want",
+    [
+        (2, 8, True), (2, 11, False), (2, 13, False), (-2, 8, True), (-2, 24, True),
+        (-1, 4, True), (-1, 3, False), (-3, 3, True), (-3, 6, True), (3, 3, False),
+        (3, 12, True), (12, 12, True), (5, 5, True), (-5, 20, True), (-5, 5, False),
+        (9, 1, True), (-4, 1, False),
+        # only the primes of 2n are divided out: the large square cofactor is never factored
+        (2 * 1_000_003**2, 8, True), (2 * 1_000_003, 8, False),
+    ],
+)
+def test_rational_root_conductor_rule(m, n, want):
+    assert moebius_module._rational_root_in_field(m, n) is want
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 12])  # degree <= 4 keeps the search fast
+def test_conductor_rule_agrees_with_the_numeric_search(n):
+    fld = field(n)
+    for m in range(-15, 16):
+        if m:
+            a = fld.from_rational(m)
+            found = moebius_module._numeric_sqrt(a, 60)
+            assert (found is not None) == moebius_module._rational_root_in_field(m, n), (m, n)
+            root = cyclo_sqrt(a)
+            assert (root is not None) == (found is not None)
+            assert root is None or root * root == a
+
+
+def test_rational_sqrt_of_a_fraction():
+    half = field(8).from_rational(Fraction(1, 2))
+    root = cyclo_sqrt(half)
+    assert root is not None and root * root == half
+    assert cyclo_sqrt(field(7).from_rational(Fraction(1, 2))) is None
