@@ -5,10 +5,12 @@ builder that calls the library, the corpus `expected` check it answers, its
 own options and the test that makes its verdict exit 3.  The parser, `main`
 and the corpus runner all read that table, so a new command is one new row.
 Every command takes `--witness-bound`, `--closure-cap`, `--truncation` and
-`--format`.  Exit codes: 0 success (and, for `examples run`, verdict
-matched), 1 verdict mismatch, 2 input error, 3 no decision within the bounds
-or the field (closure cap, unresolved witnesses, unresolved holonomy
-verdict).  Element orders are always decided exactly.
+`--format`; the first two have upper limits.  Exit codes: 0 success (and,
+for `examples run`, verdict matched), 1 verdict mismatch, 2 input error, 3 no
+decision within the bounds or the field (a closure that reached the cap
+without proving the group finite or infinite, unresolved witnesses, an
+unresolved holonomy verdict).  Element orders and the finiteness of a closure
+are decided exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .groupkit import (
     WordError,
     affine_conjugacy_decide,
     check_basic_set,
-    closure_enumerate,
     evaluate_word,
     is_cyclic,
     linearize_group,
@@ -44,6 +45,13 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
+
+# Upper limits of --witness-bound and --closure-cap.  The witness ball of an
+# infinite group grows about 2.2x per letter (the unipotent pair
+# (x + y, y), (x, x + y) over Q takes 2.4 s at bound 11), and a closure holds
+# every element it lists.
+MAX_WITNESS_BOUND = 10
+MAX_CLOSURE_CAP = 100_000
 
 # ---------------------------------------------------------------------------
 # verdict payload builders: each takes the document and the parsed options
@@ -138,19 +146,23 @@ def _linearize_payload(doc: InputDocument, opts: Any) -> dict:
 
 
 def _closure_payload(doc: InputDocument, opts: Any) -> dict:
-    result = closure_enumerate(doc.presentation(), opts.closure_cap)
+    result = doc.closure(opts.closure_cap)
     payload = {"status": result.status, "count": result.count}
+    if result.status == "infinite":
+        payload["word"] = result.word
+        payload["certificate"] = result.certificate
     if result.status == "closed" and result.count <= 64:
         payload["elements"] = [jet_payload(e) for e in result.elements]
     return payload
 
 
 def _cyclic_payload(doc: InputDocument, opts: Any) -> Optional[bool]:
-    """Whether the closure is cyclic; None when it exceeds the closure cap."""
-    result = closure_enumerate(doc.presentation(), opts.closure_cap)
+    """Whether the closure is cyclic; None when it is not a finite group listed
+    within the closure cap."""
+    result = doc.closure(opts.closure_cap)
     if result.status != "closed":
         return None
-    return is_cyclic(result.elements) is not None
+    return is_cyclic(result) is not None
 
 
 def _order_payload(doc: InputDocument, opts: Any) -> dict:
@@ -223,7 +235,8 @@ COMMANDS = (
             options=(("generator", {"help": "generator name to normalize"}),)),
     Command("linearize", "simultaneous linearization of the presentation", _linearize_payload,
             check="linearize"),
-    Command("closure", "enumerate the generated subgroup", _closure_payload, check="closure",
+    Command("closure", "decide finiteness of the generated subgroup", _closure_payload,
+            check="closure",
             limited=lambda v: v["status"] == "cap-exceeded"),
     Command(None, "whether the generated subgroup is cyclic", _cyclic_payload, check="cyclic"),
     Command("order", "order of a word in the generators", _order_payload, check="order",
@@ -299,13 +312,15 @@ def _render_text(value: Any, indent: int = 0) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer no smaller than `low`."""
+def _int_between(low: int, high: int) -> Callable[[str], int]:
+    """An argparse type: an integer from `low` to `high`."""
 
     def integer(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as "invalid integer value"
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return integer
@@ -317,11 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with finitely generated groups of polynomial jet germs.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--witness-bound", type=_int_at_least(0), default=DEFAULT_WITNESS_BOUND,
-                        help="longest conjugacy witness word searched (default %(default)s); the "
-                        "word ball grows only until every generator pair is answered, and reaches "
-                        "this length only for a pair left unresolved")
-    common.add_argument("--closure-cap", type=_int_at_least(1), default=DEFAULT_CLOSURE_CAP)
+    common.add_argument("--witness-bound", type=_int_between(0, MAX_WITNESS_BOUND),
+                        default=DEFAULT_WITNESS_BOUND,
+                        help="longest conjugacy witness word searched (default %(default)s, at "
+                        f"most {MAX_WITNESS_BOUND}); the word ball grows only until every "
+                        "generator pair is answered, and reaches this length only for a pair "
+                        "left unresolved")
+    common.add_argument("--closure-cap", type=_int_between(1, MAX_CLOSURE_CAP),
+                        default=DEFAULT_CLOSURE_CAP,
+                        help="most elements a closure lists (default %(default)s, at most "
+                        f"{MAX_CLOSURE_CAP}); it ends 'closed' (a finite group, listed), "
+                        "'infinite' (the word of an element of infinite order, with a "
+                        "certificate) or 'cap-exceeded' (neither shown within the cap)")
     common.add_argument("--truncation", type=int, default=None, help="override document truncation")
     common.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)

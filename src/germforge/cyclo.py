@@ -297,6 +297,15 @@ class CycloNum:
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
 
+    def is_integral(self) -> bool:
+        """Whether this is an algebraic integer.
+
+        Z[zeta_N] is the ring of integers of Q(zeta_N) and the power basis is
+        an integral basis of it, so this holds iff every coefficient is an
+        integer.
+        """
+        return all(c.denominator == 1 for c in self.coeffs)
+
     def as_rational(self) -> Optional[Fraction]:
         """The value as a Fraction when it lies in Q, else None."""
         if any(c for c in self.coeffs[1:]):

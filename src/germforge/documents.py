@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Any, Optional
 
 from .cyclo import CycloField, CycloNum, field, format_coefficient, parse_coefficient
-from .groupkit import GroupPresentation, parse_word
+from .groupkit import ClosureResult, GroupPresentation, closure_enumerate, parse_word
 from .jets import GermJet, grlex_key
 from .moebius import MoebiusMap
 
@@ -52,11 +52,19 @@ class InputDocument:
     witnesses: dict = dc_field(default_factory=dict)
     expected: Optional[dict] = None
     name: str = ""
+    _closures: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def presentation(self) -> GroupPresentation:
         if not self.generators:
             raise DocumentError("document has no jet generators")
         return GroupPresentation(self.generators, dict(self.witnesses))
+
+    def closure(self, cap: int) -> ClosureResult:
+        """`closure_enumerate` of the presentation, run once per cap: the
+        `closure` and `cyclic` checks of one document share it."""
+        if cap not in self._closures:
+            self._closures[cap] = closure_enumerate(self.presentation(), cap)
+        return self._closures[cap]
 
 
 def _expect(cond: bool, path: str, message: str) -> None:

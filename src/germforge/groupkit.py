@@ -1,10 +1,10 @@
 """Group-level machinery for finitely generated jet and Moebius groups.
 
 Covers the two generator conditions (ordered product is the identity;
-generators pairwise conjugate), bounded witness search, closure enumeration,
-the degree-slice coefficient morphisms, the affine conjugacy criterion, and
-the simultaneous linearization algorithm for groups whose common diagonal
-linear part has prime-power eigenvalue orders.
+generators pairwise conjugate), bounded witness search, the closure and its
+finite/infinite verdict, the degree-slice coefficient morphisms, the affine
+conjugacy criterion, and the simultaneous linearization algorithm for groups
+whose common diagonal linear part has prime-power eigenvalue orders.
 
 The conditions, witness search and closure run on any `GroupElement`: jets
 and Moebius maps alike.
@@ -55,7 +55,9 @@ class GroupElement(Protocol):
 
     Elements are hashable and compare with `==`; `type(x).identity(*x.shape)`
     is the identity, `conjugacy_invariant()` is equal on conjugate elements,
-    and `canonical_key()` sorts elements deterministically.
+    `infinite_order_screen()` is a certificate of infinite order from cheap
+    sound tests or None (undecided), and `canonical_key()` sorts elements
+    deterministically.
     """
 
     shape: tuple
@@ -64,6 +66,7 @@ class GroupElement(Protocol):
     def is_identity(self) -> bool: ...
     def order(self) -> OrderResult: ...
     def conjugacy_invariant(self): ...
+    def infinite_order_screen(self) -> Optional[str]: ...
     def canonical_key(self): ...
 
 
@@ -408,58 +411,71 @@ def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) ->
 
 @dataclass(frozen=True)
 class ClosureResult:
-    status: str  # "closed" | "cap-exceeded"
+    """How the closure ended: `status` is "closed", "infinite" or "cap-exceeded".
+
+    "closed": `elements` is the finite group, sorted by `canonical_key()`, and
+    `count` its order.  "infinite": `word` is the BFS word of the first
+    element proven to have infinite order (a generator's name when a
+    generator is), and `certificate` the proof.  "cap-exceeded": more than the
+    cap were listed and none has infinite order.  Unless closed, `count` is
+    the number of elements listed, the identity included.
+    """
+
+    status: str
     elements: Optional[tuple[GroupElement, ...]]
     count: int
+    word: Optional[str] = None
+    certificate: Optional[str] = None
 
 
 def closure_enumerate(g: GroupPresentation, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
-    """BFS closure of the generated group, serially, one frontier at a time.
+    """Decide whether the generated group is finite, by a BFS of at most `cap` elements.
 
-    Stops with cap-exceeded as soon as more than `cap` distinct elements have
-    been found; `count` is then the number found so far.  A closed result
-    lists the elements sorted by `canonical_key()`.
+    A finitely generated linear group in which every element has finite
+    order is finite (Burnside), and K-jet groups and PGL_2 are linear.  So an
+    infinite group holds an element of infinite order at some finite word
+    length, and the BFS ends at it; the cap bounds only the work.  The exact
+    checks, in order: the `order()` of each generator; the
+    `infinite_order_screen()` of each new element; and once more than `cap`
+    elements are listed, the `order()` of each in BFS order.
     """
-    letters = [value for _, value in _distinct_letters(g)]
-    ident = g.identity()
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for letter in letters:
-                candidate = e.compose(letter)
-                if candidate not in seen:
-                    seen.add(candidate)
-                    nxt.append(candidate)
-            if len(seen) > cap:
-                return ClosureResult("cap-exceeded", None, len(seen))
-        frontier = nxt
-    elements = tuple(sorted(seen, key=lambda x: x.canonical_key()))
+    for name, x in g.generators:
+        generator_order = x.order()
+        if generator_order.is_infinite:
+            return ClosureResult("infinite", None, 1, name, generator_order.certificate)
+    sizes = count(2)  # `stop` sees the ball's elements from the second on
+    # every BFS level adds an element, so a group of at most `cap` elements
+    # closes within depth `cap`, and a larger one passes the cap first
+    ball = _word_ball(g, cap, lambda x: x.infinite_order_screen() is not None or next(sizes) > cap)
+    last, last_word = ball[-1]
+    reason = last.infinite_order_screen()  # the screen that ended the ball, if one did
+    if reason is not None:
+        return ClosureResult("infinite", None, len(ball), format_word(last_word), reason)
+    if len(ball) > cap:
+        for x, word in ball[1:]:
+            x_order = x.order()
+            if x_order.is_infinite:
+                return ClosureResult("infinite", None, len(ball), format_word(word),
+                                     x_order.certificate)
+        return ClosureResult("cap-exceeded", None, len(ball))
+    elements = tuple(sorted((x for x, _ in ball), key=lambda x: x.canonical_key()))
     return ClosureResult("closed", elements, len(elements))
 
 
-def is_cyclic(elements: Sequence[GermJet]) -> Optional[GermJet]:
-    """A generator whose powers exhaust the set, or None.
+def is_cyclic(closure: ClosureResult) -> Optional[GroupElement]:
+    """A generator of a closed group, or None when the group is not cyclic.
 
-    The input must be a finite set closed under composition; the scan order
-    is the canonical element order, so the result is deterministic.
+    The first element in canonical order whose order is the group order M.
+    Every order divides M, so x has order M iff x^(M/p) is not the identity
+    for each prime p dividing M.
     """
-    pool = set(elements)
-    ordered = sorted(pool, key=lambda j: j.canonical_key())
-    for a in ordered:
-        for b in ordered:
-            if compose(a, b) not in pool:
-                raise ValueError("element set is not closed under composition")
-    target = len(pool)
-    for candidate in ordered:
-        seen = set()
-        cur = candidate
-        while cur not in seen:
-            seen.add(cur)
-            cur = compose(cur, candidate)
-        if len(seen) == target:
-            return candidate
+    if closure.status != "closed":
+        raise ValueError(f"closure is {closure.status}, not closed")
+    m = closure.count
+    for x in closure.elements:
+        powers = (binary_power(x, m // p, type(x).compose) for p in prime_factors(m))
+        if not any(power.is_identity() for power in powers):
+            return x
     return None
 
 

@@ -17,7 +17,7 @@ product of the linear parts and the determinant is multiplicative.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .cyclo import (
     CycloField,
@@ -248,6 +248,23 @@ class GermJet:
     def conjugacy_invariant(self) -> tuple[CycloNum, ...]:
         """Characteristic polynomial of the linear part."""
         return char_poly(self.linear_matrix())
+
+    def infinite_order_screen(self) -> Optional[str]:
+        """Why this jet has infinite order, from two cheap sound tests, or None.
+
+        A finite-order matrix has roots of unity as eigenvalues, so its trace
+        is an algebraic integer; a jet whose linear part is the identity has
+        infinite order unless it is the identity (see `germ_order`).  None
+        decides nothing.
+        """
+        lin = self.linear_matrix()
+        trace = sum((lin[i][i] for i in range(1, self.n)), lin[0][0])
+        if not trace.is_integral():
+            return (f"trace {trace} of the linear part is not an algebraic integer, "
+                    "but the trace of a finite-order matrix is a sum of roots of unity")
+        if lin == mat_identity(self.field, self.n) and not self.is_linear():
+            return "tangent to the identity with a nonzero nonlinear slice"
+        return None
 
     # -- equality / hashing ----------------------------------------------------------
 

@@ -137,6 +137,19 @@ class MoebiusMap:
         t = self.trace()
         return t * t / self.det()
 
+    def infinite_order_screen(self) -> Optional[str]:
+        """Why this map has infinite order, from one cheap sound test, or None.
+
+        A finite-order map has eigenvalues with ratio u a root of unity, so
+        trace^2/det = 2 + u + 1/u is an algebraic integer.  None decides
+        nothing.
+        """
+        invariant = self.conjugacy_invariant()
+        if not invariant.is_integral():
+            return (f"trace^2/det = {invariant} is not an algebraic integer, but a "
+                    "finite-order map has 2 + u + 1/u with u a root of unity")
+        return None
+
     def canonical_key(self):
         return (self.field.conductor, tuple(c.coeffs for row in self.matrix for c in row))
 
@@ -410,9 +423,9 @@ def holonomy_check(
     with witness words up to `word_bound` (its word ball grows only until
     every pair is answered); a common fixed point is then
     localized to a 1-dimensional jet presentation which is linearized
-    simultaneously.  The closure of the Moebius group, enumerated up to
-    `closure_cap` elements, is reported as an independent finiteness
-    certificate.
+    simultaneously.  The closure of the Moebius group (`closure_enumerate`,
+    listing at most `closure_cap` elements) is reported as an independent
+    finiteness certificate.
     """
     gens = list(generators)
     if len(gens) != 1 and is_prime_power(len(gens)) is None:
@@ -475,11 +488,11 @@ def holonomy_check(
     k = outcome.group_order
 
     closure = closure_enumerate(pres, closure_cap)
-    closure_note = (
-        f"moebius closure has {closure.count} elements"
-        if closure.status == "closed"
-        else f"moebius closure exceeded cap {closure_cap}"
-    )
+    closure_note = {
+        "closed": f"moebius closure has {closure.count} elements",
+        "infinite": f"moebius closure is infinite: {closure.word} has infinite order",
+        "cap-exceeded": f"moebius closure exceeded cap {closure_cap}",
+    }[closure.status]
 
     if len(distinct) == 1 and distinct[0].order().order == 2 and len(common) == 2:
         return HolonomyVerdict(

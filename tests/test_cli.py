@@ -65,10 +65,32 @@ def test_malformed_document_exits_2(tmp_path, capsys):
 
 
 def test_closure_cap_exceeded_exits_3(capsys):
-    path = str(CORPUS_DIR / "prop-5-1-3.json")
-    assert cli.main(["closure", path, "--closure-cap", "200", "--format", "json"]) == cli.EXIT_LIMIT
+    path = str(CORPUS_DIR / "prop-5-1-2-abelian.json")
+    assert cli.main(["closure", path, "--closure-cap", "10", "--format", "json"]) == cli.EXIT_LIMIT
     verdict = json.loads(capsys.readouterr().out)["verdict"]
-    assert verdict["status"] == "cap-exceeded" and verdict["count"] > 200
+    assert verdict == {"status": "cap-exceeded", "count": 11}
+
+
+def test_infinite_closure_exits_0_with_its_word(capsys):
+    path = str(CORPUS_DIR / "prop-5-1-3.json")
+    started = time.monotonic()
+    assert cli.main(["closure", path, "--format", "json"]) == cli.EXIT_OK
+    assert time.monotonic() - started < 0.5
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert (verdict["status"], verdict["word"]) == ("infinite", "B*C")
+    assert "19/8" in verdict["certificate"]
+
+
+def test_closure_and_cyclic_checks_share_one_enumeration(monkeypatch):
+    from germforge import documents
+
+    calls = []
+    original = documents.closure_enumerate
+    monkeypatch.setattr(documents, "closure_enumerate",
+                        lambda *args: calls.append(args) or original(*args))
+    report = cli.run_corpus_entry("prop-5-1-2-abelian", 6, 10_000, None)
+    assert report["matched"] and {"closure", "cyclic"} <= report["checks"].keys()
+    assert len(calls) == 1
 
 
 def test_workers_option_is_gone(capsys):
@@ -160,7 +182,7 @@ def test_order_is_always_decided(tmp_path, capsys, conductor, truncation, coords
 
 # --- the command table ------------------------------------------------------------
 
-TABLE_CAP = 200  # small enough that prop-5-1-3's closure stays fast
+TABLE_CAP = 200  # above every finite corpus closure (at most 24 elements)
 
 SUBCOMMAND_CHECKS = [
     (entry, command.name, check, want)
@@ -217,6 +239,20 @@ def test_negative_bound_exits_2(flag, value, capsys):
         cli.main(["closure", path, flag, value])
     assert info.value.code == cli.EXIT_INPUT
     assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, limit", [
+    ("check-basic-set", "--witness-bound", cli.MAX_WITNESS_BOUND),
+    ("closure", "--closure-cap", cli.MAX_CLOSURE_CAP),
+])
+def test_bound_above_its_limit_exits_2(command, flag, limit, capsys):
+    path = str(CORPUS_DIR / "prop-5-1-2.json")
+    assert cli.main([command, path, flag, str(limit)]) == cli.EXIT_OK
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, path, flag, str(limit + 1)])
+    assert info.value.code == cli.EXIT_INPUT
+    assert f"argument {flag}: must be at most {limit}, got {limit + 1}" in capsys.readouterr().err
 
 
 # --- inputs that used to hang -----------------------------------------------------

@@ -441,7 +441,7 @@ def test_closure_5_1_2_exactly_the_printed_eight():
 
 def test_closure_5_1_2_not_cyclic():
     res = closure_enumerate(prop_512_presentation())
-    assert is_cyclic(res.elements) is None
+    assert is_cyclic(res) is None
 
 
 def test_closure_block_group_order_18_by_independent_oracle():
@@ -481,24 +481,123 @@ def test_closure_block_group_order_18_by_independent_oracle():
     res = closure_enumerate(prop_514_presentation())
     assert res.status == "closed"
     assert res.count == 18
-    assert is_cyclic(res.elements) is None
+    assert is_cyclic(res) is None
 
 
 def test_closure_cap_exceeded():
-    res = closure_enumerate(prop_513_presentation(), cap=200)
+    # a finite group of 24 elements: the cap, not a verdict, ends the BFS
+    res = closure_enumerate(corpus.load("prop-5-1-2-abelian").presentation(), cap=10)
     assert res.status == "cap-exceeded"
-    assert res.count > 200
+    assert res.count == 11
+    assert res.elements is None and res.word is None
 
 
 def test_is_cyclic_small_cases():
     e = GermJet.identity(F1, 1, 1)
-    assert is_cyclic([e]) == e
+    assert is_cyclic(closure_enumerate(GroupPresentation((("e", e),)))) == e
     f5c = field(5)
     g = linear_jet(f5c, [[f5c.zeta(), 0], [0, f5c.zeta(2)]])
-    elements = [power(g, k) for k in range(5)]
-    assert is_cyclic(elements) is not None
+    cyclic = closure_enumerate(GroupPresentation((("g", g),)))
+    assert cyclic.count == 5 and is_cyclic(cyclic).order().order == 5
     with pytest.raises(ValueError):
-        is_cyclic([g])  # not closed
+        is_cyclic(closure_enumerate(GroupPresentation((("g", g),)), cap=3))  # not closed
+    with pytest.raises(ValueError):
+        is_cyclic(closure_enumerate(prop_513_presentation()))  # infinite
+
+
+def test_is_cyclic_on_moebius_closures():
+    from germforge.moebius import MoebiusMap
+
+    one, zero = F1.one(), F1.zero()
+    s = MoebiusMap(((zero, one), (one, zero)))  # z -> 1/z
+    t = MoebiusMap(((-one, one), (zero, one)))  # z -> 1 - z
+    anharmonic = closure_enumerate(GroupPresentation((("s", s), ("t", t))))
+    assert anharmonic.count == 6 and is_cyclic(anharmonic) is None
+    rotation = closure_enumerate(GroupPresentation((("st", s.compose(t)),)))
+    generator = is_cyclic(rotation)
+    assert rotation.count == 3 and generator.order().order == 3
+
+
+def test_is_cyclic_composes_m_log_m_times(monkeypatch):
+    res = closure_enumerate(corpus.load("prop-5-1-2-abelian").presentation())
+    calls = counting(monkeypatch, "compose")
+    assert is_cyclic(res) is None
+    # at most one square-and-multiply power x^(M/p) per element and prime p | M
+    m = res.count
+    per_element = sum(e.bit_length() + bin(e).count("1") - 2 for e in (m // 2, m // 3))
+    assert len(calls) <= m * per_element
+
+
+# --- finiteness verdicts ------------------------------------------------------------
+
+# entry -> (status, count, word) of the closure at the default cap
+CORPUS_CLOSURES = {
+    "ex-2-1": ("infinite", 10, "f1*f5^-1"),
+    "ex-2-2": ("infinite", 10, "f1*f11^-1"),
+    "ex-2-3": ("infinite", 10, "f1*f35^-1"),
+    "moebius-dilation": ("infinite", 1, "m1"),
+    "moebius-inversion": ("closed", 2, None),
+    "moebius-rotation-5": ("closed", 5, None),
+    "prop-5-1-1a": ("infinite", 1, "A"),
+    "prop-5-1-1b": ("infinite", 1, "At"),
+    "prop-5-1-2": ("closed", 8, None),
+    "prop-5-1-2-abelian": ("closed", 24, None),
+    "prop-5-1-3": ("infinite", 8, "B*C"),
+    "prop-5-1-4": ("closed", 18, None),
+}
+
+
+def corpus_presentation(entry):
+    doc = corpus.load(entry)
+    return doc.presentation() if doc.generators else GroupPresentation(doc.moebius_generators)
+
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES)
+def test_corpus_closure_verdicts(entry):
+    pres = corpus_presentation(entry)
+    res = closure_enumerate(pres)
+    assert (res.status, res.count, res.word) == CORPUS_CLOSURES[entry]
+    if res.status == "infinite":
+        assert res.elements is None and res.certificate
+        assert evaluate_word(pres, res.word).order().is_infinite
+    else:
+        assert len(res.elements) == res.count and res.certificate is None
+
+
+def test_closure_certificates_name_their_proof():
+    trace = closure_enumerate(prop_513_presentation())
+    assert "trace 19/8 of the linear part is not an algebraic integer" in trace.certificate
+    tangent = closure_enumerate(corpus_presentation("ex-2-1"))
+    assert tangent.certificate == "tangent to the identity with a nonzero nonlinear slice"
+    generator = closure_enumerate(corpus_presentation("prop-5-1-1a"))
+    assert "every finite order divides 12" in generator.certificate
+
+
+def test_finite_closure_orders_only_its_generators(monkeypatch):
+    pres = corpus_presentation("prop-5-1-4")
+    calls = counting(monkeypatch, "germ_order")
+    assert closure_enumerate(pres).status == "closed"
+    assert len(calls) == len(set(pres.elements))
+
+
+def test_exact_order_decides_what_no_screen_catches():
+    f = linear_jet(F1, [[2, 1], [1, 1]])
+    assert f.infinite_order_screen() is None
+    res = closure_enumerate(GroupPresentation((("f", f),)), cap=200)
+    assert (res.status, res.count, res.word) == ("infinite", 1, "f")
+    assert "every finite order divides 12" in res.certificate
+
+
+def test_exact_orders_at_the_cap_find_an_infinite_product():
+    # s and u have orders 4 and 6 and generate SL_2(Z): every element has an
+    # integer trace, so only the order test at the cap proves it infinite
+    s = linear_jet(F1, [[0, -1], [1, 0]])
+    u = linear_jet(F1, [[0, -1], [1, 1]])
+    pres = GroupPresentation((("s", s), ("u", u)))
+    res = closure_enumerate(pres, cap=200)
+    assert (res.status, res.count) == ("infinite", 201)
+    w = evaluate_word(pres, res.word)
+    assert w.infinite_order_screen() is None and w.order().is_infinite
 
 
 def test_basic_set_5_1_3_verified_and_bc_infinite():
@@ -744,7 +843,7 @@ def test_linearize_cross_validates_with_closure():
         pres = GroupPresentation(tuple((f"g{k}", f) for k in range(count)))
         closure = closure_enumerate(pres, cap=2000)
         assert closure.status == "closed"
-        gen = is_cyclic(closure.elements)
+        gen = is_cyclic(closure)
         assert gen is not None  # cyclic of prime-power order
         out = linearize_group(pres)
         assert isinstance(out, LinearizationSuccess)

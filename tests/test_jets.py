@@ -471,10 +471,10 @@ def test_group_operation_results_equal_validated_jets(pair, m):
 
 def test_closure_runs_no_determinant(monkeypatch):
     """Only validated input pays for `mat_det`; closure results are trusted."""
-    g = corpus.load("prop-5-1-3").presentation()
+    g = corpus.load("prop-5-1-4").presentation()
     calls = []
     original = jets.mat_det
     monkeypatch.setattr(jets, "mat_det", lambda a: calls.append(a) or original(a))
-    result = closure_enumerate(g, cap=1000)
-    assert result.status == "cap-exceeded"
+    result = closure_enumerate(g)
+    assert (result.status, result.count) == ("closed", 18)
     assert calls == []

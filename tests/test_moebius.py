@@ -4,7 +4,7 @@ import pytest
 
 from germforge import cli, moebius as moebius_module
 from germforge.cyclo import field
-from germforge.groupkit import GroupPresentation, check_basic_set, closure_enumerate
+from germforge.groupkit import ClosureResult, GroupPresentation, check_basic_set, closure_enumerate
 from germforge.moebius import (
     MoebiusMap,
     ProjectivePoint,
@@ -84,6 +84,22 @@ def test_closure_of_anharmonic_group_has_six_elements():
     assert (result.status, result.count) == ("closed", 6)
     assert MoebiusMap.identity(F1) in result.elements
     assert closure_enumerate(pres, cap=4).status == "cap-exceeded"
+
+
+def test_closure_of_two_inversions_is_infinite_by_the_screen():
+    # z -> 1/z and z -> 2/z have order 2; their product z -> z/2 does not
+    pres = GroupPresentation((("s", S), ("i", moebius(F1, [[0, 2], [1, 0]]))))
+    result = closure_enumerate(pres)
+    assert (result.status, result.count, result.word) == ("infinite", 4, "s*i")
+    assert result.certificate.startswith("trace^2/det = 9/2 is not an algebraic integer")
+
+
+def test_holonomy_names_an_infinite_closure(monkeypatch):
+    infinite = ClosureResult("infinite", None, 3, "g1*g2", "certificate")
+    monkeypatch.setattr(moebius_module, "closure_enumerate", lambda pres, cap: infinite)
+    verdict = holonomy_check([MoebiusMap.scaling(F5.zeta())] * 5)
+    assert verdict.finite_cyclic is True
+    assert verdict.detail.endswith("; moebius closure is infinite: g1*g2 has infinite order")
 
 
 def test_basic_set_on_moebius_presentation():

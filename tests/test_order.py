@@ -5,11 +5,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germforge import corpus, jets
 from germforge.cyclo import binary_power, element_order, field, torsion_exponent
 from germforge.groupkit import GroupPresentation, evaluate_word
-from germforge.jets import GermJet, germ_order, linear_order, mat_identity, mat_mul
+from germforge.jets import GermJet, conjugate, germ_order, linear_order, mat_identity, mat_mul
 from germforge.moebius import MoebiusMap, moebius_order
 
 
@@ -172,6 +173,26 @@ def test_linear_order_matches_ground_truth(conductor, n):
         # a non-root-of-unity scalar multiple is infinite too
         b, _ = conjugated(rng, fld, n)
         assert linear_order(tuple(tuple(c * 2 for c in row) for row in b)).is_infinite
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 3, 4, 12]), st.sampled_from([2, 3]), st.integers(0, 2**32))
+def test_finite_orders_pass_every_screen(conductor, n, seed):
+    """The closure's screens are sound: no finite-order element trips one."""
+    rng = random.Random(seed)
+    fld = field(conductor)
+    a, _ = conjugated(rng, fld, n)
+    linear = GermJet.from_linear(a, 2)
+    # psi = Id + c x_s^2 in coordinate t; psi o linear o psi^-1 has finite order
+    # and, unless the term commutes with the linear part, nonlinear terms
+    s, t = rng.randrange(n), rng.randrange(n)
+    square = tuple(2 if i == s else 0 for i in range(n))
+    psi = GermJet(n, 2, fld, {**GermJet.identity(fld, n, 2).coeffs,
+                              (t, square): fld.zeta(rng.randrange(conductor)) * rng.choice([-1, 1, 3])})
+    for f in (linear, conjugate(psi, linear), GermJet.identity(fld, n, 2)):
+        assert f.infinite_order_screen() is None
+    if n == 2:
+        assert MoebiusMap(a).infinite_order_screen() is None
 
 
 def brute_force_order(m, limit):
