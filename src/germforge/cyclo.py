@@ -1,9 +1,14 @@
 """Exact arithmetic in the rationals and in cyclotomic fields Q(zeta_N).
 
-Elements are represented by their reduced remainder modulo the N-th
-cyclotomic polynomial, so equality is a plain coefficient comparison and
-every value is hashable.  No floating point enters any decision path;
-numeric evaluation exists only as a diagnostic.
+An element is its reduced remainder modulo the N-th cyclotomic polynomial,
+held fraction-free: a tuple of integer numerators in the power basis over one
+positive integer denominator, in lowest terms (see `CycloNum`).  Every
+operation is integer arithmetic: convolution, folding through the integer
+coefficients of Phi_N, and one gcd; the inverse is a product of Galois
+conjugates over the norm.  So equality and hashing compare integers, and no
+per-coefficient Fraction is built or normalised on the hot path.  No
+floating point enters any decision path; numeric evaluation exists only as
+a diagnostic.
 """
 
 from __future__ import annotations
@@ -188,14 +193,18 @@ def _cyclotomic_locked(n: int) -> tuple[int, ...]:
 _FIELD_CACHE: dict[int, "CycloField"] = {}
 _FIELD_LOCK = threading.Lock()
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class CycloField:
-    """The cyclotomic field Q(zeta_N); instances are cached per conductor."""
+    """The cyclotomic field Q(zeta_N); instances are cached per conductor.
 
-    __slots__ = ("conductor", "degree", "modulus", "_zeta_pows")
+    It holds the integer tables that `CycloNum` arithmetic runs on: the
+    nonzero low terms of Phi_N (to fold a product back below degree phi(N)),
+    zeta^k for k = 0..N-1 as integer vectors, and the units k != 1 mod N,
+    which name the Galois automorphisms zeta -> zeta^k used by `inverse`.
+    """
+
+    __slots__ = ("conductor", "degree", "modulus", "_fold", "_zeta_pows", "_units",
+                 "_zero", "_one")
 
     def __init__(self, conductor: int):
         if conductor < 1:
@@ -203,44 +212,81 @@ class CycloField:
         self.conductor = conductor
         self.modulus = cyclotomic_polynomial(conductor)
         self.degree = len(self.modulus) - 1
-        # reduced coefficient vectors of zeta^k for k = 0..N-1
-        pows = []
-        cur = [_ONE] + [_ZERO] * (self.degree - 1)
-        for _ in range(conductor):
-            pows.append(tuple(cur))
-            cur = self._shift_reduce(cur)
+        # x^d = -(sum of these terms) mod Phi_N, d the degree
+        self._fold = tuple((i, m) for i, m in enumerate(self.modulus[:-1]) if m)
+        pows = [(1,) + (0,) * (self.degree - 1)]
+        for _ in range(conductor - 1):
+            pows.append(self._reduce([0, *pows[-1]]))
         self._zeta_pows = tuple(pows)
+        self._units = tuple(k for k in range(2, conductor) if math.gcd(k, conductor) == 1)
+        self._zero = CycloNum(self, (0,) * self.degree, 1)
+        self._one = CycloNum(self, pows[0], 1)
 
-    def _shift_reduce(self, vec: list[Fraction]) -> list[Fraction]:
-        # multiply by x, then fold the overflow term through the monic modulus
-        out = [_ZERO] + vec[:-1] if self.degree > 1 else [_ZERO]
-        top = vec[-1]
-        if top:
-            for i in range(self.degree):
-                out[i] -= top * self.modulus[i]
+    # -- integer vector arithmetic ---------------------------------------------
+
+    def _reduce(self, conv: list[int]) -> tuple[int, ...]:
+        """Remainder mod Phi_N of an integer polynomial (ascending, modified in place)."""
+        d = self.degree
+        for e in range(len(conv) - 1, d - 1, -1):
+            c = conv[e]
+            if c:
+                base = e - d
+                for i, m in self._fold:
+                    conv[base + i] -= c * m
+        return tuple(conv[:d])
+
+    def _mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        """Product of two reduced integer vectors, reduced."""
+        conv = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    if y:
+                        conv[k] += x * y
+        return self._reduce(conv)
+
+    def _galois(self, a: Sequence[int], k: int) -> list[int]:
+        """Image of a reduced integer vector under zeta -> zeta^k."""
+        out = [0] * self.degree
+        n, pows = self.conductor, self._zeta_pows
+        for i, x in enumerate(a):
+            if x:
+                for j, z in enumerate(pows[i * k % n]):
+                    if z:
+                        out[j] += x * z
         return out
 
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs: Sequence[Fraction | int]) -> "CycloNum":
-        vec = [Fraction(c) for c in coeffs]
+        vec = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError("coefficient vector longer than field degree")
-        vec += [_ZERO] * (self.degree - len(vec))
-        return CycloNum(self, tuple(vec))
+        den = math.lcm(*(c.denominator for c in vec))
+        num = [c.numerator * (den // c.denominator) for c in vec]
+        return _canonical(self, num + [0] * (self.degree - len(vec)), den)
 
     def zero(self) -> "CycloNum":
-        return self.element([])
+        return self._zero
 
     def one(self) -> "CycloNum":
-        return self.element([_ONE])
+        return self._one
+
+    def rational(self, n: int, d: int = 1) -> "CycloNum":
+        """The rational number n/d, from integers."""
+        if d == 0:
+            raise ZeroDivisionError("rational with zero denominator")
+        return _canonical(self, (n,) + (0,) * (self.degree - 1), d)
 
     def from_rational(self, q) -> "CycloNum":
-        return self.element([Fraction(q)])
+        """q given as an int, a Fraction, or anything `Fraction` accepts."""
+        if not isinstance(q, int):
+            q = Fraction(q)
+        return self.rational(q.numerator, q.denominator)
 
     def zeta(self, k: int = 1) -> "CycloNum":
         """zeta_N ** k, reduced."""
-        return CycloNum(self, self._zeta_pows[k % self.conductor])
+        return CycloNum(self, self._zeta_pows[k % self.conductor], 1)
 
     # -- plumbing -------------------------------------------------------------
 
@@ -264,19 +310,59 @@ def field(conductor: int) -> CycloField:
         return f
 
 
+def _canonical(fld: CycloField, num: Sequence[int], den: int) -> "CycloNum":
+    """num/den (den != 0) with the common factor divided out and den > 0."""
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return CycloNum(fld, tuple(num), den)
+    return CycloNum(fld, tuple(c // g for c in num), den // g)
+
+
+def _add_or_sub(x: "CycloNum", y: "CycloNum", op: Callable) -> "CycloNum":
+    a, b, d1, d2 = x.num, y.num, x.den, y.den
+    if d1 == d2:
+        num = tuple(map(op, a, b))
+        return CycloNum(x.field, num, 1) if d1 == 1 else _canonical(x.field, num, d1)
+    g = math.gcd(d1, d2)
+    m1, m2 = d2 // g, d1 // g
+    return _canonical(x.field, [op(s * m1, t * m2) for s, t in zip(a, b)], d1 * m1)
+
+
 class CycloNum:
-    """An element of Q(zeta_N), stored as the reduced remainder mod Phi_N.
+    """An element of Q(zeta_N): integer numerators `num` over one denominator `den`.
+
+    The value is sum(num[i] * zeta^i) / den, the reduced remainder mod Phi_N
+    in the power basis, which is an integral basis of Z[zeta_N].  The form
+    is canonical: den > 0, gcd(den, *num) = 1, and zero is (0, ..., 0)/1.
+    So equality compares integers, an algebraic integer is one with den = 1,
+    and arithmetic is integer convolution plus one gcd, with no per-coefficient
+    rational normalisation (the fraction-free representation of Cohen, "A
+    Course in Computational Algebraic Number Theory", section 4.2).
+    `coeffs` gives the coefficients as Fractions.
 
     Immutable; all arithmetic returns fresh values.  Mixed arithmetic with
-    int and Fraction coerces the scalar into the same field.
+    int and Fraction coerces the scalar into the same field, and an element
+    of Q hashes like the rational number it equals.
     """
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "num", "den", "_hash", "_coeffs")
 
-    def __init__(self, fld: CycloField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, fld: CycloField, num: tuple[int, ...], den: int):
+        # trusted: (num, den) must be canonical; `_canonical` makes it so
         self.field = fld
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._hash = None
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions, built on first use."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(c, self.den) for c in self.num)
+        return self._coeffs
 
     # -- helpers --------------------------------------------------------------
 
@@ -292,25 +378,28 @@ class CycloNum:
         return None
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num == self.field._one.num
 
     def is_integral(self) -> bool:
         """Whether this is an algebraic integer.
 
         Z[zeta_N] is the ring of integers of Q(zeta_N) and the power basis is
-        an integral basis of it, so this holds iff every coefficient is an
-        integer.
+        an integral basis of it, so this holds iff the denominator is 1.
         """
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def as_rational(self) -> Optional[Fraction]:
         """The value as a Fraction when it lies in Q, else None."""
-        if any(c for c in self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
+
+    def sort_key(self) -> "CoefficientOrder":
+        """Key that sorts elements by their `coeffs` tuples, on integers."""
+        return CoefficientOrder(self.num, self.den)
 
     # -- ring operations ------------------------------------------------------
 
@@ -318,18 +407,18 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNum(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return _add_or_sub(self, o, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.field, tuple(-a for a in self.coeffs))
+        return CycloNum(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNum(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return _add_or_sub(self, o, operator.sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -341,49 +430,33 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
-        if d == 1:
-            return CycloNum(self.field, (self.coeffs[0] * o.coeffs[0],))
-        conv = [_ZERO] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        mod = self.field.modulus
-        for e in range(2 * d - 2, d - 1, -1):
-            c = conv[e]
-            if c:
-                conv[e] = _ZERO
-                base = e - d
-                for i in range(d):
-                    conv[base + i] -= c * mod[i]
-        return CycloNum(self.field, tuple(conv[:d]))
+        fld = self.field
+        if fld.degree == 1:
+            num = (self.num[0] * o.num[0],)
+        else:
+            num = fld._mul(self.num, o.num)
+        den = self.den * o.den
+        return CycloNum(fld, num, 1) if den == 1 else _canonical(fld, num, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse, on integers.
+
+        For a = A/D with A in Z[zeta_N], the product P of the images of A
+        under the automorphisms zeta -> zeta^k, k a unit mod N other than 1,
+        gives A * P = Norm(A), a nonzero integer; so 1/a = D * P / Norm(A).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        if self.field.degree == 1:
-            return CycloNum(self.field, (1 / self.coeffs[0],))
-        # extended gcd of (coeffs as polynomial, Phi_N) over Q; Fraction
-        # remainders keep every quotient exact (int / int would be a float)
-        r0 = [Fraction(c) for c in self.field.modulus]
-        r1 = list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                inv_c = 1 / r1[0]
-                vec = [c * inv_c for c in s1]
-                vec += [_ZERO] * (self.field.degree - len(vec))
-                return CycloNum(self.field, tuple(vec[: self.field.degree]))
-            q, rem = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
+        fld, num = self.field, self.num
+        if not any(num[1:]):  # a rational number, and every element of Q
+            return _canonical(fld, (self.den,) + num[1:], num[0])
+        adj = fld._galois(num, fld._units[0])
+        for k in fld._units[1:]:
+            adj = fld._mul(adj, fld._galois(num, k))
+        norm = fld._mul(num, adj)[0]
+        return _canonical(fld, [c * self.den for c in adj], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -412,13 +485,18 @@ class CycloNum:
         if not isinstance(other, CycloNum):
             return NotImplemented
         return (
-            self.field.conductor == other.field.conductor
-            and self.coeffs == other.coeffs
+            self.den == other.den
+            and self.num == other.num
+            and self.field.conductor == other.field.conductor
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.field.conductor, self.coeffs))
+            num, den = self.num, self.den
+            if any(num[1:]):
+                self._hash = hash((self.field.conductor, num, den))
+            else:  # in Q: hash like the int or Fraction this equals
+                self._hash = hash(num[0] if den == 1 else Fraction(num[0], den))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -431,38 +509,29 @@ class CycloNum:
         return format_coefficient(self)
 
 
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[dd]
-    quot = [_ZERO] * max(len(num) - dd, 0)
-    for k in range(len(num) - dd - 1, -1, -1):
-        c = num[k + dd] / lead
-        quot[k] = c
-        if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    rem = num[:dd]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
+class CoefficientOrder:
+    """Sort key of a CycloNum (`CycloNum.sort_key`).
 
+    Orders like the `coeffs` tuples of Fractions, lexicographically, but
+    compares num/den coefficients by integer cross-multiplication.  It makes
+    sorting canonical; it is not an order of the field.
+    """
 
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+    __slots__ = ("num", "den")
 
+    def __init__(self, num: tuple[int, ...], den: int):
+        self.num = num
+        self.den = den
 
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_ZERO] * (n - len(a))
-    b = b + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+    def __eq__(self, other) -> bool:
+        return self.num == other.num and self.den == other.den
+
+    def __lt__(self, other) -> bool:
+        d1, d2 = self.den, other.den
+        for x, y in zip(self.num, other.num):
+            if x * d2 != y * d1:
+                return x * d2 < y * d1
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +641,11 @@ def parse_coefficient(text: str, fld: CycloField) -> CycloNum:
             den = parse_nat()
             if den == 0:
                 raise CoefficientParseError(f"zero denominator in {text!r}")
-        q = Fraction(num, den)
+        q = fld.rational(num, den)
         if peek() == "*":
             take()
             return fld.zeta(parse_zpart()) * q
-        return fld.from_rational(q)
+        return q
 
     sign = 1
     if peek() in ("+", "-"):

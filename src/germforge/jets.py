@@ -16,7 +16,6 @@ product of the linear parts and the determinant is multiplicative.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .cyclo import (
@@ -85,6 +84,8 @@ def mat_det(a: Matrix) -> CycloNum:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             det = -det
         det = det * rows[col][col]
+        if col == n - 1:
+            break  # no row below the last pivot needs its inverse
         inv = rows[col][col].inverse()
         for r in range(col + 1, n):
             f = rows[r][col] * inv
@@ -125,7 +126,7 @@ def char_poly(a: Matrix) -> tuple[CycloNum, ...]:
     for k in range(1, n + 1):
         m = mat_mul(a, m)
         tr = sum((m[i][i] for i in range(1, n)), m[0][0]) if n > 1 else m[0][0]
-        c = tr * Fraction(-1, k)
+        c = tr * fld.rational(-1, k)
         coeffs[n - k] = c
         m = tuple(
             tuple(m[r][s] + c if r == s else m[r][s] for s in range(n)) for r in range(n)
@@ -143,9 +144,16 @@ class GermJet:
     |Q| = 0 or |Q| > K are rejected.  The constructor checks every key and
     coefficient and rejects a singular linear part; `_trusted` builds the
     results of group operations, invertible by construction, without checks.
+
+    Equality and hashing use an integer key, built once per jet: the shape
+    and the set of (coordinate, multi-index, numerators, denominator) of the
+    canonical `CycloNum` coefficients.  The hash is cached, so the word balls
+    and pair dictionaries of the group searches hash each jet once.
+    `canonical_key()` is a separate sort key that orders coefficients as
+    rationals; only sorting uses it.
     """
 
-    __slots__ = ("n", "K", "field", "coeffs", "_key", "_order")
+    __slots__ = ("n", "K", "field", "coeffs", "_key", "_hash", "_order")
 
     def __init__(self, n: int, K: int, fld: CycloField, coeffs: dict):
         if n < 1 or K < 1:
@@ -169,6 +177,7 @@ class GermJet:
         self.field = fld
         self.coeffs = clean
         self._key = None
+        self._hash = None
         self._order = None
         if mat_det(self.linear_matrix()).is_zero():
             raise ValueError("linear part is not invertible")
@@ -185,6 +194,7 @@ class GermJet:
         jet.field = fld
         jet.coeffs = {key: c for key, c in coeffs.items() if not c.is_zero()}
         jet._key = None
+        jet._hash = None
         jet._order = None
         return jet
 
@@ -269,20 +279,27 @@ class GermJet:
     # -- equality / hashing ----------------------------------------------------------
 
     def canonical_key(self):
+        """Sort key: coordinates, then monomials in grlex order, then coefficients
+        by `CycloNum.sort_key`."""
+        items = tuple((s, q, c.sort_key()) for (s, q), c in self.canonical_items())
+        return (self.n, self.K, self.field.conductor, items)
+
+    def _integer_key(self):
         if self._key is None:
-            items = tuple(
-                (s, q, c.coeffs) for (s, q), c in self.canonical_items()
-            )
-            self._key = (self.n, self.K, self.field.conductor, items)
+            self._key = (self.n, self.K, self.field.conductor, frozenset(
+                (key, c.num, c.den) for key, c in self.coeffs.items()
+            ))
         return self._key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GermJet):
             return NotImplemented
-        return self.canonical_key() == other.canonical_key()
+        return self._integer_key() == other._integer_key()
 
     def __hash__(self) -> int:
-        return hash(self.canonical_key())
+        if self._hash is None:
+            self._hash = hash(self._integer_key())
+        return self._hash
 
     def __repr__(self) -> str:
         parts = []

@@ -75,16 +75,20 @@ class ProjectivePoint:
         return self.v.is_zero()
 
     def sort_key(self):
-        return (1 if self.is_infinity else 0, self.u.coeffs, self.v.coeffs)
+        return (1 if self.is_infinity else 0, self.u.sort_key(), self.v.sort_key())
 
     def __repr__(self) -> str:
         return "Point(inf)" if self.is_infinity else f"Point({self.u})"
 
 
 class MoebiusMap:
-    """z -> (a z + b) / (c z + d) as the matrix [[a, b], [c, d]], det != 0."""
+    """z -> (a z + b) / (c z + d) as the matrix [[a, b], [c, d]], det != 0.
 
-    __slots__ = ("matrix", "field", "_order")
+    Equality and hashing use the integer numerators and denominators of the
+    normalized entries, kept from construction; the hash is cached.
+    """
+
+    __slots__ = ("matrix", "field", "_key", "_hash", "_order")
 
     def __init__(self, matrix: Sequence[Sequence[CycloNum]]):
         (a, b), (c, d) = matrix
@@ -98,6 +102,8 @@ class MoebiusMap:
             raise ValueError("matrix determinant is zero")
         self.matrix = ((a, b), (c, d))
         self.field = fld
+        self._key = (fld.conductor, tuple((x.num, x.den) for x in (a, b, c, d)))
+        self._hash = None
         self._order = None
 
     @classmethod
@@ -151,7 +157,7 @@ class MoebiusMap:
         return None
 
     def canonical_key(self):
-        return (self.field.conductor, tuple(c.coeffs for row in self.matrix for c in row))
+        return (self.field.conductor, tuple(c.sort_key() for row in self.matrix for c in row))
 
     def entries(self):
         (a, b), (c, d) = self.matrix
@@ -176,10 +182,12 @@ class MoebiusMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MoebiusMap):
             return NotImplemented
-        return self.field.conductor == other.field.conductor and self.matrix == other.matrix
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.canonical_key())
+        if self._hash is None:
+            self._hash = hash(self._key)
+        return self._hash
 
     def __repr__(self) -> str:
         a, b, c, d = self.entries()
@@ -343,7 +351,7 @@ def fixed_points(m: MoebiusMap) -> list[ProjectivePoint]:
     a, b, c, d = m.entries()
     t = m.trace()
     disc = (a - d) * (a - d) + b * c * 4
-    half = Fraction(1, 2)
+    half = m.field.rational(1, 2)
 
     def eigenvector(mu: CycloNum) -> ProjectivePoint:
         if not b.is_zero():

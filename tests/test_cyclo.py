@@ -284,3 +284,119 @@ def test_format_round_trip_random():
             a = random_element(rng, f)
             assert parse_coefficient(format_coefficient(a), f) == a
     assert format_coefficient(field(3).zero()) == "0"
+
+
+# --- the fraction-free representation -------------------------------------------------
+
+HASH_CONDUCTORS = (1, 3, 4, 12)
+
+
+def reference_mul(a, b, modulus):
+    """Product of two Fraction coefficient vectors, reduced mod the monic modulus."""
+    d = len(modulus) - 1
+    conv = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for e in range(2 * d - 2, d - 1, -1):
+        c, conv[e] = conv[e], Fraction(0)
+        for i in range(d):
+            conv[e - d + i] -= c * modulus[i]
+    return tuple(conv[:d])
+
+
+def assert_canonical(a):
+    assert type(a.den) is int and all(type(c) is int for c in a.num)
+    assert len(a.num) == a.field.degree
+    assert a.den > 0 and math.gcd(a.den, *a.num) == 1
+    assert a.coeffs == tuple(Fraction(c, a.den) for c in a.num)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_results_are_in_canonical_form(data):
+    conductor = data.draw(st.sampled_from(ORACLE_CONDUCTORS))
+    fld = field(conductor)
+    a, b = data.draw(elements(conductor)), data.draw(elements(conductor))
+    q = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    results = [a, b, a + b, a - b, a * b, -a, a * q, a + q, q - a, a ** 3]
+    if not b.is_zero():
+        results += [a / b, b.inverse(), b ** -2]
+    for r in results:
+        assert_canonical(r)
+    zeros = [fld.zero(), a - a, a * 0, b * fld.zero(), fld.element([0] * fld.degree),
+             fld.from_rational(Fraction(0, 7)), a + (-a)]
+    for z in zeros:
+        assert (z.num, z.den) == ((0,) * fld.degree, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_fraction_reference(data):
+    conductor = data.draw(st.sampled_from(ORACLE_CONDUCTORS))
+    fld = field(conductor)
+    a, b = data.draw(elements(conductor)), data.draw(elements(conductor))
+    q = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    e = data.draw(st.integers(-4, 4))
+    A, B, mod = a.coeffs, b.coeffs, fld.modulus
+    one = (Fraction(1),) + (Fraction(0),) * (fld.degree - 1)
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(A, B))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(A, B))
+    assert (-a).coeffs == tuple(-x for x in A)
+    assert (a * b).coeffs == reference_mul(A, B, mod)
+    assert (a * q).coeffs == (q * a).coeffs == tuple(x * q for x in A)
+    assert (a + q).coeffs == (A[0] + q,) + A[1:]
+    power = one
+    for _ in range(abs(e)):
+        power = reference_mul(power, A, mod)
+    assert (a ** abs(e)).coeffs == power
+    if not b.is_zero():
+        assert reference_mul((a / b).coeffs, B, mod) == A
+        assert reference_mul(b.inverse().coeffs, B, mod) == one
+        assert reference_mul((b ** e).coeffs, (b ** -e).coeffs, mod) == one
+    if q:
+        assert reference_mul((a / q).coeffs, (q,) + (Fraction(0),) * (fld.degree - 1), mod) == A
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(HASH_CONDUCTORS), st.fractions(min_value=-50, max_value=50, max_denominator=40))
+def test_rational_element_hashes_like_its_value(conductor, q):
+    a = field(conductor).from_rational(q)
+    assert a == q and hash(a) == hash(q)
+    assert {q: "x"}.get(a) == "x"
+    assert {a: "x"}.get(q) == "x"
+    if q.denominator == 1:
+        assert a == int(q) and hash(a) == hash(int(q))
+        assert {int(q): "x"}.get(a) == "x"
+
+
+def test_rational_hash_examples():
+    assert {3: "x"}.get(field(1).from_rational(3)) == "x"
+    assert {Fraction(1, 2): "x"}.get(field(4).from_rational(Fraction(1, 2))) == "x"
+    assert hash(field(3).from_rational(-1)) == hash(-1) == -2
+    # a denominator divisible by the hash modulus hashes as infinity, as for Fraction
+    huge = Fraction(-3, 2 ** 61 - 1)
+    assert hash(field(12).from_rational(huge)) == hash(huge)
+    # an irrational element equals no rational number
+    assert field(4).zeta() != 0 and {0: "x"}.get(field(4).zeta()) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sort_key_orders_like_fraction_coefficients(data):
+    conductor = data.draw(st.sampled_from(ORACLE_CONDUCTORS))
+    a, b = data.draw(elements(conductor)), data.draw(elements(conductor))
+    assert (a.sort_key() < b.sort_key()) == (a.coeffs < b.coeffs)
+    assert (a.sort_key() == b.sort_key()) == (a.coeffs == b.coeffs)
+    assert not a.sort_key() < a.sort_key()
+
+
+def test_inverse_runs_on_integers_for_every_conductor():
+    rng = random.Random(13)
+    for n in range(1, 31):
+        f = field(n)
+        for _ in range(4):
+            a = random_element(rng, f)
+            if not a.is_zero():
+                assert (a * a.inverse()).is_one()
+                assert_canonical(a.inverse())

@@ -1,3 +1,6 @@
+import cProfile
+import fractions
+import pstats
 import random
 from fractions import Fraction
 
@@ -850,3 +853,15 @@ def test_linearize_cross_validates_with_closure():
         linear_target = GermJet.from_linear(f.linear_matrix(), K)
         for j in pres.elements:
             assert conjugate(out.conjugator, j) == linear_target
+
+
+def test_group_searches_run_no_fraction_arithmetic():
+    """After parsing, jets and their keys stay on integers: no `fractions` code runs."""
+    for name, search in (("ex-2-2", check_basic_set), ("prop-5-1-4", closure_enumerate)):
+        g = corpus.load(name).presentation()
+        profile = cProfile.Profile()
+        result = profile.runcall(search, g)
+        assert getattr(result, "verdict", getattr(result, "status", None)) in (
+            "irreducible-verified", "closed")
+        touched = [fn for path, _, fn in pstats.Stats(profile).stats if path == fractions.__file__]
+        assert touched == [], name

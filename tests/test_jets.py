@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from germforge import corpus, jets
-from germforge.cyclo import field
+from germforge.cyclo import CycloNum, field
 from germforge.documents import DocumentError, parse_document
 from germforge.groupkit import closure_enumerate
 from germforge.jets import (
@@ -478,3 +479,74 @@ def test_closure_runs_no_determinant(monkeypatch):
     result = closure_enumerate(g)
     assert (result.status, result.count) == ("closed", 18)
     assert calls == []
+
+
+# --- integer keys and the determinant's inverses -------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(jet_pairs())
+def test_equal_jets_hash_equal_however_built(pair):
+    f, g = pair
+    fg = compose(f, g)
+    same = (
+        GermJet(fg.n, fg.K, fg.field, dict(fg.coeffs)),  # validated
+        invert(invert(fg)),
+        compose(fg, compose(invert(g), g)),
+        compose(f, compose(g, compose(invert(f), f))),
+    )
+    for other in same:
+        assert other == fg and hash(other) == hash(fg)
+    identity = GermJet.identity(*f.shape)
+    for other in (compose(f, invert(f)), compose(invert(g), g), power(f, 0)):
+        assert other == identity and hash(other) == hash(identity)
+
+
+def test_equal_jets_from_rational_and_field_coefficients():
+    half = F1.element([Fraction(1, 2)])
+    from_fractions = jet(F1, 1, 3, [(0, (1,), Fraction(2, 4)), (0, (3,), 3)])
+    from_field = jet(F1, 1, 3, [(0, (1,), half), (0, (3,), F1.from_rational(6) * half)])
+    assert from_fractions == from_field and hash(from_fractions) == hash(from_field)
+    assert from_fractions != jet(F1, 1, 3, [(0, (1,), Fraction(1, 2))])
+
+
+def _leibniz_det(a):
+    n = len(a)
+    total = a[0][0].field.zero()
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = a[0][0].field.one()
+        for i in range(n):
+            term = term * a[i][perm[i]]
+        total = total + term * sign
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mat_det_inverts_every_pivot_but_the_last(n, monkeypatch):
+    rng = random.Random(n)
+    calls = []
+    inverse = CycloNum.inverse
+    monkeypatch.setattr(CycloNum, "inverse", lambda self: calls.append(self) or inverse(self))
+    nonsingular = 0
+    for fld in (F1, F3, F4):
+        values = [fld.zero(), fld.one(), -fld.one(), fld.from_rational(Fraction(3, 2)), fld.zeta()]
+        for _ in range(10):
+            a = tuple(tuple(rng.choice(values) for _ in range(n)) for _ in range(n))
+            calls.clear()
+            det = jets.mat_det(a)
+            calls_made = len(calls)
+            assert det == _leibniz_det(a)
+            if not det.is_zero():
+                assert calls_made == n - 1
+                nonsingular += 1
+    assert nonsingular >= 10
+
+
+def test_parsing_inverts_once_per_two_by_two_generator(monkeypatch):
+    calls = []
+    inverse = CycloNum.inverse
+    monkeypatch.setattr(CycloNum, "inverse", lambda self: calls.append(self) or inverse(self))
+    doc = corpus.load("ex-2-3")
+    assert (doc.dimension, len(doc.generators)) == (2, 36)
+    assert len(calls) == 36

@@ -179,3 +179,23 @@ def test_rational_sqrt_of_a_fraction():
     root = cyclo_sqrt(half)
     assert root is not None and root * root == half
     assert cyclo_sqrt(field(7).from_rational(Fraction(1, 2))) is None
+
+
+def test_equal_maps_hash_equal_however_built():
+    fld = field(5)
+    z = fld.zeta()
+    m = MoebiusMap(((z, fld.one()), (fld.from_rational(2), z * z - 3)))
+    for scale in (fld.from_rational(Fraction(-2, 3)), z, z + Fraction(1, 2)):
+        scaled = MoebiusMap(tuple(tuple(x * scale for x in row) for row in m.matrix))
+        assert scaled == m and hash(scaled) == hash(m)
+    assert m.inverse().inverse() == m and hash(m.inverse().inverse()) == hash(m)
+    identity = MoebiusMap.identity(fld)
+    for other in (m.compose(m.inverse()), m.inverse().compose(m)):
+        assert other == identity and hash(other) == hash(identity)
+    # z -> 1 - z is an involution; z -> -1/(z - 1) has order 3
+    assert T.compose(T) == MoebiusMap.identity(F1)
+    assert hash(T.compose(T)) == hash(MoebiusMap.identity(F1))
+    assert hash(R3.compose(R3).compose(R3)) == hash(MoebiusMap.identity(F1))
+    sts, tst = S.compose(T).compose(S), T.compose(S).compose(T)
+    assert sts == tst and hash(sts) == hash(tst)
+    assert len({MoebiusMap.identity(F1), S, T, S.compose(T), T.compose(S), sts, tst}) == 6
