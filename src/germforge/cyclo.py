@@ -19,9 +19,10 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 
 class FieldMismatchError(ValueError):
@@ -256,6 +257,17 @@ class CycloField:
                         out[j] += x * z
         return out
 
+    def _norm_adjugate(self, a: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """(P, Norm(a)) for a nonzero, non-rational reduced integer vector a.
+
+        P is the product of the images of a under zeta -> zeta^k for the
+        units k != 1 mod N, so a * P = Norm(a), a nonzero integer.
+        """
+        adj = self._galois(a, self._units[0])
+        for k in self._units[1:]:
+            adj = self._mul(adj, self._galois(a, k))
+        return tuple(adj), self._mul(a, adj)[0]
+
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs: Sequence[Fraction | int]) -> "CycloNum":
@@ -271,6 +283,12 @@ class CycloField:
 
     def one(self) -> "CycloNum":
         return self._one
+
+    def from_integers(self, num: Sequence[int], den: int) -> "CycloNum":
+        """num/den from a reduced integer vector and a nonzero integer."""
+        if den == 0:
+            raise ZeroDivisionError("element with zero denominator")
+        return _canonical(self, num, den)
 
     def rational(self, n: int, d: int = 1) -> "CycloNum":
         """The rational number n/d, from integers."""
@@ -452,10 +470,7 @@ class CycloNum:
         fld, num = self.field, self.num
         if not any(num[1:]):  # a rational number, and every element of Q
             return _canonical(fld, (self.den,) + num[1:], num[0])
-        adj = fld._galois(num, fld._units[0])
-        for k in fld._units[1:]:
-            adj = fld._mul(adj, fld._galois(num, k))
-        norm = fld._mul(num, adj)[0]
+        adj, norm = fld._norm_adjugate(num)
         return _canonical(fld, [c * self.den for c in adj], norm)
 
     def __truediv__(self, other):
@@ -564,6 +579,8 @@ def embed_to_conductor(a: CycloNum, m: int) -> CycloNum:
 
 def to_complex(a: CycloNum, digits: int = 15) -> mpmath.mpc:
     """Numeric value of a at zeta = exp(2*pi*i/N).  Diagnostics only."""
+    import mpmath
+
     n = a.field.conductor
     with mpmath.workdps(digits + 10):
         total = mpmath.mpc(0)

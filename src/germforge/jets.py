@@ -12,11 +12,19 @@ other outside input go through it.  The jets that group operations return
 by `GermJet._trusted`, which skips all of that: their keys come from valid
 jets, and invertibility is preserved, since the linear part of f o g is the
 product of the linear parts and the determinant is multiplicative.
+
+Linear parts are matrices of `CycloNum`s at the interface, but the exact
+linear algebra (`mat_mul`, `mat_det`, `mat_inv`, `char_poly` and the
+`linear_order` power test) runs on one integer form of a matrix: integer
+numerators over Z[zeta_N] and one common denominator, with fraction-free
+elimination.  `CycloNum`s are built only for the results.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import math
+import operator
+from typing import Callable, Iterator, Optional, Sequence
 
 from .cyclo import (
     CycloField,
@@ -56,6 +64,125 @@ def unit_index(n: int, i: int) -> MultiIndex:
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over a cyclotomic field
+#
+# The kernel runs on one integer form of a matrix, `IntMatrix`: a pair
+# (D, nums) of a positive denominator D and the flat row-major integer
+# numerators, phi(N) per entry, of the entries over D.  The form is
+# canonical, gcd(D, *nums) = 1, so two matrices are equal iff their forms
+# are.  Products are integer convolutions summed over a whole row times
+# column and folded through Phi_N once per entry (the fold is linear), with
+# one gcd per matrix; for phi(N) = 1 they are plain integer dot products.
+# Determinants and inverses are fraction-free (Bareiss, "Sylvester's
+# identity and multistep integer-preserving Gaussian elimination", Math.
+# Comp. 22, 1968): every intermediate entry lies in Z[zeta_N], and the only
+# divisions are exact.  `CycloNum`s are built only at the boundary.
+
+IntMatrix = tuple[int, tuple[int, ...]]
+
+
+def _int_form(a: Matrix) -> IntMatrix:
+    """The integer form of a; D is the lcm of the entry denominators.
+
+    It is canonical without a gcd: a prime power p^e exactly dividing D
+    exactly divides some entry's denominator, and that entry has a
+    numerator prime to p, scaled by the prime-to-p factor D / den.
+    """
+    entries = [c for row in a for c in row]
+    den = math.lcm(*[c.den for c in entries])
+    if den == 1:
+        return 1, tuple(x for c in entries for x in c.num)
+    nums: list[int] = []
+    for c in entries:
+        scale = den // c.den
+        nums += [x * scale for x in c.num]
+    return den, tuple(nums)
+
+
+def _int_identity(d: int, n: int) -> tuple[int, ...]:
+    one = (1,) + (0,) * (d - 1)
+    zero = (0,) * d
+    return tuple(x for i in range(n) for j in range(n) for x in (one if i == j else zero))
+
+
+def _entries(fld: CycloField, nums: Sequence[int]) -> list[tuple[int, ...]]:
+    d = fld.degree
+    return [tuple(nums[s:s + d]) for s in range(0, len(nums), d)]
+
+
+def _matrix(fld: CycloField, cols: int, den: int, nums: Sequence[int]) -> Matrix:
+    entries = [fld.from_integers(e, den) for e in _entries(fld, nums)]
+    return tuple(tuple(entries[r:r + cols]) for r in range(0, len(entries), cols))
+
+
+def _int_rows(fld: CycloField, a: Matrix) -> tuple[int, list[list[tuple[int, ...]]]]:
+    """(D, rows): the integer form of a as mutable rows of entry vectors."""
+    n = len(a)
+    den, nums = _int_form(a)
+    entries = _entries(fld, nums)
+    return den, [entries[i:i + n] for i in range(0, len(entries), n)]
+
+
+def _mul_nums(fld: CycloField, k: int, m: int, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """Numerators of (rows x k) times (k x m), integer matrices over Z[zeta_N]."""
+    d = fld.degree
+    if d == 1:
+        cols = [y[j::m] for j in range(m)]
+        return [sum(map(operator.mul, x[i:i + k], col)) for i in range(0, len(x), k) for col in cols]
+    b = _entries(fld, y)
+    cols = [b[j::m] for j in range(m)]
+    a = _entries(fld, x)
+    out: list[int] = []
+    for i in range(0, len(a), k):
+        row = a[i:i + k]
+        for col in cols:
+            conv = [0] * (2 * d - 1)
+            for u, v in zip(row, col):
+                for p, c in enumerate(u):
+                    if c:
+                        for q, e in enumerate(v, p):
+                            conv[q] += c * e
+            out += fld._reduce(conv)
+    return out
+
+
+def _int_mul(fld: CycloField, k: int, m: int, a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a (rows x k) times b (k x m) in canonical form, with one gcd."""
+    den, nums = a[0] * b[0], _mul_nums(fld, k, m, a[1], b[1])
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return den, tuple(nums)
+    return den // g, tuple(x // g for x in nums)
+
+
+def _exact_divider(fld: CycloField, v: tuple[int, ...]) -> Callable:
+    """x -> x / v on the x in Z[zeta_N] that v divides; v nonzero.
+
+    For v outside Q, x / v = x * P / Norm(v) with P the product of the
+    other Galois conjugates of v (`CycloField._norm_adjugate`).
+    """
+    if not any(v[1:]):
+        q = v[0]
+        return lambda x: tuple(c // q for c in x)
+    adj, norm = fld._norm_adjugate(v)
+    return lambda x: tuple(c // norm for c in fld._mul(x, adj))
+
+
+def _eliminate(fld: CycloField, rows: list[list[tuple[int, ...]]], k: int, i: int,
+               start: int, divide: Optional[Callable]) -> None:
+    """One fraction-free step on row i with pivot row k, from column `start` on:
+    row_i = (p * row_i - row_i[k] * row_k) / previous pivot.  Zeros are skipped."""
+    mul = fld._mul
+    p, f, pivot_row, row = rows[k][k], rows[i][k], rows[k], rows[i]
+    if not any(f):
+        f = None
+    for j in range(start, len(row)):
+        x, y = row[j], pivot_row[j]
+        e = mul(p, x) if any(x) else None
+        if f is not None and any(y):
+            fy = mul(f, y)
+            e = tuple(-c for c in fy) if e is None else tuple(map(operator.sub, e, fy))
+        if e is not None:
+            row[j] = e if divide is None else divide(e)
 
 
 def mat_identity(fld: CycloField, n: int) -> Matrix:
@@ -64,53 +191,62 @@ def mat_identity(fld: CycloField, n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, k = len(a), len(b[0]), len(b)
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(1, k)), a[i][0] * b[0][j]) for j in range(m))
-        for i in range(n)
-    )
+    """a times b, computed on integer forms."""
+    fld = a[0][0].field
+    k, m = len(b), len(b[0])
+    den, nums = _int_mul(fld, k, m, _int_form(a), _int_form(b))
+    return _matrix(fld, m, den, nums)
 
 
 def mat_det(a: Matrix) -> CycloNum:
+    """Determinant by Bareiss elimination of the numerators: det(a) = det(X) / D^n."""
     n = len(a)
     fld = a[0][0].field
-    rows = [list(r) for r in a]
-    det = fld.one()
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
+    den, rows = _int_rows(fld, a)
+    sign = 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if any(rows[r][k])), None)
         if pivot is None:
             return fld.zero()
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        if col == n - 1:
-            break  # no row below the last pivot needs its inverse
-        inv = rows[col][col].inverse()
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if not f.is_zero():
-                for c in range(col, n):
-                    rows[r][c] = rows[r][c] - f * rows[col][c]
-    return det
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        divide = _exact_divider(fld, rows[k - 1][k - 1]) if k else None
+        for i in range(k + 1, n):
+            _eliminate(fld, rows, k, i, k + 1, divide)
+    return fld.from_integers([sign * c for c in rows[n - 1][n - 1]], den ** n)
 
 
 def mat_inv(a: Matrix) -> Matrix:
+    """Inverse by fraction-free Gauss-Jordan on [X | I], X = D * a.
+
+    The elimination ends with p * I on the left, p the last pivot, and
+    p * X^-1 on the right; so a^-1 = D * right / p, one division.
+    """
     n = len(a)
     fld = a[0][0].field
-    rows = [list(r) + list(mat_identity(fld, n)[i]) for i, r in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
+    den, rows = _int_rows(fld, a)
+    unit = _entries(fld, _int_identity(fld.degree, n))
+    for i, row in enumerate(rows):
+        row += unit[i * n:(i + 1) * n]
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if any(rows[r][k])), None)
         if pivot is None:
             raise ZeroDivisionError("singular matrix")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col].inverse()
-        rows[col] = [c * inv for c in rows[col]]
-        for r in range(n):
-            if r != col and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return tuple(tuple(r[n:]) for r in rows)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        divide = _exact_divider(fld, rows[k - 1][k - 1]) if k else None
+        for i in range(n):
+            if i != k:
+                _eliminate(fld, rows, k, i, k + 1, divide)
+    p = rows[n - 1][n - 1]
+    if any(p[1:]):
+        adj, out_den = fld._norm_adjugate(p)
+        scale = [c * den for c in adj]
+        nums = [x for row in rows for e in row[n:] for x in fld._mul(e, scale)]
+    else:
+        out_den = p[0]
+        nums = [x * den for row in rows for e in row[n:] for x in e]
+    return _matrix(fld, n, out_den, nums)
 
 
 def mat_is_diagonal(a: Matrix) -> bool:
@@ -118,19 +254,26 @@ def mat_is_diagonal(a: Matrix) -> bool:
 
 
 def char_poly(a: Matrix) -> tuple[CycloNum, ...]:
-    """Characteristic polynomial coefficients, ascending, monic (Faddeev-LeVerrier)."""
+    """Characteristic polynomial coefficients, ascending, monic.
+
+    Faddeev-LeVerrier on the numerators X = D * a, an integer matrix over
+    Z[zeta_N]: its coefficients are algebraic integers, so each division of
+    a trace by k is exact, and a's coefficient of x^(n-k) is X's over D^k.
+    """
     n = len(a)
     fld = a[0][0].field
+    d = fld.degree
+    den, x = _int_form(a)
     coeffs = [fld.zero()] * n + [fld.one()]
-    m = mat_identity(fld, n)
+    m = _int_identity(d, n)
+    diagonal = [(i * n + i) * d for i in range(n)]
     for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        tr = sum((m[i][i] for i in range(1, n)), m[0][0]) if n > 1 else m[0][0]
-        c = tr * fld.rational(-1, k)
-        coeffs[n - k] = c
-        m = tuple(
-            tuple(m[r][s] + c if r == s else m[r][s] for s in range(n)) for r in range(n)
-        )
+        m = _mul_nums(fld, n, n, x, m)
+        c = [-sum(m[s + t] for s in diagonal) // k for t in range(d)]
+        coeffs[n - k] = fld.from_integers(c, den ** k)
+        for s in diagonal:
+            for t in range(d):
+                m[s + t] += c[t]
     return tuple(coeffs)
 
 
@@ -426,11 +569,16 @@ def linear_order(a: Matrix) -> OrderResult:
     """Exact order of an invertible n x n matrix over Q(zeta_N).
 
     Every finite order divides `torsion_exponent(N, n)`, so one power test
-    decides finiteness and a scan of the powers finds the order.
+    decides finiteness and a scan of the powers finds the order.  Both run
+    on the canonical integer form, so each comparison with the identity
+    compares integers.
     """
     fld = a[0][0].field
     n = len(a)
-    return element_order(a, torsion_exponent(fld.conductor, n), mat_mul, mat_identity(fld, n))
+    return element_order(
+        _int_form(a), torsion_exponent(fld.conductor, n),
+        lambda x, y: _int_mul(fld, n, n, x, y), (1, _int_identity(fld.degree, n)),
+    )
 
 
 def germ_order(f: GermJet) -> OrderResult:

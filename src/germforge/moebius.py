@@ -4,17 +4,17 @@ Maps are 2x2 matrices up to scale, stored with the first nonzero entry in
 row-major order scaled to 1 so projective equality is plain comparison.
 Orders are decided exactly by the shared torsion-exponent power test;
 fixed points are eigenvector computations whose square roots are found by
-verified reconstruction or reported as requiring a field extension.
+verified reconstruction, or proven absent by a residue screen, or reported
+as requiring a field extension.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import mpmath
+from typing import Iterator, Optional, Sequence
 
 from .cyclo import (
     CycloField,
@@ -225,6 +225,8 @@ def moebius_order(m: MoebiusMap) -> OrderResult:
 
 def _fraction_from_mpf(x, max_den: int = 10**24) -> Optional[Fraction]:
     """Best rational approximation by continued fractions, None when unstable."""
+    import mpmath
+
     num0, den0 = 0, 1
     num1, den1 = 1, 0
     rem = mpmath.mpf(x)
@@ -266,13 +268,58 @@ def _rational_root_in_field(m: int, n: int) -> bool:
     return n % (abs(d) if d % 4 == 1 else 4 * abs(d)) == 0
 
 
+SQUARE_SCREEN_PRIMES = 6  # degree-one primes tried by `_proven_non_square`
+
+
+def _primes_one_mod(n: int) -> Iterator[int]:
+    """The odd primes p = 1 (mod n), increasing."""
+    p = n + 1
+    while True:
+        if p > 2 and all(p % q for q in range(2, math.isqrt(p) + 1)):
+            yield p
+        p += n
+
+
+def _roots_of_cyclotomic_mod(n: int, p: int) -> list[int]:
+    """The roots of Phi_n mod a prime p = 1 (mod n): the elements of order n."""
+    primes = prime_factors(n)
+    r = next(r for r in (pow(g, (p - 1) // n, p) for g in range(2, p))
+             if all(pow(r, n // q, p) != 1 for q in primes))
+    return [pow(r, k, p) for k in range(1, n + 1) if math.gcd(k, n) == 1]
+
+
+def _proven_non_square(a: CycloNum) -> bool:
+    """Whether a residue symbol proves that `a` is no square in its field.
+
+    For a prime p = 1 (mod N) not dividing the denominator D of a = A/D, and
+    a root r of Phi_N mod p, zeta -> r maps the elements of Q(zeta_N) that
+    are integral at the prime (p, zeta - r) onto F_p, a ring homomorphism.
+    A root b of a is integral there too, so the image A(r)/D of a is a
+    square mod p.  A nonzero non-residue (Euler's criterion) thus proves
+    that a has no root.  False decides nothing.
+    """
+    n = a.field.conductor
+    primes = (p for p in _primes_one_mod(n) if a.den % p)
+    for p in itertools.islice(primes, SQUARE_SCREEN_PRIMES):
+        for r in _roots_of_cyclotomic_mod(n, p):
+            v = 0
+            for c in reversed(a.num):
+                v = (v * r + c) % p
+            v = v * a.den % p
+            if v and pow(v, (p - 1) // 2, p) == p - 1:
+                return True
+    return False
+
+
 def cyclo_sqrt(a: CycloNum, digits: int = 60) -> Optional[CycloNum]:
     """A square root of `a` in its own field, or None when none is found.
 
     Rational perfect squares are handled exactly, and a rational radicand
-    whose root lies outside the field is None at once; otherwise a candidate
-    is reconstructed from the numeric embeddings and verified by exact
-    squaring, so a returned value is always correct.
+    whose root lies outside the field is None at once.  Otherwise a radicand
+    that is a non-residue at some small degree-one prime is None
+    (`_proven_non_square`); what remains is reconstructed from the numeric
+    embeddings and verified by exact squaring, so a returned value is always
+    correct.
     """
     fld = a.field
     if a.is_zero():
@@ -288,12 +335,16 @@ def cyclo_sqrt(a: CycloNum, digits: int = 60) -> Optional[CycloNum]:
                 return fld.zeta(fld.conductor // 4) * Fraction(rn, rd)
         if not _rational_root_in_field(num * den, fld.conductor):
             return None
+    if _proven_non_square(a):
+        return None
     return _numeric_sqrt(a, digits)
 
 
 def _numeric_sqrt(a: CycloNum, digits: int) -> Optional[CycloNum]:
     """Search the sign choices of the embeddings' square roots (one per
     embedding but the first) for a root with rational coordinates."""
+    import mpmath
+
     fld = a.field
     n, deg = fld.conductor, fld.degree
     units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]

@@ -232,6 +232,18 @@ def test_module_entry_point_runs_an_example():
     assert "matched: True" in done.stdout
 
 
+def test_import_and_parse_leave_mpmath_unloaded():
+    """mpmath serves only the numeric square-root search and diagnostics."""
+    env = dict(os.environ, PYTHONPATH=str(CORPUS_DIR.parents[1]))
+    code = ("import sys, germforge; from germforge import corpus; "
+            "corpus.load('moebius-rotation-5'); corpus.load('ex-2-2'); "
+            "print('mpmath' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("flag, value", [("--witness-bound", "-2"), ("--closure-cap", "-1")])
 def test_negative_bound_exits_2(flag, value, capsys):
     path = str(CORPUS_DIR / "prop-5-1-2.json")

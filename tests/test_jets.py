@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from germforge import corpus, jets
-from germforge.cyclo import CycloNum, field
+from germforge.cyclo import CycloNum, element_order, field, root_of_unity_order, torsion_exponent
 from germforge.documents import DocumentError, parse_document
 from germforge.groupkit import closure_enumerate
 from germforge.jets import (
@@ -19,7 +19,9 @@ from germforge.jets import (
     germ_order,
     invert,
     linear_order,
+    mat_det,
     mat_identity,
+    mat_inv,
     mat_mul,
     power,
 )
@@ -524,6 +526,8 @@ def _leibniz_det(a):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_mat_det_inverts_every_pivot_but_the_last(n, monkeypatch):
+    """Elimination over the field inverts every pivot but the last; the
+    fraction-free kernel's Bareiss elimination inverts no field element."""
     rng = random.Random(n)
     calls = []
     inverse = CycloNum.inverse
@@ -537,16 +541,196 @@ def test_mat_det_inverts_every_pivot_but_the_last(n, monkeypatch):
             det = jets.mat_det(a)
             calls_made = len(calls)
             assert det == _leibniz_det(a)
+            assert calls_made == 0
             if not det.is_zero():
-                assert calls_made == n - 1
                 nonsingular += 1
     assert nonsingular >= 10
 
 
 def test_parsing_inverts_once_per_two_by_two_generator(monkeypatch):
+    """Each of the 36 generators is validated by `mat_det`, which inverted its
+    pivot over the field; the fraction-free determinant inverts nothing."""
     calls = []
     inverse = CycloNum.inverse
     monkeypatch.setattr(CycloNum, "inverse", lambda self: calls.append(self) or inverse(self))
     doc = corpus.load("ex-2-3")
     assert (doc.dimension, len(doc.generators)) == (2, 36)
-    assert len(calls) == 36
+    assert len(calls) == 0
+
+
+# --- the integer matrix kernel against CycloNum-entry reference bodies ---------------
+#
+# The kernel holds a matrix as integer numerators over one denominator; these
+# references compute entry by entry in `CycloNum` arithmetic over the field.
+
+
+def reference_mat_mul(a, b):
+    n, m, k = len(a), len(b[0]), len(b)
+    return tuple(
+        tuple(sum((a[i][t] * b[t][j] for t in range(1, k)), a[i][0] * b[0][j]) for j in range(m))
+        for i in range(n)
+    )
+
+
+def reference_det(a):
+    n = len(a)
+    fld = a[0][0].field
+    rows = [list(r) for r in a]
+    det = fld.one()
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            return fld.zero()
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = det * rows[col][col]
+        inv = rows[col][col].inverse()
+        for r in range(col + 1, n):
+            f = rows[r][col] * inv
+            for c in range(col, n):
+                rows[r][c] = rows[r][c] - f * rows[col][c]
+    return det
+
+
+def reference_inv(a):
+    n = len(a)
+    fld = a[0][0].field
+    rows = [list(r) + list(mat_identity(fld, n)[i]) for i, r in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = rows[col][col].inverse()
+        rows[col] = [c * inv for c in rows[col]]
+        for r in range(n):
+            if r != col and not rows[r][col].is_zero():
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return tuple(tuple(r[n:]) for r in rows)
+
+
+def reference_char_poly(a):
+    """Faddeev-LeVerrier over the field."""
+    n = len(a)
+    fld = a[0][0].field
+    coeffs = [fld.zero()] * n + [fld.one()]
+    m = mat_identity(fld, n)
+    for k in range(1, n + 1):
+        m = reference_mat_mul(a, m)
+        tr = sum((m[i][i] for i in range(1, n)), m[0][0])
+        c = tr * Fraction(-1, k)
+        coeffs[n - k] = c
+        m = tuple(tuple(m[r][s] + c if r == s else m[r][s] for s in range(n)) for r in range(n))
+    return tuple(coeffs)
+
+
+def reference_linear_order(a):
+    fld, n = a[0][0].field, len(a)
+    return element_order(a, torsion_exponent(fld.conductor, n), reference_mat_mul,
+                         mat_identity(fld, n))
+
+
+KERNEL_CONDUCTORS = [1, 3, 4, 5, 9, 12]
+
+
+@st.composite
+def field_matrices(draw, fld, rows, cols):
+    """Sparse entries with coordinates in -3..3 over denominators 1..3."""
+    def entry():
+        if draw(st.booleans()):
+            return fld.zero()
+        num = draw(st.lists(st.integers(-3, 3), min_size=fld.degree, max_size=fld.degree))
+        return fld.element([Fraction(c, draw(st.integers(1, 3))) for c in num])
+
+    return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+
+
+@st.composite
+def kernel_cases(draw):
+    fld = field(draw(st.sampled_from(KERNEL_CONDUCTORS)))
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = draw(field_matrices(fld, n, n))
+    if n > 1 and draw(st.booleans()):  # a singular matrix: a repeated row
+        a = (a[0],) + a[:1] + a[2:]
+    return a, draw(field_matrices(fld, n, k)), draw(field_matrices(fld, k, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_the_reference(case):
+    a, b, c = case
+    fld, n = a[0][0].field, len(a)
+    assert mat_mul(a, a) == reference_mat_mul(a, a)
+    assert mat_mul(b, c) == reference_mat_mul(b, c)  # n x k times k x n
+    assert mat_mul(c, b) == reference_mat_mul(c, b)
+    det = mat_det(a)
+    assert det == reference_det(a)
+    assert char_poly(a) == reference_char_poly(a)
+    assert char_poly(a)[0] == det * (-1) ** n
+    if det.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            mat_inv(a)
+    else:
+        inv = mat_inv(a)
+        assert inv == reference_inv(a)
+        assert mat_mul(a, inv) == mat_identity(fld, n)
+
+
+@st.composite
+def monomial_matrices(draw):
+    """(fld, a, order): a = P * diag of roots of unity, with its order from the cycles."""
+    fld = field(draw(st.sampled_from(KERNEL_CONDUCTORS)))
+    n = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(n)))
+    scalars = [fld.zeta(draw(st.integers(0, fld.conductor - 1))) * draw(st.sampled_from([1, -1]))
+               for _ in range(n)]
+    a = tuple(tuple(scalars[i] if j == perm[i] else fld.zero() for j in range(n))
+              for i in range(n))
+    order, seen = 1, set()
+    for start in range(n):
+        if start in seen:
+            continue
+        length, product, i = 0, fld.one(), start
+        while i not in seen:
+            seen.add(i)
+            product, i, length = product * scalars[i], perm[i], length + 1
+        order = math.lcm(order, length * root_of_unity_order(product))
+    return fld, a, order
+
+
+@settings(max_examples=30, deadline=None)
+@given(monomial_matrices(), st.integers(0, 3))
+def test_linear_order_matches_the_reference(case, row):
+    fld, a, order = case
+    n = len(a)
+    assert linear_order(a).order == reference_linear_order(a).order == order
+    # scaling a row by 2 gives determinant of absolute value 2: infinite order
+    row %= n
+    doubled = tuple(tuple(x * 2 for x in r) if i == row else r for i, r in enumerate(a))
+    assert linear_order(doubled).is_infinite and reference_linear_order(doubled).is_infinite
+    assert linear_order(doubled).certificate == reference_linear_order(doubled).certificate
+    if n > 1:  # a shear may give finite or infinite order; both sides must agree
+        shear = tuple(tuple(fld.one() if i == j or (i, j) == (0, 1) else fld.zero()
+                            for j in range(n)) for i in range(n))
+        sheared = mat_mul(a, shear)
+        assert linear_order(sheared) == reference_linear_order(sheared)
+
+
+def test_orders_and_invariants_run_no_field_multiplication(monkeypatch):
+    """After parsing, the order test and the characteristic polynomial of the
+    prop-5-1-4 generators run on integers: no `CycloNum` product is taken."""
+    mats = [g.linear_matrix() for _, g in corpus.load("prop-5-1-4").generators]
+    calls = []
+    mul = CycloNum.__mul__
+
+    def counted(self, other):
+        calls.append(self)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloNum, "__mul__", counted)
+    monkeypatch.setattr(CycloNum, "__rmul__", counted)
+    results = [(linear_order(a), char_poly(a)) for a in mats]
+    assert [r.order for r, _ in results] == [2, 2, 2, 2]
+    assert calls == []

@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germforge import cli, moebius as moebius_module
-from germforge.cyclo import field
+from germforge.cyclo import cyclotomic_polynomial, field
 from germforge.groupkit import ClosureResult, GroupPresentation, check_basic_set, closure_enumerate
 from germforge.moebius import (
     MoebiusMap,
@@ -199,3 +201,68 @@ def test_equal_maps_hash_equal_however_built():
     sts, tst = S.compose(T).compose(S), T.compose(S).compose(T)
     assert sts == tst and hash(sts) == hash(tst)
     assert len({MoebiusMap.identity(F1), S, T, S.compose(T), T.compose(S), sts, tst}) == 6
+
+
+# --- the residue screen before the numeric square-root search ----------------
+
+
+def conjugated_r3(n):
+    """R3 conjugated by z -> z*zeta + 1 over Q(zeta_n): its discriminant is -3*zeta^2."""
+    fld = field(n)
+    z = fld.zeta()
+    one = fld.one()
+    return MoebiusMap(((one, -one - z - z * z), (one, -one - z)))
+
+
+def test_non_square_discriminant_is_unresolved_without_the_numeric_search(monkeypatch):
+    # 3 does not divide 13, so sqrt(-3) is not in Q(zeta_13); the sign search
+    # over 2^11 embeddings would take about a minute
+    def numeric_sqrt(a, digits):
+        raise AssertionError("the numeric search ran")
+
+    monkeypatch.setattr(moebius_module, "_numeric_sqrt", numeric_sqrt)
+    m = conjugated_r3(13)
+    assert m.order().order == 3
+    (a, b), (c, d) = m.matrix
+    assert (a - d) * (a - d) + b * c * 4 == field(13).zeta(2) * -3
+    verdict = holonomy_check([m, m, m])
+    assert verdict.finite_cyclic == "unresolved"
+    assert "no square root of -3*z^2" in verdict.detail
+
+
+def test_square_discriminant_still_resolves():
+    # sqrt(-3) = 1 + 2*zeta_3 lies in Q(zeta_12)
+    m = conjugated_r3(12)
+    verdict = holonomy_check([m, m, m])
+    assert (verdict.finite_cyclic, verdict.order, verdict.model) == (True, 3, "rotation")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 13, 1000])
+def test_roots_of_the_cyclotomic_polynomial_mod_p(n):
+    phi = cyclotomic_polynomial(n)
+    for p in itertools.islice(moebius_module._primes_one_mod(n), 3):
+        roots = moebius_module._roots_of_cyclotomic_mod(n, p)
+        assert len(set(roots)) == len(phi) - 1
+        assert all(sum(c * pow(r, i, p) for i, c in enumerate(phi)) % p == 0 for r in roots)
+
+
+@st.composite
+def field_elements(draw):
+    fld = field(draw(st.sampled_from([1, 3, 4, 5, 8, 12])))
+    num = draw(st.lists(st.integers(-5, 5), min_size=fld.degree, max_size=fld.degree))
+    return fld.element([Fraction(c, draw(st.integers(1, 4))) for c in num])
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_elements())
+def test_square_root_of_a_square_is_plus_or_minus_the_root(b):
+    root = cyclo_sqrt(b * b)
+    assert root == b or root == -b
+    assert not moebius_module._proven_non_square(b * b)
+
+
+def test_rotation_5_holonomy_is_unchanged():
+    report = cli.run_corpus_entry("moebius-rotation-5", 6, 10_000, None)
+    assert report["matched"]
+    assert report["checks"]["holonomy"]["actual"]["detail"] == (
+        "local multipliers generate a cyclic group of order 5; moebius closure has 5 elements")
