@@ -1,9 +1,17 @@
 """Sparse truncated polynomial jets of invertible self-maps of (C^n, 0).
 
-A jet stores only nonzero coefficients for 1 <= |Q| <= K, keyed by
-(coordinate, multi-index); the linear part must be invertible.  Composition
-truncates eagerly at K, and powers of the substituted components are
-memoized per call since they dominate the cost.
+A jet is held in one canonical integer form: a positive denominator D and a
+sparse dict from (coordinate, multi-index), 1 <= |Q| <= K, to the phi(N)
+integer numerators over Z[zeta_N] of that coefficient times D.  Zero
+coefficients are absent and gcd(D, *all numerators) = 1, so equality and
+hashing compare integers.  `GermJet.coeffs`, the coefficients as
+`CycloNum`s, is a read-only view built on first read.
+
+Composition runs on that form: the products G^Q of the substituted
+components are memoized per jet, each coefficient of the result is a sum of
+unreduced integer convolutions folded through Phi_N once, and the result
+takes one gcd.  Inversion starts from the integer inverse of the linear part
+and corrects one degree at a time on integers.
 
 `GermJet(...)` validates its input: every key, every coefficient's field and,
 with a determinant, the invertibility of the linear part.  Documents and
@@ -17,14 +25,17 @@ Linear parts are matrices of `CycloNum`s at the interface, but the exact
 linear algebra (`mat_mul`, `mat_det`, `mat_inv`, `char_poly` and the
 `linear_order` power test) runs on one integer form of a matrix: integer
 numerators over Z[zeta_N] and one common denominator, with fraction-free
-elimination.  `CycloNum`s are built only for the results.
+elimination.  A jet hands its linear part to it in that form, and
+`CycloNum`s are built only for the results.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import chain
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cyclo import (
     CycloField,
@@ -114,12 +125,21 @@ def _matrix(fld: CycloField, cols: int, den: int, nums: Sequence[int]) -> Matrix
     return tuple(tuple(entries[r:r + cols]) for r in range(0, len(entries), cols))
 
 
-def _int_rows(fld: CycloField, a: Matrix) -> tuple[int, list[list[tuple[int, ...]]]]:
-    """(D, rows): the integer form of a as mutable rows of entry vectors."""
-    n = len(a)
-    den, nums = _int_form(a)
+def _int_rows(fld: CycloField, n: int, a: IntMatrix) -> tuple[int, list[list[tuple[int, ...]]]]:
+    """(D, rows): the n x n integer form a as mutable rows of entry vectors."""
+    den, nums = a
     entries = _entries(fld, nums)
     return den, [entries[i:i + n] for i in range(0, len(entries), n)]
+
+
+def _reduced(den: int, nums: Sequence[int]) -> IntMatrix:
+    """(den, nums), den != 0, with the common factor divided out and den > 0."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, tuple(nums)
+    return den // g, tuple(x // g for x in nums)
 
 
 def _mul_nums(fld: CycloField, k: int, m: int, x: Sequence[int], y: Sequence[int]) -> list[int]:
@@ -147,11 +167,7 @@ def _mul_nums(fld: CycloField, k: int, m: int, x: Sequence[int], y: Sequence[int
 
 def _int_mul(fld: CycloField, k: int, m: int, a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """a (rows x k) times b (k x m) in canonical form, with one gcd."""
-    den, nums = a[0] * b[0], _mul_nums(fld, k, m, a[1], b[1])
-    g = math.gcd(den, *nums)
-    if g == 1:
-        return den, tuple(nums)
-    return den // g, tuple(x // g for x in nums)
+    return _reduced(a[0] * b[0], _mul_nums(fld, k, m, a[1], b[1]))
 
 
 def _exact_divider(fld: CycloField, v: tuple[int, ...]) -> Callable:
@@ -202,7 +218,7 @@ def mat_det(a: Matrix) -> CycloNum:
     """Determinant by Bareiss elimination of the numerators: det(a) = det(X) / D^n."""
     n = len(a)
     fld = a[0][0].field
-    den, rows = _int_rows(fld, a)
+    den, rows = _int_rows(fld, n, _int_form(a))
     sign = 1
     for k in range(n - 1):
         pivot = next((r for r in range(k, n) if any(rows[r][k])), None)
@@ -218,14 +234,18 @@ def mat_det(a: Matrix) -> CycloNum:
 
 
 def mat_inv(a: Matrix) -> Matrix:
-    """Inverse by fraction-free Gauss-Jordan on [X | I], X = D * a.
+    """Inverse, computed on the integer form (`_int_inv`)."""
+    fld = a[0][0].field
+    return _matrix(fld, len(a), *_int_inv(fld, len(a), _int_form(a)))
+
+
+def _int_inv(fld: CycloField, n: int, a: IntMatrix) -> IntMatrix:
+    """Inverse by fraction-free Gauss-Jordan on [X | I], X the numerators of a.
 
     The elimination ends with p * I on the left, p the last pivot, and
     p * X^-1 on the right; so a^-1 = D * right / p, one division.
     """
-    n = len(a)
-    fld = a[0][0].field
-    den, rows = _int_rows(fld, a)
+    den, rows = _int_rows(fld, n, a)
     unit = _entries(fld, _int_identity(fld.degree, n))
     for i, row in enumerate(rows):
         row += unit[i * n:(i + 1) * n]
@@ -246,7 +266,7 @@ def mat_inv(a: Matrix) -> Matrix:
     else:
         out_den = p[0]
         nums = [x * den for row in rows for e in row[n:] for x in e]
-    return _matrix(fld, n, out_den, nums)
+    return _reduced(out_den, nums)
 
 
 def mat_is_diagonal(a: Matrix) -> bool:
@@ -254,16 +274,18 @@ def mat_is_diagonal(a: Matrix) -> bool:
 
 
 def char_poly(a: Matrix) -> tuple[CycloNum, ...]:
-    """Characteristic polynomial coefficients, ascending, monic.
+    """Characteristic polynomial coefficients, ascending, monic."""
+    return _char_poly(a[0][0].field, len(a), _int_form(a))
 
-    Faddeev-LeVerrier on the numerators X = D * a, an integer matrix over
-    Z[zeta_N]: its coefficients are algebraic integers, so each division of
-    a trace by k is exact, and a's coefficient of x^(n-k) is X's over D^k.
+
+def _char_poly(fld: CycloField, n: int, a: IntMatrix) -> tuple[CycloNum, ...]:
+    """`char_poly` by Faddeev-LeVerrier on the numerators X = D * a, an
+    integer matrix over Z[zeta_N]: its coefficients are algebraic integers,
+    so each division of a trace by k is exact, and a's coefficient of
+    x^(n-k) is X's over D^k.
     """
-    n = len(a)
-    fld = a[0][0].field
     d = fld.degree
-    den, x = _int_form(a)
+    den, x = a
     coeffs = [fld.zero()] * n + [fld.one()]
     m = _int_identity(d, n)
     diagonal = [(i * n + i) * d for i in range(n)]
@@ -283,22 +305,26 @@ def char_poly(a: Matrix) -> tuple[CycloNum, ...]:
 class GermJet:
     """K-jet of a holomorphic self-map of (C^n, 0) with invertible linear part.
 
-    coeffs maps (coordinate, multi-index) to a nonzero field element; keys with
-    |Q| = 0 or |Q| > K are rejected.  The constructor checks every key and
-    coefficient and rejects a singular linear part; `_trusted` builds the
-    results of group operations, invertible by construction, without checks.
+    A jet is held as one positive integer denominator `den` and the sparse
+    dict `nums` mapping (coordinate, multi-index) to the phi(N) integer
+    numerators of that coefficient times `den`, in the power basis of
+    Z[zeta_N].  Keys with |Q| = 0 or |Q| > K do not occur, zero coefficients
+    are absent, and gcd(den, *all numerators) = 1, so the form is canonical:
+    equality compares it and the cached hash is taken from it.
 
-    Equality and hashing use an integer key, built once per jet: the shape
-    and the set of (coordinate, multi-index, numerators, denominator) of the
-    canonical `CycloNum` coefficients.  The hash is cached, so the word balls
-    and pair dictionaries of the group searches hash each jet once.
-    `canonical_key()` is a separate sort key that orders coefficients as
-    rationals; only sorting uses it.
+    `coeffs` is the read-only mapping of the coefficients as `CycloNum`s,
+    built on first read and cached; `coeff`, `degree_slice`,
+    `linear_matrix()` and `canonical_key()` read the jet through it or
+    through the linear part's integer form.  The constructor checks every
+    key and coefficient and rejects a singular linear part; `_trusted`
+    builds the results of group operations, invertible by construction,
+    without checks.
     """
 
-    __slots__ = ("n", "K", "field", "coeffs", "_key", "_hash", "_order")
+    __slots__ = ("n", "K", "field", "den", "nums", "_coeffs", "_lin", "_monomials", "_hash",
+                 "_order")
 
-    def __init__(self, n: int, K: int, fld: CycloField, coeffs: dict):
+    def __init__(self, n: int, K: int, fld: CycloField, coeffs: Mapping):
         if n < 1 or K < 1:
             raise ValueError("dimension and truncation order must be >= 1")
         clean: dict[tuple[int, MultiIndex], CycloNum] = {}
@@ -315,11 +341,18 @@ class GermJet:
                 raise FieldMismatchError("coefficient from a different field")
             if not c.is_zero():
                 clean[(s, q)] = c
+        # Over the lcm of the canonical coefficients' denominators the form
+        # is canonical without a gcd, as in `_int_form`.
+        den = math.lcm(*[c.den for c in clean.values()])
         self.n = n
         self.K = K
         self.field = fld
-        self.coeffs = clean
-        self._key = None
+        self.den = den
+        self.nums = {key: c.num if c.den == den else tuple(x * (den // c.den) for x in c.num)
+                     for key, c in clean.items()}
+        self._coeffs = MappingProxyType(clean)
+        self._lin = None
+        self._monomials = None
         self._hash = None
         self._order = None
         if mat_det(self.linear_matrix()).is_zero():
@@ -328,23 +361,26 @@ class GermJet:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, n: int, K: int, fld: CycloField, coeffs: dict) -> "GermJet":
-        """A jet from well-formed keys and `fld` coefficients with an invertible
-        linear part, as group operations produce them; only zeros are dropped."""
+    def _trusted(cls, n: int, K: int, fld: CycloField, den: int, nums: dict) -> "GermJet":
+        """The jet of the canonical form (den, nums), with well-formed keys and
+        an invertible linear part, as group operations produce it; unchecked."""
         jet = object.__new__(cls)
         jet.n = n
         jet.K = K
         jet.field = fld
-        jet.coeffs = {key: c for key, c in coeffs.items() if not c.is_zero()}
-        jet._key = None
+        jet.den = den
+        jet.nums = nums
+        jet._coeffs = None
+        jet._lin = None
+        jet._monomials = None
         jet._hash = None
         jet._order = None
         return jet
 
     @classmethod
     def identity(cls, fld: CycloField, n: int, K: int) -> "GermJet":
-        one = fld.one()
-        return cls._trusted(n, K, fld, {(s, unit_index(n, s)): one for s in range(n)})
+        one = fld.one().num
+        return cls._trusted(n, K, fld, 1, {(s, unit_index(n, s)): one for s in range(n)})
 
     @classmethod
     def from_linear(cls, matrix: Matrix, K: int) -> "GermJet":
@@ -352,24 +388,65 @@ class GermJet:
 
     # -- accessors ---------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> Mapping[tuple[int, MultiIndex], CycloNum]:
+        """The nonzero coefficients as `CycloNum`s, read-only, built on first use."""
+        if self._coeffs is None:
+            fld, den = self.field, self.den
+            self._coeffs = MappingProxyType(
+                {key: fld.from_integers(v, den) for key, v in self.nums.items()})
+        return self._coeffs
+
     def coeff(self, s: int, q: MultiIndex) -> CycloNum:
         return self.coeffs.get((s, tuple(q)), self.field.zero())
 
+    def _linear(self) -> IntMatrix:
+        """The canonical integer form of the linear part, computed once."""
+        if self._lin is None:
+            n, d = self.n, self.field.degree
+            flat = [0] * (n * n * d)
+            for (s, q), v in self.nums.items():
+                if sum(q) == 1:
+                    start = (s * n + q.index(1)) * d
+                    flat[start:start + d] = v
+            self._lin = _reduced(self.den, flat)
+        return self._lin
+
+    def _monomial(self, q: MultiIndex) -> dict:
+        """The numerators of G^q, G = den * self, up to degree K, as
+        {multi-index: vector}; memoized per jet, from the components G_i."""
+        memo = self._monomials
+        if memo is None:
+            n = self.n
+            memo = self._monomials = {unit_index(n, s): {} for s in range(n)}
+            units = list(memo.values())
+            for (s, p), v in self.nums.items():
+                units[s][p] = v
+        hit = memo.get(q)
+        if hit is None:
+            i = max(j for j, e in enumerate(q) if e)
+            rest = q[:i] + (q[i] - 1,) + q[i + 1:]
+            hit = memo[q] = _poly_mul(self.field, self._monomial(rest),
+                                      memo[unit_index(self.n, i)], self.K)
+        return hit
+
     def linear_matrix(self) -> Matrix:
-        zero = self.field.zero()
+        n, zero, coeffs = self.n, self.field.zero(), self.coeffs
         return tuple(
-            tuple(self.coeffs.get((s, unit_index(self.n, i)), zero) for i in range(self.n))
-            for s in range(self.n)
+            tuple(coeffs.get((s, unit_index(n, i)), zero) for i in range(n)) for s in range(n)
         )
 
     def degree_slice(self, k: int) -> dict:
         return {key: c for key, c in self.coeffs.items() if sum(key[1]) == k}
 
     def is_identity(self) -> bool:
-        return self == GermJet.identity(self.field, self.n, self.K)
+        if self.den != 1 or len(self.nums) != self.n:
+            return False
+        one, n = self.field.one().num, self.n
+        return all(self.nums.get((s, unit_index(n, s))) == one for s in range(n))
 
     def is_linear(self) -> bool:
-        return all(sum(q) == 1 for (_, q) in self.coeffs)
+        return all(sum(q) == 1 for (_, q) in self.nums)
 
     def truncate(self, new_k: int) -> "GermJet":
         if new_k > self.K:
@@ -400,7 +477,7 @@ class GermJet:
 
     def conjugacy_invariant(self) -> tuple[CycloNum, ...]:
         """Characteristic polynomial of the linear part."""
-        return char_poly(self.linear_matrix())
+        return _char_poly(self.field, self.n, self._linear())
 
     def infinite_order_screen(self) -> Optional[str]:
         """Why this jet has infinite order, from two cheap sound tests, or None.
@@ -410,12 +487,14 @@ class GermJet:
         infinite order unless it is the identity (see `germ_order`).  None
         decides nothing.
         """
-        lin = self.linear_matrix()
-        trace = sum((lin[i][i] for i in range(1, self.n)), lin[0][0])
-        if not trace.is_integral():
-            return (f"trace {trace} of the linear part is not an algebraic integer, "
-                    "but the trace of a finite-order matrix is a sum of roots of unity")
-        if lin == mat_identity(self.field, self.n) and not self.is_linear():
+        fld, n, d = self.field, self.n, self.field.degree
+        den, lin = self._linear()
+        trace = [sum(lin[(i * n + i) * d + t] for i in range(n)) for t in range(d)]
+        if any(x % den for x in trace):
+            return (f"trace {fld.from_integers(trace, den)} of the linear part is not an "
+                    "algebraic integer, but the trace of a finite-order matrix is a sum of "
+                    "roots of unity")
+        if not self.is_linear() and (den, lin) == (1, _int_identity(d, n)):
             return "tangent to the identity with a nonzero nonlinear slice"
         return None
 
@@ -427,21 +506,16 @@ class GermJet:
         items = tuple((s, q, c.sort_key()) for (s, q), c in self.canonical_items())
         return (self.n, self.K, self.field.conductor, items)
 
-    def _integer_key(self):
-        if self._key is None:
-            self._key = (self.n, self.K, self.field.conductor, frozenset(
-                (key, c.num, c.den) for key, c in self.coeffs.items()
-            ))
-        return self._key
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GermJet):
             return NotImplemented
-        return self._integer_key() == other._integer_key()
+        return (self.den == other.den and self.nums == other.nums and self.K == other.K
+                and self.n == other.n and self.field.conductor == other.field.conductor)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._integer_key())
+            self._hash = hash((self.n, self.K, self.field.conductor, self.den,
+                               frozenset(self.nums.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -470,81 +544,117 @@ def _check_shapes(f: GermJet, g: GermJet) -> None:
         )
 
 
-def _poly_mul(p: dict, q: dict, cap: int) -> dict:
-    out: dict[MultiIndex, CycloNum] = {}
-    for q1, c1 in p.items():
-        d1 = sum(q1)
-        for q2, c2 in q.items():
-            if d1 + sum(q2) > cap:
-                continue
-            key = tuple(x + y for x, y in zip(q1, q2))
-            prod = c1 * c2
-            cur = out.get(key)
-            out[key] = prod if cur is None else cur + prod
-    return {k: v for k, v in out.items() if not v.is_zero()}
+def _accumulate(fld: CycloField, terms: Iterable) -> dict:
+    """{key: the sum of a * b over the (key, a, b) in terms}, for integer
+    vectors a, b over Z[zeta_N], unreduced: an int for phi(N) = 1, else the
+    convolution list, to be folded through Phi_N once per key."""
+    acc: dict = {}
+    if fld.degree == 1:
+        for key, a, b in terms:
+            acc[key] = acc.get(key, 0) + a[0] * b[0]
+        return acc
+    width = 2 * fld.degree - 1
+    for key, a, b in terms:
+        conv = acc.get(key)
+        if conv is None:
+            conv = acc[key] = [0] * width
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        conv[j] += x * y
+    return acc
+
+
+def _fold_sums(fld: CycloField, acc: dict) -> dict:
+    """The nonzero sums of `_accumulate` as reduced numerator vectors."""
+    if fld.degree == 1:
+        return {key: (x,) for key, x in acc.items() if x}
+    out = {}
+    for key, conv in acc.items():
+        v = fld._reduce(conv)
+        if any(v):
+            out[key] = v
+    return out
+
+
+def _canonical_sums(fld: CycloField, den: int, terms: Iterable) -> tuple[int, dict]:
+    """The canonical (den, nums) of the sums of products in terms (see
+    `_accumulate`) over den > 0, with one gcd."""
+    acc = _accumulate(fld, terms)
+    if fld.degree == 1:
+        g = math.gcd(den, *acc.values()) if den != 1 else 1
+        if g == 1:
+            return den, {key: (x,) for key, x in acc.items() if x}
+        return den // g, {key: (x // g,) for key, x in acc.items() if x}
+    nums = _fold_sums(fld, acc)
+    g = math.gcd(den, *chain.from_iterable(nums.values())) if den != 1 else 1
+    if g == 1:
+        return den, nums
+    divide = g.__rfloordiv__  # x -> x // g
+    return den // g, {key: tuple(map(divide, v)) for key, v in nums.items()}
+
+
+def _poly_mul(fld: CycloField, p: dict, q: dict, cap: int) -> dict:
+    """p * q without the terms above degree cap; polynomials as
+    {multi-index: integer numerator vector}."""
+    return _fold_sums(fld, _accumulate(fld, (
+        (tuple(map(operator.add, q1, q2)), c1, c2)
+        for q1, c1 in p.items() for q2, c2 in q.items() if sum(q1) + sum(q2) <= cap
+    )))
 
 
 def compose(f: GermJet, g: GermJet) -> "GermJet":
-    """K-jet of f o g; terms above K are discarded eagerly."""
+    """K-jet of f o g on the integer forms; terms above K are discarded eagerly.
+
+    With f = F / D_f and g = G / D_g, the term of f at Q contributes
+    F_Q * G^Q * D_g^(K-|Q|) over the shared denominator D_f * D_g^K; the
+    products G^Q are memoized on g (`GermJet._monomial`).  For K = 1 this is
+    a sparse matrix product: f's entry at (s, e_i) meets the nonzero entries
+    of g's row i.
+    """
     _check_shapes(f, g)
-    n, cap = f.n, f.K
-    components = [dict() for _ in range(n)]
-    for (s, q), c in g.coeffs.items():
-        components[s][q] = c
-    pow_cache: dict[tuple[int, int], dict] = {}
-    mono_cache: dict[MultiIndex, dict] = {}
-
-    def component_power(i: int, e: int) -> dict:
-        hit = pow_cache.get((i, e))
-        if hit is not None:
-            return hit
-        out = components[i] if e == 1 else _poly_mul(component_power(i, e - 1), components[i], cap)
-        pow_cache[(i, e)] = out
-        return out
-
-    def monomial(q: MultiIndex) -> dict:
-        hit = mono_cache.get(q)
-        if hit is not None:
-            return hit
-        out = None
-        for i, e in enumerate(q):
-            if e:
-                p = component_power(i, e)
-                out = p if out is None else _poly_mul(out, p, cap)
-        mono_cache[q] = out
-        return out
-
-    acc: dict[tuple[int, MultiIndex], CycloNum] = {}
-    for (s, q), c in f.coeffs.items():
-        for r, v in monomial(q).items():
-            key = (s, r)
-            prod = c * v
-            cur = acc.get(key)
-            acc[key] = prod if cur is None else cur + prod
-    return GermJet._trusted(n, cap, f.field, acc)
+    fld, K, dg = f.field, f.K, g.den
+    items = f.nums.items()
+    if dg != 1 and K > 1:
+        items = [((s, q), c if sum(q) == K else [x * dg ** (K - sum(q)) for x in c])
+                 for (s, q), c in items]
+    monomial = g._monomial
+    terms = (((s, r), c, v) for (s, q), c in items for r, v in monomial(q).items())
+    return GermJet._trusted(f.n, K, fld, *_canonical_sums(fld, f.den * dg ** K, terms))
 
 
 def invert(f: GermJet) -> "GermJet":
-    """Jet inverse, solved degree by degree from the linear part."""
-    lin_inv = mat_inv(f.linear_matrix())
-    g = GermJet._trusted(f.n, f.K, f.field, _linear_coeffs(lin_inv))
-    for k in range(2, f.K + 1):
-        residual = compose(f, g).degree_slice(k)
+    """Jet inverse, solved degree by degree from the linear part.
+
+    It starts from the inverse L / D_L of the linear part (`_int_inv`).  At
+    degree k, with R / D_h the degree-k slice of f o g, it sets
+    g <- g - L * R / (D_L * D_h), over the lcm m of the two denominators.
+    """
+    fld, n, K = f.field, f.n, f.K
+    den, flat = _int_inv(fld, n, f._linear())
+    entries = _entries(fld, flat)
+    units = [unit_index(n, i) for i in range(n)]
+    g = GermJet._trusted(n, K, fld, den, {
+        (s, units[t]): entries[s * n + t]
+        for s in range(n) for t in range(n) if any(entries[s * n + t])
+    })
+    # the nonzero entries of column t of L, as (row, entry)
+    columns = [[(s, entries[s * n + t]) for s in range(n) if any(entries[s * n + t])]
+               for t in range(n)]
+    for k in range(2, K + 1):
+        h = compose(f, g)
+        residual = [(key, v) for key, v in h.nums.items() if sum(key[1]) == k]
         if not residual:
             continue
-        correction = dict(g.coeffs)
-        for q in {key[1] for key in residual}:
-            col = [residual.get((t, q), f.field.zero()) for t in range(f.n)]
-            for s in range(f.n):
-                val = sum(
-                    (lin_inv[s][t] * col[t] for t in range(1, f.n)),
-                    lin_inv[s][0] * col[0],
-                )
-                if not val.is_zero():
-                    key = (s, q)
-                    cur = correction.get(key, f.field.zero())
-                    correction[key] = cur - val
-        g = GermJet._trusted(f.n, f.K, f.field, correction)
+        m = math.lcm(g.den, den * h.den)
+        scale = (m // g.den,) + (0,) * (fld.degree - 1)
+        minus = -(m // (den * h.den))
+        terms = chain(
+            ((key, v, scale) for key, v in g.nums.items()),
+            (((s, q), e, [minus * y for y in v]) for (t, q), v in residual for s, e in columns[t]),
+        )
+        g = GermJet._trusted(n, K, fld, *_canonical_sums(fld, m, terms))
     return g
 
 
@@ -566,17 +676,20 @@ def power(f: GermJet, m: int) -> "GermJet":
 
 
 def linear_order(a: Matrix) -> OrderResult:
-    """Exact order of an invertible n x n matrix over Q(zeta_N).
+    """Exact order of an invertible n x n matrix over Q(zeta_N)."""
+    return _linear_order(a[0][0].field, len(a), _int_form(a))
+
+
+def _linear_order(fld: CycloField, n: int, a: IntMatrix) -> OrderResult:
+    """`linear_order` of the integer form a.
 
     Every finite order divides `torsion_exponent(N, n)`, so one power test
     decides finiteness and a scan of the powers finds the order.  Both run
     on the canonical integer form, so each comparison with the identity
     compares integers.
     """
-    fld = a[0][0].field
-    n = len(a)
     return element_order(
-        _int_form(a), torsion_exponent(fld.conductor, n),
+        a, torsion_exponent(fld.conductor, n),
         lambda x, y: _int_mul(fld, n, n, x, y), (1, _int_identity(fld.degree, n)),
     )
 
@@ -589,7 +702,7 @@ def germ_order(f: GermJet) -> OrderResult:
     identity: any nonzero slice of it is multiplied by m under further
     powers, so it can never return to Id.
     """
-    lo = linear_order(f.linear_matrix())
+    lo = _linear_order(f.field, f.n, f._linear())
     if lo.is_infinite:
         return OrderResult("infinite", certificate=f"linear part has infinite order: {lo.certificate}")
     if not power(f, lo.order).is_identity():

@@ -3,9 +3,10 @@
 Maps are 2x2 matrices up to scale, stored with the first nonzero entry in
 row-major order scaled to 1 so projective equality is plain comparison.
 Orders are decided exactly by the shared torsion-exponent power test;
-fixed points are eigenvector computations whose square roots are found by
-verified reconstruction, or proven absent by a residue screen, or reported
-as requiring a field extension.
+fixed points are eigenvector computations.  A triangular map needs no square
+root; a rational radicand's root is built exactly from Gauss sums; other
+roots are found by verified reconstruction, or proven absent by a residue
+screen, or reported as requiring a field extension.
 """
 
 from __future__ import annotations
@@ -246,15 +247,10 @@ def _fraction_from_mpf(x, max_den: int = 10**24) -> Optional[Fraction]:
     return None
 
 
-def _rational_root_in_field(m: int, n: int) -> bool:
-    """Whether Q(zeta_n) holds a square root of the nonzero integer m.
-
-    With d the squarefree part of m, Q(sqrt(d)) has conductor |d| when
-    d = 1 (mod 4) and 4|d| otherwise, and it lies in Q(zeta_n) iff n is a
-    multiple of that conductor.  Only the primes of 2n are divided out of m,
-    so nothing is factored: a remaining cofactor that is not a square holds a
-    prime of odd multiplicity that divides the conductor but not n.
-    """
+def _square_split(m: int, n: int) -> tuple[int, int]:
+    """(d, m / d) for a nonzero integer m: d is the sign of m times the
+    primes of 2n of odd multiplicity in m, so m / d > 0 has even multiplicity
+    at every prime of 2n.  Nothing is factored."""
     d, rest = (1 if m > 0 else -1), abs(m)
     for p in prime_factors(2 * n):
         e = 0
@@ -263,9 +259,52 @@ def _rational_root_in_field(m: int, n: int) -> bool:
             e += 1
         if e % 2:
             d *= p
+    return d, m // d
+
+
+def _rational_root_in_field(m: int, n: int) -> bool:
+    """Whether Q(zeta_n) holds a square root of the nonzero integer m.
+
+    With d the squarefree part of m, Q(sqrt(d)) has conductor |d| when
+    d = 1 (mod 4) and 4|d| otherwise, and it lies in Q(zeta_n) iff n is a
+    multiple of that conductor.  Only the primes of 2n are divided out of m
+    (`_square_split`): a remaining cofactor that is not a square holds a
+    prime of odd multiplicity that divides the conductor but not n.
+    """
+    d, rest = _square_split(m, n)
     if math.isqrt(rest) ** 2 != rest:
         return False
     return n % (abs(d) if d % 4 == 1 else 4 * abs(d)) == 0
+
+
+def _integer_sqrt(fld: CycloField, m: int) -> CycloNum:
+    """A square root of the nonzero integer m in Q(zeta_N), for m with
+    `_rational_root_in_field(m, N)`, built exactly.
+
+    With m = d * r^2 and d squarefree, write d = e * 2^a * prod(p*) over
+    the odd primes p of d, p* = (-1)^((p-1)/2) p and e = +-1.  Then
+    sqrt(p*) is the quadratic Gauss sum sum_k (k/p) zeta_p^k, sqrt(-1) is
+    zeta_4, and sqrt(2e) is zeta_8 - e * zeta_8^3.  Every factor lies in
+    Q(zeta_c), c the conductor of Q(sqrt(d)), which divides N; zeta_m is
+    zeta_N^(N/m).
+    """
+    n = fld.conductor
+    d, rest = _square_split(m, n)
+    root = fld.rational(math.isqrt(rest))
+    e = 1 if d > 0 else -1
+    for p in prime_factors(abs(d)):
+        if p == 2:
+            continue
+        step = n // p
+        gauss = fld.zero()
+        for k in range(1, p):
+            gauss = gauss + fld.zeta(k * step) * (1 if pow(k, (p - 1) // 2, p) == 1 else -1)
+        root = root * gauss
+        if p % 4 == 3:
+            e = -e
+    if d % 2 == 0:
+        return root * (fld.zeta(n // 8) - fld.zeta(3 * n // 8) * e)
+    return root if e == 1 else root * fld.zeta(n // 4)
 
 
 SQUARE_SCREEN_PRIMES = 6  # degree-one primes tried by `_proven_non_square`
@@ -314,27 +353,25 @@ def _proven_non_square(a: CycloNum) -> bool:
 def cyclo_sqrt(a: CycloNum, digits: int = 60) -> Optional[CycloNum]:
     """A square root of `a` in its own field, or None when none is found.
 
-    Rational perfect squares are handled exactly, and a rational radicand
-    whose root lies outside the field is None at once.  Otherwise a radicand
-    that is a non-residue at some small degree-one prime is None
+    A rational radicand q = num/den has a root in the field iff num * den
+    does (`_rational_root_in_field`), and then sqrt(num * den) / den is
+    built exactly (`_integer_sqrt`).  Otherwise a radicand that is a
+    non-residue at some small degree-one prime is None
     (`_proven_non_square`); what remains is reconstructed from the numeric
-    embeddings and verified by exact squaring, so a returned value is always
-    correct.
+    embeddings.  Every root is verified by exact squaring, so a returned
+    value is always correct.
     """
     fld = a.field
     if a.is_zero():
         return fld.zero()
     q = a.as_rational()
     if q is not None:
-        num, den = q.numerator, q.denominator
-        rn, rd = math.isqrt(abs(num)), math.isqrt(den)
-        if rn * rn == abs(num) and rd * rd == den:
-            if q > 0:
-                return fld.from_rational(Fraction(rn, rd))
-            if fld.conductor % 4 == 0:
-                return fld.zeta(fld.conductor // 4) * Fraction(rn, rd)
-        if not _rational_root_in_field(num * den, fld.conductor):
+        m = q.numerator * q.denominator
+        if not _rational_root_in_field(m, fld.conductor):
             return None
+        root = _integer_sqrt(fld, m) * Fraction(1, q.denominator)
+        if root * root == a:
+            return root
     if _proven_non_square(a):
         return None
     return _numeric_sqrt(a, digits)
@@ -416,7 +453,8 @@ def fixed_points(m: MoebiusMap) -> list[ProjectivePoint]:
 
     if disc.is_zero():
         return [eigenvector(t * half)]
-    s = cyclo_sqrt(disc)
+    # a triangular matrix has the eigenvalues a and d: disc = (a - d)^2
+    s = a - d if b.is_zero() or c.is_zero() else cyclo_sqrt(disc)
     if s is None:
         raise ExtensionRequiredError(
             f"no square root of {disc} found in Q(zeta_{m.field.conductor})"

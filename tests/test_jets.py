@@ -1,15 +1,24 @@
+import cProfile
 import itertools
 import math
+import pstats
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from germforge import corpus, jets
-from germforge.cyclo import CycloNum, element_order, field, root_of_unity_order, torsion_exponent
+from germforge import corpus, cyclo, jets
+from germforge.cyclo import (
+    CycloNum,
+    binary_power,
+    element_order,
+    field,
+    root_of_unity_order,
+    torsion_exponent,
+)
 from germforge.documents import DocumentError, parse_document
-from germforge.groupkit import closure_enumerate
+from germforge.groupkit import check_basic_set, closure_enumerate
 from germforge.jets import (
     GermJet,
     ShapeMismatchError,
@@ -734,3 +743,203 @@ def test_orders_and_invariants_run_no_field_multiplication(monkeypatch):
     results = [(linear_order(a), char_poly(a)) for a in mats]
     assert [r.order for r, _ in results] == [2, 2, 2, 2]
     assert calls == []
+
+
+# --- group operations against CycloNum-coefficient reference bodies -------------------
+#
+# A jet is held as integer numerators over one denominator; these references
+# compose and invert coefficient by coefficient in `CycloNum` arithmetic, and
+# build their results through the validating constructor.
+
+
+def reference_poly_mul(p, q, cap):
+    out = {}
+    for q1, c1 in p.items():
+        d1 = sum(q1)
+        for q2, c2 in q.items():
+            if d1 + sum(q2) > cap:
+                continue
+            key = tuple(x + y for x, y in zip(q1, q2))
+            prod = c1 * c2
+            cur = out.get(key)
+            out[key] = prod if cur is None else cur + prod
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def reference_compose(f, g):
+    n, cap = f.n, f.K
+    components = [dict() for _ in range(n)]
+    for (s, q), c in g.coeffs.items():
+        components[s][q] = c
+    pow_cache, mono_cache = {}, {}
+
+    def component_power(i, e):
+        hit = pow_cache.get((i, e))
+        if hit is not None:
+            return hit
+        out = components[i] if e == 1 else reference_poly_mul(
+            component_power(i, e - 1), components[i], cap)
+        pow_cache[(i, e)] = out
+        return out
+
+    def monomial(q):
+        hit = mono_cache.get(q)
+        if hit is not None:
+            return hit
+        out = None
+        for i, e in enumerate(q):
+            if e:
+                p = component_power(i, e)
+                out = p if out is None else reference_poly_mul(out, p, cap)
+        mono_cache[q] = out
+        return out
+
+    acc = {}
+    for (s, q), c in f.coeffs.items():
+        for r, v in monomial(q).items():
+            key = (s, r)
+            prod = c * v
+            cur = acc.get(key)
+            acc[key] = prod if cur is None else cur + prod
+    return GermJet(n, cap, f.field, acc)
+
+
+def reference_invert(f):
+    lin_inv = reference_inv(f.linear_matrix())
+    g = GermJet.from_linear(lin_inv, f.K)
+    for k in range(2, f.K + 1):
+        residual = reference_compose(f, g).degree_slice(k)
+        if not residual:
+            continue
+        correction = dict(g.coeffs)
+        for q in {key[1] for key in residual}:
+            col = [residual.get((t, q), f.field.zero()) for t in range(f.n)]
+            for s in range(f.n):
+                val = sum((lin_inv[s][t] * col[t] for t in range(1, f.n)), lin_inv[s][0] * col[0])
+                if not val.is_zero():
+                    key = (s, q)
+                    correction[key] = correction.get(key, f.field.zero()) - val
+        g = GermJet(f.n, f.K, f.field, correction)
+    return g
+
+
+def reference_power(f, m):
+    if m < 0:
+        return reference_power(reference_invert(f), -m)
+    if m == 0:
+        return GermJet.from_linear(mat_identity(f.field, f.n), f.K)
+    return binary_power(f, m, reference_compose)
+
+
+@st.composite
+def invertible_matrices(draw, fld, n):
+    """A row permutation of L * U: L lower triangular with diagonal entries
+    +-(a/b) zeta^k, U unit upper triangular, and their other entries from
+    `field_matrices`."""
+    rand = draw(field_matrices(fld, n, n))
+
+    def pivot():
+        scale = Fraction(draw(st.sampled_from([1, -1, 2, -3])), draw(st.integers(1, 3)))
+        return fld.zeta(draw(st.integers(0, fld.conductor - 1))) * scale
+
+    lower = tuple(tuple(rand[i][j] if j < i else pivot() if j == i else fld.zero()
+                        for j in range(n)) for i in range(n))
+    upper = tuple(tuple(rand[i][j] if j > i else fld.one() if j == i else fld.zero()
+                        for j in range(n)) for i in range(n))
+    product = reference_mat_mul(lower, upper)
+    return tuple(product[i] for i in draw(st.permutations(range(n))))
+
+
+@st.composite
+def field_jets(draw, fld, n, K):
+    """An invertible linear part and up to four higher terms, with coordinates
+    in -3..3 over denominators 1..3."""
+    lin = draw(invertible_matrices(fld, n))
+    coeffs = {(s, jets.unit_index(n, i)): lin[s][i] for s in range(n) for i in range(n)}
+    higher = [(s, q) for s in range(n) for d in range(2, K + 1) for q in jets.iter_multiindices(n, d)]
+    if higher:
+        for key in draw(st.lists(st.sampled_from(higher), max_size=4, unique=True)):
+            num = draw(st.lists(st.integers(-3, 3), min_size=fld.degree, max_size=fld.degree))
+            coeffs[key] = fld.element([Fraction(c, draw(st.integers(1, 3))) for c in num])
+    return GermJet(n, K, fld, coeffs)
+
+
+@st.composite
+def jet_cases(draw):
+    fld = field(draw(st.sampled_from(KERNEL_CONDUCTORS)))
+    n, K = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return draw(field_jets(fld, n, K)), draw(field_jets(fld, n, K)), draw(st.integers(-2, 3))
+
+
+def assert_canonical(jet):
+    assert jet.den > 0 and math.gcd(jet.den, *(x for v in jet.nums.values() for x in v)) == 1
+    assert all(len(v) == jet.field.degree and any(v) for v in jet.nums.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(jet_cases())
+def test_group_operations_match_the_reference(case):
+    f, g, m = case
+    pairs = (
+        (compose(f, g), reference_compose(f, g)),
+        (invert(f), reference_invert(f)),
+        (power(f, m), reference_power(f, m)),
+        (conjugate(g, f), reference_compose(reference_compose(g, f), reference_invert(g))),
+    )
+    for got, want in pairs:
+        assert_canonical(got)
+        assert got == want and hash(got) == hash(want)
+        assert got.canonical_key() == want.canonical_key()
+        assert dict(got.coeffs) == dict(want.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jet_cases())
+def test_coeffs_round_trip(case):
+    f, g, m = case
+    for jet in (f, compose(f, g), invert(g), power(f, m)):
+        again = GermJet(jet.n, jet.K, jet.field, jet.coeffs)
+        assert (again.den, again.nums) == (jet.den, jet.nums)
+        assert again == jet and hash(again) == hash(jet)
+        assert_canonical(again)
+        assert all(c.field is jet.field and not c.is_zero() for c in jet.coeffs.values())
+        with pytest.raises(TypeError):
+            jet.coeffs[next(iter(jet.nums))] = jet.field.one()
+        doubled = GermJet(jet.n, jet.K, jet.field, {key: c * 2 for key, c in jet.coeffs.items()})
+        assert doubled != jet
+
+
+def test_the_denominator_is_part_of_the_value():
+    """z / 2 has the numerators of the identity over the denominator 2, and
+    z + z^2 / 2 has the identity as its linear part, in lowest terms."""
+    half = jet(F3, 2, 2, [(0, (1, 0), Fraction(1, 2)), (1, (0, 1), Fraction(1, 2))])
+    assert half.nums == GermJet.identity(F3, 2, 2).nums and half.den == 2
+    assert not half.is_identity() and half != GermJet.identity(F3, 2, 2)
+    assert germ_order(half).is_infinite
+    f = jet(F1, 1, 2, [(0, (1,), 1), (0, (2,), Fraction(1, 2))])
+    assert f.den == 2 and f.linear_matrix() == mat_identity(F1, 1)
+    assert f.infinite_order_screen() == "tangent to the identity with a nonzero nonlinear slice"
+    assert germ_order(f).certificate == "f^1 is tangent to identity with a nonzero nonlinear slice"
+
+
+def test_group_operations_take_no_field_products():
+    """After parsing, the prop-5-1-4 closure and the ex-2-2 basic-set check run
+    `compose` and `invert` on integers: no call path leads from either to a
+    `CycloNum` product."""
+    for name, search in (("prop-5-1-4", closure_enumerate), ("ex-2-2", check_basic_set)):
+        g = corpus.load(name).presentation()
+        profile = cProfile.Profile()
+        result = profile.runcall(search, g)
+        assert getattr(result, "verdict", getattr(result, "status", None)) in (
+            "irreducible-verified", "closed")
+        stats = pstats.Stats(profile).stats
+        # every profiled function from which some call path reaches CycloNum.__mul__
+        stack = [key for key in stats if key[0] == cyclo.__file__ and key[2] == "__mul__"]
+        above = set()
+        while stack:
+            key = stack.pop()
+            if key not in above:
+                above.add(key)
+                stack += stats[key][4]
+        reaching = {fn for path, _, fn in above if path == jets.__file__}
+        assert not reaching & {"compose", "invert"}, (name, reaching)

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -266,3 +267,93 @@ def test_rotation_5_holonomy_is_unchanged():
     assert report["matched"]
     assert report["checks"]["holonomy"]["actual"]["detail"] == (
         "local multipliers generate a cyclic group of order 5; moebius closure has 5 elements")
+
+
+def no_numeric_sqrt(monkeypatch):
+    def numeric_sqrt(a, digits):
+        raise AssertionError(f"the numeric search ran on {a}")
+
+    monkeypatch.setattr(moebius_module, "_numeric_sqrt", numeric_sqrt)
+
+
+def fixed_points_from_the_square_root(m):
+    """The eigendirections of the eigenvalues (t +- sqrt(disc)) / 2, sorted."""
+    fld = m.field
+    a, b, c, d = m.entries()
+    s = cyclo_sqrt((a - d) * (a - d) + b * c * 4)
+    points = set()
+    for mu in ((a + d + s) * Fraction(1, 2), (a + d - s) * Fraction(1, 2)):
+        if not b.is_zero():
+            points.add(ProjectivePoint.make(b, mu - a))
+        elif not c.is_zero():
+            points.add(ProjectivePoint.make(mu - d, c))
+        else:
+            points.add(ProjectivePoint.infinity(fld) if mu == a
+                       else ProjectivePoint.make(fld.zero(), fld.one()))
+    return sorted(points, key=lambda p: p.sort_key())
+
+
+@st.composite
+def triangular_maps(draw):
+    fld = field(draw(st.sampled_from([1, 3, 4, 5, 8])))
+
+    def entry(nonzero):
+        num = draw(st.lists(st.integers(-3, 3), min_size=fld.degree, max_size=fld.degree))
+        if nonzero and not any(num):
+            num[0] = 1
+        return fld.element([Fraction(c, draw(st.integers(1, 3))) for c in num])
+
+    a, d, off = entry(True), entry(True), entry(False)
+    zero = fld.zero()
+    m = MoebiusMap(((a, off), (zero, d)) if draw(st.booleans()) else ((a, zero), (off, d)))
+    if m.is_identity():
+        m = MoebiusMap(((a, zero), (zero, a + 1 if not (a + 1).is_zero() else a * 2)))
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangular_maps())
+def test_triangular_fixed_points_take_no_square_root(m):
+    want = fixed_points_from_the_square_root(m)
+    calls = []
+    original = moebius_module.cyclo_sqrt
+    moebius_module.cyclo_sqrt = lambda a, *rest: calls.append(a) or original(a, *rest)
+    try:
+        got = fixed_points(m)
+    finally:
+        moebius_module.cyclo_sqrt = original
+    assert got == want and calls == []
+    assert all(m.apply(p) == p for p in got)
+
+
+def test_rotation_5_runs_no_numeric_square_root(monkeypatch):
+    no_numeric_sqrt(monkeypatch)
+    assert cli.run_corpus_entry("moebius-rotation-5", 6, 10_000, None)["matched"]
+
+
+def test_rational_roots_are_built_exactly(monkeypatch):
+    """sqrt(d) for every squarefree |d| <= 30 in every Q(zeta_N), N <= 120, that
+    holds it, by Gauss sums; the numeric search never runs."""
+    no_numeric_sqrt(monkeypatch)
+    squarefree = [d for d in range(-30, 31) if d and all(d % (p * p) for p in (2, 3, 5))]
+    checked = 0
+    for n in range(1, 121):
+        fld = field(n)
+        for d in squarefree:
+            if not moebius_module._rational_root_in_field(d, n):
+                assert cyclo_sqrt(fld.rational(d)) is None
+                continue
+            for a in (fld.rational(d), fld.rational(4 * d, 9), fld.rational(25 * d, 49)):
+                root = cyclo_sqrt(a)
+                assert root is not None and root * root == a, (d, n)
+            checked += 1
+    assert checked > 300
+
+
+def test_rational_root_at_conductor_40_is_quick(monkeypatch):
+    no_numeric_sqrt(monkeypatch)
+    a = field(40).rational(-5)
+    started = time.perf_counter()
+    root = cyclo_sqrt(a)
+    assert time.perf_counter() - started < 1.0
+    assert root * root == a
