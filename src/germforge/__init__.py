@@ -12,7 +12,6 @@ from .cyclo import (
     format_coefficient,
     parse_coefficient,
     root_of_unity_order,
-    to_complex,
 )
 from .jets import (
     GermJet,

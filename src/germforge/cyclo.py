@@ -6,9 +6,8 @@ positive integer denominator, in lowest terms (see `CycloNum`).  Every
 operation is integer arithmetic: convolution, folding through the integer
 coefficients of Phi_N, and one gcd; the inverse is a product of Galois
 conjugates over the norm.  So equality and hashing compare integers, and no
-per-coefficient Fraction is built or normalised on the hot path.  No
-floating point enters any decision path; numeric evaluation exists only as
-a diagnostic.
+per-coefficient Fraction is built or normalised on the hot path.  The
+package computes no floating-point value anywhere.
 """
 
 from __future__ import annotations
@@ -19,10 +18,7 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
-
-if TYPE_CHECKING:
-    import mpmath
+from typing import Callable, Optional, Sequence
 
 
 class FieldMismatchError(ValueError):
@@ -575,20 +571,6 @@ def embed_to_conductor(a: CycloNum, m: int) -> CycloNum:
         if c:
             out = out + target.zeta(i * step) * c
     return out
-
-
-def to_complex(a: CycloNum, digits: int = 15) -> mpmath.mpc:
-    """Numeric value of a at zeta = exp(2*pi*i/N).  Diagnostics only."""
-    import mpmath
-
-    n = a.field.conductor
-    with mpmath.workdps(digits + 10):
-        total = mpmath.mpc(0)
-        for i, c in enumerate(a.coeffs):
-            if c:
-                w = mpmath.expjpi(mpmath.mpf(2 * i % (2 * n)) / n)
-                total += w * mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-        return +total
 
 
 # ---------------------------------------------------------------------------

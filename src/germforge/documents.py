@@ -108,14 +108,14 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
     _expect(isinstance(obj, dict), "$", "document must be a JSON object")
     _expect("conductor" in obj, "$", "missing 'conductor'")
     conductor = obj["conductor"]
-    _expect(isinstance(conductor, int) and conductor >= 1, "conductor", "must be a positive integer")
+    _expect(type(conductor) is int and conductor >= 1, "conductor", "must be a positive integer")
     _expect_at_most(conductor, MAX_CONDUCTOR, "conductor")
     fld = field(conductor)
     dimension = obj.get("dimension", 1)
-    _expect(isinstance(dimension, int) and dimension >= 1, "dimension", "must be a positive integer")
+    _expect(type(dimension) is int and dimension >= 1, "dimension", "must be a positive integer")
     _expect_at_most(dimension, MAX_DIMENSION, "dimension")
     truncation = truncation_override if truncation_override is not None else obj.get("truncation", 1)
-    _expect(isinstance(truncation, int) and truncation >= 1, "truncation", "must be a positive integer")
+    _expect(type(truncation) is int and truncation >= 1, "truncation", "must be a positive integer")
     _expect_at_most(truncation, MAX_TRUNCATION, "truncation")
     _expect_monomials(dimension, truncation, "truncation")
 
@@ -142,7 +142,7 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
                 _expect(
                     isinstance(mono, list)
                     and len(mono) == dimension
-                    and all(isinstance(e, int) and e >= 0 for e in mono),
+                    and all(type(e) is int and e >= 0 for e in mono),
                     f"{tpath}.monomial",
                     f"must be a list of {dimension} naturals",
                 )
@@ -205,7 +205,9 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
 
     witnesses = {}
     gen_names = [n for n, _ in generators]
-    for wi, w in enumerate(obj.get("witnesses", [])):
+    witness_list = obj.get("witnesses", [])
+    _expect(isinstance(witness_list, list), "witnesses", "must be a list")
+    for wi, w in enumerate(witness_list):
         path = f"witnesses[{wi}]"
         _expect(isinstance(w, dict) and "pair" in w and "word" in w, path,
                 "must be an object with 'pair' and 'word'")

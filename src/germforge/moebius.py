@@ -4,14 +4,14 @@ Maps are 2x2 matrices up to scale, stored with the first nonzero entry in
 row-major order scaled to 1 so projective equality is plain comparison.
 Orders are decided exactly by the shared torsion-exponent power test;
 fixed points are eigenvector computations.  A triangular map needs no square
-root; a rational radicand's root is built exactly from Gauss sums; other
-roots are found by verified reconstruction, or proven absent by a residue
-screen, or reported as requiring a field extension.
+root; a rational radicand's root is built exactly from Gauss sums; any other
+root is found, or proven absent, by an exact sign search modulo a prime
+power.  So a missing root means that the fixed points lie in a quadratic
+extension of the field.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,8 +41,8 @@ from .groupkit import (
 
 
 class ExtensionRequiredError(ArithmeticError):
-    """No square root was found in the working field; the answer may live in
-    a quadratic extension of it."""
+    """The working field holds no square root of the discriminant; the fixed
+    points lie in a quadratic extension of it."""
 
 
 # ---------------------------------------------------------------------------
@@ -221,30 +221,7 @@ def moebius_order(m: MoebiusMap) -> OrderResult:
 
 
 # ---------------------------------------------------------------------------
-# exact square roots by verified reconstruction
-
-
-def _fraction_from_mpf(x, max_den: int = 10**24) -> Optional[Fraction]:
-    """Best rational approximation by continued fractions, None when unstable."""
-    import mpmath
-
-    num0, den0 = 0, 1
-    num1, den1 = 1, 0
-    rem = mpmath.mpf(x)
-    for _ in range(200):
-        a = int(mpmath.floor(rem))
-        num0, num1 = num1, a * num1 + num0
-        den0, den1 = den1, a * den1 + den0
-        if den1 > max_den:
-            return None
-        frac = rem - a
-        approx = Fraction(num1, den1)
-        if abs(mpmath.mpf(approx.numerator) / approx.denominator - mpmath.mpf(x)) < mpmath.mpf(10) ** (-(mpmath.mp.dps - 12)):
-            return approx
-        if frac == 0:
-            return approx
-        rem = 1 / frac
-    return None
+# exact square roots
 
 
 def _square_split(m: int, n: int) -> tuple[int, int]:
@@ -307,7 +284,7 @@ def _integer_sqrt(fld: CycloField, m: int) -> CycloNum:
     return root if e == 1 else root * fld.zeta(n // 4)
 
 
-SQUARE_SCREEN_PRIMES = 6  # degree-one primes tried by `_proven_non_square`
+SQUARE_SCREEN_PRIMES = 6  # degree-one primes whose residue symbols `_search_prime` reads
 
 
 def _primes_one_mod(n: int) -> Iterator[int]:
@@ -327,39 +304,115 @@ def _roots_of_cyclotomic_mod(n: int, p: int) -> list[int]:
     return [pow(r, k, p) for k in range(1, n + 1) if math.gcd(k, n) == 1]
 
 
-def _proven_non_square(a: CycloNum) -> bool:
-    """Whether a residue symbol proves that `a` is no square in its field.
+def _horner(c: Sequence[int], r: int, m: int) -> int:
+    """c(r) mod m for an ascending integer coefficient vector c."""
+    v = 0
+    for x in reversed(c):
+        v = (v * r + x) % m
+    return v
 
-    For a prime p = 1 (mod N) not dividing the denominator D of a = A/D, and
-    a root r of Phi_N mod p, zeta -> r maps the elements of Q(zeta_N) that
-    are integral at the prime (p, zeta - r) onto F_p, a ring homomorphism.
-    A root b of a is integral there too, so the image A(r)/D of a is a
-    square mod p.  A nonzero non-residue (Euler's criterion) thus proves
-    that a has no root.  False decides nothing.
+
+def _search_prime(c: tuple[int, ...], n: int) -> Optional[tuple[int, list[int], list[int]]]:
+    """(p, roots, values) to start `_sign_search` from, or None when a residue
+    symbol proves that the nonzero c has no square root in Z[zeta_n].
+
+    For a prime p = 1 (mod n) and a root r of Phi_n mod p, zeta -> r is a
+    ring homomorphism Z[zeta_n] -> F_p, so a root beta of c gives
+    c(r) = beta(r)^2 mod p.  A nonzero non-residue (Euler's criterion) at any
+    of the first `SQUARE_SCREEN_PRIMES` primes thus proves that c has no
+    root.  Otherwise the search runs at the first prime where every value
+    c(r) is a nonzero residue; one exists, since c vanishes at only finitely
+    many primes.
     """
-    n = a.field.conductor
-    primes = (p for p in _primes_one_mod(n) if a.den % p)
-    for p in itertools.islice(primes, SQUARE_SCREEN_PRIMES):
-        for r in _roots_of_cyclotomic_mod(n, p):
-            v = 0
-            for c in reversed(a.num):
-                v = (v * r + c) % p
-            v = v * a.den % p
-            if v and pow(v, (p - 1) // 2, p) == p - 1:
-                return True
-    return False
+    search = None
+    for i, p in enumerate(_primes_one_mod(n)):
+        roots = _roots_of_cyclotomic_mod(n, p)
+        values = [_horner(c, r, p) for r in roots]
+        if any(v and pow(v, (p - 1) // 2, p) == p - 1 for v in values):
+            return None
+        if search is None and all(values):
+            search = p, roots, values
+        if search is not None and i + 1 >= SQUARE_SCREEN_PRIMES:
+            return search
 
 
-def cyclo_sqrt(a: CycloNum, digits: int = 60) -> Optional[CycloNum]:
-    """A square root of `a` in its own field, or None when none is found.
+def _sqrt_mod_prime(v: int, p: int) -> int:
+    """A square root of the quadratic residue v mod the odd prime p (Tonelli-Shanks)."""
+    odd, s = p - 1, 0
+    while odd % 2 == 0:
+        odd, s = odd // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, x = pow(z, odd, p), pow(v, odd, p), pow(v, (odd + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, x = i, b * b % p, t * b * b % p, x * b % p
+    return x
+
+
+def _sign_search(fld: CycloField, c: tuple[int, ...], p: int, roots: list[int],
+                 values: list[int]) -> Optional[tuple[int, ...]]:
+    """A root beta in Z[zeta_N] of the integer vector c, or None when c has none.
+
+    Each coordinate of a root is at most B = phi^(phi/2) * sqrt(sum |c_i|):
+    beta solves V beta = (beta(zeta^k))_k, V the embedding matrix, each
+    |beta(zeta^k)| is at most sqrt(sum |c_i|), |det V| >= 1 since det(V)^2
+    is a nonzero integer, and Hadamard's bound caps each Cramer numerator.
+    So beta is its own symmetric residue mod q = p^(2^j) > 2B.  Newton's
+    method lifts the roots r_k of Phi_N and square roots s_k of the values
+    c(r_k) from p to q.  zeta -> (r_k)_k is an isomorphism from Z[zeta_N]/q
+    onto (Z/q)^phi, and beta(r_k) squares to the unit c(r_k), so it is
+    +-s_k.  Fixing the first sign, one of +-beta is rebuilt by Lagrange
+    interpolation from some choice of the other signs, and an exhausted
+    search proves that c has no root.
+    """
+    n, phi, modulus = fld.conductor, fld.degree, fld.modulus
+    bound_sq = phi ** phi * sum(map(abs, c))
+    q, steps = p, 0
+    while q * q <= 4 * bound_sq:
+        q, steps = q * q, steps + 1
+    half = pow(2, -1, q)
+    weights = []
+    for r, v in zip(roots, values):
+        s = _sqrt_mod_prime(v, p)
+        for _ in range(steps):
+            r = (r - (pow(r, n, q) - 1) * pow(n * pow(r, n - 1, q), -1, q)) % q
+        v = _horner(c, r, q)
+        for _ in range(steps):
+            s = (s + v * pow(s, -1, q)) * half % q
+        # the Lagrange basis polynomial of r: Phi_N(x) / (x - r), scaled to 1 at r
+        quotient, acc = [0] * phi, 0
+        for i in range(phi, 0, -1):
+            acc = (acc * r + modulus[i]) % q
+            quotient[i - 1] = acc
+        scale = s * pow(_horner(quotient, r, q), -1, q)
+        weights.append([x * scale % q for x in quotient])
+    beta = [sum(col) % q for col in zip(*weights)]
+    signs = [1] * phi
+    for mask in range(1 << (phi - 1)):
+        if mask:  # Gray code: flip one sign per step
+            k = (mask & -mask).bit_length()
+            signs[k] = -signs[k]
+            beta = [(x + 2 * signs[k] * w) % q for x, w in zip(beta, weights[k])]
+        root = tuple(x - q if 2 * x > q else x for x in beta)
+        if all(x * x <= bound_sq for x in root) and fld._mul(root, root) == c:
+            return root
+    return None
+
+
+def cyclo_sqrt(a: CycloNum) -> Optional[CycloNum]:
+    """A square root of `a` in its own field, or None when it has none there.
 
     A rational radicand q = num/den has a root in the field iff num * den
     does (`_rational_root_in_field`), and then sqrt(num * den) / den is
-    built exactly (`_integer_sqrt`).  Otherwise a radicand that is a
-    non-residue at some small degree-one prime is None
-    (`_proven_non_square`); what remains is reconstructed from the numeric
-    embeddings.  Every root is verified by exact squaring, so a returned
-    value is always correct.
+    built exactly (`_integer_sqrt`).  Any other radicand a = A/D has the
+    roots beta/D for the roots beta in Z[zeta_N] of c = A*D: a residue
+    symbol may prove at once that there is none (`_search_prime`), and
+    otherwise the exact sign search finds one or proves it absent
+    (`_sign_search`).  Every root is verified by exact squaring, so a
+    returned value is always correct, and None is a proof.
     """
     fld = a.field
     if a.is_zero():
@@ -372,67 +425,18 @@ def cyclo_sqrt(a: CycloNum, digits: int = 60) -> Optional[CycloNum]:
         root = _integer_sqrt(fld, m) * Fraction(1, q.denominator)
         if root * root == a:
             return root
-    if _proven_non_square(a):
-        return None
-    return _numeric_sqrt(a, digits)
-
-
-def _numeric_sqrt(a: CycloNum, digits: int) -> Optional[CycloNum]:
-    """Search the sign choices of the embeddings' square roots (one per
-    embedding but the first) for a root with rational coordinates."""
-    import mpmath
-
-    fld = a.field
-    n, deg = fld.conductor, fld.degree
-    units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-    with mpmath.workdps(digits):
-        zetas = [mpmath.expjpi(mpmath.mpf(2 * k % (2 * n)) / n) for k in range(n)]
-        emb_matrix = mpmath.matrix(
-            [[zetas[(u * i) % n] for i in range(deg)] for u in units]
-        )
-        values = []
-        for u in units:
-            total = mpmath.mpc(0)
-            for i, c in enumerate(a.coeffs):
-                if c:
-                    total += zetas[(u * i) % n] * mpmath.mpf(c.numerator) / c.denominator
-            values.append(total)
-        roots = [mpmath.sqrt(v) for v in values]
-        for mask in range(1 << (deg - 1)):
-            rhs = mpmath.matrix(
-                [
-                    roots[j] if (j == 0 or not (mask >> (j - 1)) & 1) else -roots[j]
-                    for j in range(deg)
-                ]
-            )
-            try:
-                sol = mpmath.lu_solve(emb_matrix, rhs)
-            except ZeroDivisionError:
-                return None
-            coeffs = []
-            for i in range(deg):
-                if abs(mpmath.im(sol[i])) > mpmath.mpf(10) ** (-(digits // 2)):
-                    coeffs = None
-                    break
-                frac = _fraction_from_mpf(mpmath.re(sol[i]))
-                if frac is None:
-                    coeffs = None
-                    break
-                coeffs.append(frac)
-            if coeffs is None:
-                continue
-            candidate = fld.element(coeffs)
-            if candidate * candidate == a:
-                return candidate
-    return None
+    c = tuple(x * a.den for x in a.num)
+    found = _search_prime(c, fld.conductor)
+    beta = None if found is None else _sign_search(fld, c, *found)
+    return None if beta is None else fld.from_integers(beta, a.den)
 
 
 def fixed_points(m: MoebiusMap) -> list[ProjectivePoint]:
     """Fixed points, i.e. the eigendirections of the matrix; 1 or 2 of them.
 
-    Raises ExtensionRequiredError when no square root of the discriminant is
-    found in the field (for a rational discriminant, when none exists); the
-    caller can embed into a larger conductor and retry.
+    Raises ExtensionRequiredError when the discriminant has no square root in
+    the field, which `cyclo_sqrt` decides exactly; the caller can embed into
+    a larger conductor and retry.
     """
     if m.is_identity():
         raise ValueError("the identity fixes every point")

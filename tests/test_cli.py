@@ -64,6 +64,15 @@ def test_malformed_document_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_witnesses_that_are_not_a_list_exit_2(tmp_path, capsys):
+    doc = json.loads((CORPUS_DIR / "prop-5-1-2.json").read_text())
+    doc["witnesses"] = 5
+    path = tmp_path / "witnesses.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check-basic-set", str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: witnesses: must be a list")
+
+
 def test_closure_cap_exceeded_exits_3(capsys):
     path = str(CORPUS_DIR / "prop-5-1-2-abelian.json")
     assert cli.main(["closure", path, "--closure-cap", "10", "--format", "json"]) == cli.EXIT_LIMIT
@@ -232,16 +241,22 @@ def test_module_entry_point_runs_an_example():
     assert "matched: True" in done.stdout
 
 
-def test_import_and_parse_leave_mpmath_unloaded():
-    """mpmath serves only the numeric square-root search and diagnostics."""
+def test_corpus_and_square_roots_run_without_mpmath():
+    """The package has no runtime dependency: with mpmath unimportable, every
+    corpus entry matches and a non-rational square root is found."""
     env = dict(os.environ, PYTHONPATH=str(CORPUS_DIR.parents[1]))
-    code = ("import sys, germforge; from germforge import corpus; "
-            "corpus.load('moebius-rotation-5'); corpus.load('ex-2-2'); "
-            "print('mpmath' in sys.modules)")
+    code = ("import sys; sys.modules['mpmath'] = None\n"
+            "from germforge import cli, corpus, cyclo_sqrt\n"
+            "from germforge.cyclo import field\n"
+            "print(sum(cli.run_corpus_entry(e, 6, 10_000, None)['matched'] "
+            "for e in corpus.ENTRIES))\n"
+            "b = field(7).zeta() * 3 + 2\n"
+            "print(cyclo_sqrt(b * b) in (b, -b))\n")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == [str(len(corpus.ENTRIES)), "True"]
+    assert len(corpus.ENTRIES) == 12
 
 
 @pytest.mark.parametrize("flag, value", [("--witness-bound", "-2"), ("--closure-cap", "-1")])

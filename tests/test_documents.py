@@ -81,6 +81,13 @@ def edited(path, value):
         (edited(["witnesses", 0, "word"], "f*h"), "witnesses[0].word: unknown generator 'h'"),
         (edited(["witnesses", 0, "word"], "g^100000"),
          "witnesses[0].word: word has 100000 letters, above the limit"),
+        (edited(["witnesses"], 5), "witnesses: must be a list"),
+        # JSON true is no integer, though Python's bool is an int
+        (edited(["conductor"], True), "conductor: must be a positive integer"),
+        (edited(["dimension"], True), "dimension: must be a positive integer"),
+        (edited(["truncation"], True), "truncation: must be a positive integer"),
+        (edited(["generators", 0, "coords", 1, 0, "monomial", 1], True),
+         "generators[0].coords[1][0].monomial: must be a list of 2 naturals"),
     ],
 )
 def test_malformed_document_names_its_path(doc, where):

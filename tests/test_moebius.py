@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from germforge import cli, moebius as moebius_module
 from germforge.cyclo import cyclotomic_polynomial, field
@@ -164,13 +164,20 @@ def test_rational_root_conductor_rule(m, n, want):
     assert moebius_module._rational_root_in_field(m, n) is want
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 12])  # degree <= 4 keeps the search fast
+def exact_search(a):
+    """The residue screen and the sign search on any radicand, rational or not."""
+    c = tuple(x * a.den for x in a.num)
+    found = moebius_module._search_prime(c, a.field.conductor)
+    return found and moebius_module._sign_search(a.field, c, *found)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 12])
 def test_conductor_rule_agrees_with_the_numeric_search(n):
     fld = field(n)
     for m in range(-15, 16):
         if m:
             a = fld.from_rational(m)
-            found = moebius_module._numeric_sqrt(a, 60)
+            found = exact_search(a)
             assert (found is not None) == moebius_module._rational_root_in_field(m, n), (m, n)
             root = cyclo_sqrt(a)
             assert (root is not None) == (found is not None)
@@ -204,7 +211,7 @@ def test_equal_maps_hash_equal_however_built():
     assert len({MoebiusMap.identity(F1), S, T, S.compose(T), T.compose(S), sts, tst}) == 6
 
 
-# --- the residue screen before the numeric square-root search ----------------
+# --- the residue screen before the exact sign search ---------------------------
 
 
 def conjugated_r3(n):
@@ -216,12 +223,12 @@ def conjugated_r3(n):
 
 
 def test_non_square_discriminant_is_unresolved_without_the_numeric_search(monkeypatch):
-    # 3 does not divide 13, so sqrt(-3) is not in Q(zeta_13); the sign search
-    # over 2^11 embeddings would take about a minute
-    def numeric_sqrt(a, digits):
-        raise AssertionError("the numeric search ran")
+    # 3 does not divide 13, so sqrt(-3) is not in Q(zeta_13); a residue symbol
+    # proves it before the sign search over 2^11 sign choices starts
+    def sign_search(*args):
+        raise AssertionError("the sign search ran")
 
-    monkeypatch.setattr(moebius_module, "_numeric_sqrt", numeric_sqrt)
+    monkeypatch.setattr(moebius_module, "_sign_search", sign_search)
     m = conjugated_r3(13)
     assert m.order().order == 3
     (a, b), (c, d) = m.matrix
@@ -259,7 +266,26 @@ def field_elements(draw):
 def test_square_root_of_a_square_is_plus_or_minus_the_root(b):
     root = cyclo_sqrt(b * b)
     assert root == b or root == -b
-    assert not moebius_module._proven_non_square(b * b)
+
+
+@st.composite
+def large_field_elements(draw):
+    fld = field(draw(st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12])))
+    big = st.integers(-10**30, 10**30)
+    coeffs = [Fraction(draw(big), draw(st.sampled_from([1, 2, 3, 7, 10**30 + 1])))
+              for _ in range(fld.degree)]
+    assume(any(coeffs))
+    return fld.element(coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(large_field_elements())
+@example(field(5).element([10**16 + 7 * i + 1 for i in range(4)]))
+def test_square_roots_of_large_squares_are_exact(b):
+    root = cyclo_sqrt(b * b)
+    assert root == b or root == -b
+    if b.field.conductor % 8:
+        assert cyclo_sqrt(b * b * 2) is None  # sqrt(2) lies in Q(zeta_N) only for 8 | N
 
 
 def test_rotation_5_holonomy_is_unchanged():
@@ -269,11 +295,11 @@ def test_rotation_5_holonomy_is_unchanged():
         "local multipliers generate a cyclic group of order 5; moebius closure has 5 elements")
 
 
-def no_numeric_sqrt(monkeypatch):
-    def numeric_sqrt(a, digits):
-        raise AssertionError(f"the numeric search ran on {a}")
+def no_sign_search(monkeypatch):
+    def sign_search(fld, c, *rest):
+        raise AssertionError(f"the sign search ran on {c}")
 
-    monkeypatch.setattr(moebius_module, "_numeric_sqrt", numeric_sqrt)
+    monkeypatch.setattr(moebius_module, "_sign_search", sign_search)
 
 
 def fixed_points_from_the_square_root(m):
@@ -327,14 +353,14 @@ def test_triangular_fixed_points_take_no_square_root(m):
 
 
 def test_rotation_5_runs_no_numeric_square_root(monkeypatch):
-    no_numeric_sqrt(monkeypatch)
+    no_sign_search(monkeypatch)
     assert cli.run_corpus_entry("moebius-rotation-5", 6, 10_000, None)["matched"]
 
 
 def test_rational_roots_are_built_exactly(monkeypatch):
     """sqrt(d) for every squarefree |d| <= 30 in every Q(zeta_N), N <= 120, that
-    holds it, by Gauss sums; the numeric search never runs."""
-    no_numeric_sqrt(monkeypatch)
+    holds it, by Gauss sums; the sign search never runs."""
+    no_sign_search(monkeypatch)
     squarefree = [d for d in range(-30, 31) if d and all(d % (p * p) for p in (2, 3, 5))]
     checked = 0
     for n in range(1, 121):
@@ -351,7 +377,7 @@ def test_rational_roots_are_built_exactly(monkeypatch):
 
 
 def test_rational_root_at_conductor_40_is_quick(monkeypatch):
-    no_numeric_sqrt(monkeypatch)
+    no_sign_search(monkeypatch)
     a = field(40).rational(-5)
     started = time.perf_counter()
     root = cyclo_sqrt(a)
