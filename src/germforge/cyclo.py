@@ -12,6 +12,7 @@ package computes no floating-point value anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -80,12 +81,14 @@ def euler_phi(n: int) -> int:
     return out
 
 
+@functools.cache
 def torsion_exponent(conductor: int, n: int) -> int:
     """A multiple of every finite element order in GL_n(Q(zeta_N)).
 
     An eigenvalue of order k generates Q(zeta_L), L = lcm(N, k), which has
     degree at most n over Q(zeta_N); so k divides the lcm of all multiples L
     of N with phi(L) <= n*phi(N).  phi(L) >= sqrt(L/2) caps the scan.
+    Computed once per (N, n): every exact order asks for it.
     """
     budget = n * euler_phi(conductor)
     limit = 2 * budget * budget
@@ -660,19 +663,25 @@ def parse_coefficient(text: str, fld: CycloField) -> CycloNum:
 
 
 def format_coefficient(a: CycloNum) -> str:
-    """Render in the textual grammar; parse(format(a)) == a."""
+    """Render in the textual grammar; parse(format(a)) == a.
+
+    Reads the integer numerators over the one denominator: each nonzero
+    coefficient c/D is reduced by gcd(c, D) alone, with no Fraction built.
+    """
+    den = a.den
     pieces: list[tuple[int, str]] = []  # (sign, body without sign)
-    for i, c in enumerate(a.coeffs):
+    for i, c in enumerate(a.num):
         if not c:
             continue
-        sign = 1 if c > 0 else -1
-        mag = abs(c)
+        g = math.gcd(c, den)
+        p, q = abs(c) // g, den // g
+        mag = str(p) if q == 1 else f"{p}/{q}"
         if i == 0:
-            body = str(mag)
+            body = mag
         else:
             z = "z" if i == 1 else f"z^{i}"
-            body = z if mag == 1 else f"{mag}*{z}"
-        pieces.append((sign, body))
+            body = z if mag == "1" else f"{mag}*{z}"
+        pieces.append((1 if c > 0 else -1, body))
     if not pieces:
         return "0"
     first_sign, first_body = pieces[0]

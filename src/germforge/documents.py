@@ -8,6 +8,12 @@ carry an `expected` block that `examples run` compares against.  The
 conductor, dimension, truncation, monomial count and number of generators
 have fixed upper limits; a larger document is a `DocumentError`, like any
 other invalid input.
+
+Parsing loads only what the document holds: this module imports `cyclo`,
+`jets` and `words` (for the witness words), `moebius` only when a document
+has `moebius_generators`, and `groupkit` only when `presentation()` or
+`closure()` is called.  So the jet documents of the paper's examples parse
+without compiling the group machinery.
 """
 
 from __future__ import annotations
@@ -15,12 +21,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .cyclo import CycloField, CycloNum, field, format_coefficient, parse_coefficient
-from .groupkit import ClosureResult, GroupPresentation, closure_enumerate, parse_word
-from .jets import GermJet, grlex_key
-from .moebius import MoebiusMap
+from .jets import GermJet
+from .words import parse_word
+
+if TYPE_CHECKING:
+    from .groupkit import ClosureResult, GroupPresentation
+    from .moebius import MoebiusMap
 
 
 class DocumentError(ValueError):
@@ -55,6 +64,8 @@ class InputDocument:
     _closures: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def presentation(self) -> GroupPresentation:
+        from .groupkit import GroupPresentation
+
         if not self.generators:
             raise DocumentError("document has no jet generators")
         return GroupPresentation(self.generators, dict(self.witnesses))
@@ -63,6 +74,8 @@ class InputDocument:
         """`closure_enumerate` of the presentation, run once per cap: the
         `closure` and `cyclic` checks of one document share it."""
         if cap not in self._closures:
+            from .groupkit import closure_enumerate
+
             self._closures[cap] = closure_enumerate(self.presentation(), cap)
         return self._closures[cap]
 
@@ -103,8 +116,10 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
     if isinstance(obj, (str, bytes)):
         try:
             obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise DocumentError("$: not valid JSON: nested too deeply to decode") from exc
+        except ValueError as exc:  # also an integer literal above the str-to-int digit limit
+            raise DocumentError(f"$: not valid JSON: {exc}") from exc
     _expect(isinstance(obj, dict), "$", "document must be a JSON object")
     _expect("conductor" in obj, "$", "missing 'conductor'")
     conductor = obj["conductor"]
@@ -160,6 +175,8 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
 
     moebius_generators = []
     for gi, gen in enumerate(_generator_list(obj, "moebius_generators")):
+        from .moebius import MoebiusMap
+
         path = f"moebius_generators[{gi}]"
         _expect(isinstance(gen, dict), path, "must be an object")
         gname = gen.get("name")

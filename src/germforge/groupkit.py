@@ -13,10 +13,9 @@ and Moebius maps alike.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field as dc_field
 from itertools import count
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol
 
 from .cyclo import (
     CycloNum,
@@ -36,18 +35,16 @@ from .jets import (
     mat_is_diagonal,
 )
 from .resonance import eigenvalue_power, homological_step, is_resonant
-
-DEFAULT_WITNESS_BOUND = 6
-DEFAULT_CLOSURE_CAP = 10_000
-# Longest word, in letters (the sum of |exponent| over its factors), that
-# `parse_word` accepts: far above every corpus word and every witness the
-# default bound can find, and low enough that `evaluate_word` answers in well
-# under a second, since the coefficients of a power grow with its exponent.
-MAX_WORD_LETTERS = 1000
-
-
-class WordError(ValueError):
-    """Malformed word or unknown generator name."""
+# the word grammar and the search defaults live in `words`; they are
+# re-exported here, where the searches that use them are
+from .words import (
+    DEFAULT_CLOSURE_CAP,
+    DEFAULT_WITNESS_BOUND,
+    MAX_WORD_LETTERS,
+    WordError,
+    format_word,
+    parse_word,
+)
 
 
 class GroupElement(Protocol):
@@ -118,40 +115,6 @@ class GroupPresentation:
     def identity(self) -> GroupElement:
         first = self.generators[0][1]
         return type(first).identity(*first.shape)
-
-
-_WORD_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(-?\d+))?\s*")
-
-
-def parse_word(word: str) -> list[tuple[str, int]]:
-    """Parse 'f1^4*f5*f1' into [(name, exponent), ...]; '' is the empty word.
-
-    A word longer than MAX_WORD_LETTERS letters is a WordError.
-    """
-    if word.strip() == "":
-        return []
-    out = []
-    for chunk in word.split("*"):
-        m = _WORD_TOKEN.fullmatch(chunk)
-        if not m:
-            raise WordError(f"bad word factor {chunk!r}")
-        out.append((m.group(1), int(m.group(2)) if m.group(2) else 1))
-    letters = sum(abs(e) for _, e in out)
-    if letters > MAX_WORD_LETTERS:
-        raise WordError(f"word has {letters} letters, above the limit {MAX_WORD_LETTERS}")
-    return out
-
-
-def format_word(tokens: Sequence[tuple[str, int]]) -> str:
-    merged: list[tuple[str, int]] = []
-    for name, e in tokens:
-        if merged and merged[-1][0] == name:
-            merged[-1] = (name, merged[-1][1] + e)
-            if merged[-1][1] == 0:
-                merged.pop()
-        else:
-            merged.append((name, e))
-    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in merged)
 
 
 def evaluate_word(presentation: GroupPresentation, word: str) -> GroupElement:

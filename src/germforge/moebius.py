@@ -28,16 +28,7 @@ from .cyclo import (
     torsion_exponent,
 )
 from .jets import GermJet
-from .groupkit import (
-    DEFAULT_CLOSURE_CAP,
-    DEFAULT_WITNESS_BOUND,
-    GroupPresentation,
-    LinearizationSuccess,
-    check_basic_set,
-    check_product_identity,
-    closure_enumerate,
-    linearize_group,
-)
+from .words import DEFAULT_CLOSURE_CAP, DEFAULT_WITNESS_BOUND
 
 
 class ExtensionRequiredError(ArithmeticError):
@@ -528,6 +519,16 @@ def holonomy_check(
     listing at most `closure_cap` elements) is reported as an independent
     finiteness certificate.
     """
+    # imported here, so that parsing a document of Moebius maps loads no groupkit
+    from .groupkit import (
+        GroupPresentation,
+        LinearizationSuccess,
+        check_basic_set,
+        check_product_identity,
+        closure_enumerate,
+        linearize_group,
+    )
+
     gens = list(generators)
     if len(gens) != 1 and is_prime_power(len(gens)) is None:
         raise ValueError(f"generator count {len(gens)} is not a prime power")

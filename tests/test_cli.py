@@ -64,6 +64,13 @@ def test_malformed_document_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_too_deeply_nested_document_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert cli.main(["closure", str(deep)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: $: not valid JSON: nested too deeply")
+
+
 def test_witnesses_that_are_not_a_list_exit_2(tmp_path, capsys):
     doc = json.loads((CORPUS_DIR / "prop-5-1-2.json").read_text())
     doc["witnesses"] = 5
@@ -91,11 +98,11 @@ def test_infinite_closure_exits_0_with_its_word(capsys):
 
 
 def test_closure_and_cyclic_checks_share_one_enumeration(monkeypatch):
-    from germforge import documents
+    from germforge import groupkit
 
     calls = []
-    original = documents.closure_enumerate
-    monkeypatch.setattr(documents, "closure_enumerate",
+    original = groupkit.closure_enumerate
+    monkeypatch.setattr(groupkit, "closure_enumerate",
                         lambda *args: calls.append(args) or original(*args))
     report = cli.run_corpus_entry("prop-5-1-2-abelian", 6, 10_000, None)
     assert report["matched"] and {"closure", "cyclic"} <= report["checks"].keys()
@@ -257,6 +264,52 @@ def test_corpus_and_square_roots_run_without_mpmath():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [str(len(corpus.ENTRIES)), "True"]
     assert len(corpus.ENTRIES) == 12
+
+
+def test_import_and_parse_load_only_the_modules_a_document_needs():
+    """`import germforge` loads no submodule; the jet documents of Examples
+    2.1-2.3 parse with `cyclo`, `jets`, `words` and `documents` alone, and a
+    Moebius document adds `moebius` but no group machinery."""
+    env = dict(os.environ, PYTHONPATH=str(CORPUS_DIR.parents[1]))
+    code = ("import json, sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('germforge.'))\n"
+            "import germforge\n"
+            "print(json.dumps(loaded()))\n"
+            "from germforge.documents import parse_document\n"
+            "for path in sys.argv[1:4]:\n"
+            "    parse_document(open(path).read())\n"
+            "print(json.dumps(loaded()))\n"
+            "parse_document(open(sys.argv[4]).read())\n"
+            "print(json.dumps(loaded()))\n")
+    paths = [str(CORPUS_DIR / f"{e}.json")
+             for e in ("ex-2-1", "ex-2-2", "ex-2-3", "moebius-rotation-5")]
+    assert "witnesses" in json.loads(Path(paths[0]).read_text())  # parsed with `words`
+    done = subprocess.run([sys.executable, "-c", code, *paths], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    after_import, after_jets, after_moebius = map(json.loads, done.stdout.splitlines())
+    assert after_import == []
+    jet_modules = ["germforge.cyclo", "germforge.documents", "germforge.jets", "germforge.words"]
+    assert after_jets == jet_modules
+    assert after_moebius == sorted(jet_modules + ["germforge.moebius"])
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    import importlib
+
+    import germforge
+
+    for module, names in germforge._EXPORTS.items():
+        home = importlib.import_module(f"germforge.{module}")
+        for name in names:
+            assert getattr(germforge, name) is getattr(home, name), name
+    # the 52 names the package bound when it imported all five layers eagerly
+    assert len(set(germforge.__all__)) == 52
+    assert set(germforge.__all__) <= set(dir(germforge))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        germforge.no_such_name
+    assert not hasattr(germforge, "to_complex")
 
 
 @pytest.mark.parametrize("flag, value", [("--witness-bound", "-2"), ("--closure-cap", "-1")])

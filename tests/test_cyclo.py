@@ -289,6 +289,39 @@ def test_format_round_trip_random():
     assert format_coefficient(field(3).zero()) == "0"
 
 
+def format_coefficient_from_fractions(a):
+    """`format_coefficient` as it was written on the Fraction coefficients: the oracle."""
+    pieces = []
+    for i, c in enumerate(a.coeffs):
+        if not c:
+            continue
+        sign = 1 if c > 0 else -1
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            z = "z" if i == 1 else f"z^{i}"
+            body = z if mag == 1 else f"{mag}*{z}"
+        pieces.append((sign, body))
+    if not pieces:
+        return "0"
+    first_sign, first_body = pieces[0]
+    out = ("-" if first_sign < 0 else "") + first_body
+    for sign, body in pieces[1:]:
+        out += (" - " if sign < 0 else " + ") + body
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((1, 3, 4, 5, 9, 12)), st.data())
+def test_format_from_integers_matches_the_fraction_rendering(n, data):
+    f = field(n)
+    coeff = st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**6)
+    a = f.element(data.draw(st.lists(coeff | st.sampled_from([0, 1, -1]),
+                                     min_size=f.degree, max_size=f.degree)))
+    assert format_coefficient(a) == format_coefficient_from_fractions(a)
+
+
 # --- the fraction-free representation -------------------------------------------------
 
 HASH_CONDUCTORS = (1, 3, 4, 12)

@@ -88,6 +88,10 @@ def edited(path, value):
         (edited(["truncation"], True), "truncation: must be a positive integer"),
         (edited(["generators", 0, "coords", 1, 0, "monomial", 1], True),
          "generators[0].coords[1][0].monomial: must be a list of 2 naturals"),
+        # the decoder itself fails: too deep for its recursion, and an integer
+        # literal above Python's 4300-digit limit for str-to-int conversion
+        ("[" * 100_000, "$: not valid JSON: nested too deeply"),
+        ('{"conductor": 1' + "0" * 5000 + "}", "$: not valid JSON: Exceeds the limit"),
     ],
 )
 def test_malformed_document_names_its_path(doc, where):

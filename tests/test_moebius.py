@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from germforge import cli, moebius as moebius_module
+from germforge import cli, groupkit, moebius as moebius_module
 from germforge.cyclo import cyclotomic_polynomial, field
 from germforge.groupkit import ClosureResult, GroupPresentation, check_basic_set, closure_enumerate
 from germforge.moebius import (
@@ -99,7 +99,7 @@ def test_closure_of_two_inversions_is_infinite_by_the_screen():
 
 def test_holonomy_names_an_infinite_closure(monkeypatch):
     infinite = ClosureResult("infinite", None, 3, "g1*g2", "certificate")
-    monkeypatch.setattr(moebius_module, "closure_enumerate", lambda pres, cap: infinite)
+    monkeypatch.setattr(groupkit, "closure_enumerate", lambda pres, cap: infinite)
     verdict = holonomy_check([MoebiusMap.scaling(F5.zeta())] * 5)
     assert verdict.finite_cyclic is True
     assert verdict.detail.endswith("; moebius closure is infinite: g1*g2 has infinite order")

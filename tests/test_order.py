@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germforge import corpus, jets
+from germforge import corpus, cyclo, jets
 from germforge.cyclo import binary_power, element_order, field, torsion_exponent
 from germforge.groupkit import GroupPresentation, evaluate_word
 from germforge.jets import GermJet, conjugate, germ_order, linear_order, mat_identity, mat_mul
@@ -33,6 +33,15 @@ def test_torsion_exponent_table(conductor, row):
 @pytest.mark.parametrize("conductor", [1, 2, 3, 5, 8, 12])
 def test_torsion_exponent_of_scalars_is_lcm_2_n(conductor):
     assert torsion_exponent(conductor, 1) == math.lcm(2, conductor)
+
+
+def test_torsion_exponent_is_computed_once_per_conductor_and_dimension(monkeypatch):
+    expected = torsion_exponent(7, 3)
+    calls = []
+    original = cyclo.prime_factors
+    monkeypatch.setattr(cyclo, "prime_factors", lambda n: calls.append(n) or original(n))
+    assert torsion_exponent(7, 3) == expected
+    assert calls == []
 
 
 # --- powers -------------------------------------------------------------------
