@@ -39,7 +39,7 @@ from .groupkit import (
 )
 from .jets import germ_order
 from .moebius import holonomy_check
-from .resonance import enumerate_resonances, poincare_dulac_normalize
+from .resonance import _diagonal_eigenvalues, enumerate_resonances, poincare_dulac_normalize
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -86,8 +86,7 @@ def _resonances_payload(doc: InputDocument, opts: Any) -> dict:
     if doc.eigenvalues is not None:
         eigenvalues = list(doc.eigenvalues)
     elif doc.generators:
-        lin = doc.generators[0][1].linear_matrix()
-        eigenvalues = [lin[i][i] for i in range(len(lin))]
+        eigenvalues = _diagonal_eigenvalues(doc.generators[0][1])
     else:
         raise DocumentError("document provides neither eigenvalues nor generators")
     records = enumerate_resonances(eigenvalues, doc.truncation)

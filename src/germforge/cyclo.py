@@ -8,6 +8,10 @@ coefficients of Phi_N, and one gcd; the inverse is a product of Galois
 conjugates over the norm.  So equality and hashing compare integers, and no
 per-coefficient Fraction is built or normalised on the hot path.  The
 package computes no floating-point value anywhere.
+
+`_lowest_terms` is the one place for the canonical form (den > 0, gcd 1),
+here and in `jets`, and `CycloField._norm_adjugate` the one place for
+division by an element of Z[zeta_N].
 """
 
 from __future__ import annotations
@@ -257,11 +261,14 @@ class CycloField:
         return out
 
     def _norm_adjugate(self, a: Sequence[int]) -> tuple[tuple[int, ...], int]:
-        """(P, Norm(a)) for a nonzero, non-rational reduced integer vector a.
+        """(P, n) for a nonzero reduced integer vector a, with a * P = n a
+        nonzero integer: x / a = x * P / n.
 
-        P is the product of the images of a under zeta -> zeta^k for the
-        units k != 1 mod N, so a * P = Norm(a), a nonzero integer.
+        A rational a gives (1, a).  Otherwise P is the product of the images
+        of a under zeta -> zeta^k for the units k != 1 mod N, and n = Norm(a).
         """
+        if not any(a[1:]):
+            return self._one.num, a[0]
         adj = self._galois(a, self._units[0])
         for k in self._units[1:]:
             adj = self._mul(adj, self._galois(a, k))
@@ -270,7 +277,7 @@ class CycloField:
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs: Sequence[Fraction | int]) -> "CycloNum":
-        vec = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        vec = [_exact(c) for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError("coefficient vector longer than field degree")
         den = math.lcm(*(c.denominator for c in vec))
@@ -295,10 +302,9 @@ class CycloField:
             raise ZeroDivisionError("rational with zero denominator")
         return _canonical(self, (n,) + (0,) * (self.degree - 1), d)
 
-    def from_rational(self, q) -> "CycloNum":
-        """q given as an int, a Fraction, or anything `Fraction` accepts."""
-        if not isinstance(q, int):
-            q = Fraction(q)
+    def from_rational(self, q: Fraction | int) -> "CycloNum":
+        """q given as an int or a Fraction."""
+        q = _exact(q)
         return self.rational(q.numerator, q.denominator)
 
     def zeta(self, k: int = 1) -> "CycloNum":
@@ -327,14 +333,28 @@ def field(conductor: int) -> CycloField:
         return f
 
 
-def _canonical(fld: CycloField, num: Sequence[int], den: int) -> "CycloNum":
-    """num/den (den != 0) with the common factor divided out and den > 0."""
-    g = math.gcd(den, *num)
+def _exact(q):
+    """q, which must be an int or a Fraction: no float enters exact arithmetic."""
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"exact coefficient must be an int or a Fraction, not {type(q).__name__}")
+    return q
+
+
+def _lowest_terms(den: int, nums: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(den, nums) for nums / den, den != 0, with the common factor divided out
+    and den > 0: the canonical form of elements, matrices and jets."""
+    g = math.gcd(den, *nums)
     if den < 0:
         g = -g
     if g == 1:
-        return CycloNum(fld, tuple(num), den)
-    return CycloNum(fld, tuple(c // g for c in num), den // g)
+        return den, tuple(nums)
+    return den // g, tuple(c // g for c in nums)
+
+
+def _canonical(fld: CycloField, num: Sequence[int], den: int) -> "CycloNum":
+    """The element num/den, den != 0, in canonical form."""
+    den, num = _lowest_terms(den, num)
+    return CycloNum(fld, num, den)
 
 
 def _add_or_sub(x: "CycloNum", y: "CycloNum", op: Callable) -> "CycloNum":
@@ -460,17 +480,13 @@ class CycloNum:
     def inverse(self) -> "CycloNum":
         """Multiplicative inverse, on integers.
 
-        For a = A/D with A in Z[zeta_N], the product P of the images of A
-        under the automorphisms zeta -> zeta^k, k a unit mod N other than 1,
-        gives A * P = Norm(A), a nonzero integer; so 1/a = D * P / Norm(A).
+        For a = A/D with A in Z[zeta_N], `CycloField._norm_adjugate` gives P
+        with A * P = n, a nonzero integer; so 1/a = D * P / n.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        fld, num = self.field, self.num
-        if not any(num[1:]):  # a rational number, and every element of Q
-            return _canonical(fld, (self.den,) + num[1:], num[0])
-        adj, norm = fld._norm_adjugate(num)
-        return _canonical(fld, [c * self.den for c in adj], norm)
+        adj, norm = self.field._norm_adjugate(self.num)
+        return _canonical(self.field, [c * self.den for c in adj], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)

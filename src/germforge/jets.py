@@ -23,17 +23,17 @@ product of the linear parts and the determinant is multiplicative.
 
 Linear parts are matrices of `CycloNum`s at the interface, but the exact
 linear algebra (`mat_mul`, `mat_det`, `mat_inv`, `char_poly` and the
-`linear_order` power test) runs on one integer form of a matrix: integer
-numerators over Z[zeta_N] and one common denominator, with fraction-free
-elimination.  A jet hands its linear part to it in that form, and
-`CycloNum`s are built only for the results.
+`linear_order` power test) runs on the same integer form, and jets and
+matrices share one helper per rule (see the comment above `IntMatrix`):
+`_common_form`, `_accumulate` with `_fold_sums`, `_bareiss`, and
+`cyclo._lowest_terms` and `CycloField._norm_adjugate`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import chain
+from itertools import chain, product
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -42,6 +42,7 @@ from .cyclo import (
     CycloNum,
     FieldMismatchError,
     OrderResult,
+    _lowest_terms,
     binary_power,
     element_order,
     torsion_exponent,
@@ -80,33 +81,37 @@ def unit_index(n: int, i: int) -> MultiIndex:
 # (D, nums) of a positive denominator D and the flat row-major integer
 # numerators, phi(N) per entry, of the entries over D.  The form is
 # canonical, gcd(D, *nums) = 1, so two matrices are equal iff their forms
-# are.  Products are integer convolutions summed over a whole row times
-# column and folded through Phi_N once per entry (the fold is linear), with
-# one gcd per matrix; for phi(N) = 1 they are plain integer dot products.
-# Determinants and inverses are fraction-free (Bareiss, "Sylvester's
-# identity and multistep integer-preserving Gaussian elimination", Math.
-# Comp. 22, 1968): every intermediate entry lies in Z[zeta_N], and the only
-# divisions are exact.  `CycloNum`s are built only at the boundary.
+# are.  Each rule has one helper, shared by matrices and jets:
+#   - `_common_form` puts `CycloNum`s over one denominator; `cyclo._lowest_terms`
+#     divides out the gcd of any other result;
+#   - `_accumulate` and `_fold_sums` take every sum of products, as integer
+#     convolutions folded through Phi_N once per sum; for phi(N) = 1 they are
+#     integer sums, and `_mul_nums` keeps its own dot products;
+#   - `_bareiss` is the fraction-free elimination (Bareiss, "Sylvester's
+#     identity and multistep integer-preserving Gaussian elimination", Math.
+#     Comp. 22, 1968) of `mat_det` and `_int_inv`; its only divisions are
+#     exact, through `CycloField._norm_adjugate`.
+# `CycloNum`s are built only at the boundary.
 
 IntMatrix = tuple[int, tuple[int, ...]]
 
 
-def _int_form(a: Matrix) -> IntMatrix:
-    """The integer form of a; D is the lcm of the entry denominators.
+def _common_form(values: Iterable[CycloNum]) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, nums): the canonical values (read twice) over D, the lcm of their denominators.
 
-    It is canonical without a gcd: a prime power p^e exactly dividing D
-    exactly divides some entry's denominator, and that entry has a
-    numerator prime to p, scaled by the prime-to-p factor D / den.
+    The numerators are canonical without a gcd: a prime power p^e exactly
+    dividing D exactly divides some value's denominator, and that value has
+    a numerator prime to p, scaled by the prime-to-p factor D / den.
     """
-    entries = [c for row in a for c in row]
-    den = math.lcm(*[c.den for c in entries])
-    if den == 1:
-        return 1, tuple(x for c in entries for x in c.num)
-    nums: list[int] = []
-    for c in entries:
-        scale = den // c.den
-        nums += [x * scale for x in c.num]
-    return den, tuple(nums)
+    den = math.lcm(*[c.den for c in values])
+    return den, [c.num if c.den == den else tuple(x * (den // c.den) for x in c.num)
+                 for c in values]
+
+
+def _int_form(a: Matrix) -> IntMatrix:
+    """The integer form of a, over the lcm of the entry denominators."""
+    den, nums = _common_form([c for row in a for c in row])
+    return den, tuple(chain.from_iterable(nums))
 
 
 def _int_identity(d: int, n: int) -> tuple[int, ...]:
@@ -132,54 +137,34 @@ def _int_rows(fld: CycloField, n: int, a: IntMatrix) -> tuple[int, list[list[tup
     return den, [entries[i:i + n] for i in range(0, len(entries), n)]
 
 
-def _reduced(den: int, nums: Sequence[int]) -> IntMatrix:
-    """(den, nums), den != 0, with the common factor divided out and den > 0."""
-    g = math.gcd(den, *nums)
-    if den < 0:
-        g = -g
-    if g == 1:
-        return den, tuple(nums)
-    return den // g, tuple(x // g for x in nums)
-
-
 def _mul_nums(fld: CycloField, k: int, m: int, x: Sequence[int], y: Sequence[int]) -> list[int]:
     """Numerators of (rows x k) times (k x m), integer matrices over Z[zeta_N]."""
-    d = fld.degree
-    if d == 1:
+    if fld.degree == 1:
         cols = [y[j::m] for j in range(m)]
         return [sum(map(operator.mul, x[i:i + k], col)) for i in range(0, len(x), k) for col in cols]
-    b = _entries(fld, y)
-    cols = [b[j::m] for j in range(m)]
-    a = _entries(fld, x)
-    out: list[int] = []
-    for i in range(0, len(a), k):
-        row = a[i:i + k]
-        for col in cols:
-            conv = [0] * (2 * d - 1)
-            for u, v in zip(row, col):
-                for p, c in enumerate(u):
-                    if c:
-                        for q, e in enumerate(v, p):
-                            conv[q] += c * e
-            out += fld._reduce(conv)
-    return out
+    a, b = _entries(fld, x), _entries(fld, y)
+    pairs = list(product([a[i:i + k] for i in range(0, len(a), k)], [b[j::m] for j in range(m)]))
+    sums = _fold_sums(fld, _accumulate(fld, (
+        (s, u, v) for s, (row, col) in enumerate(pairs)
+        for u, v in zip(row, col) if any(u) and any(v))))
+    zero = (0,) * fld.degree
+    return [c for s in range(len(pairs)) for c in sums.get(s, zero)]
 
 
 def _int_mul(fld: CycloField, k: int, m: int, a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """a (rows x k) times b (k x m) in canonical form, with one gcd."""
-    return _reduced(a[0] * b[0], _mul_nums(fld, k, m, a[1], b[1]))
+    return _lowest_terms(a[0] * b[0], _mul_nums(fld, k, m, a[1], b[1]))
 
 
 def _exact_divider(fld: CycloField, v: tuple[int, ...]) -> Callable:
     """x -> x / v on the x in Z[zeta_N] that v divides; v nonzero.
 
-    For v outside Q, x / v = x * P / Norm(v) with P the product of the
-    other Galois conjugates of v (`CycloField._norm_adjugate`).
+    x / v = x * P / n with (P, n) from `CycloField._norm_adjugate`; for a
+    rational v, P = 1 and x is divided by n alone.
     """
-    if not any(v[1:]):
-        q = v[0]
-        return lambda x: tuple(c // q for c in x)
     adj, norm = fld._norm_adjugate(v)
+    if adj == fld.one().num:
+        return lambda x: tuple(c // norm for c in x)
     return lambda x: tuple(c // norm for c in fld._mul(x, adj))
 
 
@@ -201,6 +186,27 @@ def _eliminate(fld: CycloField, rows: list[list[tuple[int, ...]]], k: int, i: in
             row[j] = e if divide is None else divide(e)
 
 
+def _bareiss(fld: CycloField, rows: list[list[tuple[int, ...]]], steps: int,
+             jordan: bool) -> Optional[int]:
+    """Eliminate the first `steps` columns of the integer rows in place: step
+    k swaps a row with a nonzero entry in column k into row k and runs
+    `_eliminate` on the rows below it or, with `jordan`, on every other row.
+    Returns the sign of the row swaps, or None for a zero pivot column."""
+    n, sign = len(rows), 1
+    for k in range(steps):
+        pivot = next((r for r in range(k, n) if any(rows[r][k])), None)
+        if pivot is None:
+            return None
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        divide = _exact_divider(fld, rows[k - 1][k - 1]) if k else None
+        for i in range(0 if jordan else k + 1, n):
+            if i != k:
+                _eliminate(fld, rows, k, i, k + 1, divide)
+    return sign
+
+
 def mat_identity(fld: CycloField, n: int) -> Matrix:
     one, zero = fld.one(), fld.zero()
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
@@ -215,21 +221,14 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_det(a: Matrix) -> CycloNum:
-    """Determinant by Bareiss elimination of the numerators: det(a) = det(X) / D^n."""
+    """Determinant by Bareiss elimination of the numerators: det(a) = det(X) / D^n.
+    The last pivot is det(X), so no divider is built for it."""
     n = len(a)
     fld = a[0][0].field
     den, rows = _int_rows(fld, n, _int_form(a))
-    sign = 1
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if any(rows[r][k])), None)
-        if pivot is None:
-            return fld.zero()
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        divide = _exact_divider(fld, rows[k - 1][k - 1]) if k else None
-        for i in range(k + 1, n):
-            _eliminate(fld, rows, k, i, k + 1, divide)
+    sign = _bareiss(fld, rows, n - 1, jordan=False)
+    if sign is None:
+        return fld.zero()
     return fld.from_integers([sign * c for c in rows[n - 1][n - 1]], den ** n)
 
 
@@ -249,24 +248,11 @@ def _int_inv(fld: CycloField, n: int, a: IntMatrix) -> IntMatrix:
     unit = _entries(fld, _int_identity(fld.degree, n))
     for i, row in enumerate(rows):
         row += unit[i * n:(i + 1) * n]
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if any(rows[r][k])), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        rows[k], rows[pivot] = rows[pivot], rows[k]
-        divide = _exact_divider(fld, rows[k - 1][k - 1]) if k else None
-        for i in range(n):
-            if i != k:
-                _eliminate(fld, rows, k, i, k + 1, divide)
-    p = rows[n - 1][n - 1]
-    if any(p[1:]):
-        adj, out_den = fld._norm_adjugate(p)
-        scale = [c * den for c in adj]
-        nums = [x for row in rows for e in row[n:] for x in fld._mul(e, scale)]
-    else:
-        out_den = p[0]
-        nums = [x * den for row in rows for e in row[n:] for x in e]
-    return _reduced(out_den, nums)
+    if _bareiss(fld, rows, n, jordan=True) is None:
+        raise ZeroDivisionError("singular matrix")
+    adj, out_den = fld._norm_adjugate(rows[n - 1][n - 1])
+    scale = [c * den for c in adj]
+    return _lowest_terms(out_den, [x for row in rows for e in row[n:] for x in fld._mul(e, scale)])
 
 
 def mat_is_diagonal(a: Matrix) -> bool:
@@ -341,15 +327,12 @@ class GermJet:
                 raise FieldMismatchError("coefficient from a different field")
             if not c.is_zero():
                 clean[(s, q)] = c
-        # Over the lcm of the canonical coefficients' denominators the form
-        # is canonical without a gcd, as in `_int_form`.
-        den = math.lcm(*[c.den for c in clean.values()])
+        den, nums = _common_form(clean.values())
         self.n = n
         self.K = K
         self.field = fld
         self.den = den
-        self.nums = {key: c.num if c.den == den else tuple(x * (den // c.den) for x in c.num)
-                     for key, c in clean.items()}
+        self.nums = dict(zip(clean, nums))
         self._coeffs = MappingProxyType(clean)
         self._lin = None
         self._monomials = None
@@ -409,7 +392,7 @@ class GermJet:
                 if sum(q) == 1:
                     start = (s * n + q.index(1)) * d
                     flat[start:start + d] = v
-            self._lin = _reduced(self.den, flat)
+            self._lin = _lowest_terms(self.den, flat)
         return self._lin
 
     def _monomial(self, q: MultiIndex) -> dict:

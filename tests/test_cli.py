@@ -196,6 +196,28 @@ def test_order_is_always_decided(tmp_path, capsys, conductor, truncation, coords
     assert "every finite order divides" in verdict["certificate"]
 
 
+@pytest.mark.parametrize("coords", [
+    # [[1, 1], [1, 2]]: eigenvalues (3 +- sqrt 5)/2, not its diagonal entries
+    [[("1", [1, 0]), ("1", [0, 1])], [("1", [1, 0]), ("2", [0, 1])]],
+    # [[0, 1], [1, 0]]: a zero diagonal, but eigenvalues 1 and -1
+    [[("1", [0, 1])], [("1", [1, 0])]],
+], ids=["full", "swap"])
+def test_resonances_refuse_a_non_diagonal_linear_part(tmp_path, capsys, coords):
+    path = jet_document(tmp_path / "f.json", 1, 3, coords)
+    assert cli.main(["resonances", path]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: linear part must be diagonal\n"
+
+
+def test_resonances_read_a_diagonal_linear_part(tmp_path, capsys):
+    path = jet_document(tmp_path / "f.json", 1, 2, [[("-1", [1, 0])], [("1", [0, 1])]])
+    assert cli.main(["resonances", path, "--format", "json"]) == cli.EXIT_OK
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["eigenvalues"] == ["-1", "1"]
+    assert verdict["records"] == [{"coord": 0, "monomial": [1, 1]},
+                                  {"coord": 1, "monomial": [0, 2]},
+                                  {"coord": 1, "monomial": [2, 0]}]
+
+
 # --- the command table ------------------------------------------------------------
 
 TABLE_CAP = 200  # above every finite corpus closure (at most 24 elements)

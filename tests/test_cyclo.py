@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from germforge.cyclo import (
     parse_coefficient,
     root_of_unity_order,
 )
+from germforge.jets import GermJet
 
 CONDUCTORS = (1, 2, 3, 4, 5, 8, 12)
 
@@ -436,3 +438,31 @@ def test_inverse_runs_on_integers_for_every_conductor():
             if not a.is_zero():
                 assert (a * a.inverse()).is_one()
                 assert_canonical(a.inverse())
+
+
+@pytest.mark.parametrize("value", [0.1, "1/10", Decimal("0.1")], ids=["float", "str", "Decimal"])
+def test_constructors_refuse_inexact_and_textual_numbers(value):
+    fld = field(1)
+    with pytest.raises(TypeError):
+        fld.from_rational(value)
+    with pytest.raises(TypeError):
+        fld.element([value])
+    with pytest.raises(TypeError):
+        GermJet(1, 1, fld, {(0, (1,)): value})
+    with pytest.raises(TypeError):
+        fld.one() * value
+    assert fld.from_rational(Fraction(1, 10)) == fld.element([Fraction(1, 10)]) == Fraction(1, 10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 3, 4, 5, 9, 12)), st.booleans(), st.data())
+def test_norm_adjugate_multiplies_to_an_integer(conductor, rational, data):
+    fld = field(conductor)
+    coords = st.integers(-6, 6)
+    a = (data.draw(coords),) + (0,) * (fld.degree - 1) if rational else tuple(
+        data.draw(st.lists(coords, min_size=fld.degree, max_size=fld.degree)))
+    assume(any(a))
+    adj, n = fld._norm_adjugate(a)
+    assert n != 0 and fld._mul(a, adj) == (n,) + (0,) * (fld.degree - 1)
+    if rational:
+        assert (adj, n) == (fld.one().num, a[0])

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from germforge import corpus, cyclo, jets
 from germforge.cyclo import (
+    CycloField,
     CycloNum,
     binary_power,
     element_order,
@@ -554,6 +555,26 @@ def test_mat_det_inverts_every_pivot_but_the_last(n, monkeypatch):
             if not det.is_zero():
                 nonsingular += 1
     assert nonsingular >= 10
+
+
+def test_elimination_takes_no_norm_for_the_determinant_of_the_last_pivot(monkeypatch):
+    """On a fixed 4 x 4 matrix over Q(zeta_5), `mat_det` divides by the two
+    inner pivots and never by the last one, and `mat_inv` divides by the
+    three inner pivots and then by the last; one of the first two pivots and
+    two of the last three lie outside Q, so each needs a norm."""
+    z = field(5).zeta()
+    a = tuple(tuple(z ** ((3 * i + 2 * j) % 5) + 2 * (i == j) + j * z for j in range(4))
+              for i in range(4))
+    det, inv = reference_det(a), reference_inv(a)
+    calls = []
+    adjugate = CycloField._norm_adjugate
+    monkeypatch.setattr(CycloField, "_norm_adjugate",
+                        lambda fld, v: calls.append(any(v[1:])) or adjugate(fld, v))
+    assert jets.mat_det(a) == det
+    assert sum(calls) == 1
+    calls.clear()
+    assert jets.mat_inv(a) == inv
+    assert sum(calls) == 3
 
 
 def test_parsing_inverts_once_per_two_by_two_generator(monkeypatch):
