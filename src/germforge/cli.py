@@ -19,8 +19,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import corpus
 from .cyclo import format_coefficient
@@ -208,8 +207,7 @@ def _holonomy_payload(doc: InputDocument, opts: Any) -> dict:
 # the command table
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One command: `name` is its subcommand (None for a corpus-only check),
     `check` the corpus `expected` key it answers (None for none), `options`
     its own (dest, argparse keywords) pairs, which a corpus check reads from

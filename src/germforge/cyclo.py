@@ -9,6 +9,12 @@ conjugates over the norm.  So equality and hashing compare integers, and no
 per-coefficient Fraction is built or normalised on the hot path.  The
 package computes no floating-point value anywhere.
 
+Exact scalars enter as an int or rational (`numbers.Rational`, such as a
+`Fraction`).  `fractions` is imported only where a `Fraction` is returned or
+hashed (`CycloNum.coeffs`, `CycloNum.as_rational` and the hash of a
+non-integer rational element), so importing this module or parsing a
+document does not load it.
+
 `_lowest_terms` is the one place for the canonical form (den > 0, gcd 1),
 here and in `jets`, and `CycloField._norm_adjugate` the one place for
 division by an element of Z[zeta_N].
@@ -21,9 +27,11 @@ import math
 import operator
 import re
 import threading
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from numbers import Rational
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class FieldMismatchError(ValueError):
@@ -117,8 +125,7 @@ def binary_power(x, e: int, mul: Callable):
         x = mul(x, x)
 
 
-@dataclass(frozen=True)
-class OrderResult:
+class OrderResult(NamedTuple):
     kind: str  # "finite" | "infinite"; every order is decided exactly
     order: Optional[int] = None
     certificate: Optional[str] = None
@@ -276,7 +283,8 @@ class CycloField:
 
     # -- element constructors ------------------------------------------------
 
-    def element(self, coeffs: Sequence[Fraction | int]) -> "CycloNum":
+    def element(self, coeffs: Sequence[int | Rational]) -> "CycloNum":
+        """The element with the given power-basis coefficients, each an int or rational."""
         vec = [_exact(c) for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError("coefficient vector longer than field degree")
@@ -302,8 +310,8 @@ class CycloField:
             raise ZeroDivisionError("rational with zero denominator")
         return _canonical(self, (n,) + (0,) * (self.degree - 1), d)
 
-    def from_rational(self, q: Fraction | int) -> "CycloNum":
-        """q given as an int or a Fraction."""
+    def from_rational(self, q: int | Rational) -> "CycloNum":
+        """q given as an int or rational."""
         q = _exact(q)
         return self.rational(q.numerator, q.denominator)
 
@@ -333,10 +341,10 @@ def field(conductor: int) -> CycloField:
         return f
 
 
-def _exact(q):
-    """q, which must be an int or a Fraction: no float enters exact arithmetic."""
-    if not isinstance(q, (int, Fraction)):
-        raise TypeError(f"exact coefficient must be an int or a Fraction, not {type(q).__name__}")
+def _exact(q: int | Rational) -> int | Rational:
+    """q, which must be an int or rational: no float enters exact arithmetic."""
+    if not isinstance(q, Rational):
+        raise TypeError(f"exact coefficient must be an int or rational, not {type(q).__name__}")
     return q
 
 
@@ -380,7 +388,7 @@ class CycloNum:
     `coeffs` gives the coefficients as Fractions.
 
     Immutable; all arithmetic returns fresh values.  Mixed arithmetic with
-    int and Fraction coerces the scalar into the same field, and an element
+    an int or rational coerces the scalar into the same field, and an element
     of Q hashes like the rational number it equals.
     """
 
@@ -398,6 +406,8 @@ class CycloNum:
     def coeffs(self) -> tuple[Fraction, ...]:
         """The power-basis coefficients as Fractions, built on first use."""
         if self._coeffs is None:
+            from fractions import Fraction
+
             self._coeffs = tuple(Fraction(c, self.den) for c in self.num)
         return self._coeffs
 
@@ -410,7 +420,7 @@ class CycloNum:
                     f"conductor mismatch: {self.field.conductor} vs {other.field.conductor}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return self.field.from_rational(other)
         return None
 
@@ -432,6 +442,8 @@ class CycloNum:
         """The value as a Fraction when it lies in Q, else None."""
         if any(self.num[1:]):
             return None
+        from fractions import Fraction
+
         return Fraction(self.num[0], self.den)
 
     def sort_key(self) -> "CoefficientOrder":
@@ -510,10 +522,10 @@ class CycloNum:
     # -- comparisons ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
         if not isinstance(other, CycloNum):
-            return NotImplemented
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = self.field.from_rational(other)
         return (
             self.den == other.den
             and self.num == other.num
@@ -525,8 +537,12 @@ class CycloNum:
             num, den = self.num, self.den
             if any(num[1:]):
                 self._hash = hash((self.field.conductor, num, den))
-            else:  # in Q: hash like the int or Fraction this equals
-                self._hash = hash(num[0] if den == 1 else Fraction(num[0], den))
+            elif den == 1:  # in Q: hash like the int or Fraction this equals
+                self._hash = hash(num[0])
+            else:
+                from fractions import Fraction
+
+                self._hash = hash(Fraction(num[0], den))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -598,9 +614,10 @@ def embed_to_conductor(a: CycloNum, m: int) -> CycloNum:
 #   term     := rational ("*" zpart)? | zpart
 #   zpart    := "z" ("^" nat)?
 #   rational := nat ("/" nat)?
+#   nat      := ASCII digits 0-9, one or more
 # where z denotes zeta_N of the ambient field.
 
-_TOKEN = re.compile(r"\s*(\d+|z|\^|\*|/|\+|\-)")
+_TOKEN = re.compile(r"\s*([0-9]+|z|\^|\*|/|\+|\-)")
 
 
 def _tokenize(text: str) -> list[str]:

@@ -13,14 +13,22 @@ Parsing loads only what the document holds: this module imports `cyclo`,
 `jets` and `words` (for the witness words), `moebius` only when a document
 has `moebius_generators`, and `groupkit` only when `presentation()` or
 `closure()` is called.  So the jet documents of the paper's examples parse
-without compiling the group machinery.
+without compiling the group machinery.  None of these modules, nor `cli`,
+imports `dataclasses` or `fractions`, and so neither `inspect` nor `decimal`
+is loaded: the records are `NamedTuple`s or `__slots__` classes, exact
+scalars are checked against `numbers.Rational`, and a `Fraction` is built
+only where a caller asks for one.
+
+Each distinct coefficient string is parsed once per document (the
+documents of the paper's Examples 2.1-2.3 hold 14, 26 and 74 coefficient
+strings, 4 distinct in each), and every `GermJet` takes the shared
+`CycloNum`s into its integer form.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING, Any, Optional
 
 from .cyclo import CycloField, CycloNum, field, format_coefficient, parse_coefficient
@@ -47,21 +55,42 @@ MAX_MONOMIALS = 1000
 MAX_GENERATORS = 64
 
 
-@dataclass
 class InputDocument:
-    conductor: int
-    dimension: int
-    truncation: int
-    field: CycloField
-    generators: tuple[tuple[str, GermJet], ...] = ()
-    moebius_generators: tuple[tuple[str, MoebiusMap], ...] = ()
-    eigenvalues: Optional[tuple[CycloNum, ...]] = None
-    multiplier: Optional[CycloNum] = None
-    translations: Optional[tuple[CycloNum, ...]] = None
-    witnesses: dict = dc_field(default_factory=dict)
-    expected: Optional[dict] = None
-    name: str = ""
-    _closures: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    """A parsed document, as `parse_document` returns it; `witnesses` maps a
+    generator pair (i, j) to its word.  It caches its closure per cap."""
+
+    __slots__ = ("conductor", "dimension", "truncation", "field", "generators",
+                 "moebius_generators", "eigenvalues", "multiplier", "translations",
+                 "witnesses", "expected", "name", "_closures")
+
+    def __init__(
+        self,
+        conductor: int,
+        dimension: int,
+        truncation: int,
+        field: CycloField,
+        generators: tuple[tuple[str, GermJet], ...] = (),
+        moebius_generators: tuple[tuple[str, MoebiusMap], ...] = (),
+        eigenvalues: Optional[tuple[CycloNum, ...]] = None,
+        multiplier: Optional[CycloNum] = None,
+        translations: Optional[tuple[CycloNum, ...]] = None,
+        witnesses: Optional[dict] = None,
+        expected: Optional[dict] = None,
+        name: str = "",
+    ):
+        self.conductor = conductor
+        self.dimension = dimension
+        self.truncation = truncation
+        self.field = field
+        self.generators = generators
+        self.moebius_generators = moebius_generators
+        self.eigenvalues = eigenvalues
+        self.multiplier = multiplier
+        self.translations = translations
+        self.witnesses = {} if witnesses is None else witnesses
+        self.expected = expected
+        self.name = name
+        self._closures: dict[int, ClosureResult] = {}
 
     def presentation(self) -> GroupPresentation:
         from .groupkit import GroupPresentation
@@ -104,12 +133,16 @@ def _generator_list(obj: dict, key: str) -> list:
     return gens
 
 
-def _parse_coeff(text: Any, fld: CycloField, path: str) -> CycloNum:
+def _parse_coeff(text: Any, fld: CycloField, path: str, memo: dict) -> CycloNum:
+    """The coefficient at `path`; `memo` holds the document's strings parsed so far."""
     _expect(isinstance(text, str), path, f"coefficient must be a string, got {type(text).__name__}")
-    try:
-        return parse_coefficient(text, fld)
-    except ValueError as exc:
-        raise DocumentError(f"{path}: {exc}") from exc
+    value = memo.get(text)
+    if value is None:
+        try:
+            value = memo[text] = parse_coefficient(text, fld)
+        except ValueError as exc:
+            raise DocumentError(f"{path}: {exc}") from exc
+    return value
 
 
 def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] = None) -> InputDocument:
@@ -134,6 +167,7 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
     _expect_at_most(truncation, MAX_TRUNCATION, "truncation")
     _expect_monomials(dimension, truncation, "truncation")
 
+    memo: dict[str, CycloNum] = {}
     generators = []
     names = set()
     for gi, gen in enumerate(_generator_list(obj, "generators")):
@@ -166,7 +200,7 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
                         f"degree {deg} outside 1..{truncation}")
                 key = (s, tuple(mono))
                 _expect(key not in coeffs, tpath, f"duplicate monomial {mono} in coordinate {s}")
-                coeffs[key] = _parse_coeff(term["coeff"], fld, f"{tpath}.coeff")
+                coeffs[key] = _parse_coeff(term["coeff"], fld, f"{tpath}.coeff", memo)
         try:
             jet = GermJet(dimension, truncation, fld, coeffs)
         except ValueError as exc:
@@ -190,7 +224,8 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
             f"{path}.matrix", "must be a 2x2 array of coefficient strings",
         )
         rows = tuple(
-            tuple(_parse_coeff(matrix[r][c], fld, f"{path}.matrix[{r}][{c}]") for c in range(2))
+            tuple(_parse_coeff(matrix[r][c], fld, f"{path}.matrix[{r}][{c}]", memo)
+                  for c in range(2))
             for r in range(2)
         )
         try:
@@ -206,18 +241,18 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
                 f"{len(ev)} eigenvalues exceed the dimension limit {MAX_DIMENSION}")
         _expect_monomials(len(ev), truncation, "eigenvalues")
         eigenvalues = tuple(
-            _parse_coeff(e, fld, f"eigenvalues[{i}]") for i, e in enumerate(ev)
+            _parse_coeff(e, fld, f"eigenvalues[{i}]", memo) for i, e in enumerate(ev)
         )
 
     multiplier = None
     if "multiplier" in obj:
-        multiplier = _parse_coeff(obj["multiplier"], fld, "multiplier")
+        multiplier = _parse_coeff(obj["multiplier"], fld, "multiplier", memo)
     translations = None
     if "translations" in obj:
         tr = obj["translations"]
         _expect(isinstance(tr, list) and tr, "translations", "must be a nonempty list")
         translations = tuple(
-            _parse_coeff(t, fld, f"translations[{i}]") for i, t in enumerate(tr)
+            _parse_coeff(t, fld, f"translations[{i}]", memo) for i, t in enumerate(tr)
         )
 
     witnesses = {}

@@ -13,9 +13,8 @@ and Moebius maps alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from itertools import count
-from typing import Callable, Optional, Protocol
+from typing import Callable, NamedTuple, Optional, Protocol
 
 from .cyclo import (
     CycloNum,
@@ -71,34 +70,46 @@ class GroupElement(Protocol):
 # presentations and words
 
 
-@dataclass(frozen=True)
 class GroupPresentation:
-    """Named generators of one type and shape, plus optional witness words."""
+    """Named generators of one type and shape, plus optional witness words
+    (`witnesses` maps a generator pair (i, j) to its word).  Immutable."""
+
+    __slots__ = ("generators", "witnesses")
 
     generators: tuple[tuple[str, GroupElement], ...]
-    witnesses: dict = dc_field(default_factory=dict)  # (i, j) -> word
+    witnesses: dict
 
-    def __post_init__(self):
-        if not self.generators:
-            raise ValueError("presentation needs at least one generator")
+    def __init__(self, generators, witnesses: Optional[dict] = None):
         # equal generators share one object, so a value memoized on it
         # (such as its order) is computed once per distinct element
         canonical: dict = {}
-        object.__setattr__(self, "generators", tuple(
-            (name, canonical.setdefault(x, x)) for name, x in self.generators
-        ))
-        names = [name for name, _ in self.generators]
+        generators = tuple((name, canonical.setdefault(x, x)) for name, x in generators)
+        witnesses = {} if witnesses is None else witnesses
+        if not generators:
+            raise ValueError("presentation needs at least one generator")
+        names = [name for name, _ in generators]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
-        shapes = {x.shape for _, x in self.generators}
+        shapes = {x.shape for _, x in generators}
         if len(shapes) != 1:
             raise ValueError("generators must share dimension, truncation and field")
-        for (i, j), word in self.witnesses.items():
+        for (i, j), word in witnesses.items():
             if not (0 <= i < len(names) and 0 <= j < len(names)):
                 raise ValueError(f"witness pair ({i}, {j}) out of range")
             for name, _ in parse_word(word):
                 if name not in names:
                     raise WordError(f"witness word uses unknown generator {name!r}")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "witnesses", witnesses)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: GroupPresentation is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: GroupPresentation is immutable")
+
+    def __repr__(self) -> str:
+        return f"GroupPresentation(generators={self.generators!r}, witnesses={self.witnesses!r})"
 
     @property
     def names(self) -> list[str]:
@@ -208,8 +219,7 @@ def _word_ball(g: GroupPresentation, bound: int, stop: Callable):
 # condition (b): conjugacy witnesses
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(NamedTuple):
     status: str  # "witness" | "disproved" | "unresolved"
     word: Optional[str] = None
     reason: Optional[str] = None
@@ -303,8 +313,7 @@ def find_conjugacy_witness(
 # combined report
 
 
-@dataclass(frozen=True)
-class BasicSetReport:
+class BasicSetReport(NamedTuple):
     product_is_identity: bool
     residual: GroupElement
     conjugacy: dict  # (i, j), i < j -> WitnessResult
@@ -372,8 +381,7 @@ def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) ->
 # closure enumeration and cyclicity
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     """How the closure ended: `status` is "closed", "infinite" or "cap-exceeded".
 
     "closed": `elements` is the finite group, sorted by `canonical_key()`, and
@@ -446,16 +454,14 @@ def is_cyclic(closure: ClosureResult) -> Optional[GroupElement]:
 # degree-slice morphisms into (C, +) and Aff(C)
 
 
-@dataclass(frozen=True)
-class AffineFamily:
+class AffineFamily(NamedTuple):
     """Maps w -> multiplier * w + translation_i with a finite-order multiplier."""
 
     multiplier: CycloNum
     translations: tuple[CycloNum, ...]
 
 
-@dataclass(frozen=True)
-class SliceMorphismEntry:
+class SliceMorphismEntry(NamedTuple):
     coord: int
     monomial: MultiIndex
     resonant: bool
@@ -600,8 +606,7 @@ def affine_conjugacy_decide(family: AffineFamily) -> tuple[bool, str]:
 # simultaneous linearization
 
 
-@dataclass(frozen=True)
-class LinearizationSuccess:
+class LinearizationSuccess(NamedTuple):
     conjugator: GermJet
     diagonal_generator: Matrix
     group_order: int
@@ -611,8 +616,7 @@ class LinearizationSuccess:
         return True
 
 
-@dataclass(frozen=True)
-class LinearizationFailure:
+class LinearizationFailure(NamedTuple):
     reason: str  # "generators-differ" | "resonant-coefficient-nonzero" | "precondition-violated"
     degree: Optional[int] = None
     offending: tuple = ()

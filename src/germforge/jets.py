@@ -14,8 +14,9 @@ takes one gcd.  Inversion starts from the integer inverse of the linear part
 and corrects one degree at a time on integers.
 
 `GermJet(...)` validates its input: every key, every coefficient's field and,
-with a determinant, the invertibility of the linear part.  Documents and
-other outside input go through it.  The jets that group operations return
+with the determinant of its own integer linear part (`_int_det`), the
+invertibility of the linear part.  Documents and other outside input go
+through it.  The jets that group operations return
 (`compose`, `invert` and so `power` and `conjugate`, and `identity`) are built
 by `GermJet._trusted`, which skips all of that: their keys come from valid
 jets, and invertibility is preserved, since the linear part of f o g is the
@@ -89,7 +90,7 @@ def unit_index(n: int, i: int) -> MultiIndex:
 #     integer sums, and `_mul_nums` keeps its own dot products;
 #   - `_bareiss` is the fraction-free elimination (Bareiss, "Sylvester's
 #     identity and multistep integer-preserving Gaussian elimination", Math.
-#     Comp. 22, 1968) of `mat_det` and `_int_inv`; its only divisions are
+#     Comp. 22, 1968) of `_int_det` and `_int_inv`; its only divisions are
 #     exact, through `CycloField._norm_adjugate`.
 # `CycloNum`s are built only at the boundary.
 
@@ -221,15 +222,20 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_det(a: Matrix) -> CycloNum:
-    """Determinant by Bareiss elimination of the numerators: det(a) = det(X) / D^n.
-    The last pivot is det(X), so no divider is built for it."""
-    n = len(a)
+    """Determinant, computed on the integer form (`_int_det`)."""
     fld = a[0][0].field
-    den, rows = _int_rows(fld, n, _int_form(a))
+    return fld.from_integers(*_int_det(fld, len(a), _int_form(a)))
+
+
+def _int_det(fld: CycloField, n: int, a: IntMatrix) -> tuple[list[int], int]:
+    """(num, den) with det(a) = num / den, by Bareiss elimination of the
+    numerators: det(a) = det(X) / D^n.  The last pivot is det(X), so no
+    divider is built for it; num is the zero vector when a is singular."""
+    den, rows = _int_rows(fld, n, a)
     sign = _bareiss(fld, rows, n - 1, jordan=False)
     if sign is None:
-        return fld.zero()
-    return fld.from_integers([sign * c for c in rows[n - 1][n - 1]], den ** n)
+        return [0] * fld.degree, 1
+    return [sign * c for c in rows[n - 1][n - 1]], den ** n
 
 
 def mat_inv(a: Matrix) -> Matrix:
@@ -338,7 +344,7 @@ class GermJet:
         self._monomials = None
         self._hash = None
         self._order = None
-        if mat_det(self.linear_matrix()).is_zero():
+        if not any(_int_det(fld, n, self._linear())[0]):
             raise ValueError("linear part is not invertible")
 
     # -- constructors ----------------------------------------------------------

@@ -13,9 +13,7 @@ extension of the field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .cyclo import (
     CycloField,
@@ -39,8 +37,7 @@ class ExtensionRequiredError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(NamedTuple):
     """Point [u : v] of P^1; canonical form is (z, 1) for affine z, (1, 0) for infinity."""
 
     u: CycloNum
@@ -408,12 +405,11 @@ def cyclo_sqrt(a: CycloNum) -> Optional[CycloNum]:
     fld = a.field
     if a.is_zero():
         return fld.zero()
-    q = a.as_rational()
-    if q is not None:
-        m = q.numerator * q.denominator
+    if not any(a.num[1:]):  # rational: a = num[0] / den in lowest terms
+        m = a.num[0] * a.den
         if not _rational_root_in_field(m, fld.conductor):
             return None
-        root = _integer_sqrt(fld, m) * Fraction(1, q.denominator)
+        root = _integer_sqrt(fld, m) * fld.rational(1, a.den)
         if root * root == a:
             return root
     c = tuple(x * a.den for x in a.num)
@@ -488,8 +484,7 @@ def germ_at_fixed_point(m: MoebiusMap, q: ProjectivePoint, order: int) -> GermJe
 # holonomy verdict
 
 
-@dataclass(frozen=True)
-class HolonomyVerdict:
+class HolonomyVerdict(NamedTuple):
     """`finite_cyclic` is True, False, or "unresolved": the witness search was
     exhausted without a disproof, or the fixed points lie outside the field."""
 

@@ -9,8 +9,7 @@ numeric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclo import CycloNum
 from .jets import (
@@ -32,16 +31,14 @@ class DiagonalLinearPartError(ValueError):
     """The operation requires a diagonal linear part."""
 
 
-@dataclass(frozen=True)
-class ResonanceRecord:
+class ResonanceRecord(NamedTuple):
     """Witness of lambda^order == lambda_coord with |order| >= 2."""
 
     coord: int
     order: MultiIndex
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     normal_form: GermJet
     conjugator: GermJet
     removed: tuple[tuple[int, MultiIndex, CycloNum], ...]

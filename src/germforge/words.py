@@ -25,7 +25,7 @@ class WordError(ValueError):
     """Malformed word or unknown generator name."""
 
 
-_WORD_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(-?\d+))?\s*")
+_WORD_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(-?[0-9]+))?\s*")
 
 
 def parse_word(word: str) -> list[tuple[str, int]]:

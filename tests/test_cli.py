@@ -288,10 +288,16 @@ def test_corpus_and_square_roots_run_without_mpmath():
     assert len(corpus.ENTRIES) == 12
 
 
+COLD_START_EXCLUDED = ("dataclasses", "decimal", "fractions", "inspect")
+
+
 def test_import_and_parse_load_only_the_modules_a_document_needs():
     """`import germforge` loads no submodule; the jet documents of Examples
     2.1-2.3 parse with `cyclo`, `jets`, `words` and `documents` alone, and a
-    Moebius document adds `moebius` but no group machinery."""
+    Moebius document adds `moebius` but no group machinery.  Neither parsing
+    every corpus document nor `import germforge.cli` loads `dataclasses`,
+    `fractions`, `decimal` or `inspect`; a `Fraction` still goes in and comes
+    out where one is asked for, and the result records stay immutable."""
     env = dict(os.environ, PYTHONPATH=str(CORPUS_DIR.parents[1]))
     code = ("import json, sys\n"
             "def loaded():\n"
@@ -303,18 +309,49 @@ def test_import_and_parse_load_only_the_modules_a_document_needs():
             "    parse_document(open(path).read())\n"
             "print(json.dumps(loaded()))\n"
             "parse_document(open(sys.argv[4]).read())\n"
-            "print(json.dumps(loaded()))\n")
+            "print(json.dumps(loaded()))\n"
+            "for path in sys.argv[5:]:\n"
+            "    parse_document(open(path).read())\n"
+            f"print(json.dumps(sorted(set({COLD_START_EXCLUDED!r}) & set(sys.modules))))\n")
     paths = [str(CORPUS_DIR / f"{e}.json")
              for e in ("ex-2-1", "ex-2-2", "ex-2-3", "moebius-rotation-5")]
     assert "witnesses" in json.loads(Path(paths[0]).read_text())  # parsed with `words`
+    paths += [str(CORPUS_DIR / f"{e}.json") for e in corpus.ENTRIES]
     done = subprocess.run([sys.executable, "-c", code, *paths], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    after_import, after_jets, after_moebius = map(json.loads, done.stdout.splitlines())
+    after_import, after_jets, after_moebius, excluded = map(json.loads, done.stdout.splitlines())
     assert after_import == []
     jet_modules = ["germforge.cyclo", "germforge.documents", "germforge.jets", "germforge.words"]
     assert after_jets == jet_modules
     assert after_moebius == sorted(jet_modules + ["germforge.moebius"])
+    assert excluded == []
+
+    code = ("import json, sys, germforge.cli\n"
+            f"print(json.dumps(sorted(set({COLD_START_EXCLUDED!r}) & set(sys.modules))))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+    from fractions import Fraction
+
+    from germforge.cyclo import OrderResult, field
+    from germforge.groupkit import GroupPresentation, WitnessResult
+    from germforge.jets import GermJet
+
+    half = field(12).rational(1, 2)
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert type(half.as_rational()) is Fraction and half.as_rational() == Fraction(1, 2)
+    assert all(type(c) is Fraction for c in (half + field(12).zeta()).coeffs)
+    with pytest.raises(TypeError):
+        field(12).from_rational(0.5)
+    presentation = GroupPresentation((("f", GermJet.identity(field(1), 1, 1)),))
+    for record, attr in ((OrderResult("finite", order=1), "order"),
+                         (WitnessResult("witness", word=""), "word"),
+                         (presentation, "witnesses")):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
 
 
 def test_every_public_name_resolves_to_its_home_module():

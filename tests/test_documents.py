@@ -2,6 +2,8 @@ import copy
 
 import pytest
 
+from germforge import documents
+from germforge.cyclo import field, parse_coefficient
 from germforge.documents import (
     MAX_CONDUCTOR,
     MAX_DIMENSION,
@@ -10,6 +12,7 @@ from germforge.documents import (
     DocumentError,
     parse_document,
 )
+from germforge.jets import GermJet
 
 
 def term(coeff, monomial):
@@ -98,6 +101,57 @@ def test_malformed_document_names_its_path(doc, where):
     with pytest.raises(DocumentError) as info:
         parse_document(doc)
     assert str(info.value).startswith(where)
+
+
+COEFF = ["generators", 0, "coords", 0, 0, "coeff"]
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (edited(COEFF, "\u0661"), "generators[0].coords[0][0].coeff:"),  # Arabic-Indic 1
+        (edited(COEFF, "\u0663/\u0664"), "generators[0].coords[0][0].coeff:"),  # 3/4
+        (edited(COEFF, "\uff11\uff12"), "generators[0].coords[0][0].coeff:"),  # fullwidth 12
+        (edited(["witnesses", 0, "word"], "f^\u0664"), "witnesses[0].word:"),  # f^4
+    ],
+)
+def test_only_ascii_digits_are_numbers(doc, where):
+    with pytest.raises(DocumentError) as info:
+        parse_document(doc)
+    assert str(info.value).startswith(where)
+
+
+def test_repeated_coefficient_strings_are_parsed_once(monkeypatch):
+    """Every coefficient string is parsed once per document, and the jets
+    equal ones whose coefficients were parsed one by one."""
+    coords = [[("z", [1, 0]), ("1/2 - z^2", [2, 0]), ("z", [0, 2])],
+              [("1/2 - z^2", [0, 1]), ("z", [1, 1])]]
+    doc = {
+        "conductor": 3, "dimension": 2, "truncation": 2,
+        "generators": [
+            {"name": name, "coords": [[term(c, m) for c, m in terms] for terms in coords]}
+            for name in ("f", "g")
+        ],
+        "eigenvalues": ["z", "1/2 - z^2"],
+    }
+    calls = []
+    monkeypatch.setattr(documents, "parse_coefficient",
+                        lambda text, fld: calls.append(text) or parse_coefficient(text, fld))
+    parsed = parse_document(doc)
+    assert sorted(calls) == ["1/2 - z^2", "z"]
+    fld = field(3)
+    expected = GermJet(2, 2, fld, {(s, tuple(m)): parse_coefficient(c, fld)
+                                   for s, terms in enumerate(coords) for c, m in terms})
+    assert [jet for _, jet in parsed.generators] == [expected, expected]
+    assert parsed.eigenvalues == (fld.zeta(), parse_coefficient("1/2 - z^2", fld))
+
+
+def test_a_repeated_bad_coefficient_is_reported_at_its_first_path():
+    doc = edited(["generators", 0, "coords", 1, 0, "coeff"], "2*")
+    doc["generators"][1]["coords"][0][0]["coeff"] = "2*"
+    with pytest.raises(DocumentError) as info:
+        parse_document(doc)
+    assert str(info.value).startswith("generators[0].coords[1][0].coeff:")
 
 
 def oversized(**fields):

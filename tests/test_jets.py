@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from germforge import corpus, cyclo, jets
 from germforge.cyclo import (
@@ -706,6 +706,42 @@ def test_kernel_matches_the_reference(case):
         inv = mat_inv(a)
         assert inv == reference_inv(a)
         assert mat_mul(a, inv) == mat_identity(fld, n)
+
+
+@st.composite
+def linear_parts(draw):
+    """n x n matrices, n = 1..3, over Q, Q(zeta_4) and Q(zeta_12); half of
+    those with n > 1 have row 1 = zeta^k * row 0, singular with or without
+    zero entries."""
+    fld = field(draw(st.sampled_from([1, 4, 12])))
+    n = draw(st.integers(1, 3))
+    a = draw(field_matrices(fld, n, n))
+    if n > 1 and draw(st.booleans()):
+        unit = fld.zeta(draw(st.integers(0, 11)))
+        a = (a[0], tuple(unit * x for x in a[0])) + a[2:]
+    return a
+
+
+Z4, Z12 = field(4).zeta(), field(12).zeta()
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_parts(), st.booleans())
+# [[1, z], [z, z^2]]: singular, with no zero entry
+@example(((field(4).one(), Z4), (Z4, Z4 * Z4)), False)
+@example(((field(12).one(), Z12), (Z12, Z12 * Z12)), True)
+def test_constructor_rejects_exactly_the_singular_linear_parts(a, nonlinear):
+    """`GermJet(...)` decides invertibility on its own integer form: it raises
+    exactly when `mat_det` of the linear matrix is zero."""
+    fld, n = a[0][0].field, len(a)
+    coeffs = {(s, jets.unit_index(n, i)): a[s][i] for s in range(n) for i in range(n)}
+    if nonlinear:
+        coeffs[(n - 1, (2,) + (0,) * (n - 1))] = fld.zeta()
+    if mat_det(a).is_zero():
+        with pytest.raises(ValueError, match="linear part is not invertible"):
+            GermJet(n, 2, fld, coeffs)
+    else:
+        assert GermJet(n, 2, fld, coeffs).linear_matrix() == a
 
 
 @st.composite
