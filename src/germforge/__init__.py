@@ -14,9 +14,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cyclo": (
-        "CoefficientParseError", "CycloField", "CycloNum", "EmbeddingError",
-        "FieldMismatchError", "cyclotomic_polynomial", "embed_to_conductor", "field",
-        "format_coefficient", "parse_coefficient", "root_of_unity_order",
+        "CoefficientParseError", "CycloField", "CycloNum", "FieldMismatchError",
+        "cyclotomic_polynomial", "field", "format_coefficient", "parse_coefficient",
+        "root_of_unity_order",
     ),
     "jets": (
         "GermJet", "OrderResult", "ShapeMismatchError", "char_poly", "compose", "conjugate",

@@ -38,10 +38,6 @@ class FieldMismatchError(ValueError):
     """Operands belong to cyclotomic fields with different conductors."""
 
 
-class EmbeddingError(ValueError):
-    """Embedding requested into a conductor that is not a multiple."""
-
-
 class CoefficientParseError(ValueError):
     """Malformed coefficient expression."""
 
@@ -592,20 +588,6 @@ def root_of_unity_order(a: CycloNum) -> Optional[int]:
     """
     fld = a.field
     return element_order(a, torsion_exponent(fld.conductor, 1), operator.mul, fld.one()).order
-
-
-def embed_to_conductor(a: CycloNum, m: int) -> CycloNum:
-    """Image of a under zeta_N -> zeta_M**(M/N); requires N | M."""
-    n = a.field.conductor
-    if m % n != 0:
-        raise EmbeddingError(f"conductor {n} does not divide {m}")
-    target = field(m)
-    step = m // n
-    out = target.zero()
-    for i, c in enumerate(a.coeffs):
-        if c:
-            out = out + target.zeta(i * step) * c
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ class InputDocument:
 
         if not self.generators:
             raise DocumentError("document has no jet generators")
-        return GroupPresentation(self.generators, dict(self.witnesses))
+        return GroupPresentation(self.generators, self.witnesses)
 
     def closure(self, cap: int) -> ClosureResult:
         """`closure_enumerate` of the presentation, run once per cap: the

@@ -7,13 +7,16 @@ conjugacy criterion, and the simultaneous linearization algorithm for groups
 whose common diagonal linear part has prime-power eigenvalue orders.
 
 The conditions, witness search and closure run on any `GroupElement`: jets
-and Moebius maps alike.
+and Moebius maps alike.  Condition (b) is written once, in `_conjugacy`:
+`find_conjugacy_witness` asks it about one pair and `check_basic_set` about
+all of them at once.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import count
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional, Protocol
 
 from .cyclo import (
@@ -72,19 +75,20 @@ class GroupElement(Protocol):
 
 class GroupPresentation:
     """Named generators of one type and shape, plus optional witness words
-    (`witnesses` maps a generator pair (i, j) to its word).  Immutable."""
+    (`witnesses` maps a generator pair (i, j) to its word; it holds a
+    read-only copy of the caller's mapping).  Immutable."""
 
     __slots__ = ("generators", "witnesses")
 
     generators: tuple[tuple[str, GroupElement], ...]
-    witnesses: dict
+    witnesses: MappingProxyType
 
     def __init__(self, generators, witnesses: Optional[dict] = None):
         # equal generators share one object, so a value memoized on it
         # (such as its order) is computed once per distinct element
         canonical: dict = {}
         generators = tuple((name, canonical.setdefault(x, x)) for name, x in generators)
-        witnesses = {} if witnesses is None else witnesses
+        witnesses = MappingProxyType({} if witnesses is None else dict(witnesses))
         if not generators:
             raise ValueError("presentation needs at least one generator")
         names = [name for name, _ in generators]
@@ -109,7 +113,7 @@ class GroupPresentation:
         raise AttributeError(f"cannot delete {name!r}: GroupPresentation is immutable")
 
     def __repr__(self) -> str:
-        return f"GroupPresentation(generators={self.generators!r}, witnesses={self.witnesses!r})"
+        return f"GroupPresentation(generators={self.generators!r}, witnesses={dict(self.witnesses)!r})"
 
     @property
     def names(self) -> list[str]:
@@ -245,10 +249,7 @@ def _conjugation_prescreen(fi: GroupElement, fj: GroupElement) -> Optional[Witne
 
 
 def _generators_commute(g: GroupPresentation) -> bool:
-    distinct = []
-    for _, x in g.generators:
-        if x not in distinct:
-            distinct.append(x)
+    distinct = list(dict.fromkeys(g.elements))
     return all(
         a.compose(b) == b.compose(a) for i, a in enumerate(distinct) for b in distinct[i + 1 :]
     )
@@ -259,54 +260,66 @@ def _conjugates(w: GroupElement, fi: GroupElement, fj: GroupElement) -> bool:
     return w.compose(fj) == fi.compose(w)
 
 
-_UNSCREENED = object()  # `find_conjugacy_witness` runs the pre-screen itself
+def _conjugacy(g: GroupPresentation, pairs, bound: int) -> dict:
+    """Condition (b) for each pair (i, j) of `pairs`: the one routine behind
+    `find_conjugacy_witness` and `check_basic_set`.
 
-
-def find_conjugacy_witness(
-    g: GroupPresentation,
-    i: int,
-    j: int,
-    bound: int = DEFAULT_WITNESS_BOUND,
-    *,
-    _ball=None,
-    _abelian: Optional[bool] = None,
-    _screened=_UNSCREENED,
-) -> WitnessResult:
-    """Witness word w with w o f_j o w^{-1} = f_i, searched to word length `bound`.
-
+    Pairs of equal elements share the answer of the first pair naming them.
     A supplied witness is verified instead of searched.  Pre-screens can
     disprove conjugacy outright (order or characteristic polynomial mismatch;
     commuting generators generate an abelian group, where conjugacy is
-    equality).  The witness is the first element of the word ball, in BFS
-    order, that conjugates the pair: the ball grows only until it, so it is
-    the ball's last element, and only a pair with no witness within `bound`
-    letters ("unresolved") builds the full ball.  `_ball` is such a ball and
-    `_screened` the pre-screen's answer (None: left open), both from the
-    caller (see `check_basic_set`).
+    equality).  The pairs left share one word ball, which grows in BFS order
+    only until each has its witness: the first element that conjugates it.
+    A pair with no witness within `bound` letters makes the ball the full one
+    and is reported unresolved.
     """
-    fi, fj = g.elements[i], g.elements[j]
-    if i == j:
-        return WitnessResult("witness", word="")
-    supplied = g.witnesses.get((i, j))
-    if supplied is not None:
-        w = evaluate_word(g, supplied)
-        if not _conjugates(w, fi, fj):
-            raise ValueError(f"supplied witness {supplied!r} fails for pair ({i}, {j})")
-        return WitnessResult("witness", word=supplied)
-    screened = _conjugation_prescreen(fi, fj) if _screened is _UNSCREENED else _screened
-    if screened is not None:
-        return screened
-    if _abelian is None:
-        _abelian = _generators_commute(g)
-    if _abelian:
-        return WitnessResult(
-            "disproved", reason="commuting-generators: abelian group, conjugacy is equality"
-        )
-    ball = _ball if _ball is not None else _word_ball(g, bound, lambda w: _conjugates(w, fi, fj))
-    last, word = ball[-1]
-    if _conjugates(last, fi, fj):
-        return WitnessResult("witness", word=format_word(word))
-    return WitnessResult("unresolved", reason=f"no witness within word length {bound}")
+    elements = g.elements
+    first: dict = {}  # (f_i, f_j) -> the first pair (i, j) naming it
+    for i, j in pairs:
+        first.setdefault((elements[i], elements[j]), (i, j))
+    answers: dict = {}
+    for key, (i, j) in first.items():
+        supplied = g.witnesses.get((i, j)) if i != j else None
+        if supplied is not None:
+            if not _conjugates(evaluate_word(g, supplied), *key):
+                raise ValueError(f"supplied witness {supplied!r} fails for pair ({i}, {j})")
+            answers[key] = WitnessResult("witness", word=supplied)
+        elif (screened := _conjugation_prescreen(*key)) is not None:
+            answers[key] = screened
+    pending = [key for key in first if key not in answers]
+    if pending and _generators_commute(g):
+        reason = "commuting-generators: abelian group, conjugacy is equality"
+        answers.update((key, WitnessResult("disproved", reason=reason)) for key in pending)
+    elif pending:
+        witnesses: dict = {}  # pair -> the ball element that first conjugates it
+
+        def all_answered(w) -> bool:
+            left = {fi: fi.compose(w) for fi in {fi for fi, _ in pending}}
+            right = {fj: w.compose(fj) for fj in {fj for _, fj in pending}}
+            for fi, fj in pending:
+                if left[fi] == right[fj]:
+                    witnesses[(fi, fj)] = w
+            pending[:] = [key for key in pending if key not in witnesses]
+            return not pending
+
+        words = dict(_word_ball(g, bound, all_answered))
+        answers.update((key, WitnessResult("witness", word=format_word(words[w])))
+                       for key, w in witnesses.items())
+        # the pairs still pending after the full ball
+        unresolved = WitnessResult("unresolved", reason=f"no witness within word length {bound}")
+        answers.update((key, unresolved) for key in pending)
+    return {(i, j): answers[(elements[i], elements[j])] for i, j in pairs}
+
+
+def find_conjugacy_witness(
+    g: GroupPresentation, i: int, j: int, bound: int = DEFAULT_WITNESS_BOUND
+) -> WitnessResult:
+    """Witness word w with w o f_j o w^{-1} = f_i, searched to word length `bound`.
+
+    The pair alone through `_conjugacy`: a supplied witness, a pre-screen or
+    the first element of the word ball, in BFS order, that conjugates the pair.
+    """
+    return _conjugacy(g, [(i, j)], bound)[(i, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -321,53 +334,11 @@ class BasicSetReport(NamedTuple):
 
 
 def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) -> BasicSetReport:
-    """Condition (a), then condition (b) for every generator pair i < j.
-
-    Pairs of equal elements share one answer.  Supplied witnesses and the
-    pre-screens answer what they can; the pairs left share one word ball,
-    which grows in BFS order only until every one of them has its witness.
-    Each pair reads its witness off the end of the ball prefix that ends at
-    it.  A pair with no witness within `bound` letters makes the ball the
-    full one and is reported unresolved.
-    """
-    elements = g.elements
+    """Condition (a), then condition (b) for every generator pair i < j in one
+    `_conjugacy` call, so all pairs left open share one word ball."""
+    n = len(g.generators)
     prod_ok, residual = check_product_identity(g)
-    abelian = _generators_commute(g)
-    first: dict = {}  # (f_i, f_j) -> the first pair (i, j) naming it
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            first.setdefault((elements[i], elements[j]), (i, j))
-    # each distinct pair is screened once, here; a supplied witness is verified instead
-    screens = {key: _conjugation_prescreen(*key) for key, pair in first.items()
-               if pair not in g.witnesses}
-    pending = [key for key, screened in screens.items() if screened is None and not abelian]
-
-    ends: dict = {}  # pending pair -> length of the ball prefix ending at its witness
-    sizes = count(2)  # `stop` sees the ball's elements from the second on
-
-    def all_answered(w) -> bool:
-        size = next(sizes)
-        left = {fi: fi.compose(w) for fi in {fi for fi, _ in pending}}
-        right = {fj: w.compose(fj) for fj in {fj for _, fj in pending}}
-        for fi, fj in pending:
-            if left[fi] == right[fj]:
-                ends[(fi, fj)] = size
-        pending[:] = [pair for pair in pending if pair not in ends]
-        return not pending
-
-    ball = _word_ball(g, bound, all_answered) if pending else None
-    answers = {
-        key: find_conjugacy_witness(
-            g, i, j, bound, _ball=ball[: ends[key]] if key in ends else ball, _abelian=abelian,
-            _screened=screens.get(key),
-        )
-        for key, (i, j) in first.items()
-    }
-    conjugacy = {
-        (i, j): answers[(elements[i], elements[j])]
-        for i in range(len(elements))
-        for j in range(i + 1, len(elements))
-    }
+    conjugacy = _conjugacy(g, [(i, j) for i in range(n) for j in range(i + 1, n)], bound)
     if not prod_ok:
         verdict = "condition-a-failed"
     elif all(r.found for r in conjugacy.values()):

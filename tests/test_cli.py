@@ -354,6 +354,21 @@ def test_import_and_parse_load_only_the_modules_a_document_needs():
             setattr(record, attr, None)
 
 
+def test_console_script_start_loads_no_resource_machinery():
+    """`import germforge.cli` lists and reads the corpus without
+    `importlib.resources`, so the `germ-forge` start loads neither it nor
+    `zipfile`.  `-S` skips `site`, whose `.pth` files may import either."""
+    env = dict(os.environ, PYTHONPATH=str(CORPUS_DIR.parents[1]))
+    code = ("import json, sys, germforge.cli\n"
+            "from germforge import corpus\n"
+            "corpus.load(corpus.ENTRIES[0])\n"
+            "print(json.dumps(sorted({'importlib.resources', 'zipfile'} & set(sys.modules))))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
 def test_every_public_name_resolves_to_its_home_module():
     import importlib
 
@@ -363,12 +378,14 @@ def test_every_public_name_resolves_to_its_home_module():
         home = importlib.import_module(f"germforge.{module}")
         for name in names:
             assert getattr(germforge, name) is getattr(home, name), name
-    # the 52 names the package bound when it imported all five layers eagerly
-    assert len(set(germforge.__all__)) == 52
+    # the 52 names the package bound when it imported all five layers
+    # eagerly, less `embed_to_conductor` and `EmbeddingError`
+    assert len(set(germforge.__all__)) == 50
     assert set(germforge.__all__) <= set(dir(germforge))
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         germforge.no_such_name
     assert not hasattr(germforge, "to_complex")
+    assert not hasattr(germforge, "embed_to_conductor")
 
 
 @pytest.mark.parametrize("flag, value", [("--witness-bound", "-2"), ("--closure-cap", "-1")])

@@ -10,10 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from germforge.cyclo import (
     CoefficientParseError,
-    EmbeddingError,
     FieldMismatchError,
     cyclotomic_polynomial,
-    embed_to_conductor,
     field,
     format_coefficient,
     parse_coefficient,
@@ -202,45 +200,6 @@ def test_order_of_zeta_powers(n):
     f = field(n)
     for k in range(1, n):
         assert root_of_unity_order(f.zeta(k)) == n // math.gcd(n, k)
-
-
-# --- embeddings ------------------------------------------------------------------
-
-
-def test_embed_minus_one():
-    a = field(2).zeta()  # -1
-    img = embed_to_conductor(a, 6)
-    assert img == field(6).from_rational(-1)
-    assert img == field(6).zeta(3)
-
-
-def test_embed_zeta3_into_12():
-    assert embed_to_conductor(field(3).zeta(), 12) == field(12).zeta(4)
-
-
-def test_embed_rational_fixed():
-    q = field(1).from_rational(Fraction(7, 3))
-    assert embed_to_conductor(q, 12).as_rational() == Fraction(7, 3)
-
-
-def test_embed_requires_divisibility():
-    with pytest.raises(EmbeddingError):
-        embed_to_conductor(field(3).zeta(), 4)
-
-
-def test_embed_is_ring_homomorphism():
-    rng = random.Random(11)
-    f = field(4)
-    for _ in range(20):
-        a, b = random_element(rng, f), random_element(rng, f)
-        assert embed_to_conductor(a + b, 12) == embed_to_conductor(a, 12) + embed_to_conductor(b, 12)
-        assert embed_to_conductor(a * b, 12) == embed_to_conductor(a, 12) * embed_to_conductor(b, 12)
-
-
-def test_embed_round_trips_numerically():
-    a = field(3).zeta() * Fraction(2, 7) + 1
-    b = embed_to_conductor(a, 12)
-    assert abs(to_complex(a) - to_complex(b)) < 1e-15
 
 
 # --- numeric evaluation -----------------------------------------------------------

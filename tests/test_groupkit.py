@@ -132,6 +132,16 @@ def test_evaluate_word_matches_manual_composition():
     assert evaluate_word(g, "f1^-1*f1").is_identity()
 
 
+def test_presentation_keeps_its_own_read_only_witnesses():
+    g0 = ex21_presentation()
+    supplied = {(0, 4): "f1^4*f5*f1"}
+    g = GroupPresentation(g0.generators, supplied)
+    supplied[(1, 9)] = "nonsense"
+    assert dict(g.witnesses) == {(0, 4): "f1^4*f5*f1"}
+    with pytest.raises(TypeError):
+        g.witnesses[(1, 9)] = "nonsense"
+
+
 # --- condition (a) ----------------------------------------------------------------
 
 
@@ -261,8 +271,8 @@ def eager_ball(g, bound):
 def reference_answer(g, i, j, bound, ball):
     """Pair (i, j) with every search scanning the full depth-`bound` ball."""
     fi, fj = g.elements[i], g.elements[j]
-    # the identity alone answers nothing a screen leaves open
-    screened = find_conjugacy_witness(g, i, j, bound, _ball=ball[:1])
+    # the depth-0 ball, the identity alone, answers nothing a screen leaves open
+    screened = find_conjugacy_witness(g, i, j, 0)
     if screened.status != "unresolved":
         return screened
     for w, word in ball:
@@ -271,24 +281,32 @@ def reference_answer(g, i, j, bound, ball):
     return WitnessResult("unresolved", reason=f"no witness within word length {bound}")
 
 
+def first_pairs(g):
+    """Every pair i < j, keyed by its element pair; the first pair naming it wins."""
+    first = {}
+    for i, fi in enumerate(g.elements):
+        for j in range(i + 1, len(g.elements)):
+            first.setdefault((fi, g.elements[j]), (i, j))
+    return first
+
+
 def reference_conjugacy(g, bound):
     """Every pair i < j; pairs of equal elements take the first one's answer."""
     ball = eager_ball(g, bound)
-    first = {}
-    out = {}
-    for i, fi in enumerate(g.elements):
-        for j in range(i + 1, len(g.elements)):
-            key = (fi, g.elements[j])
-            if key not in first:
-                first[key] = reference_answer(g, i, j, bound, ball)
-            out[(i, j)] = first[key]
-    return out
+    answers = {key: reference_answer(g, i, j, bound, ball) for key, (i, j) in first_pairs(g).items()}
+    n = len(g.elements)
+    return {(i, j): answers[(g.elements[i], g.elements[j])] for i in range(n) for j in range(i + 1, n)}
 
 
 @pytest.mark.parametrize("entry", JET_ENTRIES)
 def test_lazy_ball_matches_full_ball_on_corpus(entry):
     g = corpus.load(entry).presentation()
-    assert check_basic_set(g).conjugacy == reference_conjugacy(g, 6)
+    conjugacy = check_basic_set(g).conjugacy
+    assert conjugacy == reference_conjugacy(g, 6)
+    # a later pair takes its first pair's answer, which may be a supplied
+    # witness where the pair alone finds a shorter word (ex-2-1, pair (1, 4))
+    for i, j in first_pairs(g).values():
+        assert find_conjugacy_witness(g, i, j, 6) == conjugacy[(i, j)]
 
 
 # 2x2 matrices over Q and Q(zeta_4): the finite groups they generate give
@@ -318,7 +336,10 @@ def test_lazy_ball_matches_full_ball_on_small_linear_groups(data):
     g = GroupPresentation(tuple(
         (f"g{k}", linear_jet(fld, POOL[name])) for k, name in enumerate(chosen)
     ))
-    assert check_basic_set(g, bound).conjugacy == reference_conjugacy(g, bound)
+    conjugacy = check_basic_set(g, bound).conjugacy
+    assert conjugacy == reference_conjugacy(g, bound)
+    for (i, j), answer in conjugacy.items():
+        assert find_conjugacy_witness(g, i, j, bound) == answer
 
 
 def test_first_letter_can_be_the_witness():
@@ -347,6 +368,18 @@ def test_unresolved_pair_builds_the_full_ball(monkeypatch):
     assert check_basic_set(g, 3).conjugacy[(0, 1)].status == "unresolved"
     assert find_conjugacy_witness(g, 0, 1, 3).status == "unresolved"
     assert built == [full, full] and len(full) > 40
+
+
+@pytest.mark.parametrize("entry", ["ex-2-1", "prop-5-1-2"])
+def test_commutation_check_only_for_pairs_left_open(monkeypatch, entry):
+    # ex-2-1 supplies a witness for every pair it does not screen; prop-5-1-2's
+    # pair is disproved by its orders
+    def refuse(g):
+        raise AssertionError("commutation checked with no pair open")
+
+    monkeypatch.setattr(groupkit, "_generators_commute", refuse)
+    doc = corpus.load(entry)
+    assert check_basic_set(doc.presentation()).verdict == doc.expected["basic_set"]["verdict"]
 
 
 def test_ball_stops_at_the_last_answer():
