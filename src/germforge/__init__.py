@@ -6,6 +6,15 @@ module from `_EXPORTS` and caches the value here, so `germforge.field`
 compiles `cyclo` alone and `germforge.holonomy_check` brings in `moebius`
 and, on its first call, `groupkit`.  The modules themselves are reached as
 attributes too (`germforge.jets`), and are imported on first access.
+
+Without a bytecode cache every module a call loads is compiled at each
+start, so the element types are kept apart from their operations: `GermJet`
+is in `jetform` and `MoebiusMap` in `mapform`, which are all that parsing a
+document needs, while `jets` and `moebius` hold the operations and
+re-export the types.  The methods of the types that need an operation
+(`GermJet.compose`, `MoebiusMap.order`, ...) call it as
+`germforge.jets.compose`: `__getattr__` imports the module on the first
+call, and later calls find it bound on the package.
 """
 
 from importlib import import_module
@@ -18,9 +27,10 @@ _EXPORTS = {
         "cyclotomic_polynomial", "field", "format_coefficient", "parse_coefficient",
         "root_of_unity_order",
     ),
+    "jetform": ("GermJet", "ShapeMismatchError"),
     "jets": (
-        "GermJet", "OrderResult", "ShapeMismatchError", "char_poly", "compose", "conjugate",
-        "germ_order", "invert", "linear_order", "power",
+        "OrderResult", "char_poly", "compose", "conjugate", "germ_order", "invert",
+        "linear_order", "power",
     ),
     "resonance": (
         "NormalizationResult", "ResonanceRecord", "enumerate_resonances",
@@ -33,10 +43,10 @@ _EXPORTS = {
         "closure_enumerate", "evaluate_word", "find_conjugacy_witness", "is_cyclic",
         "linearize_group", "slice_morphism_report",
     ),
+    "mapform": ("ExtensionRequiredError", "MoebiusMap", "ProjectivePoint"),
     "moebius": (
-        "ExtensionRequiredError", "HolonomyVerdict", "MoebiusMap", "ProjectivePoint",
-        "cyclo_sqrt", "fixed_points", "germ_at_fixed_point", "holonomy_check",
-        "moebius_compose", "moebius_order",
+        "HolonomyVerdict", "cyclo_sqrt", "fixed_points", "germ_at_fixed_point",
+        "holonomy_check", "moebius_compose", "moebius_order",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -23,7 +23,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from . import corpus
 from .cyclo import format_coefficient
-from .documents import DocumentError, InputDocument, jet_payload, matrix_payload, parse_document
+from .documents import DocumentError, InputDocument, parse_document
 from .groupkit import (
     AffineFamily,
     DEFAULT_CLOSURE_CAP,
@@ -36,7 +36,7 @@ from .groupkit import (
     is_cyclic,
     linearize_group,
 )
-from .jets import germ_order
+from .jets import GermJet, germ_order
 from .moebius import holonomy_check
 from .resonance import _diagonal_eigenvalues, enumerate_resonances, poincare_dulac_normalize
 
@@ -56,6 +56,17 @@ MAX_CLOSURE_CAP = 100_000
 # verdict payload builders: each takes the document and the parsed options
 # (deterministic key order; all coefficients rendered through the same
 # grammar the input uses)
+
+
+def jet_payload(jet: GermJet) -> list[list[dict]]:
+    coords: list[list[dict]] = [[] for _ in range(jet.n)]
+    for (s, q), c in jet.canonical_items():
+        coords[s].append({"coeff": format_coefficient(c), "monomial": list(q)})
+    return coords
+
+
+def matrix_payload(matrix) -> list[list[str]]:
+    return [[format_coefficient(c) for c in row] for row in matrix]
 
 
 def _basic_set_payload(doc: InputDocument, opts: Any) -> dict:

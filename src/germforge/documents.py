@@ -1,4 +1,4 @@
-"""JSON input documents and report serialization for the CLI.
+"""JSON input documents for the CLI.
 
 A document declares one ambient field (`conductor`), a shape (`dimension`,
 `truncation`), and named generators: jets as per-coordinate lists of
@@ -10,10 +10,14 @@ have fixed upper limits; a larger document is a `DocumentError`, like any
 other invalid input.
 
 Parsing loads only what the document holds: this module imports `cyclo`,
-`jets` and `words` (for the witness words), `moebius` only when a document
-has `moebius_generators`, and `groupkit` only when `presentation()` or
-`closure()` is called.  So the jet documents of the paper's examples parse
-without compiling the group machinery.  None of these modules, nor `cli`,
+`jetform` (the `GermJet` type) and `words` (for the witness words),
+`mapform` (the `MoebiusMap` type) only when a document has
+`moebius_generators`, and `groupkit` only when `presentation()` or
+`closure()` is called.  The operations on jets and maps, in `jets` and
+`moebius`, are loaded on their first use.  Without a bytecode cache every
+line on the parse path is compiled at each start, so the jet documents of
+the paper's examples parse without compiling any operation on jets, maps or
+groups.  Report serialization is in `cli`.  None of these modules, nor `cli`,
 imports `dataclasses` or `fractions`, and so neither `inspect` nor `decimal`
 is loaded: the records are `NamedTuple`s or `__slots__` classes, exact
 scalars are checked against `numbers.Rational`, and a `Fraction` is built
@@ -31,13 +35,13 @@ import json
 import math
 from typing import TYPE_CHECKING, Any, Optional
 
-from .cyclo import CycloField, CycloNum, field, format_coefficient, parse_coefficient
-from .jets import GermJet
+from .cyclo import CycloField, CycloNum, field, parse_coefficient
+from .jetform import GermJet
 from .words import parse_word
 
 if TYPE_CHECKING:
     from .groupkit import ClosureResult, GroupPresentation
-    from .moebius import MoebiusMap
+    from .mapform import MoebiusMap
 
 
 class DocumentError(ValueError):
@@ -209,7 +213,7 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
 
     moebius_generators = []
     for gi, gen in enumerate(_generator_list(obj, "moebius_generators")):
-        from .moebius import MoebiusMap
+        from .mapform import MoebiusMap
 
         path = f"moebius_generators[{gi}]"
         _expect(isinstance(gen, dict), path, "must be an object")
@@ -289,18 +293,3 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
         expected=obj.get("expected"),
         name=name or obj.get("name", ""),
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization back to the document grammar
-
-
-def jet_payload(jet: GermJet) -> list[list[dict]]:
-    coords: list[list[dict]] = [[] for _ in range(jet.n)]
-    for (s, q), c in jet.canonical_items():
-        coords[s].append({"coeff": format_coefficient(c), "monomial": list(q)})
-    return coords
-
-
-def matrix_payload(matrix) -> list[list[str]]:
-    return [[format_coefficient(c) for c in row] for row in matrix]

@@ -293,8 +293,9 @@ COLD_START_EXCLUDED = ("dataclasses", "decimal", "fractions", "inspect")
 
 def test_import_and_parse_load_only_the_modules_a_document_needs():
     """`import germforge` loads no submodule; the jet documents of Examples
-    2.1-2.3 parse with `cyclo`, `jets`, `words` and `documents` alone, and a
-    Moebius document adds `moebius` but no group machinery.  Neither parsing
+    2.1-2.3 parse with `cyclo`, `jetform`, `words` and `documents` alone, and
+    a Moebius document adds `mapform`: no operation on jets, maps or groups
+    (`jets`, `moebius`, `groupkit`) is loaded by any parse.  Neither parsing
     every corpus document nor `import germforge.cli` loads `dataclasses`,
     `fractions`, `decimal` or `inspect`; a `Fraction` still goes in and comes
     out where one is asked for, and the result records stay immutable."""
@@ -312,6 +313,7 @@ def test_import_and_parse_load_only_the_modules_a_document_needs():
             "print(json.dumps(loaded()))\n"
             "for path in sys.argv[5:]:\n"
             "    parse_document(open(path).read())\n"
+            "print(json.dumps(loaded()))\n"
             f"print(json.dumps(sorted(set({COLD_START_EXCLUDED!r}) & set(sys.modules))))\n")
     paths = [str(CORPUS_DIR / f"{e}.json")
              for e in ("ex-2-1", "ex-2-2", "ex-2-3", "moebius-rotation-5")]
@@ -320,11 +322,14 @@ def test_import_and_parse_load_only_the_modules_a_document_needs():
     done = subprocess.run([sys.executable, "-c", code, *paths], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    after_import, after_jets, after_moebius, excluded = map(json.loads, done.stdout.splitlines())
+    after_import, after_jets, after_moebius, after_all, excluded = map(
+        json.loads, done.stdout.splitlines())
     assert after_import == []
-    jet_modules = ["germforge.cyclo", "germforge.documents", "germforge.jets", "germforge.words"]
+    jet_modules = ["germforge.cyclo", "germforge.documents", "germforge.jetform",
+                   "germforge.words"]
     assert after_jets == jet_modules
-    assert after_moebius == sorted(jet_modules + ["germforge.moebius"])
+    assert after_moebius == after_all == sorted(jet_modules + ["germforge.mapform"])
+    assert not {"germforge.jets", "germforge.moebius", "germforge.groupkit"} & set(after_all)
     assert excluded == []
 
     code = ("import json, sys, germforge.cli\n"

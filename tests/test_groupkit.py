@@ -1,13 +1,17 @@
 import cProfile
 import fractions
+import json
+import os
 import pstats
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germforge import cli, corpus, groupkit, jets
+from germforge import cli, corpus, groupkit, jets, moebius
 from germforge.cyclo import field, root_of_unity_order
 from germforge.groupkit import (
     AffineFamily,
@@ -399,19 +403,77 @@ def test_ball_stops_at_the_last_answer():
     assert seen == [w for w, _ in lazy[1:]]
 
 
-def counting(monkeypatch, name):
-    """Count calls of jets.<name>; `GermJet` methods call it through the module."""
+def counting(monkeypatch, name, home=jets):
+    """Count calls of <home>.<name> (`jets` or `moebius`); the `GermJet` and
+    `MoebiusMap` methods call it through the module."""
     calls = []
-    original = getattr(jets, name)
+    original = getattr(home, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for mod in (jets, groupkit):
+    for mod in (home, groupkit):
         if getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+# the element methods that need an operation, called on two jets f, g and two
+# Moebius maps m, n, in a fresh interpreter and in this one
+ELEMENT_CALLS = ("f.compose(g)", "f.inverse()", "f.order()", "f.conjugacy_invariant()",
+                 "m.compose(n)", "m.order()")
+LAZY_DISPATCH = """
+import json, sys
+from germforge import corpus
+f, g = [x for _, x in corpus.load("ex-2-2").generators[:2]]
+m, n = [x for _, x in corpus.load("moebius-rotation-5").moebius_generators[:2]]
+operations = ("germforge.jets", "germforge.moebius")
+before = [k for k in operations if k in sys.modules]
+results = [repr(eval(call)) for call in sys.argv[1:]]
+after = [k for k in operations if k in sys.modules]
+print(json.dumps([before, results, after]))
+"""
+
+
+def corpus_elements():
+    f, g = [x for _, x in corpus.load("ex-2-2").generators[:2]]
+    m, n = [x for _, x in corpus.load("moebius-rotation-5").moebius_generators[:2]]
+    return f, g, m, n
+
+
+def test_element_methods_import_their_operations_on_first_call(monkeypatch):
+    """Parsing leaves `jets` and `moebius` unloaded.  The first method call
+    that needs one imports it, with the same results as in-process, and a
+    function replaced on the module by name sees the method's call."""
+    src = os.path.dirname(os.path.dirname(jets.__file__))
+    done = subprocess.run([sys.executable, "-c", LAZY_DISPATCH, *ELEMENT_CALLS],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    before, fresh, after = json.loads(done.stdout)
+    assert before == [] and after == ["germforge.jets", "germforge.moebius"]
+    f, g, m, n = corpus_elements()
+    scope = {"f": f, "g": g, "m": m, "n": n}
+    assert fresh == [repr(eval(call, scope)) for call in ELEMENT_CALLS]
+
+    f, g, m, n = corpus_elements()  # fresh objects: `order()` is cached per element
+    composed, inverted, ordered, char_polys = (
+        counting(monkeypatch, name) for name in ("compose", "invert", "germ_order", "_char_poly"))
+    moebius_composed, moebius_ordered = (
+        counting(monkeypatch, name, moebius) for name in ("moebius_compose", "moebius_order"))
+    f.compose(g)
+    assert composed == [(f, g)]
+    f.inverse()  # `invert` corrects each degree through `jets.compose`
+    f.conjugacy_invariant()
+    assert (inverted, char_polys) == ([(f,)], [(f.field, f.n, f._linear())])
+    m.compose(n)
+    assert moebius_composed == [(m, n)]
+    assert m.order().order == 5 and moebius_ordered == [(m,)]
+    assert len(moebius_composed) > 1  # the order's power test composes through the module
+    composed.clear()
+    assert f.order().order > 1 and ordered == [(f,)]
+    assert composed  # `germ_order` takes a jet power through `jets.compose`
 
 
 def test_basic_set_compose_count_ex_2_2(monkeypatch):
