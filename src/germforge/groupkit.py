@@ -9,7 +9,9 @@ whose common diagonal linear part has prime-power eigenvalue orders.
 The conditions, witness search and closure run on any `GroupElement`: jets
 and Moebius maps alike.  Condition (b) is written once, in `_conjugacy`:
 `find_conjugacy_witness` asks it about one pair and `check_basic_set` about
-all of them at once.
+all of them at once.  Witness search and closure share one BFS, `bfs_ball`;
+a closed group keeps the right-multiplication table that its BFS recorded,
+so `is_cyclic` takes its powers by table lookups and composes nothing.
 """
 
 from __future__ import annotations
@@ -164,7 +166,13 @@ def check_product_identity(g: GroupPresentation) -> tuple[bool, GroupElement]:
 
 
 def bfs_ball(
-    identity, letters, depth: int, compose_fn: Callable, *, stop: Optional[Callable] = None
+    identity,
+    letters,
+    depth: int,
+    compose_fn: Callable,
+    *,
+    stop: Optional[Callable] = None,
+    table: Optional[list] = None,
 ):
     """Deduplicated (element, word) pairs reachable in <= depth letters.
 
@@ -174,17 +182,26 @@ def bfs_ball(
     grows only until it is true and ends with that element, a prefix of the
     full ball in the same order.  Without `stop`, or when it is never true,
     the whole depth-`depth` ball is built.
+
+    A list `table` receives the ball's Cayley graph as it is built: expanding
+    the i-th element appends, per letter k, the ball index of
+    element_i o letter_k, so `table[i * len(letters) + k]` holds it.  The
+    table is complete, with len(ball) * len(letters) entries, exactly when
+    the frontier emptied: the ball is then the whole group the letters
+    generate and the table its right-multiplication table.
     """
     order = [(identity, ())]
-    seen = {identity}
+    seen = {identity: 0}  # element -> its index in `order`
     frontier = list(order)
     for _ in range(depth):
         nxt = []
         for elem, word in frontier:
             for token, value in letters:
                 new = compose_fn(elem, value)
-                if new not in seen:
-                    seen.add(new)
+                index = seen.setdefault(new, len(order))
+                if table is not None:
+                    table.append(index)
+                if index == len(order):
                     entry = (new, word + (token,))
                     order.append(entry)
                     nxt.append(entry)
@@ -212,11 +229,6 @@ def _distinct_letters(g: GroupPresentation):
                 seen.add(value)
                 letters.append((token_exp, value))
     return letters
-
-
-def _word_ball(g: GroupPresentation, bound: int, stop: Callable):
-    ident = g.identity()
-    return bfs_ball(ident, _distinct_letters(g), bound, type(ident).compose, stop=stop)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +314,9 @@ def _conjugacy(g: GroupPresentation, pairs, bound: int) -> dict:
             pending[:] = [key for key in pending if key not in witnesses]
             return not pending
 
-        words = dict(_word_ball(g, bound, all_answered))
+        ident = g.identity()
+        ball = bfs_ball(ident, _distinct_letters(g), bound, type(ident).compose, stop=all_answered)
+        words = dict(ball)
         answers.update((key, WitnessResult("witness", word=format_word(words[w])))
                        for key, w in witnesses.items())
         # the pairs still pending after the full ball
@@ -352,15 +366,49 @@ def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) ->
 # closure enumeration and cyclicity
 
 
+class CayleyTable(NamedTuple):
+    """The right-multiplication table of a closed group, in the order
+    `bfs_ball` listed its elements.
+
+    `ball[i]` is the i-th (element, word) pair, the identity at index 0, and
+    `letters` the (token, value) letters the BFS multiplied by.
+    `products[i * len(letters) + k]` is the index of ball[i] o letters[k],
+    and `ranks[r]` the index of `ClosureResult.elements[r]`, the r-th
+    element in canonical order.
+    """
+
+    ball: list[tuple]
+    letters: list[tuple]
+    products: list[int]
+    ranks: list[int]
+
+    def multiplication(self) -> Callable[[int, int], int]:
+        """The product u o v of ball indices: a walk from u along the word
+        of v, one table lookup per letter and no compose."""
+        width = len(self.letters)
+        # column k maps each index i to the index of ball[i] o letters[k]
+        columns = {token: self.products[k::width] for k, (token, _) in enumerate(self.letters)}
+        walks = [[columns[token] for token in word] for _, word in self.ball]
+
+        def multiply(u: int, v: int) -> int:
+            for column in walks[v]:
+                u = column[u]
+            return u
+
+        return multiply
+
+
 class ClosureResult(NamedTuple):
     """How the closure ended: `status` is "closed", "infinite" or "cap-exceeded".
 
-    "closed": `elements` is the finite group, sorted by `canonical_key()`, and
-    `count` its order.  "infinite": `word` is the BFS word of the first
-    element proven to have infinite order (a generator's name when a
-    generator is), and `certificate` the proof.  "cap-exceeded": more than the
-    cap were listed and none has infinite order.  Unless closed, `count` is
-    the number of elements listed, the identity included.
+    "closed": the BFS frontier emptied.  `elements` is the finite group,
+    sorted by `canonical_key()`, `count` its order, and `table` its
+    right-multiplication table, recorded by the BFS that listed it.
+    "infinite": `word` is the BFS word of the first element proven to have
+    infinite order (a generator's name when a generator is), and
+    `certificate` the proof.  "cap-exceeded": more than the cap were listed
+    and none has infinite order.  Unless closed, `count` is the number of
+    elements listed, the identity included, and there is no table.
     """
 
     status: str
@@ -368,6 +416,7 @@ class ClosureResult(NamedTuple):
     count: int
     word: Optional[str] = None
     certificate: Optional[str] = None
+    table: Optional[CayleyTable] = None
 
 
 def closure_enumerate(g: GroupPresentation, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
@@ -379,29 +428,37 @@ def closure_enumerate(g: GroupPresentation, cap: int = DEFAULT_CLOSURE_CAP) -> C
     length, and the BFS ends at it; the cap bounds only the work.  The exact
     checks, in order: the `order()` of each generator; the
     `infinite_order_screen()` of each new element; and once more than `cap`
-    elements are listed, the `order()` of each in BFS order.
+    elements are listed, the `order()` of each in BFS order.  The group is
+    closed exactly when the BFS frontier empties, which is when its
+    multiplication table is complete.
     """
     for name, x in g.generators:
         generator_order = x.order()
         if generator_order.is_infinite:
             return ClosureResult("infinite", None, 1, name, generator_order.certificate)
+    ident = g.identity()
+    letters = _distinct_letters(g)
+    products: list[int] = []
     sizes = count(2)  # `stop` sees the ball's elements from the second on
     # every BFS level adds an element, so a group of at most `cap` elements
     # closes within depth `cap`, and a larger one passes the cap first
-    ball = _word_ball(g, cap, lambda x: x.infinite_order_screen() is not None or next(sizes) > cap)
+    ball = bfs_ball(ident, letters, cap, type(ident).compose, table=products,
+                    stop=lambda x: x.infinite_order_screen() is not None or next(sizes) > cap)
+    if len(products) == len(ball) * len(letters):  # the frontier emptied
+        ranks = sorted(range(len(ball)), key=lambda i: ball[i][0].canonical_key())
+        elements = tuple(ball[i][0] for i in ranks)
+        return ClosureResult("closed", elements, len(elements),
+                             table=CayleyTable(ball, letters, products, ranks))
     last, last_word = ball[-1]
     reason = last.infinite_order_screen()  # the screen that ended the ball, if one did
     if reason is not None:
         return ClosureResult("infinite", None, len(ball), format_word(last_word), reason)
-    if len(ball) > cap:
-        for x, word in ball[1:]:
-            x_order = x.order()
-            if x_order.is_infinite:
-                return ClosureResult("infinite", None, len(ball), format_word(word),
-                                     x_order.certificate)
-        return ClosureResult("cap-exceeded", None, len(ball))
-    elements = tuple(sorted((x for x, _ in ball), key=lambda x: x.canonical_key()))
-    return ClosureResult("closed", elements, len(elements))
+    for x, word in ball[1:]:
+        x_order = x.order()
+        if x_order.is_infinite:
+            return ClosureResult("infinite", None, len(ball), format_word(word),
+                                 x_order.certificate)
+    return ClosureResult("cap-exceeded", None, len(ball))
 
 
 def is_cyclic(closure: ClosureResult) -> Optional[GroupElement]:
@@ -409,15 +466,18 @@ def is_cyclic(closure: ClosureResult) -> Optional[GroupElement]:
 
     The first element in canonical order whose order is the group order M.
     Every order divides M, so x has order M iff x^(M/p) is not the identity
-    for each prime p dividing M.
+    for each prime p dividing M.  The powers are taken on ball indices
+    through the closure's multiplication table, so no element is composed.
     """
     if closure.status != "closed":
         raise ValueError(f"closure is {closure.status}, not closed")
-    m = closure.count
-    for x in closure.elements:
-        powers = (binary_power(x, m // p, type(x).compose) for p in prime_factors(m))
-        if not any(power.is_identity() for power in powers):
-            return x
+    table = closure.table
+    multiply = table.multiplication()
+    exponents = [closure.count // p for p in prime_factors(closure.count)]
+    for r, i in enumerate(table.ranks):
+        # index 0 is the identity
+        if all(binary_power(i, e, multiply) for e in exponents):
+            return closure.elements[r]
     return None
 
 

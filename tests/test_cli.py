@@ -11,6 +11,9 @@ import pytest
 from germforge import cli, corpus
 
 CORPUS_DIR = Path(cli.__file__).resolve().parent / "corpus"
+# `germ-forge examples run E --format json` of each corpus entry, without
+# `timing_ms`; a change that means to alter a report rewrites its file
+REPORTS_DIR = Path(__file__).resolve().parent / "corpus_reports"
 
 
 def moebius_document(path: Path, matrices, conductor: int = 1) -> str:
@@ -49,6 +52,15 @@ R3 = [[0, -1], [1, -1]]
 @pytest.mark.parametrize("entry", corpus.ENTRIES)
 def test_corpus_entry_matches(entry):
     assert cli.run_corpus_entry(entry, 6, 10_000, None)["matched"]
+
+
+@pytest.mark.parametrize("entry", sorted({*corpus.ENTRIES, *(p.stem for p in REPORTS_DIR.glob("*.json"))}))
+def test_corpus_report_is_the_committed_one(entry, capsys):
+    assert cli.main(["examples", "run", entry, "--format", "json"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    del report["timing_ms"]
+    committed = (REPORTS_DIR / f"{entry}.json").read_text(encoding="utf-8")
+    assert json.dumps(report, indent=2) + "\n" == committed
 
 
 def test_examples_run_exits_0(capsys):

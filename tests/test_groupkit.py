@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germforge import cli, corpus, groupkit, jets, moebius
-from germforge.cyclo import field, root_of_unity_order
+from germforge.cyclo import binary_power, field, prime_factors, root_of_unity_order
 from germforge.groupkit import (
     AffineFamily,
     GroupPresentation,
@@ -588,7 +588,7 @@ def test_closure_cap_exceeded():
     res = closure_enumerate(corpus.load("prop-5-1-2-abelian").presentation(), cap=10)
     assert res.status == "cap-exceeded"
     assert res.count == 11
-    assert res.elements is None and res.word is None
+    assert res.elements is None and res.word is None and res.table is None
 
 
 def test_is_cyclic_small_cases():
@@ -617,14 +617,15 @@ def test_is_cyclic_on_moebius_closures():
     assert rotation.count == 3 and generator.order().order == 3
 
 
-def test_is_cyclic_composes_m_log_m_times(monkeypatch):
-    res = closure_enumerate(corpus.load("prop-5-1-2-abelian").presentation())
-    calls = counting(monkeypatch, "compose")
-    assert is_cyclic(res) is None
-    # at most one square-and-multiply power x^(M/p) per element and prime p | M
-    m = res.count
-    per_element = sum(e.bit_length() + bin(e).count("1") - 2 for e in (m // 2, m // 3))
-    assert len(calls) <= m * per_element
+def test_is_cyclic_composes_nothing(monkeypatch):
+    jet_closure = closure_enumerate(corpus.load("prop-5-1-2-abelian").presentation())
+    map_closure = closure_enumerate(small_presentations()["anharmonic"])
+    jet_calls = counting(monkeypatch, "compose")
+    map_calls = counting(monkeypatch, "moebius_compose", moebius)
+    assert is_cyclic(jet_closure) is None
+    assert is_cyclic(map_closure) is None
+    # the powers x^(M/p) are walks in the closure's multiplication table
+    assert jet_calls == [] and map_calls == []
 
 
 # --- finiteness verdicts ------------------------------------------------------------
@@ -657,10 +658,117 @@ def test_corpus_closure_verdicts(entry):
     res = closure_enumerate(pres)
     assert (res.status, res.count, res.word) == CORPUS_CLOSURES[entry]
     if res.status == "infinite":
-        assert res.elements is None and res.certificate
+        assert res.elements is None and res.certificate and res.table is None
         assert evaluate_word(pres, res.word).order().is_infinite
     else:
         assert len(res.elements) == res.count and res.certificate is None
+        # closed: the BFS frontier emptied, so every element met every letter
+        assert len(res.table.products) == res.count * len(res.table.letters)
+
+
+def g41n_presentation(n):
+    """G(4,1,n), the n x n monomial matrices whose entries are powers of i, as
+    K = 1 jets over Q(zeta_4): the adjacent transpositions and diag(i, 1, ..., 1).
+    Its order is 4^n n!."""
+    def swap(k):
+        image = list(range(n))
+        image[k], image[k + 1] = k + 1, k
+        return [[int(t == image[s]) for t in range(n)] for s in range(n)]
+
+    dilation = [[(I4 if s == 0 else 1) if s == t else 0 for t in range(n)] for s in range(n)]
+    gens = [(f"s{k + 1}", linear_jet(F4, swap(k))) for k in range(n - 1)]
+    return GroupPresentation((*gens, ("d", linear_jet(F4, dilation))))
+
+
+CLOSED_ENTRIES = [entry for entry, (status, _, _) in CORPUS_CLOSURES.items() if status == "closed"]
+
+
+@pytest.mark.parametrize("entry", CLOSED_ENTRIES + ["G(4,1,3)"])
+def test_closed_group_keeps_its_multiplication_table(entry):
+    if entry == "G(4,1,3)":
+        pres, order = g41n_presentation(3), 4 ** 3 * 6
+    else:
+        pres, order = corpus_presentation(entry), CORPUS_CLOSURES[entry][1]
+    res = closure_enumerate(pres)
+    table = res.table
+    ball, letters, width = table.ball, table.letters, len(table.letters)
+    assert res.status == "closed" and len(ball) == res.count == order
+    assert len(table.products) == len(ball) * width
+    for i, (x, word) in enumerate(ball):
+        assert evaluate_word(pres, format_word(word)) == x
+        for k, (_, letter) in enumerate(letters):
+            assert ball[table.products[i * width + k]][0] == x.compose(letter)
+    assert sorted(table.ranks) == list(range(len(ball)))
+    assert all(res.elements[r] is ball[i][0] for r, i in enumerate(table.ranks))
+    assert ball[0] == (pres.identity(), ())
+    assert res.elements[table.ranks.index(0)].is_identity()
+    # the walk along the word of v multiplies ball indices
+    multiply = table.multiplication()
+    index = {x: i for i, (x, _) in enumerate(ball)}
+    rng = random.Random(17)
+    pairs = [(rng.randrange(len(ball)), rng.randrange(len(ball))) for _ in range(200)]
+    for u, v in pairs:
+        assert multiply(u, v) == index[ball[u][0].compose(ball[v][0])]
+
+
+def reference_is_cyclic(closure):
+    """`is_cyclic` by composing elements: x^(M/p) by square-and-multiply."""
+    m = closure.count
+    for x in closure.elements:
+        powers = (binary_power(x, m // p, type(x).compose) for p in prime_factors(m))
+        if not any(power.is_identity() for power in powers):
+            return x
+    return None
+
+
+def small_presentations():
+    from germforge.moebius import MoebiusMap
+
+    f3, f12 = field(3), field(12)
+    one, zero = F1.one(), F1.zero()
+    s = MoebiusMap(((zero, one), (one, zero)))  # z -> 1/z
+    t = MoebiusMap(((-one, one), (zero, one)))  # z -> 1 - z
+    return {
+        "zeta-12": GroupPresentation((("z", linear_jet(f12, [[f12.zeta()]])),)),
+        "moebius-rotation-3": GroupPresentation((("st", s.compose(t)),)),
+        # orders 2 and 3, commuting: the product, not a letter, generates
+        "order-6-from-2-and-3": GroupPresentation((
+            ("a", linear_jet(f3, [[-1, 0], [0, 1]])),
+            ("b", linear_jet(f3, [[1, 0], [0, f3.zeta()]])),
+        )),
+        "anharmonic": GroupPresentation((("s", s), ("t", t))),
+    }
+
+
+@pytest.mark.parametrize("name", ["zeta-12", "moebius-rotation-3", "order-6-from-2-and-3",
+                                  "anharmonic", "prop-5-1-2", "prop-5-1-2-abelian", "prop-5-1-4"])
+def test_is_cyclic_matches_the_composing_reference(name):
+    pres = small_presentations().get(name) or corpus_presentation(name)
+    res = closure_enumerate(pres)
+    generator = is_cyclic(res)
+    assert generator is reference_is_cyclic(res)
+    cyclic = name not in ("anharmonic", "prop-5-1-2", "prop-5-1-2-abelian", "prop-5-1-4")
+    assert (generator is not None) == cyclic
+    if cyclic:
+        assert generator.order().order == res.count
+    if name == "order-6-from-2-and-3":
+        assert res.count == 6 and generator not in pres.elements
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_is_cyclic_matches_the_composing_reference_on_small_linear_groups(data):
+    fld = data.draw(st.sampled_from([F1, F4]))
+    names = RATIONAL if fld is F1 else list(POOL)
+    chosen = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))
+    g = GroupPresentation(tuple(
+        (f"g{k}", linear_jet(fld, POOL[name])) for k, name in enumerate(chosen)
+    ))
+    res = closure_enumerate(g, cap=64)
+    if res.status == "closed":
+        assert is_cyclic(res) is reference_is_cyclic(res)
+    else:
+        assert res.table is None
 
 
 def test_closure_certificates_name_their_proof():
