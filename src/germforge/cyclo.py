@@ -136,19 +136,35 @@ class OrderResult(NamedTuple):
 
 
 def element_order(x, exponent: int, mul: Callable, identity) -> OrderResult:
-    """Exact order of x, given a multiple `exponent` of every finite order x can have.
+    """Exact order of x, given a multiple E = `exponent` of every finite order x can have.
 
-    x**exponent != identity proves infinite order (see `torsion_exponent`);
-    otherwise the order divides `exponent`, and scanning x, x**2, ... finds
-    it within `exponent` products.
+    The order is read off E by prime powers (Cohen, "A Course in
+    Computational Algebraic Number Theory", Alg. 1.4.3).  For each p^a
+    exactly dividing E, y = x^(E/p^a) is a product of the squares x^(2^i),
+    each formed once, and y is raised to p-th powers until it is the
+    identity: b of them give p^b, the p-part of the order.  If a of them do
+    not, x^E != identity, which proves infinite order (`torsion_exponent`).
+    An order 18 against E = 36 costs 9 products; a scan of x, x^2, ... took 23.
     """
-    if binary_power(x, exponent, mul) != identity:
-        return OrderResult("infinite", certificate=(
-            f"power {exponent} is not the identity, and every finite order divides {exponent}"
-        ))
-    power, order = x, 1
-    while power != identity:
-        power, order = mul(power, x), order + 1
+    infinite = OrderResult("infinite", certificate=(
+        f"power {exponent} is not the identity, and every finite order divides {exponent}"
+    ))
+    squares, order = [x], 1
+    for p, a in prime_factors(exponent).items():
+        cofactor, y = exponent // p ** a, None
+        for i in range(cofactor.bit_length()):
+            if i == len(squares):
+                squares.append(mul(squares[-1], squares[-1]))
+            if cofactor >> i & 1:
+                y = squares[i] if y is None else mul(y, squares[i])
+        for _ in range(a):
+            if y == identity:
+                break
+            y, order = binary_power(y, p, mul), order * p
+        if y != identity:
+            return infinite
+    if order == 1 and x != identity:  # only E = 1, which has no prime, gets here
+        return infinite
     return OrderResult("finite", order=order)
 
 

@@ -25,8 +25,8 @@ only where a caller asks for one.
 
 Each distinct coefficient string is parsed once per document (the
 documents of the paper's Examples 2.1-2.3 hold 14, 26 and 74 coefficient
-strings, 4 distinct in each), and every `GermJet` takes the shared
-`CycloNum`s into its integer form.
+strings, 4 distinct in each), and each distinct generator becomes one
+`GermJet` (they list 6, 12 and 36 generators, 3 distinct in each).
 """
 
 from __future__ import annotations
@@ -61,11 +61,12 @@ MAX_GENERATORS = 64
 
 class InputDocument:
     """A parsed document, as `parse_document` returns it; `witnesses` maps a
-    generator pair (i, j) to its word.  It caches its closure per cap."""
+    generator pair (i, j) to its word.  It builds its presentation once and
+    caches its closure per cap, so the checks of one document share them."""
 
     __slots__ = ("conductor", "dimension", "truncation", "field", "generators",
                  "moebius_generators", "eigenvalues", "multiplier", "translations",
-                 "witnesses", "expected", "name", "_closures")
+                 "witnesses", "expected", "name", "_presentation", "_closures")
 
     def __init__(
         self,
@@ -94,14 +95,19 @@ class InputDocument:
         self.witnesses = {} if witnesses is None else witnesses
         self.expected = expected
         self.name = name
+        self._presentation: Optional[GroupPresentation] = None
         self._closures: dict[int, ClosureResult] = {}
 
     def presentation(self) -> GroupPresentation:
-        from .groupkit import GroupPresentation
+        """The jet generators and witnesses as a `GroupPresentation`: one
+        object, built on the first call, with the facts it memoizes."""
+        if self._presentation is None:
+            from .groupkit import GroupPresentation
 
-        if not self.generators:
-            raise DocumentError("document has no jet generators")
-        return GroupPresentation(self.generators, self.witnesses)
+            if not self.generators:
+                raise DocumentError("document has no jet generators")
+            self._presentation = GroupPresentation(self.generators, self.witnesses)
+        return self._presentation
 
     def closure(self, cap: int) -> ClosureResult:
         """`closure_enumerate` of the presentation, run once per cap: the
@@ -150,6 +156,15 @@ def _parse_coeff(text: Any, fld: CycloField, path: str, memo: dict) -> CycloNum:
 
 
 def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] = None) -> InputDocument:
+    """The document `obj`, a JSON text or its decoded object, checked and
+    parsed; any invalid input raises `DocumentError` with its path.
+
+    Each distinct coefficient string is parsed once, and generators with
+    equal coefficients share one `GermJet`, with its determinant check and
+    every fact it memoizes; so a singular one fails at its first listing.
+    They are matched on the integer (key, num, den) triples: hashing a
+    rational `CycloNum` would import `fractions`.
+    """
     if isinstance(obj, (str, bytes)):
         try:
             obj = json.loads(obj)
@@ -172,6 +187,7 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
     _expect_monomials(dimension, truncation, "truncation")
 
     memo: dict[str, CycloNum] = {}
+    distinct: dict[frozenset, GermJet] = {}  # integer coefficients -> their one jet
     generators = []
     names = set()
     for gi, gen in enumerate(_generator_list(obj, "generators")):
@@ -205,10 +221,13 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
                 key = (s, tuple(mono))
                 _expect(key not in coeffs, tpath, f"duplicate monomial {mono} in coordinate {s}")
                 coeffs[key] = _parse_coeff(term["coeff"], fld, f"{tpath}.coeff", memo)
-        try:
-            jet = GermJet(dimension, truncation, fld, coeffs)
-        except ValueError as exc:
-            raise DocumentError(f"{path}: {exc}") from exc
+        key = frozenset((k, c.num, c.den) for k, c in coeffs.items())
+        jet = distinct.get(key)
+        if jet is None:
+            try:
+                jet = distinct[key] = GermJet(dimension, truncation, fld, coeffs)
+            except ValueError as exc:
+                raise DocumentError(f"{path}: {exc}") from exc
         generators.append((gname, jet))
 
     moebius_generators = []

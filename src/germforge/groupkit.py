@@ -54,11 +54,13 @@ from .words import (
 class GroupElement(Protocol):
     """What presentations need of an element; `GermJet` and `MoebiusMap` have it.
 
-    Elements are hashable and compare with `==`; `type(x).identity(*x.shape)`
-    is the identity, `conjugacy_invariant()` is equal on conjugate elements,
-    `infinite_order_screen()` is a certificate of infinite order from cheap
-    sound tests or None (undecided), and `canonical_key()` sorts elements
-    deterministically.
+    Elements are immutable and hashable and compare with `==`;
+    `type(x).identity(*x.shape)` is the identity, `conjugacy_invariant()` is
+    equal on conjugate elements, `infinite_order_screen()` is a certificate
+    of infinite order from cheap sound tests or None (undecided), and
+    `canonical_key()` sorts elements deterministically.  Since an element
+    never changes, `order()`, `inverse()` and `conjugacy_invariant()` may be
+    memoized on it; callers may rely on repeated calls being cheap.
     """
 
     shape: tuple
@@ -78,9 +80,14 @@ class GroupElement(Protocol):
 class GroupPresentation:
     """Named generators of one type and shape, plus optional witness words
     (`witnesses` maps a generator pair (i, j) to its word; it holds a
-    read-only copy of the caller's mapping).  Immutable."""
+    read-only copy of the caller's mapping).
 
-    __slots__ = ("generators", "witnesses")
+    Immutable, so what it determines can be kept: equal generators are one
+    object, and `check_product_identity` composes the ordered product once
+    per presentation and keeps it in `_product`.
+    """
+
+    __slots__ = ("generators", "witnesses", "_product")
 
     generators: tuple[tuple[str, GroupElement], ...]
     witnesses: MappingProxyType
@@ -107,6 +114,7 @@ class GroupPresentation:
                     raise WordError(f"witness word uses unknown generator {name!r}")
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "_product", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to {name!r}: GroupPresentation is immutable")
@@ -153,12 +161,16 @@ def evaluate_word(presentation: GroupPresentation, word: str) -> GroupElement:
 
 
 def check_product_identity(g: GroupPresentation) -> tuple[bool, GroupElement]:
-    """Compose generators in listed order; the residual is the composite."""
-    elements = g.elements
-    out = elements[0]
-    for x in elements[1:]:
-        out = out.compose(x)
-    return out.is_identity(), out
+    """(whether it is the identity, the composite) for the generators composed
+    in listed order; computed once per presentation, so `check_basic_set`,
+    `linearize_group` and `holonomy_check` share one ordered product."""
+    if g._product is None:
+        elements = g.elements
+        out = elements[0]
+        for x in elements[1:]:
+            out = out.compose(x)
+        object.__setattr__(g, "_product", (out.is_identity(), out))
+    return g._product
 
 
 # ---------------------------------------------------------------------------
@@ -682,11 +694,12 @@ def linearize_group(g: GroupPresentation):
             "precondition-violated",
             detail="ordered product of generators is not the identity",
         )
-    lin = jets[0].linear_matrix()
-    if any(j.linear_matrix() != lin for j in jets):
+    first = jets[0]._linear()  # the cached integer form, not a matrix per generator
+    if any(j._linear() != first for j in jets):
         return LinearizationFailure(
             "precondition-violated", detail="generators do not share one linear part"
         )
+    lin = jets[0].linear_matrix()
     if not mat_is_diagonal(lin):
         return LinearizationFailure(
             "precondition-violated", detail="common linear part is not diagonal"

@@ -33,7 +33,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import germforge
 
-from .cyclo import CycloField, CycloNum, FieldMismatchError, OrderResult, _lowest_terms
+from .cyclo import (CoefficientOrder, CycloField, CycloNum, FieldMismatchError, OrderResult,
+                    _lowest_terms)
 
 Matrix = tuple[tuple[CycloNum, ...], ...]
 MultiIndex = tuple[int, ...]
@@ -190,16 +191,20 @@ class GermJet:
     equality compares it and the cached hash is taken from it.
 
     `coeffs` is the read-only mapping of the coefficients as `CycloNum`s,
-    built on first read and cached; `coeff`, `degree_slice`,
-    `linear_matrix()` and `canonical_key()` read the jet through it or
-    through the linear part's integer form.  The constructor checks every
-    key and coefficient and rejects a singular linear part; `_trusted`
-    builds the results of group operations, invertible by construction,
-    without checks.  `_monomials` is the memo of `jets._monomial`.
+    built on first read and cached; `coeff`, `degree_slice` and
+    `linear_matrix()` read the jet through it, and `canonical_key()` reads
+    the integer form.  The constructor checks every key and coefficient and
+    rejects a singular linear part; `_trusted` builds the results of group
+    operations, invertible by construction, without checks.
+
+    A jet is immutable, so each derived fact is kept once computed: `_lin`
+    (the linear part's integer form), `_monomials` (the memo of
+    `jets._monomial`), `_hash`, and `order()`, `inverse()` and
+    `conjugacy_invariant()` in `_order`, `_inverse` and `_invariant`.
     """
 
     __slots__ = ("n", "K", "field", "den", "nums", "_coeffs", "_lin", "_monomials", "_hash",
-                 "_order")
+                 "_order", "_inverse", "_invariant")
 
     def __init__(self, n: int, K: int, fld: CycloField, coeffs: Mapping):
         if n < 1 or K < 1:
@@ -229,6 +234,8 @@ class GermJet:
         self._monomials = None
         self._hash = None
         self._order = None
+        self._inverse = None
+        self._invariant = None
         if not any(_int_det(fld, n, self._linear())[0]):
             raise ValueError("linear part is not invertible")
 
@@ -249,6 +256,8 @@ class GermJet:
         jet._monomials = None
         jet._hash = None
         jet._order = None
+        jet._inverse = None
+        jet._invariant = None
         return jet
 
     @classmethod
@@ -311,7 +320,7 @@ class GermJet:
         return GermJet(self.n, new_k, self.field, kept)
 
     def canonical_items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0][0], grlex_key(kv[0][1])))
+        return sorted(self.coeffs.items(), key=_term_order)
 
     # -- group structure -----------------------------------------------------------
 
@@ -323,7 +332,11 @@ class GermJet:
         return germforge.jets.compose(self, other)
 
     def inverse(self) -> "GermJet":
-        return germforge.jets.invert(self)
+        """`jets.invert`, computed once per jet object.  The inverse does not
+        point back, so a jet and its inverse form no reference cycle."""
+        if self._inverse is None:
+            self._inverse = germforge.jets.invert(self)
+        return self._inverse
 
     def order(self) -> OrderResult:
         """`germ_order`, computed once per jet object."""
@@ -332,8 +345,10 @@ class GermJet:
         return self._order
 
     def conjugacy_invariant(self) -> tuple[CycloNum, ...]:
-        """Characteristic polynomial of the linear part."""
-        return germforge.jets._char_poly(self.field, self.n, self._linear())
+        """Characteristic polynomial of the linear part, computed once per jet object."""
+        if self._invariant is None:
+            self._invariant = germforge.jets._char_poly(self.field, self.n, self._linear())
+        return self._invariant
 
     def infinite_order_screen(self) -> Optional[str]:
         """Why this jet has infinite order, from two cheap sound tests, or None.
@@ -358,9 +373,13 @@ class GermJet:
 
     def canonical_key(self):
         """Sort key: coordinates, then monomials in grlex order, then coefficients
-        by `CycloNum.sort_key`."""
-        items = tuple((s, q, c.sort_key()) for (s, q), c in self.canonical_items())
-        return (self.n, self.K, self.field.conductor, items)
+        by `CycloNum.sort_key`, each read off the integer form in its own
+        lowest terms, without the `coeffs` view."""
+        items = []
+        for (s, q), v in sorted(self.nums.items(), key=_term_order):
+            den, num = _lowest_terms(self.den, v)
+            items.append((s, q, CoefficientOrder(num, den)))
+        return (self.n, self.K, self.field.conductor, tuple(items))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GermJet):
@@ -382,6 +401,12 @@ class GermJet:
             ]
             parts.append(" + ".join(terms) if terms else "0")
         return f"GermJet[{'; '.join(parts)}]"
+
+
+def _term_order(item) -> tuple:
+    """Sort key of a ((coordinate, multi-index), value) item: coordinate, then grlex."""
+    (s, q), _ = item
+    return (s, grlex_key(q))
 
 
 def _linear_coeffs(matrix: Matrix) -> dict:

@@ -23,7 +23,7 @@ of the linear parts and the determinant is multiplicative.
 
 Linear parts are matrices of `CycloNum`s at the interface, but the exact
 linear algebra (`mat_mul`, `mat_det`, `mat_inv`, `char_poly` and the
-`linear_order` power test) runs on the same integer form, and jets and
+`linear_order` powers) runs on the same integer form, and jets and
 matrices share one helper per rule (see the comment above `IntMatrix` in
 `jetform`): `_common_form`, `_accumulate` with `_fold_sums`, `_bareiss`,
 and `cyclo._lowest_terms` and `CycloField._norm_adjugate`.
@@ -334,10 +334,10 @@ def linear_order(a: Matrix) -> OrderResult:
 def _linear_order(fld: CycloField, n: int, a: IntMatrix) -> OrderResult:
     """`linear_order` of the integer form a.
 
-    Every finite order divides `torsion_exponent(N, n)`, so one power test
-    decides finiteness and a scan of the powers finds the order.  Both run
-    on the canonical integer form, so each comparison with the identity
-    compares integers.
+    Every finite order divides E = `torsion_exponent(N, n)`, so
+    `element_order` reads the order off the prime powers of E, or proves it
+    infinite.  Its products run on the canonical integer form, so each
+    comparison with the identity compares integers.
     """
     return element_order(
         a, torsion_exponent(fld.conductor, n),

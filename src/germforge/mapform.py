@@ -68,10 +68,12 @@ class MoebiusMap:
     """z -> (a z + b) / (c z + d) as the matrix [[a, b], [c, d]], det != 0.
 
     Equality and hashing use the integer numerators and denominators of the
-    normalized entries, kept from construction; the hash is cached.
+    normalized entries, kept from construction.  A map is immutable, so the
+    hash and the results of `order()`, `inverse()` and
+    `conjugacy_invariant()` are kept in slots once computed.
     """
 
-    __slots__ = ("matrix", "field", "_key", "_hash", "_order")
+    __slots__ = ("matrix", "field", "_key", "_hash", "_order", "_inverse", "_invariant")
 
     def __init__(self, matrix: Sequence[Sequence[CycloNum]]):
         (a, b), (c, d) = matrix
@@ -88,6 +90,8 @@ class MoebiusMap:
         self._key = (fld.conductor, tuple((x.num, x.den) for x in (a, b, c, d)))
         self._hash = None
         self._order = None
+        self._inverse = None
+        self._invariant = None
 
     @classmethod
     def scaling(cls, xi: CycloNum) -> "MoebiusMap":
@@ -122,9 +126,12 @@ class MoebiusMap:
         return self._order
 
     def conjugacy_invariant(self) -> CycloNum:
-        """trace^2 / det, the projective class of the characteristic polynomial."""
-        t = self.trace()
-        return t * t / self.det()
+        """trace^2 / det, the projective class of the characteristic polynomial,
+        computed once per map object."""
+        if self._invariant is None:
+            t = self.trace()
+            self._invariant = t * t / self.det()
+        return self._invariant
 
     def infinite_order_screen(self) -> Optional[str]:
         """Why this map has infinite order, from one cheap sound test, or None.
@@ -155,8 +162,12 @@ class MoebiusMap:
         return a + d
 
     def inverse(self) -> "MoebiusMap":
-        a, b, c, d = self.entries()
-        return MoebiusMap(((d, -b), (-c, a)))
+        """The adjugate map, computed once per map object.  The inverse does
+        not point back, so a map and its inverse form no reference cycle."""
+        if self._inverse is None:
+            a, b, c, d = self.entries()
+            self._inverse = MoebiusMap(((d, -b), (-c, a)))
+        return self._inverse
 
     def apply(self, p: ProjectivePoint) -> ProjectivePoint:
         a, b, c, d = self.entries()

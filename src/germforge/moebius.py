@@ -7,7 +7,7 @@ Moebius maps loads without this module; those names are re-exported here.
 through the package, so a function replaced here by name is the one they
 run.
 
-Orders are decided exactly by the shared torsion-exponent power test;
+Orders are decided exactly by the shared order routine, `element_order`;
 fixed points are eigenvector computations.  A triangular map needs no square
 root; a rational radicand's root is built exactly from Gauss sums; any other
 root is found, or proven absent, by an exact sign search modulo a prime

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -61,6 +62,20 @@ def test_corpus_report_is_the_committed_one(entry, capsys):
     del report["timing_ms"]
     committed = (REPORTS_DIR / f"{entry}.json").read_text(encoding="utf-8")
     assert json.dumps(report, indent=2) + "\n" == committed
+
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES)
+def test_corpus_entry_leaves_no_reference_cycle(entry):
+    """Memoized facts point one way (a jet to its inverse, a presentation to
+    its product), so a run leaves nothing for the cycle collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        report = cli.run_corpus_entry(entry, cli.DEFAULT_WITNESS_BOUND, cli.DEFAULT_CLOSURE_CAP, None)
+        assert report["matched"]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_examples_run_exits_0(capsys):

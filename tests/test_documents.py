@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from germforge import documents
+from germforge import corpus, documents
 from germforge.cyclo import field, parse_coefficient
 from germforge.documents import (
     MAX_CONDUCTOR,
@@ -152,6 +152,35 @@ def test_a_repeated_bad_coefficient_is_reported_at_its_first_path():
     with pytest.raises(DocumentError) as info:
         parse_document(doc)
     assert str(info.value).startswith("generators[0].coords[1][0].coeff:")
+
+
+def test_equal_generators_share_one_jet():
+    doc = corpus.load("ex-2-3")
+    jets = [jet for _, jet in doc.generators]
+    assert len(jets) == 36
+    assert len({id(jet) for jet in jets}) == len(set(jets)) == 3
+
+
+def test_equal_generators_written_in_another_term_order_share_one_jet():
+    doc = copy.deepcopy(VALID)
+    doc["generators"].append({"name": "h", "coords": [
+        [term("1", [0, 2]), term("1", [1, 0])], [term("-1", [0, 1])]]})
+    parsed = parse_document(doc)
+    assert parsed.generators[2][1] is parsed.generators[0][1]
+
+
+def test_a_repeated_singular_generator_fails_at_its_first_path():
+    singular = {"name": "s", "coords": [[term("1", [1, 0])], [term("1", [1, 0])]]}
+    doc = copy.deepcopy(VALID)
+    doc["generators"] += [singular, {**singular, "name": "t"}]
+    with pytest.raises(DocumentError) as info:
+        parse_document(doc)
+    assert str(info.value) == "generators[2]: linear part is not invertible"
+
+
+def test_presentation_is_built_once():
+    doc = parse_document(VALID)
+    assert doc.presentation() is doc.presentation()
 
 
 def oversized(**fields):

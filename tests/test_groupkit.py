@@ -500,8 +500,9 @@ def test_basic_set_screens_each_distinct_pair_once(monkeypatch):
         )
         assert report["matched"]
     # ex-2-2 and ex-2-3 each leave three distinct pairs to the characteristic-polynomial
-    # screen, two polynomials per pair; ex-2-1 supplies its witnesses
-    assert len(calls) == 12
+    # screen, among three distinct generators whose invariants are memoized;
+    # ex-2-1 supplies its witnesses
+    assert len(calls) == 6
 
 
 def test_letters_invert_each_distinct_generator_once(monkeypatch):
@@ -509,6 +510,36 @@ def test_letters_invert_each_distinct_generator_once(monkeypatch):
     calls = counting(monkeypatch, "invert")
     check_basic_set(g)
     assert len(calls) == len(set(g.elements)) == 3
+
+
+def test_basic_set_and_linearize_compose_one_ordered_product(monkeypatch):
+    g = corpus.load("ex-2-3").presentation()
+    calls = counting(monkeypatch, "compose")
+    original = groupkit.check_product_identity
+    inside = []
+
+    def product(pres):
+        before = len(calls)
+        out = original(pres)
+        inside.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(groupkit, "check_product_identity", product)
+    check_basic_set(g)
+    linearize_group(g)
+    # 36 listed generators, 35 products, composed by the first call alone
+    assert inside == [35, 0]
+
+
+def test_corpus_entry_inverts_and_screens_each_distinct_generator_once(monkeypatch):
+    inverts = counting(monkeypatch, "invert")
+    invariants = counting(monkeypatch, "_char_poly")
+    report = cli.run_corpus_entry(
+        "prop-5-1-4", groupkit.DEFAULT_WITNESS_BOUND, groupkit.DEFAULT_CLOSURE_CAP, None
+    )
+    assert report["matched"]
+    distinct = set(corpus.load("prop-5-1-4").presentation().elements)
+    assert len(inverts) == len(invariants) == len(distinct) == 4
 
 
 # --- closures -----------------------------------------------------------------------------

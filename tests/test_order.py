@@ -2,16 +2,24 @@
 scalars, matrices, jets and Moebius maps against independent ground truth."""
 
 import math
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from germforge import corpus, cyclo, jets
-from germforge.cyclo import binary_power, element_order, field, torsion_exponent
+from germforge.cyclo import (
+    OrderResult,
+    binary_power,
+    element_order,
+    field,
+    root_of_unity_order,
+    torsion_exponent,
+)
 from germforge.groupkit import GroupPresentation, evaluate_word
 from germforge.jets import GermJet, conjugate, germ_order, linear_order, mat_identity, mat_mul
-from germforge.moebius import MoebiusMap, moebius_order
+from germforge.moebius import MoebiusMap, moebius_compose, moebius_order
 
 
 # --- the exponent -------------------------------------------------------------
@@ -60,6 +68,20 @@ def test_binary_power_squares_only_below_the_top_bit():
         assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1
 
 
+def scan_order(x, exponent, mul, identity):
+    """The reference: one power test x**exponent, then a scan of x, x**2, ...
+    until the identity, as `element_order` worked before it read the order
+    off the prime powers of `exponent`."""
+    if binary_power(x, exponent, mul) != identity:
+        return OrderResult("infinite", certificate=(
+            f"power {exponent} is not the identity, and every finite order divides {exponent}"
+        ))
+    power, order = x, 1
+    while power != identity:
+        power, order = mul(power, x), order + 1
+    return OrderResult("finite", order=order)
+
+
 def test_element_order_on_integers_mod_n():
     # the additive group Z/12: 8 has order 3, and 12 is the exponent
     def add(a, b):
@@ -68,6 +90,93 @@ def test_element_order_on_integers_mod_n():
     assert element_order(8, 12, add, 0).order == 3
     assert element_order(0, 12, add, 0).order == 1
     assert element_order(5, 12, add, 0).order == 12
+
+
+@pytest.mark.parametrize("x", [0, 5])
+def test_exponent_one_matches_the_scan(x):
+    def add(a, b):
+        return (a + b) % 12
+
+    assert element_order(x, 1, add, 0) == scan_order(x, 1, add, 0)
+    assert element_order(x, 1, add, 0).is_infinite == (x != 0)
+
+
+@st.composite
+def monomial_matrices(draw, dims=st.integers(1, 3)):
+    """(field, n, a): a permutation matrix times +-zeta^k entries, over N in
+    {1, 3, 4, 5, 9, 12} and n from `dims`, times a shear I + c E_ij
+    (infinite order) when one is drawn."""
+    fld = field(draw(st.sampled_from([1, 3, 4, 5, 9, 12])))
+    n = draw(dims)
+    perm = draw(st.permutations(range(n)))
+    rows = [[fld.zero()] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = fld.zeta(draw(st.integers(0, fld.conductor - 1))) * draw(st.sampled_from([1, -1]))
+    a = tuple(map(tuple, rows))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        shear = [list(r) for r in mat_identity(fld, n)]
+        shear[i][j] = fld.zeta(draw(st.integers(0, fld.conductor - 1))) * draw(st.sampled_from([1, 2, -3]))
+        a = mat_mul(a, tuple(map(tuple, shear)))
+    return fld, n, a
+
+
+def int_matrix_group(fld, n):
+    """(multiplication, identity) of GL_n(Q(zeta_N)) on the canonical integer form."""
+    return (lambda x, y: jets._int_mul(fld, n, n, x, y)), (1, jets._int_identity(fld.degree, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_matrices())
+def test_linear_order_matches_the_scan(case):
+    fld, n, a = case
+    exponent = torsion_exponent(fld.conductor, n)
+    mul, identity = int_matrix_group(fld, n)
+    assert linear_order(a) == scan_order(jets._int_form(a), exponent, mul, identity)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 3, 4, 12]), st.integers(2, 3), st.integers(0, 11),
+       st.sampled_from([1, -1, 2]))
+def test_shears_have_infinite_order_as_in_the_scan(conductor, n, k, c):
+    fld = field(conductor)
+    shear = [list(r) for r in mat_identity(fld, n)]
+    shear[0][n - 1] = fld.zeta(k) * c
+    a = tuple(map(tuple, shear))
+    mul, identity = int_matrix_group(fld, n)
+    res = linear_order(a)
+    assert res.is_infinite
+    assert res == scan_order(jets._int_form(a), torsion_exponent(conductor, n), mul, identity)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_matrices(dims=st.just(2)))
+def test_moebius_order_matches_the_scan(case):
+    fld, _, a = case
+    m = MoebiusMap(a)
+    want = scan_order(m, torsion_exponent(fld.conductor, 2), moebius_compose, MoebiusMap.identity(fld))
+    assert moebius_order(m) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 59), st.sampled_from([1, -1, 2]))
+def test_root_of_unity_order_matches_the_scan(conductor, k, scale):
+    fld = field(conductor)
+    a = fld.zeta(k) * scale
+    want = scan_order(a, torsion_exponent(conductor, 1), operator.mul, fld.one())
+    assert root_of_unity_order(a) == want.order
+    assert (want.order is None) == (scale == 2)
+
+
+# the scan took 23 products on ex-2-3 and 16 on ex-2-2
+@pytest.mark.parametrize("entry, order, most", [("ex-2-3", 18, 11), ("ex-2-2", 12, 9)])
+def test_linear_order_of_a_generator_takes_few_products(monkeypatch, entry, order, most):
+    f = corpus.load(entry).presentation().elements[0]
+    calls = []
+    original = jets._int_mul
+    monkeypatch.setattr(jets, "_int_mul", lambda *args: calls.append(1) or original(*args))
+    assert linear_order(f.linear_matrix()).order == order
+    assert len(calls) <= most
 
 
 # --- ground truth: H D H^-1 with H a product of integer shears ------------------
