@@ -73,13 +73,16 @@ def _basic_set_payload(doc: InputDocument, opts: Any) -> dict:
     pres = doc.presentation()
     report = check_basic_set(pres, opts.witness_bound)
     names = pres.names
+    entries: dict = {}  # one entry per distinct answer
     pairs = {}
     for (i, j), res in sorted(report.conjugacy.items()):
-        entry = {"status": res.status}
-        if res.word is not None:
-            entry["word"] = res.word
-        if res.reason is not None:
-            entry["reason"] = res.reason
+        entry = entries.get(res)
+        if entry is None:
+            entry = entries[res] = {"status": res.status}
+            if res.word is not None:
+                entry["word"] = res.word
+            if res.reason is not None:
+                entry["reason"] = res.reason
         pairs[f"{names[i]},{names[j]}"] = entry
     payload = {
         "product_identity": report.product_is_identity,

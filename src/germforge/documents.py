@@ -143,9 +143,14 @@ def _generator_list(obj: dict, key: str) -> list:
     return gens
 
 
+def _term_error(path: str, s: int, ti: int, suffix: str, message: str) -> DocumentError:
+    return DocumentError(f"{path}.coords[{s}][{ti}]{suffix}: {message}")
+
+
 def _parse_coeff(text: Any, fld: CycloField, path: str, memo: dict) -> CycloNum:
     """The coefficient at `path`; `memo` holds the document's strings parsed so far."""
-    _expect(isinstance(text, str), path, f"coefficient must be a string, got {type(text).__name__}")
+    if not isinstance(text, str):
+        raise DocumentError(f"{path}: coefficient must be a string, got {type(text).__name__}")
     value = memo.get(text)
     if value is None:
         try:
@@ -203,24 +208,27 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
         coeffs = {}
         for s, terms in enumerate(coords):
             _expect(isinstance(terms, list), f"{path}.coords[{s}]", "must be a list of terms")
+            # the per-term checks build their path and message only on failure
             for ti, term in enumerate(terms):
-                tpath = f"{path}.coords[{s}][{ti}]"
-                _expect(isinstance(term, dict) and "coeff" in term and "monomial" in term,
-                        tpath, "term must have 'coeff' and 'monomial'")
+                if not (isinstance(term, dict) and "coeff" in term and "monomial" in term):
+                    raise _term_error(path, s, ti, "", "term must have 'coeff' and 'monomial'")
                 mono = term["monomial"]
-                _expect(
-                    isinstance(mono, list)
-                    and len(mono) == dimension
-                    and all(type(e) is int and e >= 0 for e in mono),
-                    f"{tpath}.monomial",
-                    f"must be a list of {dimension} naturals",
-                )
+                if not (isinstance(mono, list) and len(mono) == dimension
+                        and all(type(e) is int and e >= 0 for e in mono)):
+                    raise _term_error(path, s, ti, ".monomial",
+                                      f"must be a list of {dimension} naturals")
                 deg = sum(mono)
-                _expect(1 <= deg <= truncation, f"{tpath}.monomial",
-                        f"degree {deg} outside 1..{truncation}")
+                if not 1 <= deg <= truncation:
+                    raise _term_error(path, s, ti, ".monomial",
+                                      f"degree {deg} outside 1..{truncation}")
                 key = (s, tuple(mono))
-                _expect(key not in coeffs, tpath, f"duplicate monomial {mono} in coordinate {s}")
-                coeffs[key] = _parse_coeff(term["coeff"], fld, f"{tpath}.coeff", memo)
+                if key in coeffs:
+                    raise _term_error(path, s, ti, "",
+                                      f"duplicate monomial {mono} in coordinate {s}")
+                text = term["coeff"]
+                value = memo.get(text) if type(text) is str else None
+                coeffs[key] = value if value is not None else _parse_coeff(
+                    text, fld, f"{path}.coords[{s}][{ti}].coeff", memo)
         key = frozenset((k, c.num, c.den) for k, c in coeffs.items())
         jet = distinct.get(key)
         if jet is None:

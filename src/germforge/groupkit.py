@@ -7,17 +7,22 @@ conjugacy criterion, and the simultaneous linearization algorithm for groups
 whose common diagonal linear part has prime-power eigenvalue orders.
 
 The conditions, witness search and closure run on any `GroupElement`: jets
-and Moebius maps alike.  Condition (b) is written once, in `_conjugacy`:
-`find_conjugacy_witness` asks it about one pair and `check_basic_set` about
-all of them at once.  Witness search and closure share one BFS, `bfs_ball`;
-a closed group keeps the right-multiplication table that its BFS recorded,
-so `is_cyclic` takes its powers by table lookups and composes nothing.
+and Moebius maps alike.  Both conditions cost per distinct generator: the
+ordered product composes a run of one generator as one power, and condition
+(b) is decided once per pair of distinct elements.  It is written once, in
+`_conjugacy`: `find_conjugacy_witness` asks it about one pair and
+`check_basic_set` about all of them at once.  Its word ball tests each new
+element by comparing two conjugates it already holds, so the test composes
+nothing.  Witness search and closure share one BFS, `bfs_ball`; a closed
+group keeps the right-multiplication table that its BFS recorded, so
+`is_cyclic` takes its powers by table lookups and composes nothing.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import count
+from collections import deque
+from itertools import count, groupby
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional, Protocol
 
@@ -142,17 +147,26 @@ class GroupPresentation:
         return type(first).identity(*first.shape)
 
 
+def _run_product(runs) -> Optional[GroupElement]:
+    """x1^e1 o x2^e2 o ... for the (x, e) runs, e >= 1, composed left to right
+    with each power by square-and-multiply; None for no runs."""
+    out = None
+    for x, e in runs:
+        factor = binary_power(x, e, type(x).compose)
+        out = factor if out is None else out.compose(factor)
+    return out
+
+
 def evaluate_word(presentation: GroupPresentation, word: str) -> GroupElement:
     """The element a word names, composed left to right from its first factor."""
     by_name = dict(presentation.generators)
-    out = None
+    runs = []
     for name, e in parse_word(word):
         if name not in by_name:
             raise WordError(f"unknown generator {name!r}")
         if e:
-            x = by_name[name] if e > 0 else by_name[name].inverse()
-            factor = binary_power(x, abs(e), type(x).compose)
-            out = factor if out is None else out.compose(factor)
+            runs.append((by_name[name] if e > 0 else by_name[name].inverse(), abs(e)))
+    out = _run_product(runs)
     return presentation.identity() if out is None else out
 
 
@@ -163,12 +177,14 @@ def evaluate_word(presentation: GroupPresentation, word: str) -> GroupElement:
 def check_product_identity(g: GroupPresentation) -> tuple[bool, GroupElement]:
     """(whether it is the identity, the composite) for the generators composed
     in listed order; computed once per presentation, so `check_basic_set`,
-    `linearize_group` and `holonomy_check` share one ordered product."""
+    `linearize_group` and `holonomy_check` share one ordered product.
+
+    A run of one generator listed e times in a row is composed as its e-th
+    power: a^34 b c, as in Example 2.3, costs 8 composes instead of 35.
+    Equal generators are one object, so runs are found by identity."""
     if g._product is None:
-        elements = g.elements
-        out = elements[0]
-        for x in elements[1:]:
-            out = out.compose(x)
+        runs = [list(run) for _, run in groupby(g.elements, key=id)]
+        out = _run_product((run[0], len(run)) for run in runs)
         object.__setattr__(g, "_product", (out.is_identity(), out))
     return g._product
 
@@ -190,10 +206,12 @@ def bfs_ball(
 
     Letters are (token, value) pairs explored in list order; FIFO expansion
     yields, per element, the shortest and then lexicographically least word.
-    `stop` is called on each new element after the identity; the ball then
-    grows only until it is true and ends with that element, a prefix of the
-    full ball in the same order.  Without `stop`, or when it is never true,
-    the whole depth-`depth` ball is built.
+    Elements are expanded in the order they were listed.  `stop(new, parent,
+    letter)` is called on each new element after the identity, with the
+    element it was composed from and the (token, value) letter:
+    new = parent o value.  The ball then grows only until it is true and ends
+    with that element, a prefix of the full ball in the same order.  Without
+    `stop`, or when it is never true, the whole depth-`depth` ball is built.
 
     A list `table` receives the ball's Cayley graph as it is built: expanding
     the i-th element appends, per letter k, the ball index of
@@ -208,16 +226,16 @@ def bfs_ball(
     for _ in range(depth):
         nxt = []
         for elem, word in frontier:
-            for token, value in letters:
-                new = compose_fn(elem, value)
+            for letter in letters:
+                new = compose_fn(elem, letter[1])
                 index = seen.setdefault(new, len(order))
                 if table is not None:
                     table.append(index)
                 if index == len(order):
-                    entry = (new, word + (token,))
+                    entry = (new, word + (letter[0],))
                     order.append(entry)
                     nxt.append(entry)
-                    if stop is not None and stop(new):
+                    if stop is not None and stop(new, elem, letter):
                         return order
         if not nxt:
             break
@@ -272,8 +290,7 @@ def _conjugation_prescreen(fi: GroupElement, fj: GroupElement) -> Optional[Witne
     return None
 
 
-def _generators_commute(g: GroupPresentation) -> bool:
-    distinct = list(dict.fromkeys(g.elements))
+def _generators_commute(distinct: list) -> bool:
     return all(
         a.compose(b) == b.compose(a) for i, a in enumerate(distinct) for b in distinct[i + 1 :]
     )
@@ -284,57 +301,126 @@ def _conjugates(w: GroupElement, fi: GroupElement, fj: GroupElement) -> bool:
     return w.compose(fj) == fi.compose(w)
 
 
-def _conjugacy(g: GroupPresentation, pairs, bound: int) -> dict:
+def _conjugacy(g: GroupPresentation, pairs, bound: int) -> tuple[dict, list]:
     """Condition (b) for each pair (i, j) of `pairs`: the one routine behind
-    `find_conjugacy_witness` and `check_basic_set`.
+    `find_conjugacy_witness` and `check_basic_set`.  Returns the answer of
+    each listed pair and the list of distinct answers.
 
-    Pairs of equal elements share the answer of the first pair naming them.
-    A supplied witness is verified instead of searched.  Pre-screens can
+    The listed generators are indexed by distinct element once, and each pair
+    of distinct elements is answered once, for the first listed pair naming
+    it.  A supplied witness is verified instead of searched.  Pre-screens can
     disprove conjugacy outright (order or characteristic polynomial mismatch;
     commuting generators generate an abelian group, where conjugacy is
-    equality).  The pairs left share one word ball, which grows in BFS order
-    only until each has its witness: the first element that conjugates it.
-    A pair with no witness within `bound` letters makes the ball the full one
-    and is reported unresolved.
+    equality).  The pairs left share one word ball, `_ball_witnesses`, whose
+    test of a new element w = u o y (u expanded, y the letter) compares two
+    conjugates it already holds, u^{-1} f_i u and y f_j y^{-1}, and so
+    composes nothing.
     """
-    elements = g.elements
-    first: dict = {}  # (f_i, f_j) -> the first pair (i, j) naming it
+    index: dict = {}  # distinct element -> its slot, in listing order
+    slot = [index.setdefault(x, len(index)) for x in g.elements]
+    distinct = list(index)
+    first: dict = {}  # (slot of f_i, slot of f_j) -> the first pair (i, j) naming it
     for i, j in pairs:
-        first.setdefault((elements[i], elements[j]), (i, j))
+        first.setdefault((slot[i], slot[j]), (i, j))
     answers: dict = {}
-    for key, (i, j) in first.items():
+    for (a, b), (i, j) in first.items():
         supplied = g.witnesses.get((i, j)) if i != j else None
         if supplied is not None:
-            if not _conjugates(evaluate_word(g, supplied), *key):
+            if not _conjugates(evaluate_word(g, supplied), distinct[a], distinct[b]):
                 raise ValueError(f"supplied witness {supplied!r} fails for pair ({i}, {j})")
-            answers[key] = WitnessResult("witness", word=supplied)
-        elif (screened := _conjugation_prescreen(*key)) is not None:
-            answers[key] = screened
+            answers[a, b] = WitnessResult("witness", word=supplied)
+        elif (screened := _conjugation_prescreen(distinct[a], distinct[b])) is not None:
+            answers[a, b] = screened
     pending = [key for key in first if key not in answers]
-    if pending and _generators_commute(g):
+    if pending and _generators_commute(distinct):
         reason = "commuting-generators: abelian group, conjugacy is equality"
         answers.update((key, WitnessResult("disproved", reason=reason)) for key in pending)
     elif pending:
-        witnesses: dict = {}  # pair -> the ball element that first conjugates it
+        answers.update(_ball_witnesses(g, distinct, slot, pending, bound))
+    return {(i, j): answers[slot[i], slot[j]] for i, j in pairs}, list(answers.values())
 
-        def all_answered(w) -> bool:
-            left = {fi: fi.compose(w) for fi in {fi for fi, _ in pending}}
-            right = {fj: w.compose(fj) for fj in {fj for _, fj in pending}}
-            for fi, fj in pending:
-                if left[fi] == right[fj]:
-                    witnesses[(fi, fj)] = w
-            pending[:] = [key for key in pending if key not in witnesses]
-            return not pending
 
-        ident = g.identity()
-        ball = bfs_ball(ident, _distinct_letters(g), bound, type(ident).compose, stop=all_answered)
-        words = dict(ball)
-        answers.update((key, WitnessResult("witness", word=format_word(words[w])))
-                       for key, w in witnesses.items())
-        # the pairs still pending after the full ball
-        unresolved = WitnessResult("unresolved", reason=f"no witness within word length {bound}")
-        answers.update((key, unresolved) for key in pending)
-    return {(i, j): answers[(elements[i], elements[j])] for i, j in pairs}
+def _ball_witnesses(g: GroupPresentation, distinct: list, slot: list, pending: list,
+                    bound: int) -> dict:
+    """The answer of each pending pair (a, b) of slots in `distinct`, from
+    one word ball that grows in BFS order only until each pair has its
+    witness: the first element w with w o f_b o w^{-1} = f_a.  A pair with no
+    witness within `bound` letters makes the ball the full one and is
+    reported unresolved.
+
+    The test composes nothing.  A new element w = u o y, with u the element
+    being expanded and y the letter, conjugates f_b to f_a exactly when
+    u^{-1} f_a u = y f_b y^{-1}, and both sides are held:
+
+    - y f y^{-1} once per letter y and pending generator f; it is f itself
+      when y is f or f^{-1}.
+    - u^{-1} f u for the element u being expanded and each f still pending
+      on the left, two composes from the value of u's parent p, with u = p o y:
+      y^{-1} (p^{-1} f p) y.  At level 1 (p the identity) it is the held
+      conjugate by y^{-1}.
+
+    They live only for this call; the ball and its exact equality test are
+    those of a search that composes w with each pair, so every word is too.
+    """
+    name_slot = {name: s for (name, _), s in zip(g.generators, slot)}
+    by_name = dict(g.generators)
+    letters = _distinct_letters(g)
+    token_of = {value: token for token, value in letters}
+    inverse = {}  # letter token -> the inverse letter
+    for token, _ in letters:
+        name, e = token
+        y_inv = by_name[name].inverse() if e > 0 else by_name[name]
+        inverse[token] = (token_of[y_inv], y_inv)
+    held: dict = {}  # (letter token, slot of f) -> y f y^{-1}
+
+    def conjugate(letter, s):
+        token, y = letter
+        value = held.get((token, s))
+        if value is None:
+            f = distinct[s]
+            value = held[token, s] = (
+                f if name_slot[token[0]] == s else y.compose(f).compose(inverse[token][1]))
+        return value
+
+    ident = g.identity()
+    found: dict = {}  # pair -> ball index of its witness
+    positions = count(1)  # `stop` sees the ball's elements from index 1 on
+    # the element being expanded and its u^{-1} f u, per slot still pending on the left
+    expanding, values = ident, {a: distinct[a] for a, _ in pending}
+    # per listed element not yet expanded, in ball order: the element, its
+    # parent's u^{-1} f u (None for the identity) and its letter
+    queue: deque = deque()
+
+    def answered(w, u, letter) -> bool:
+        nonlocal expanding, values
+        if u is not expanding:
+            # elements are expanded in ball order; one with no new product
+            # never reaches `stop` as a parent, and its entry is dropped
+            while queue[0][0] is not u:
+                queue.popleft()
+            _, parent_values, (token, y) = queue.popleft()
+            inv = inverse[token]
+            left = {a for a, _ in pending}
+            if parent_values is None:
+                values = {a: conjugate(inv, a) for a in left}
+            else:
+                values = {a: inv[1].compose(parent_values[a]).compose(y) for a in left}
+            expanding = u
+        queue.append((w, None if u is ident else values, letter))
+        position = next(positions)
+        for a, b in pending:
+            if values[a] == conjugate(letter, b):
+                found[a, b] = position
+        pending[:] = [key for key in pending if key not in found]
+        return not pending
+
+    ball = bfs_ball(ident, letters, bound, type(ident).compose, stop=answered)
+    answers = {key: WitnessResult("witness", word=format_word(ball[k][1]))
+               for key, k in found.items()}
+    # the pairs still pending after the full ball
+    unresolved = WitnessResult("unresolved", reason=f"no witness within word length {bound}")
+    answers.update((key, unresolved) for key in pending)
+    return answers
 
 
 def find_conjugacy_witness(
@@ -345,7 +431,7 @@ def find_conjugacy_witness(
     The pair alone through `_conjugacy`: a supplied witness, a pre-screen or
     the first element of the word ball, in BFS order, that conjugates the pair.
     """
-    return _conjugacy(g, [(i, j)], bound)[(i, j)]
+    return _conjugacy(g, [(i, j)], bound)[0][(i, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +447,14 @@ class BasicSetReport(NamedTuple):
 
 def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) -> BasicSetReport:
     """Condition (a), then condition (b) for every generator pair i < j in one
-    `_conjugacy` call, so all pairs left open share one word ball."""
+    `_conjugacy` call, so all pairs left open share one word ball.  The
+    verdict is read off the answers of the distinct pairs."""
     n = len(g.generators)
     prod_ok, residual = check_product_identity(g)
-    conjugacy = _conjugacy(g, [(i, j) for i in range(n) for j in range(i + 1, n)], bound)
+    conjugacy, answers = _conjugacy(g, [(i, j) for i in range(n) for j in range(i + 1, n)], bound)
     if not prod_ok:
         verdict = "condition-a-failed"
-    elif all(r.found for r in conjugacy.values()):
+    elif all(r.found for r in answers):
         verdict = "irreducible-verified"
     else:
         verdict = "condition-b-unresolved"
@@ -455,7 +542,8 @@ def closure_enumerate(g: GroupPresentation, cap: int = DEFAULT_CLOSURE_CAP) -> C
     # every BFS level adds an element, so a group of at most `cap` elements
     # closes within depth `cap`, and a larger one passes the cap first
     ball = bfs_ball(ident, letters, cap, type(ident).compose, table=products,
-                    stop=lambda x: x.infinite_order_screen() is not None or next(sizes) > cap)
+                    stop=lambda x, _parent, _letter: x.infinite_order_screen() is not None
+                    or next(sizes) > cap)
     if len(products) == len(ball) * len(letters):  # the frontier emptied
         ranks = sorted(range(len(ball)), key=lambda i: ball[i][0].canonical_key())
         elements = tuple(ball[i][0] for i in ranks)

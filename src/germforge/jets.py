@@ -346,17 +346,18 @@ def _linear_order(fld: CycloField, n: int, a: IntMatrix) -> OrderResult:
 
 
 def germ_order(f: GermJet) -> OrderResult:
-    """Order of a jet in the K-jet group, with one jet power.
+    """Order of a jet in the K-jet group, with at most one jet power.
 
     A finite-order jet must have finite-order linear part; with m0 its order,
     f**d has linear part != Id for d < m0, and f**m0 is tangent to the
     identity: any nonzero slice of it is multiplied by m under further
-    powers, so it can never return to Id.
+    powers, so it can never return to Id.  A linear jet L needs no power:
+    f**m0 is L**m0 = Id.
     """
     lo = _linear_order(f.field, f.n, f._linear())
     if lo.is_infinite:
         return OrderResult("infinite", certificate=f"linear part has infinite order: {lo.certificate}")
-    if not power(f, lo.order).is_identity():
+    if not f.is_linear() and not power(f, lo.order).is_identity():
         return OrderResult(
             "infinite",
             certificate=f"f^{lo.order} is tangent to identity with a nonzero nonlinear slice",

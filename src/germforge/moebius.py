@@ -426,8 +426,9 @@ def holonomy_check(
         )
     q = sorted(common, key=lambda p: p.sort_key())[0]
 
-    germs = [(f"g{i+1}", germ_at_fixed_point(g, q, order)) for i, g in enumerate(gens)]
-    outcome = linearize_group(GroupPresentation(tuple(germs)))
+    local = {g: germ_at_fixed_point(g, q, order) for g in distinct}  # one germ per distinct map
+    outcome = linearize_group(GroupPresentation(
+        tuple((f"g{i+1}", local[g]) for i, g in enumerate(gens))))
     if not isinstance(outcome, LinearizationSuccess):
         return HolonomyVerdict(
             False,

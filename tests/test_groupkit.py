@@ -356,6 +356,62 @@ def test_first_letter_can_be_the_witness():
     assert conjugacy == reference_conjugacy(g, 6)
 
 
+def test_held_conjugates_match_the_reference_on_a_fully_walked_ball():
+    # D4 over Q: a = diag(1, -1), b = a o r with r the quarter turn, c = (a o b)^-1.
+    # a and b are reflections in different classes, with equal orders and
+    # characteristic polynomials, so their pair walks the whole ball
+    a = linear_jet(F1, [[1, 0], [0, -1]])
+    b = compose(a, linear_jet(F1, [[0, -1], [1, 0]]))
+    c = invert(compose(a, b))
+    g = GroupPresentation((("a", a), ("b", b), ("c", c)))
+    conjugacy, answers = groupkit._conjugacy(g, [(0, 1), (0, 2), (1, 2)], 6)
+    assert conjugacy == reference_conjugacy(g, 6)
+    assert conjugacy[(0, 1)].status == "unresolved" and len(eager_ball(g, 6)) == 8
+    assert sorted(answers) == sorted(conjugacy.values())  # three distinct pairs
+
+
+def test_held_conjugates_skip_elements_with_no_new_product():
+    # in the ball of Ji, U, L and N over Q(zeta_4), some elements have no new
+    # product; the next element expanded must still hold its own conjugates,
+    # or pairs (1, 2) and (2, 1) are answered by words that do not conjugate them
+    g = GroupPresentation(tuple(
+        (f"g{k}", linear_jet(F4, POOL[name])) for k, name in enumerate(["Ji", "U", "L", "N"])
+    ))
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    conjugacy, _ = groupkit._conjugacy(g, pairs, 3)
+    ball = eager_ball(g, 3)
+    assert conjugacy == {(i, j): reference_answer(g, i, j, 3, ball) for i, j in pairs}
+    assert conjugacy[(1, 2)] == WitnessResult("witness", word="g2*g1^-1*g3")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_held_conjugates_match_the_reference_on_small_linear_groups(data):
+    """Any listed pairs, in either order and repeated, at bounds 0-4."""
+    fld = data.draw(st.sampled_from([F1, F4]))
+    names = RATIONAL if fld is F1 else list(POOL)
+    chosen = data.draw(st.lists(st.sampled_from(names), min_size=2, max_size=4))
+    bound = data.draw(st.integers(0, 4))
+    g = GroupPresentation(tuple(
+        (f"g{k}", linear_jet(fld, POOL[name])) for k, name in enumerate(chosen)
+    ))
+    index = st.integers(0, len(chosen) - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=6))
+    conjugacy, _ = groupkit._conjugacy(g, pairs, bound)
+    ball = eager_ball(g, bound)
+    assert conjugacy == {(i, j): reference_answer(g, i, j, bound, ball) for i, j in pairs}
+
+
+@pytest.mark.parametrize("entry, most", [("ex-2-2", 70), ("ex-2-3", 75)])
+def test_corpus_entry_compose_count(monkeypatch, entry, most):
+    # the word ball's stop test composes nothing, the ordered product takes a
+    # run of one generator as one power, and a linear jet's order takes no power
+    calls = counting(monkeypatch, "compose")
+    report = cli.run_corpus_entry(entry, groupkit.DEFAULT_WITNESS_BOUND,
+                                  groupkit.DEFAULT_CLOSURE_CAP, None)
+    assert report["matched"] and len(calls) <= most
+
+
 def test_unresolved_pair_builds_the_full_ball(monkeypatch):
     # U and L are conjugate in GL_2(Q) but not in the group they generate
     u = linear_jet(F1, POOL["U"], K=2)
@@ -392,7 +448,9 @@ def test_ball_stops_at_the_last_answer():
     pending = [(g.elements[0], g.elements[10]), (g.elements[0], g.elements[11])]
     seen = []
 
-    def stop(w):
+    def stop(w, parent, letter):
+        # the new element is its parent composed with the letter's value
+        assert w == parent.compose(letter[1]) and letter in groupkit._distinct_letters(g)
         seen.append(w)
         pending[:] = [(fi, fj) for fi, fj in pending if not groupkit._conjugates(w, fi, fj)]
         return not pending
@@ -426,7 +484,7 @@ ELEMENT_CALLS = ("f.compose(g)", "f.inverse()", "f.order()", "f.conjugacy_invari
 LAZY_DISPATCH = """
 import json, sys
 from germforge import corpus
-f, g = [x for _, x in corpus.load("ex-2-2").generators[:2]]
+f, g = [x for _, x in corpus.load("ex-2-2").generators[10:12]]
 m, n = [x for _, x in corpus.load("moebius-rotation-5").moebius_generators[:2]]
 operations = ("germforge.jets", "germforge.moebius")
 before = [k for k in operations if k in sys.modules]
@@ -437,7 +495,8 @@ print(json.dumps([before, results, after]))
 
 
 def corpus_elements():
-    f, g = [x for _, x in corpus.load("ex-2-2").generators[:2]]
+    # f11 and f12 of Example 2.2, both nonlinear: the order of a linear jet takes no power
+    f, g = [x for _, x in corpus.load("ex-2-2").generators[10:12]]
     m, n = [x for _, x in corpus.load("moebius-rotation-5").moebius_generators[:2]]
     return f, g, m, n
 
@@ -527,8 +586,9 @@ def test_basic_set_and_linearize_compose_one_ordered_product(monkeypatch):
     monkeypatch.setattr(groupkit, "check_product_identity", product)
     check_basic_set(g)
     linearize_group(g)
-    # 36 listed generators, 35 products, composed by the first call alone
-    assert inside == [35, 0]
+    # 36 listed generators in three runs, f1^34 f35 f36, composed by the first
+    # call alone: 6 composes for the power (5 squarings, one product), 2 for the runs
+    assert inside == [8, 0]
 
 
 def test_corpus_entry_inverts_and_screens_each_distinct_generator_once(monkeypatch):

@@ -295,6 +295,21 @@ def test_rotation_5_holonomy_is_unchanged():
         "local multipliers generate a cyclic group of order 5; moebius closure has 5 elements")
 
 
+@pytest.mark.parametrize("entry", ["moebius-rotation-5", "moebius-inversion"])
+def test_holonomy_builds_one_local_germ_per_distinct_map(monkeypatch, entry):
+    # moebius-rotation-5 lists one rotation 5 times, moebius-inversion one inversion twice
+    calls = []
+    original = moebius_module.germ_at_fixed_point
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(moebius_module, "germ_at_fixed_point", counted)
+    assert cli.run_corpus_entry(entry, 6, 10_000, None)["matched"]
+    assert len(calls) == 1
+
+
 def no_sign_search(monkeypatch):
     def sign_search(fld, c, *rest):
         raise AssertionError(f"the sign search ran on {c}")
