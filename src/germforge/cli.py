@@ -75,7 +75,9 @@ def _basic_set_payload(doc: InputDocument, opts: Any) -> dict:
     names = pres.names
     entries: dict = {}  # one entry per distinct answer
     pairs = {}
-    for (i, j), res in sorted(report.conjugacy.items()):
+    witnessed = 0
+    for (i, j), res in report.conjugacy.items():  # in (i, j) order
+        witnessed += res.found
         entry = entries.get(res)
         if entry is None:
             entry = entries[res] = {"status": res.status}
@@ -87,7 +89,7 @@ def _basic_set_payload(doc: InputDocument, opts: Any) -> dict:
     payload = {
         "product_identity": report.product_is_identity,
         "verdict": report.verdict,
-        "witnessed_pairs": sum(1 for r in report.conjugacy.values() if r.found),
+        "witnessed_pairs": witnessed,
         "pairs": pairs,
     }
     if not report.product_is_identity:

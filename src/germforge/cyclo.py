@@ -145,7 +145,10 @@ def element_order(x, exponent: int, mul: Callable, identity) -> OrderResult:
     identity: b of them give p^b, the p-part of the order.  If a of them do
     not, x^E != identity, which proves infinite order (`torsion_exponent`).
     An order 18 against E = 36 costs 9 products; a scan of x, x^2, ... took 23.
+    The identity has order 1 and takes no product.
     """
+    if x == identity:
+        return OrderResult("finite", order=1)
     infinite = OrderResult("infinite", certificate=(
         f"power {exponent} is not the identity, and every finite order divides {exponent}"
     ))
@@ -163,7 +166,7 @@ def element_order(x, exponent: int, mul: Callable, identity) -> OrderResult:
             y, order = binary_power(y, p, mul), order * p
         if y != identity:
             return infinite
-    if order == 1 and x != identity:  # only E = 1, which has no prime, gets here
+    if order == 1:  # x is not the identity: only E = 1, which has no prime, gets here
         return infinite
     return OrderResult("finite", order=order)
 

@@ -68,21 +68,14 @@ class InputDocument:
                  "moebius_generators", "eigenvalues", "multiplier", "translations",
                  "witnesses", "expected", "name", "_presentation", "_closures")
 
-    def __init__(
-        self,
-        conductor: int,
-        dimension: int,
-        truncation: int,
-        field: CycloField,
-        generators: tuple[tuple[str, GermJet], ...] = (),
-        moebius_generators: tuple[tuple[str, MoebiusMap], ...] = (),
-        eigenvalues: Optional[tuple[CycloNum, ...]] = None,
-        multiplier: Optional[CycloNum] = None,
-        translations: Optional[tuple[CycloNum, ...]] = None,
-        witnesses: Optional[dict] = None,
-        expected: Optional[dict] = None,
-        name: str = "",
-    ):
+    def __init__(self, conductor: int, dimension: int, truncation: int, field: CycloField,
+                 generators: tuple[tuple[str, GermJet], ...] = (),
+                 moebius_generators: tuple[tuple[str, MoebiusMap], ...] = (),
+                 eigenvalues: Optional[tuple[CycloNum, ...]] = None,
+                 multiplier: Optional[CycloNum] = None,
+                 translations: Optional[tuple[CycloNum, ...]] = None,
+                 witnesses: Optional[dict] = None, expected: Optional[dict] = None,
+                 name: str = ""):
         self.conductor = conductor
         self.dimension = dimension
         self.truncation = truncation
@@ -143,8 +136,21 @@ def _generator_list(obj: dict, key: str) -> list:
     return gens
 
 
-def _term_error(path: str, s: int, ti: int, suffix: str, message: str) -> DocumentError:
-    return DocumentError(f"{path}.coords[{s}][{ti}]{suffix}: {message}")
+def _term_error(gi: int, s: int, ti: int, suffix: str, message: str) -> DocumentError:
+    return DocumentError(f"generators[{gi}].coords[{s}][{ti}]{suffix}: {message}")
+
+
+def _generator_name(key: str, gi: int, gen: Any, names: set) -> str:
+    """The name of `gen`, entry gi of list `key`, checked and added to `names`."""
+    if not isinstance(gen, dict):
+        raise DocumentError(f"{key}[{gi}]: must be an object")
+    gname = gen.get("name")
+    if not (isinstance(gname, str) and gname):
+        raise DocumentError(f"{key}[{gi}].name: missing generator name")
+    if gname in names:
+        raise DocumentError(f"{key}[{gi}].name: duplicate name {gname!r}")
+    names.add(gname)
+    return gname
 
 
 def _parse_coeff(text: Any, fld: CycloField, path: str, memo: dict) -> CycloNum:
@@ -165,10 +171,12 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
     parsed; any invalid input raises `DocumentError` with its path.
 
     Each distinct coefficient string is parsed once, and generators with
-    equal coefficients share one `GermJet`, with its determinant check and
-    every fact it memoizes; so a singular one fails at its first listing.
-    They are matched on the integer (key, num, den) triples: hashing a
-    rational `CycloNum` would import `fractions`.
+    equal coefficients (equal entries, for Moebius maps) share one `GermJet`
+    or `MoebiusMap`, with its constructor's check and every fact it
+    memoizes; so a singular one fails at its first listing.  Distinct jets
+    with equal linear parts share one `LinearPart`, and so its facts.  They
+    are matched on integer (num, den) pairs: hashing a rational `CycloNum`
+    would import `fractions`.
     """
     if isinstance(obj, (str, bytes)):
         try:
@@ -193,76 +201,70 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
 
     memo: dict[str, CycloNum] = {}
     distinct: dict[frozenset, GermJet] = {}  # integer coefficients -> their one jet
+    linear: dict = {}  # integer form of a linear part -> the one `LinearPart` its jets share
     generators = []
     names = set()
+    # the checks of each generator, coordinate and term format their text only on failure
     for gi, gen in enumerate(_generator_list(obj, "generators")):
-        path = f"generators[{gi}]"
-        _expect(isinstance(gen, dict), path, "must be an object")
-        gname = gen.get("name")
-        _expect(isinstance(gname, str) and gname, f"{path}.name", "missing generator name")
-        _expect(gname not in names, f"{path}.name", f"duplicate name {gname!r}")
-        names.add(gname)
+        gname = _generator_name("generators", gi, gen, names)
         coords = gen.get("coords")
-        _expect(isinstance(coords, list) and len(coords) == dimension,
-                f"{path}.coords", f"must be a list of {dimension} coordinate term lists")
+        if not (isinstance(coords, list) and len(coords) == dimension):
+            raise DocumentError(f"generators[{gi}].coords: must be a list of {dimension} "
+                                "coordinate term lists")
         coeffs = {}
         for s, terms in enumerate(coords):
-            _expect(isinstance(terms, list), f"{path}.coords[{s}]", "must be a list of terms")
-            # the per-term checks build their path and message only on failure
+            if not isinstance(terms, list):
+                raise DocumentError(f"generators[{gi}].coords[{s}]: must be a list of terms")
             for ti, term in enumerate(terms):
                 if not (isinstance(term, dict) and "coeff" in term and "monomial" in term):
-                    raise _term_error(path, s, ti, "", "term must have 'coeff' and 'monomial'")
+                    raise _term_error(gi, s, ti, "", "term must have 'coeff' and 'monomial'")
                 mono = term["monomial"]
                 if not (isinstance(mono, list) and len(mono) == dimension
                         and all(type(e) is int and e >= 0 for e in mono)):
-                    raise _term_error(path, s, ti, ".monomial",
+                    raise _term_error(gi, s, ti, ".monomial",
                                       f"must be a list of {dimension} naturals")
                 deg = sum(mono)
                 if not 1 <= deg <= truncation:
-                    raise _term_error(path, s, ti, ".monomial",
+                    raise _term_error(gi, s, ti, ".monomial",
                                       f"degree {deg} outside 1..{truncation}")
                 key = (s, tuple(mono))
                 if key in coeffs:
-                    raise _term_error(path, s, ti, "",
+                    raise _term_error(gi, s, ti, "",
                                       f"duplicate monomial {mono} in coordinate {s}")
                 text = term["coeff"]
                 value = memo.get(text) if type(text) is str else None
                 coeffs[key] = value if value is not None else _parse_coeff(
-                    text, fld, f"{path}.coords[{s}][{ti}].coeff", memo)
+                    text, fld, f"generators[{gi}].coords[{s}][{ti}].coeff", memo)
         key = frozenset((k, c.num, c.den) for k, c in coeffs.items())
         jet = distinct.get(key)
         if jet is None:
             try:
                 jet = distinct[key] = GermJet(dimension, truncation, fld, coeffs)
             except ValueError as exc:
-                raise DocumentError(f"{path}: {exc}") from exc
+                raise DocumentError(f"generators[{gi}]: {exc}") from exc
+            jet._lin = linear.setdefault(jet._linear(), jet._linear_part())
         generators.append((gname, jet))
 
     moebius_generators = []
+    maps: dict[tuple, MoebiusMap] = {}  # integer entries -> their one map
     for gi, gen in enumerate(_generator_list(obj, "moebius_generators")):
         from .mapform import MoebiusMap
 
+        gname = _generator_name("moebius_generators", gi, gen, names)
         path = f"moebius_generators[{gi}]"
-        _expect(isinstance(gen, dict), path, "must be an object")
-        gname = gen.get("name")
-        _expect(isinstance(gname, str) and gname, f"{path}.name", "missing generator name")
-        _expect(gname not in names, f"{path}.name", f"duplicate name {gname!r}")
-        names.add(gname)
         matrix = gen.get("matrix")
-        _expect(
-            isinstance(matrix, list) and len(matrix) == 2
-            and all(isinstance(r, list) and len(r) == 2 for r in matrix),
-            f"{path}.matrix", "must be a 2x2 array of coefficient strings",
-        )
-        rows = tuple(
-            tuple(_parse_coeff(matrix[r][c], fld, f"{path}.matrix[{r}][{c}]", memo)
-                  for c in range(2))
-            for r in range(2)
-        )
-        try:
-            moebius_generators.append((gname, MoebiusMap(rows)))
-        except ValueError as exc:
-            raise DocumentError(f"{path}: {exc}") from exc
+        _expect(isinstance(matrix, list) and len(matrix) == 2
+                and all(isinstance(r, list) and len(r) == 2 for r in matrix),
+                f"{path}.matrix", "must be a 2x2 array of coefficient strings")
+        entries = [_parse_coeff(matrix[r][c], fld, f"{path}.matrix[{r}][{c}]", memo)
+                   for r in range(2) for c in range(2)]
+        key = tuple((x.num, x.den) for x in entries)
+        if key not in maps:
+            try:
+                maps[key] = MoebiusMap((entries[:2], entries[2:]))
+            except ValueError as exc:
+                raise DocumentError(f"{path}: {exc}") from exc
+        moebius_generators.append((gname, maps[key]))
 
     eigenvalues = None
     if "eigenvalues" in obj:
@@ -271,9 +273,8 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
         _expect(len(ev) <= MAX_DIMENSION, "eigenvalues",
                 f"{len(ev)} eigenvalues exceed the dimension limit {MAX_DIMENSION}")
         _expect_monomials(len(ev), truncation, "eigenvalues")
-        eigenvalues = tuple(
-            _parse_coeff(e, fld, f"eigenvalues[{i}]", memo) for i, e in enumerate(ev)
-        )
+        eigenvalues = tuple(_parse_coeff(e, fld, f"eigenvalues[{i}]", memo)
+                            for i, e in enumerate(ev))
 
     multiplier = None
     if "multiplier" in obj:
@@ -282,9 +283,8 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
     if "translations" in obj:
         tr = obj["translations"]
         _expect(isinstance(tr, list) and tr, "translations", "must be a nonempty list")
-        translations = tuple(
-            _parse_coeff(t, fld, f"translations[{i}]", memo) for i, t in enumerate(tr)
-        )
+        translations = tuple(_parse_coeff(t, fld, f"translations[{i}]", memo)
+                             for i, t in enumerate(tr))
 
     witnesses = {}
     gen_names = [n for n, _ in generators]

@@ -439,6 +439,10 @@ def find_conjugacy_witness(
 
 
 class BasicSetReport(NamedTuple):
+    """What `check_basic_set` found.  `conjugacy` maps every generator pair
+    (i, j), i < j, to its answer, with the pairs in lexicographic (i, j)
+    order: the order in which reports list them, without sorting."""
+
     product_is_identity: bool
     residual: GroupElement
     conjugacy: dict  # (i, j), i < j -> WitnessResult

@@ -22,6 +22,12 @@ in `jets`, which re-exports every name here.  The methods that need an
 operation call it through the package at call time, as
 `germforge.jets.compose(...)`: the first such call imports `jets`, and a
 function replaced on `jets` by name is the one that runs.
+
+A jet's linear part is a `LinearPart`: its integer form and the facts
+computed on it (the exact order, the characteristic polynomial and the
+inverse form), each computed once per object.  Jets that one document lists
+with equal linear parts share one object (see `documents.parse_document`),
+so each fact is computed once per distinct linear part of the document.
 """
 
 from __future__ import annotations
@@ -177,6 +183,44 @@ def _int_det(fld: CycloField, n: int, a: IntMatrix) -> tuple[list[int], int]:
     return [sign * c for c in rows[n - 1][n - 1]], den ** n
 
 
+class LinearPart:
+    """The linear part of a jet: its canonical integer form `form`, and the
+    facts computed on it, each once per object, by `jets._linear_order`,
+    `jets._char_poly` and `jets._int_inv` (called through the package).
+
+    The object points at no jet, so jets that share it form no reference
+    cycle through it.
+    """
+
+    __slots__ = ("field", "n", "form", "_order", "_char_poly", "_inverse")
+
+    def __init__(self, fld: CycloField, n: int, form: IntMatrix):
+        self.field = fld
+        self.n = n
+        self.form = form
+        self._order = None
+        self._char_poly = None
+        self._inverse = None
+
+    def order(self) -> OrderResult:
+        """The exact order of the matrix (`jets._linear_order`)."""
+        if self._order is None:
+            self._order = germforge.jets._linear_order(self.field, self.n, self.form)
+        return self._order
+
+    def char_poly(self) -> tuple[CycloNum, ...]:
+        """The characteristic polynomial, ascending (`jets._char_poly`)."""
+        if self._char_poly is None:
+            self._char_poly = germforge.jets._char_poly(self.field, self.n, self.form)
+        return self._char_poly
+
+    def inverse(self) -> IntMatrix:
+        """The integer form of the inverse matrix (`jets._int_inv`)."""
+        if self._inverse is None:
+            self._inverse = germforge.jets._int_inv(self.field, self.n, self.form)
+        return self._inverse
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -198,13 +242,15 @@ class GermJet:
     operations, invertible by construction, without checks.
 
     A jet is immutable, so each derived fact is kept once computed: `_lin`
-    (the linear part's integer form), `_monomials` (the memo of
-    `jets._monomial`), `_hash`, and `order()`, `inverse()` and
-    `conjugacy_invariant()` in `_order`, `_inverse` and `_invariant`.
+    (the `LinearPart`, which keeps the linear part's integer form, order,
+    characteristic polynomial and inverse form, and may be shared with other
+    jets of one document), `_monomials` (the memo of `jets._monomial`),
+    `_hash`, and `order()` and `inverse()` in `_order` and `_inverse`.
+    `conjugacy_invariant()` is the `LinearPart`'s characteristic polynomial.
     """
 
     __slots__ = ("n", "K", "field", "den", "nums", "_coeffs", "_lin", "_monomials", "_hash",
-                 "_order", "_inverse", "_invariant")
+                 "_order", "_inverse")
 
     def __init__(self, n: int, K: int, fld: CycloField, coeffs: Mapping):
         if n < 1 or K < 1:
@@ -235,7 +281,6 @@ class GermJet:
         self._hash = None
         self._order = None
         self._inverse = None
-        self._invariant = None
         if not any(_int_det(fld, n, self._linear())[0]):
             raise ValueError("linear part is not invertible")
 
@@ -257,7 +302,6 @@ class GermJet:
         jet._hash = None
         jet._order = None
         jet._inverse = None
-        jet._invariant = None
         return jet
 
     @classmethod
@@ -283,8 +327,8 @@ class GermJet:
     def coeff(self, s: int, q: MultiIndex) -> CycloNum:
         return self.coeffs.get((s, tuple(q)), self.field.zero())
 
-    def _linear(self) -> IntMatrix:
-        """The canonical integer form of the linear part, computed once."""
+    def _linear_part(self) -> LinearPart:
+        """The `LinearPart` of this jet, built on first use."""
         if self._lin is None:
             n, d = self.n, self.field.degree
             flat = [0] * (n * n * d)
@@ -292,8 +336,12 @@ class GermJet:
                 if sum(q) == 1:
                     start = (s * n + q.index(1)) * d
                     flat[start:start + d] = v
-            self._lin = _lowest_terms(self.den, flat)
+            self._lin = LinearPart(self.field, n, _lowest_terms(self.den, flat))
         return self._lin
+
+    def _linear(self) -> IntMatrix:
+        """The canonical integer form of the linear part."""
+        return self._linear_part().form
 
     def linear_matrix(self) -> Matrix:
         n, zero, coeffs = self.n, self.field.zero(), self.coeffs
@@ -345,10 +393,8 @@ class GermJet:
         return self._order
 
     def conjugacy_invariant(self) -> tuple[CycloNum, ...]:
-        """Characteristic polynomial of the linear part, computed once per jet object."""
-        if self._invariant is None:
-            self._invariant = germforge.jets._char_poly(self.field, self.n, self._linear())
-        return self._invariant
+        """Characteristic polynomial of the linear part, computed once per `LinearPart`."""
+        return self._linear_part().char_poly()
 
     def infinite_order_screen(self) -> Optional[str]:
         """Why this jet has infinite order, from two cheap sound tests, or None.

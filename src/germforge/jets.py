@@ -6,8 +6,9 @@ every name of `jetform` that callers use is re-exported here.  This module
 holds what a parsed jet is used for: `compose`, `invert`, `power`,
 `conjugate`, the orders (`germ_order`, `linear_order`) and the matrix
 algebra (`mat_*`, `char_poly`).  `GermJet.compose`, `inverse`, `order` and
-`conjugacy_invariant` call these functions through the package, so a
-function replaced here by name is the one they run.
+`conjugacy_invariant`, and the facts a `jetform.LinearPart` keeps, call
+these functions through the package, so a function replaced here by name is
+the one they run.
 
 Composition runs on the integer form: the products G^Q of the substituted
 components are memoized per jet (`_monomial`), each coefficient of the
@@ -278,12 +279,13 @@ def compose(f: GermJet, g: GermJet) -> "GermJet":
 def invert(f: GermJet) -> "GermJet":
     """Jet inverse, solved degree by degree from the linear part.
 
-    It starts from the inverse L / D_L of the linear part (`_int_inv`).  At
+    It starts from the inverse L / D_L of the linear part, read from f's
+    `LinearPart` (`_int_inv`, once per linear part).  At
     degree k, with R / D_h the degree-k slice of f o g, it sets
     g <- g - L * R / (D_L * D_h), over the lcm m of the two denominators.
     """
     fld, n, K = f.field, f.n, f.K
-    den, flat = _int_inv(fld, n, f._linear())
+    den, flat = f._linear_part().inverse()
     entries = _entries(fld, flat)
     units = [unit_index(n, i) for i in range(n)]
     g = GermJet._trusted(n, K, fld, den, {
@@ -336,8 +338,9 @@ def _linear_order(fld: CycloField, n: int, a: IntMatrix) -> OrderResult:
 
     Every finite order divides E = `torsion_exponent(N, n)`, so
     `element_order` reads the order off the prime powers of E, or proves it
-    infinite.  Its products run on the canonical integer form, so each
-    comparison with the identity compares integers.
+    infinite; the identity takes no product.  Its products run on the
+    canonical integer form, so each comparison with the identity compares
+    integers.  A jet's `LinearPart` runs this once and keeps the result.
     """
     return element_order(
         a, torsion_exponent(fld.conductor, n),
@@ -352,9 +355,10 @@ def germ_order(f: GermJet) -> OrderResult:
     f**d has linear part != Id for d < m0, and f**m0 is tangent to the
     identity: any nonzero slice of it is multiplied by m under further
     powers, so it can never return to Id.  A linear jet L needs no power:
-    f**m0 is L**m0 = Id.
+    f**m0 is L**m0 = Id.  m0 is read from f's `LinearPart`, so jets that
+    share one compute it once.
     """
-    lo = _linear_order(f.field, f.n, f._linear())
+    lo = f._linear_part().order()
     if lo.is_infinite:
         return OrderResult("infinite", certificate=f"linear part has infinite order: {lo.certificate}")
     if not f.is_linear() and not power(f, lo.order).is_identity():

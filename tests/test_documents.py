@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 
@@ -176,6 +177,42 @@ def test_a_repeated_singular_generator_fails_at_its_first_path():
     with pytest.raises(DocumentError) as info:
         parse_document(doc)
     assert str(info.value) == "generators[2]: linear part is not invertible"
+
+
+@pytest.mark.parametrize("entry", ["ex-2-1", "ex-2-2", "ex-2-3"])
+def test_distinct_generators_with_one_linear_part_share_one_holder(entry):
+    """The three distinct generators of each of Examples 2.1-2.3 have one
+    diagonal linear part, so they share one `LinearPart` and its facts."""
+    distinct = set(jet for _, jet in corpus.load(entry).generators)
+    assert len(distinct) == 3
+    assert len({id(jet._lin) for jet in distinct}) == 1
+
+
+def test_distinct_linear_parts_have_their_own_holders():
+    distinct = set(jet for _, jet in corpus.load("prop-5-1-4").generators)
+    assert len({id(jet._lin) for jet in distinct}) == len(distinct) == 4
+
+
+def test_two_parses_of_one_text_share_no_holder():
+    """Holders are shared within one document only: no cache outlives a parse."""
+    text = json.dumps(corpus.load_raw("ex-2-3"))
+    first, second = parse_document(text), parse_document(text)
+    holders = [{id(jet._lin) for _, jet in doc.generators} for doc in (first, second)]
+    assert not holders[0] & holders[1]
+
+
+def test_equal_moebius_generators_share_one_map():
+    maps = [m for _, m in corpus.load("moebius-rotation-5").moebius_generators]
+    assert len(maps) == 5 and all(m is maps[0] for m in maps)
+
+
+def test_a_repeated_singular_moebius_generator_fails_at_its_first_path():
+    singular = {"name": "s", "matrix": [["1", "2"], ["2", "4"]]}
+    doc = copy.deepcopy(VALID)
+    doc["moebius_generators"] += [singular, {**singular, "name": "t"}]
+    with pytest.raises(DocumentError) as info:
+        parse_document(doc)
+    assert str(info.value) == "moebius_generators[1]: matrix determinant is zero"
 
 
 def test_presentation_is_built_once():

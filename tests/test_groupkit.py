@@ -33,7 +33,7 @@ from germforge.groupkit import (
     parse_word,
     slice_morphism_report,
 )
-from germforge.jets import GermJet, compose, conjugate, invert, power
+from germforge.jets import GermJet, compose, conjugate, germ_order, invert, power
 
 F1 = field(1)
 F3 = field(3)
@@ -559,9 +559,9 @@ def test_basic_set_screens_each_distinct_pair_once(monkeypatch):
         )
         assert report["matched"]
     # ex-2-2 and ex-2-3 each leave three distinct pairs to the characteristic-polynomial
-    # screen, among three distinct generators whose invariants are memoized;
-    # ex-2-1 supplies its witnesses
-    assert len(calls) == 6
+    # screen, among three distinct generators that share one `LinearPart`, which
+    # computes the invariant once; ex-2-1 supplies its witnesses
+    assert len(calls) == 2
 
 
 def test_letters_invert_each_distinct_generator_once(monkeypatch):
@@ -589,6 +589,27 @@ def test_basic_set_and_linearize_compose_one_ordered_product(monkeypatch):
     # 36 listed generators in three runs, f1^34 f35 f36, composed by the first
     # call alone: 6 composes for the power (5 squarings, one product), 2 for the runs
     assert inside == [8, 0]
+
+
+def test_basic_set_computes_each_linear_fact_once_per_document(monkeypatch):
+    """ex-2-3's three distinct generators share one linear part: one linear
+    order (at most 9 matrix products for order 18), one characteristic
+    polynomial and one linear inverse."""
+    g = corpus.load("ex-2-3").presentation()
+    products, char_polys, inverses = (
+        counting(monkeypatch, name) for name in ("_int_mul", "_char_poly", "_int_inv"))
+    assert check_basic_set(g).verdict == "irreducible-verified"
+    assert len(products) <= 9 and len(char_polys) == 1 and len(inverses) == 1
+
+
+def test_order_check_of_a_tangent_word_takes_no_matrix_product(monkeypatch):
+    """ex-2-3's `order` element f1^16 f35 f1 has the identity as linear part,
+    whose order is read off without a product."""
+    doc = corpus.load("ex-2-3")
+    element = doc.expected["order"]["element"]
+    products = counting(monkeypatch, "_int_mul")
+    assert germ_order(evaluate_word(doc.presentation(), element)).is_infinite
+    assert products == []
 
 
 def test_corpus_entry_inverts_and_screens_each_distinct_generator_once(monkeypatch):

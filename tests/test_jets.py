@@ -784,6 +784,44 @@ def test_linear_order_matches_the_reference(case, row):
         assert linear_order(sheared) == reference_linear_order(sheared)
 
 
+@st.composite
+def held_linear_parts(draw):
+    """(fld, a) over N in {1, 3, 4, 9, 12}, n = 1..3: a = P * diag of roots
+    of unity (finite order), possibly times an upper shear with an entry in
+    -2..2 (finite or infinite order) or times diag(1/2, 1, ..., 1) (infinite)."""
+    fld = field(draw(st.sampled_from([1, 3, 4, 9, 12])))
+    n = draw(st.integers(1, 3))
+    perm = draw(st.permutations(range(n)))
+    a = tuple(tuple(fld.zeta(draw(st.integers(0, 35))) if j == perm[i] else fld.zero()
+                    for j in range(n)) for i in range(n))
+    factor = draw(st.sampled_from(["none", "shear", "half"]))
+    if factor == "none" or (factor == "shear" and n == 1):
+        return fld, a
+    corner = fld.from_rational(draw(st.integers(-2, 2)) if factor == "shear" else Fraction(1, 2))
+    cell = (0, 1) if factor == "shear" else (0, 0)
+    return fld, mat_mul(a, tuple(tuple(corner if (i, j) == cell else fld.one() if i == j
+                                       else fld.zero() for j in range(n)) for i in range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(held_linear_parts())
+def test_linear_part_keeps_the_kernel_facts_of_its_form(case):
+    """A jet's `LinearPart` holds the integer form of its linear matrix, and
+    its order, characteristic polynomial and inverse form are those of
+    `_linear_order`, `_char_poly` and `_int_inv` on that form, each computed
+    once."""
+    fld, a = case
+    n = len(a)
+    part = GermJet.from_linear(a, 2)._linear_part()
+    assert part.form == jets._int_form(a)
+    facts = (part.order(), part.char_poly(), part.inverse())
+    assert facts == (jets._linear_order(fld, n, part.form), jets._char_poly(fld, n, part.form),
+                     jets._int_inv(fld, n, part.form))
+    assert facts[0] == linear_order(a) and facts[1] == char_poly(a)
+    assert jets._int_mul(fld, n, n, part.form, facts[2]) == (1, jets._int_identity(fld.degree, n))
+    assert all(x is y for x, y in zip(facts, (part.order(), part.char_poly(), part.inverse())))
+
+
 def test_orders_and_invariants_run_no_field_multiplication(monkeypatch):
     """After parsing, the order test and the characteristic polynomial of the
     prop-5-1-4 generators run on integers: no `CycloNum` product is taken."""

@@ -168,6 +168,20 @@ def test_root_of_unity_order_matches_the_scan(conductor, k, scale):
     assert (want.order is None) == (scale == 2)
 
 
+@pytest.mark.parametrize("exponent", [1, 12, 24, 36, 120])
+def test_the_identity_takes_no_product(exponent):
+    """The identity has order 1 whatever E, and no power of it is formed."""
+    calls = []
+
+    def mul(x, y):
+        calls.append((x, y))
+        return x * y
+
+    fld = field(12)
+    assert element_order(fld.one(), exponent, mul, fld.one()) == OrderResult("finite", order=1)
+    assert calls == []
+
+
 # the scan took 23 products on ex-2-3 and 16 on ex-2-2
 @pytest.mark.parametrize("entry, order, most", [("ex-2-3", 18, 11), ("ex-2-2", 12, 9)])
 def test_linear_order_of_a_generator_takes_few_products(monkeypatch, entry, order, most):
