@@ -206,8 +206,7 @@ def _holonomy_payload(doc: InputDocument, opts: Any) -> dict:
     if not doc.moebius_generators:
         raise DocumentError("document has no moebius_generators")
     gens = [m for _, m in doc.moebius_generators]
-    verdict = holonomy_check(gens, word_bound=opts.witness_bound,
-                             order=max(doc.truncation, 2), closure_cap=opts.closure_cap)
+    verdict = holonomy_check(gens, word_bound=opts.witness_bound, closure_cap=opts.closure_cap)
     payload: dict[str, Any] = {"finite_cyclic": verdict.finite_cyclic, "model": verdict.model}
     if verdict.order is not None:
         payload["order"] = verdict.order

@@ -127,10 +127,6 @@ class OrderResult(NamedTuple):
     certificate: Optional[str] = None
 
     @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    @property
     def is_infinite(self) -> bool:
         return self.kind == "infinite"
 

@@ -4,7 +4,10 @@ Covers the two generator conditions (ordered product is the identity;
 generators pairwise conjugate), bounded witness search, the closure and its
 finite/infinite verdict, the degree-slice coefficient morphisms, the affine
 conjugacy criterion, and the simultaneous linearization algorithm for groups
-whose common diagonal linear part has prime-power eigenvalue orders.
+whose common diagonal linear part has prime-power eigenvalue orders.  Its
+homological steps are `poincare_dulac_normalize`'s, run once per distinct
+generator; given its preconditions it succeeds exactly when the listed
+generators are one jet.
 
 The conditions, witness search and closure run on any `GroupElement`: jets
 and Moebius maps alike.  Both conditions cost per distinct generator: the
@@ -43,7 +46,7 @@ from .jets import (
     iter_multiindices,
     mat_is_diagonal,
 )
-from .resonance import eigenvalue_power, homological_step, is_resonant
+from .resonance import eigenvalue_power, is_resonant, poincare_dulac_normalize
 # the word grammar and the search defaults live in `words`; they are
 # re-exported here, where the searches that use them are
 from .words import (
@@ -639,6 +642,23 @@ def _prime_power_spectrum(eigenvalues) -> tuple[tuple, Optional[str]]:
     return tuple(orders), None
 
 
+def _key_order(key) -> tuple:
+    """Sort key of a (coordinate, multi-index) key: coordinate, then grlex."""
+    return key[0], grlex_key(key[1])
+
+
+def _shared_diagonal_part(jets) -> tuple[Optional[Matrix], Optional[str]]:
+    """The jets' common linear part, and why it is not one diagonal part
+    (None when it is); compares cached integer forms, no matrix per jet."""
+    first = jets[0]._linear()
+    if any(j._linear() != first for j in jets):
+        return None, "generators do not share one linear part"
+    lin = jets[0].linear_matrix()
+    if not mat_is_diagonal(lin):
+        return lin, "common linear part is not diagonal"
+    return lin, None
+
+
 def slice_morphism_report(g: GroupPresentation, k: int) -> list[SliceMorphismEntry]:
     """Per-(coordinate, monomial) analysis of the degree-k coefficients.
 
@@ -655,11 +675,9 @@ def slice_morphism_report(g: GroupPresentation, k: int) -> list[SliceMorphismEnt
     """
     jets = g.elements
     _, n, _ = g.shape
-    lin = jets[0].linear_matrix()
-    if not mat_is_diagonal(lin):
-        raise ValueError("generators must have a diagonal linear part")
-    if any(j.linear_matrix() != lin for j in jets):
-        raise ValueError("generators must share one linear part")
+    lin, problem = _shared_diagonal_part(jets)
+    if problem is not None:
+        raise ValueError(problem)
     for name, j in g.generators:
         low = [key for key in j.coeffs if 1 < sum(key[1]) < k]
         if low:
@@ -746,10 +764,6 @@ class LinearizationSuccess(NamedTuple):
     diagonal_generator: Matrix
     group_order: int
 
-    @property
-    def ok(self) -> bool:
-        return True
-
 
 class LinearizationFailure(NamedTuple):
     reason: str  # "generators-differ" | "resonant-coefficient-nonzero" | "precondition-violated"
@@ -758,13 +772,6 @@ class LinearizationFailure(NamedTuple):
     detail: str = ""
     eigenvalue_orders: Optional[tuple] = None
 
-    @property
-    def ok(self) -> bool:
-        return False
-
-
-LinearizationOutcome = LinearizationSuccess | LinearizationFailure
-
 
 def linearize_group(g: GroupPresentation):
     """Conjugate all generators to their common diagonal linear part at once.
@@ -772,77 +779,66 @@ def linearize_group(g: GroupPresentation):
     Preconditions (any violation is a structured failure): the ordered product
     of the generators is the identity, all generators share one diagonal
     linear part, and every eigenvalue is a root of unity whose order is a
-    power of one common prime.  The loop then checks per degree that the
-    generators carry identical coefficient slices with vanishing resonant
-    part, and cancels the shared nonresonant slice through one homological
-    step applied to every generator simultaneously.
+    power of one common prime.  The rest is read off one Poincare-Dulac
+    normalization per distinct generator: below the first degree at which
+    two generators differ they are equal, so their normalizations take the
+    same homological steps, and a generator's degree-k slice is what its
+    normalization removed at degree k plus its normal form's (resonant)
+    degree-k slice.  The loop compares these slices; the conjugator is the
+    first generator's.  Given the preconditions it succeeds exactly when the
+    listed generators are one jet, as a jet of finite order has no resonant
+    term in its normal form.
     """
     jets = g.elements
     fld, n, K = g.shape
     names = g.names
-    prod_ok, residual = check_product_identity(g)
-    if not prod_ok:
+    if not check_product_identity(g)[0]:
         return LinearizationFailure(
             "precondition-violated",
             detail="ordered product of generators is not the identity",
         )
-    first = jets[0]._linear()  # the cached integer form, not a matrix per generator
-    if any(j._linear() != first for j in jets):
-        return LinearizationFailure(
-            "precondition-violated", detail="generators do not share one linear part"
-        )
-    lin = jets[0].linear_matrix()
-    if not mat_is_diagonal(lin):
-        return LinearizationFailure(
-            "precondition-violated", detail="common linear part is not diagonal"
-        )
-    eigenvalues = [lin[i][i] for i in range(n)]
-    orders, problem = _prime_power_spectrum(eigenvalues)
+    lin, problem = _shared_diagonal_part(jets)
+    if problem is not None:
+        return LinearizationFailure("precondition-violated", detail=problem)
+    orders, problem = _prime_power_spectrum([lin[i][i] for i in range(n)])
     if problem is not None:
         return LinearizationFailure(
             "precondition-violated", detail=problem, eigenvalue_orders=orders
         )
 
-    current = jets
-    chi = g.identity()
+    normal = {j: poincare_dulac_normalize(j) for j in dict.fromkeys(jets)}
+    # each generator's coefficients at the degree where its normalization met them
+    met = [{**{(s, q): c for s, q, c in normal[j].removed}, **normal[j].normal_form.coeffs}
+           for j in jets]
+    zero = fld.zero()
     for k in range(2, K + 1):
-        slices = [j.degree_slice(k) for j in current]
-        keys = sorted(
-            {key for sl in slices for key in sl}, key=lambda key: (key[0], grlex_key(key[1]))
-        )
+        slices = [{key: c for key, c in m.items() if sum(key[1]) == k} for m in met]
         reference = slices[0]
-        offending = []
-        for idx, sl in enumerate(slices[1:], start=1):
-            for key in keys:
-                if sl.get(key, fld.zero()) != reference.get(key, fld.zero()):
-                    offending.append((names[idx], key[0], key[1], sl.get(key, fld.zero())))
+        keys = sorted({key for sl in slices for key in sl}, key=_key_order)
+        offending = tuple(
+            (names[idx], s, q, sl.get((s, q), zero))
+            for idx, sl in enumerate(slices[1:], start=1)
+            for s, q in keys
+            if sl.get((s, q), zero) != reference.get((s, q), zero)
+        )
         if offending:
             return LinearizationFailure(
                 "generators-differ",
                 degree=k,
-                offending=tuple(offending),
+                offending=offending,
                 detail=f"degree-{k} coefficients differ from generator {names[0]}",
             )
-        resonant_bad = tuple(
-            (names[0], s, q, c)
-            for (s, q), c in sorted(reference.items(), key=lambda kv: (kv[0][0], grlex_key(kv[0][1])))
-            if is_resonant(eigenvalues, s, q)
-        )
-        if resonant_bad:
+        resonant = normal[jets[0]].normal_form.degree_slice(k)
+        if resonant:
             return LinearizationFailure(
                 "resonant-coefficient-nonzero",
                 degree=k,
-                offending=resonant_bad,
+                offending=tuple((names[0], s, q, resonant[s, q])
+                                for s, q in sorted(resonant, key=_key_order)),
                 detail=f"nonzero resonant coefficients survive at degree {k}",
             )
-        if reference:
-            h, h_inv = homological_step(eigenvalues, reference, g.shape)
-            current = [compose(h_inv, compose(j, h)) for j in current]
-            chi = compose(h_inv, chi)
-    linear_target = GermJet.from_linear(lin, K)
-    assert all(j == linear_target for j in current), "linearization left nonlinear residue"
     return LinearizationSuccess(
-        conjugator=chi,
+        conjugator=normal[jets[0]].conjugator,
         diagonal_generator=lin,
         group_order=math.lcm(*orders),
     )

@@ -351,7 +351,6 @@ class HolonomyVerdict(NamedTuple):
 def holonomy_check(
     generators: Sequence[MoebiusMap],
     word_bound: int = DEFAULT_WITNESS_BOUND,
-    order: int = 3,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> HolonomyVerdict:
     """Decide whether the generated Moebius group is finite cyclic.
@@ -362,7 +361,10 @@ def holonomy_check(
     with witness words up to `word_bound` (its word ball grows only until
     every pair is answered); a common fixed point is then
     localized to a 1-dimensional jet presentation which is linearized
-    simultaneously.  The closure of the Moebius group (`closure_enumerate`,
+    simultaneously.  The local germs are 2-jets: a Moebius map fixing q is
+    determined by its 2-jet there, so two maps differ at degree 2 at the
+    latest, and a single map of finite order is linearizable, so a higher
+    order changes no verdict.  The closure of the Moebius group (`closure_enumerate`,
     listing at most `closure_cap` elements) is reported as an independent
     finiteness certificate.
     """
@@ -426,7 +428,7 @@ def holonomy_check(
         )
     q = sorted(common, key=lambda p: p.sort_key())[0]
 
-    local = {g: germ_at_fixed_point(g, q, order) for g in distinct}  # one germ per distinct map
+    local = {g: germ_at_fixed_point(g, q, 2) for g in distinct}  # one germ per distinct map
     outcome = linearize_group(GroupPresentation(
         tuple((f"g{i+1}", local[g]) for i, g in enumerate(gens))))
     if not isinstance(outcome, LinearizationSuccess):

@@ -30,19 +30,25 @@ def moebius_document(path: Path, matrices, conductor: int = 1) -> str:
     return str(path)
 
 
-def jet_document(path: Path, conductor: int, truncation: int, coords) -> str:
-    """One generator `f`; coords[s] lists (coeff, monomial) terms of coordinate s."""
+def jets_document(path: Path, conductor: int, truncation: int, generators) -> str:
+    """Generators given as (name, coords) pairs; coords[s] lists the
+    (coeff, monomial) terms of coordinate s."""
     doc = {
         "conductor": conductor,
-        "dimension": len(coords),
+        "dimension": len(generators[0][1]),
         "truncation": truncation,
         "generators": [{
-            "name": "f",
+            "name": name,
             "coords": [[{"coeff": c, "monomial": m} for c, m in terms] for terms in coords],
-        }],
+        } for name, coords in generators],
     }
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def jet_document(path: Path, conductor: int, truncation: int, coords) -> str:
+    """One generator `f`, as in `jets_document`."""
+    return jets_document(path, conductor, truncation, [("f", coords)])
 
 
 S = [[0, 1], [1, 0]]
@@ -243,6 +249,51 @@ def test_resonances_read_a_diagonal_linear_part(tmp_path, capsys):
     assert verdict["records"] == [{"coord": 0, "monomial": [1, 1]},
                                   {"coord": 1, "monomial": [0, 2]},
                                   {"coord": 1, "monomial": [2, 0]}]
+
+
+# `linearize --format json` verdicts in full: the only tests that reach the
+# `offending` and `conjugator` fields of a linearize report
+PINNED_DIFFER = {
+    "outcome": "failure",
+    "reason": "generators-differ",
+    "detail": "degree-2 coefficients differ from generator g1",
+    "degree": 2,
+    "offending": [{"generator": "g2", "coord": 0, "monomial": [2], "coeff": "0"},
+                  {"generator": "g4", "coord": 0, "monomial": [2], "coeff": "0"}],
+}
+PINNED_SUCCESS = {
+    "outcome": "success",
+    "group_order": 4,
+    "diagonal_generator": [["z", "0"], ["0", "-1"]],
+    "conjugator": [
+        [{"coeff": "1", "monomial": [1, 0]}, {"coeff": "-1", "monomial": [0, 2]},
+         {"coeff": "2", "monomial": [1, 2]}],
+        [{"coeff": "1", "monomial": [0, 1]}, {"coeff": "-1", "monomial": [1, 1]},
+         {"coeff": "1", "monomial": [0, 3]}, {"coeff": "1", "monomial": [2, 1]}],
+    ],
+}
+
+
+def _linearize(path, capsys) -> dict:
+    assert cli.main(["linearize", path, "--format", "json"]) == cli.EXIT_OK
+    return json.loads(capsys.readouterr().out)["verdict"]
+
+
+def test_linearize_reports_the_generators_that_differ(tmp_path, capsys):
+    # four generators iz + a_k z^2, a = (1, 0, 1, 0): their product is Id at K = 2
+    with_square = [[("z", [1]), ("1", [2])]]
+    linear = [[("z", [1])]]
+    path = jets_document(tmp_path / "g.json", 4, 2, [
+        ("g1", with_square), ("g2", linear), ("g3", with_square), ("g4", linear)])
+    assert _linearize(path, capsys) == PINNED_DIFFER
+
+
+def test_linearize_returns_the_conjugator_of_a_conjugated_group(tmp_path, capsys):
+    # four copies of psi o diag(i, -1) o psi^-1, psi = Id + (z2^2, z1 z2), K = 3
+    f = [[("z", [1, 0]), ("1 - z", [0, 2]), ("-2 + 2*z", [1, 2])],
+         [("-1", [0, 1]), ("1 - z", [1, 1]), ("-1 + z", [0, 3]), ("-1 + z", [2, 1])]]
+    path = jets_document(tmp_path / "f.json", 4, 3, [(f"f{k}", f) for k in range(1, 5)])
+    assert _linearize(path, capsys) == PINNED_SUCCESS
 
 
 # --- the command table ------------------------------------------------------------

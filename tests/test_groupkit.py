@@ -1,6 +1,7 @@
 import cProfile
 import fractions
 import json
+import math
 import os
 import pstats
 import random
@@ -33,7 +34,18 @@ from germforge.groupkit import (
     parse_word,
     slice_morphism_report,
 )
-from germforge.jets import GermJet, compose, conjugate, germ_order, invert, power
+from germforge.jets import (
+    GermJet,
+    compose,
+    conjugate,
+    germ_order,
+    grlex_key,
+    invert,
+    iter_multiindices,
+    mat_is_diagonal,
+    power,
+)
+from germforge.resonance import homological_step, is_resonant
 
 F1 = field(1)
 F3 = field(3)
@@ -1169,6 +1181,163 @@ def test_linearize_cross_validates_with_closure():
         linear_target = GermJet.from_linear(f.linear_matrix(), K)
         for j in pres.elements:
             assert conjugate(out.conjugator, j) == linear_target
+
+
+def reference_linearize(g: GroupPresentation):
+    """Simultaneous linearization by its own per-degree loop: at each degree
+    every listed generator is conjugated by one homological step, built from
+    the first generator's slice.  `linearize_group` must agree with it in
+    every field."""
+    jets = g.elements
+    fld, n, K = g.shape
+    names = g.names
+    prod_ok, residual = groupkit.check_product_identity(g)
+    if not prod_ok:
+        return LinearizationFailure(
+            "precondition-violated",
+            detail="ordered product of generators is not the identity",
+        )
+    first = jets[0]._linear()
+    if any(j._linear() != first for j in jets):
+        return LinearizationFailure(
+            "precondition-violated", detail="generators do not share one linear part"
+        )
+    lin = jets[0].linear_matrix()
+    if not mat_is_diagonal(lin):
+        return LinearizationFailure(
+            "precondition-violated", detail="common linear part is not diagonal"
+        )
+    eigenvalues = [lin[i][i] for i in range(n)]
+    orders, problem = groupkit._prime_power_spectrum(eigenvalues)
+    if problem is not None:
+        return LinearizationFailure(
+            "precondition-violated", detail=problem, eigenvalue_orders=orders
+        )
+
+    current = jets
+    chi = g.identity()
+    for k in range(2, K + 1):
+        slices = [j.degree_slice(k) for j in current]
+        keys = sorted(
+            {key for sl in slices for key in sl}, key=lambda key: (key[0], grlex_key(key[1]))
+        )
+        reference = slices[0]
+        offending = []
+        for idx, sl in enumerate(slices[1:], start=1):
+            for key in keys:
+                if sl.get(key, fld.zero()) != reference.get(key, fld.zero()):
+                    offending.append((names[idx], key[0], key[1], sl.get(key, fld.zero())))
+        if offending:
+            return LinearizationFailure(
+                "generators-differ",
+                degree=k,
+                offending=tuple(offending),
+                detail=f"degree-{k} coefficients differ from generator {names[0]}",
+            )
+        resonant_bad = tuple(
+            (names[0], s, q, c)
+            for (s, q), c in sorted(reference.items(), key=lambda kv: (kv[0][0], grlex_key(kv[0][1])))
+            if is_resonant(eigenvalues, s, q)
+        )
+        if resonant_bad:
+            return LinearizationFailure(
+                "resonant-coefficient-nonzero",
+                degree=k,
+                offending=resonant_bad,
+                detail=f"nonzero resonant coefficients survive at degree {k}",
+            )
+        if reference:
+            h, h_inv = homological_step(eigenvalues, reference, g.shape)
+            current = [compose(h_inv, compose(j, h)) for j in current]
+            chi = compose(h_inv, chi)
+    linear_target = GermJet.from_linear(lin, K)
+    assert all(j == linear_target for j in current), "linearization left nonlinear residue"
+    return LinearizationSuccess(
+        conjugator=chi,
+        diagonal_generator=lin,
+        group_order=math.lcm(*orders),
+    )
+
+
+@st.composite
+def shared_diagonal_cases(draw):
+    """(N, n, K, exponents, conjugated, base terms, generators): a diagonal
+    linear part diag(zeta_N^e) shared by 1-4 generators.  The base jet is
+    psi o L o psi^-1 when `conjugated` (psi = Id + base terms), else L + base
+    terms; each generator is (d, terms): the base jet plus those of its terms
+    of degree d or more, so it agrees with the base below degree d."""
+    N = draw(st.sampled_from([1, 2, 3, 4, 8, 9]))
+    n = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 4))
+    exponents = tuple(draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n)))
+    keys = [(s, q) for k in range(2, K + 1) for q in iter_multiindices(n, k) for s in range(n)]
+    term = st.tuples(st.sampled_from(keys), st.integers(-2, 2), st.integers(0, N - 1))
+    terms = st.lists(term, max_size=3) if keys else st.just([])
+    conjugated = draw(st.booleans())
+    base = tuple(draw(terms))
+    generators = tuple(
+        (d, tuple(t)) for d, t in draw(st.lists(st.tuples(st.integers(2, K + 1), terms),
+                                                min_size=1, max_size=4)))
+    return N, n, K, exponents, conjugated, base, generators
+
+
+def shared_diagonal_presentation(case) -> GroupPresentation:
+    N, n, K, exponents, conjugated, base, generators = case
+    fld = field(N)
+
+    def plus(coeffs, terms, low=2):
+        out = dict(coeffs)
+        for (s, q), a, b in terms:
+            if sum(q) >= low:
+                out[(s, q)] = out.get((s, q), fld.zero()) + fld.from_rational(a) * fld.zeta(b)
+        return out
+
+    lin = {(s, tuple(int(t == s) for t in range(n))): fld.zeta(e) for s, e in enumerate(exponents)}
+    if conjugated:
+        psi = GermJet(n, K, fld, plus(GermJet.identity(fld, n, K).coeffs, base))
+        f = conjugate(psi, GermJet(n, K, fld, lin))
+    else:
+        f = GermJet(n, K, fld, plus(lin, base))
+    return GroupPresentation(tuple(
+        (f"g{i}", GermJet(n, K, fld, plus(f.coeffs, terms, low=d)))
+        for i, (d, terms) in enumerate(generators, start=1)))
+
+
+def assert_linearize_matches_reference(case) -> str:
+    """Compare every field of both outcomes, the product check bypassed;
+    return the outcome's reason ("success" on success)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groupkit, "check_product_identity", lambda g: (True, g.identity()))
+        g = shared_diagonal_presentation(case)
+        want = reference_linearize(g)
+        got = linearize_group(g)
+    assert repr(got) == repr(want)
+    assert got == want
+    return getattr(got, "reason", "success")
+
+
+# one case of each outcome, reached on every run
+LINEARIZE_CASES = {
+    # iz conjugated by z + z^2, listed twice
+    "success": (4, 1, 3, (1,), True, (((0, (2,)), 1, 0),), ((4, ()), (4, ()))),
+    # iz + z^2 and iz - z^2
+    "generators-differ": (4, 1, 2, (1,), False, (((0, (2,)), 1, 0),),
+                          ((3, ()), (2, (((0, (2,)), -2, 0),)))),
+    # diag(-1, 1) + (z1 z2, 0): z1 z2 is resonant for the first coordinate
+    "resonant-coefficient-nonzero": (2, 2, 2, (1, 0), False, (((0, (1, 1)), 1, 0),),
+                                     ((3, ()),)),
+}
+
+
+def test_linearize_cases_reach_every_outcome():
+    assert {reason: assert_linearize_matches_reference(case)
+            for reason, case in LINEARIZE_CASES.items()} == {r: r for r in LINEARIZE_CASES}
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_diagonal_cases())
+def test_linearize_group_matches_reference_loop(case):
+    assert_linearize_matches_reference(case)
 
 
 def test_group_searches_run_no_fraction_arithmetic():

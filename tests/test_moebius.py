@@ -7,7 +7,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from germforge import cli, groupkit, moebius as moebius_module
 from germforge.cyclo import cyclotomic_polynomial, field
-from germforge.groupkit import ClosureResult, GroupPresentation, check_basic_set, closure_enumerate
+from germforge.groupkit import (
+    ClosureResult,
+    GroupPresentation,
+    LinearizationFailure,
+    check_basic_set,
+    closure_enumerate,
+    linearize_group,
+)
 from germforge.moebius import (
     MoebiusMap,
     ProjectivePoint,
@@ -144,6 +151,49 @@ def test_non_conjugate_generators_are_disproved():
 def test_generator_count_must_be_a_prime_power():
     with pytest.raises(ValueError, match="prime power"):
         holonomy_check([S] * 6)
+
+
+@st.composite
+def maps_with_a_common_fixed_point(draw):
+    """1-4 listed maps, drawn from 1-3 maps z -> a z / (c z + 1) with a a
+    root of unity, all moved by one translation to fix a common point q;
+    returns (listed maps, q)."""
+    fld = field(draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9])))
+    N = fld.conductor
+
+    def number():
+        return fld.from_rational(draw(st.integers(-2, 2))) * fld.zeta(draw(st.integers(0, N - 1)))
+
+    one, zero = fld.one(), fld.zero()
+    shift = MoebiusMap(((one, number()), (zero, one)))
+    maps = [
+        shift.compose(MoebiusMap(((fld.zeta(draw(st.integers(0, N - 1))), zero), (number(), one))))
+        .compose(shift.inverse())
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    listed = draw(st.lists(st.sampled_from(maps), min_size=1, max_size=4))
+    return listed, shift.apply(ProjectivePoint.affine(zero))
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps_with_a_common_fixed_point())
+def test_local_linearization_verdict_is_the_same_at_orders_2_and_5(case):
+    """A Moebius map fixing q is determined by its 2-jet there, so local
+    germs of a higher order change no verdict of `linearize_group`.  The
+    product check is bypassed to reach the per-degree loop; it too is decided
+    by the 2-jets."""
+    maps, q = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groupkit, "check_product_identity", lambda g: (True, g.identity()))
+        low, high = (
+            linearize_group(GroupPresentation(tuple(
+                (f"g{i}", germ_at_fixed_point(m, q, K)) for i, m in enumerate(maps, start=1))))
+            for K in (2, 5))
+    assert type(low) is type(high)
+    if isinstance(low, LinearizationFailure):
+        assert (low.reason, low.degree, low.detail) == (high.reason, high.degree, high.detail)
+    else:
+        assert (low.diagonal_generator, low.group_order) == (high.diagonal_generator, high.group_order)
 
 
 # --- square roots of rationals ----------------------------------------------------
