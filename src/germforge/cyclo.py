@@ -95,14 +95,13 @@ def torsion_exponent(conductor: int, n: int) -> int:
 
     An eigenvalue of order k generates Q(zeta_L), L = lcm(N, k), which has
     degree at most n over Q(zeta_N); so k divides the lcm of all multiples L
-    of N with phi(L) <= n*phi(N).  phi(L) >= sqrt(L/2) caps the scan.
+    of N with phi(L) <= n*phi(N).  For L = N*j, phi(L) >= phi(N) * phi(j)
+    >= phi(N) * sqrt(j/2), so j <= 2n^2 caps the scan, whatever N is.
     Computed once per (N, n): every exact order asks for it.
     """
     budget = n * euler_phi(conductor)
-    limit = 2 * budget * budget
-    return math.lcm(
-        *(L for L in range(conductor, limit + 1, conductor) if euler_phi(L) <= budget)
-    )
+    return math.lcm(*(conductor * j for j in range(1, 2 * n * n + 1)
+                      if euler_phi(conductor * j) <= budget))
 
 
 # ---------------------------------------------------------------------------

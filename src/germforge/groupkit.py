@@ -44,7 +44,6 @@ from .jets import (
     compose,
     grlex_key,
     iter_multiindices,
-    mat_is_diagonal,
 )
 from .resonance import eigenvalue_power, is_resonant, poincare_dulac_normalize
 # the word grammar and the search defaults live in `words`; they are
@@ -647,16 +646,16 @@ def _key_order(key) -> tuple:
     return key[0], grlex_key(key[1])
 
 
-def _shared_diagonal_part(jets) -> tuple[Optional[Matrix], Optional[str]]:
-    """The jets' common linear part, and why it is not one diagonal part
-    (None when it is); compares cached integer forms, no matrix per jet."""
+def _shared_diagonal_part(jets) -> tuple[Optional[tuple[CycloNum, ...]], Optional[str]]:
+    """The diagonal of the jets' common linear part, and why it is not one
+    diagonal part (None when it is); reads the cached integer forms only."""
     first = jets[0]._linear()
     if any(j._linear() != first for j in jets):
         return None, "generators do not share one linear part"
-    lin = jets[0].linear_matrix()
-    if not mat_is_diagonal(lin):
-        return lin, "common linear part is not diagonal"
-    return lin, None
+    eigenvalues = jets[0]._linear_part().diagonal()
+    if eigenvalues is None:
+        return None, "common linear part is not diagonal"
+    return eigenvalues, None
 
 
 def slice_morphism_report(g: GroupPresentation, k: int) -> list[SliceMorphismEntry]:
@@ -675,18 +674,18 @@ def slice_morphism_report(g: GroupPresentation, k: int) -> list[SliceMorphismEnt
     """
     jets = g.elements
     _, n, _ = g.shape
-    lin, problem = _shared_diagonal_part(jets)
+    eigenvalues, problem = _shared_diagonal_part(jets)
     if problem is not None:
         raise ValueError(problem)
     for name, j in g.generators:
         low = [key for key in j.coeffs if 1 < sum(key[1]) < k]
         if low:
             raise ValueError(f"generator {name} has nonlinear terms below degree {k}")
-    eigenvalues = [lin[i][i] for i in range(n)]
     orders, problem = _prime_power_spectrum(eigenvalues)
     nominal = math.prod(orders) if problem is None and math.prod(orders) > 1 else None
+    distinct = list(dict.fromkeys(jets))
+    products = {(a, b): compose(a, b) for a in distinct for b in distinct}
     entries = []
-    nu_plus_1 = len(jets)
     for s in range(n):
         for q in iter_multiindices(n, k):
             coeffs = [j.coeff(s, q) for j in jets]
@@ -696,8 +695,7 @@ def slice_morphism_report(g: GroupPresentation, k: int) -> list[SliceMorphismEnt
                 additive = True
                 for a in range(len(jets)):
                     for b in range(len(jets)):
-                        comp = compose(jets[a], jets[b])
-                        lhs = comp.coeff(s, q) / (lam_r * lam_r)
+                        lhs = products[jets[a], jets[b]].coeff(s, q) / (lam_r * lam_r)
                         if lhs != phi[a] + phi[b]:
                             additive = False
                 total = sum(phi[1:], phi[0])
@@ -790,17 +788,17 @@ def linearize_group(g: GroupPresentation):
     term in its normal form.
     """
     jets = g.elements
-    fld, n, K = g.shape
+    fld, _, K = g.shape
     names = g.names
     if not check_product_identity(g)[0]:
         return LinearizationFailure(
             "precondition-violated",
             detail="ordered product of generators is not the identity",
         )
-    lin, problem = _shared_diagonal_part(jets)
+    eigenvalues, problem = _shared_diagonal_part(jets)
     if problem is not None:
         return LinearizationFailure("precondition-violated", detail=problem)
-    orders, problem = _prime_power_spectrum([lin[i][i] for i in range(n)])
+    orders, problem = _prime_power_spectrum(eigenvalues)
     if problem is not None:
         return LinearizationFailure(
             "precondition-violated", detail=problem, eigenvalue_orders=orders
@@ -839,6 +837,6 @@ def linearize_group(g: GroupPresentation):
             )
     return LinearizationSuccess(
         conjugator=normal[jets[0]].conjugator,
-        diagonal_generator=lin,
+        diagonal_generator=jets[0].linear_matrix(),
         group_order=math.lcm(*orders),
     )

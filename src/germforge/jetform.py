@@ -25,9 +25,12 @@ function replaced on `jets` by name is the one that runs.
 
 A jet's linear part is a `LinearPart`: its integer form and the facts
 computed on it (the exact order, the characteristic polynomial and the
-inverse form), each computed once per object.  Jets that one document lists
-with equal linear parts share one object (see `documents.parse_document`),
-so each fact is computed once per distinct linear part of the document.
+inverse form), each computed once per object, and its diagonal read off
+the form.  That integer form is the only matrix that any decision reads;
+`GermJet.linear_matrix()`, rows of `CycloNum`s, is for reports.  Jets
+that one document lists with equal linear parts share one object (see
+`documents.parse_document`), so each fact is computed once per distinct
+linear part of the document.
 """
 
 from __future__ import annotations
@@ -219,6 +222,16 @@ class LinearPart:
         if self._inverse is None:
             self._inverse = germforge.jets._int_inv(self.field, self.n, self.form)
         return self._inverse
+
+    def diagonal(self) -> Optional[tuple[CycloNum, ...]]:
+        """The diagonal entries, read off the integer form, or None when an
+        off-diagonal numerator is nonzero."""
+        fld, n = self.field, self.n
+        den, nums = self.form
+        entries = _entries(fld, nums)
+        if any(any(entries[i]) for i in range(n * n) if i % (n + 1)):
+            return None
+        return tuple(fld.from_integers(entries[i * (n + 1)], den) for i in range(n))
 
 
 # ---------------------------------------------------------------------------

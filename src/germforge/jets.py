@@ -5,7 +5,7 @@ check are in `jetform`, which parsing a document loads without this module;
 every name of `jetform` that callers use is re-exported here.  This module
 holds what a parsed jet is used for: `compose`, `invert`, `power`,
 `conjugate`, the orders (`germ_order`, `linear_order`) and the matrix
-algebra (`mat_*`, `char_poly`).  `GermJet.compose`, `inverse`, `order` and
+algebra (`char_poly`, `mat_det`).  `GermJet.compose`, `inverse`, `order` and
 `conjugacy_invariant`, and the facts a `jetform.LinearPart` keeps, call
 these functions through the package, so a function replaced here by name is
 the one they run.
@@ -22,12 +22,15 @@ skips the constructor's checks: their keys come from valid jets, and
 invertibility is preserved, since the linear part of f o g is the product
 of the linear parts and the determinant is multiplicative.
 
-Linear parts are matrices of `CycloNum`s at the interface, but the exact
-linear algebra (`mat_mul`, `mat_det`, `mat_inv`, `char_poly` and the
-`linear_order` powers) runs on the same integer form, and jets and
-matrices share one helper per rule (see the comment above `IntMatrix` in
-`jetform`): `_common_form`, `_accumulate` with `_fold_sums`, `_bareiss`,
-and `cyclo._lowest_terms` and `CycloField._norm_adjugate`.
+Matrices enter as rows of `CycloNum`s only at the exported interface
+(`char_poly`, `mat_det`, `linear_order`), which puts them in the same
+integer form at once; every decision reads that form, as a jet's
+`LinearPart` holds it.  The exact linear algebra (`_int_mul`, `_int_inv`,
+`_int_det`, `_char_poly` and the `_linear_order` powers) runs on it, and
+jets and matrices share one helper per rule (see the comment above
+`IntMatrix` in `jetform`): `_common_form`, `_accumulate` with
+`_fold_sums`, `_bareiss`, and `cyclo._lowest_terms` and
+`CycloField._norm_adjugate`.
 """
 
 from __future__ import annotations
@@ -71,11 +74,6 @@ def _int_form(a: Matrix) -> IntMatrix:
     return den, tuple(chain.from_iterable(nums))
 
 
-def _matrix(fld: CycloField, cols: int, den: int, nums: Sequence[int]) -> Matrix:
-    entries = [fld.from_integers(e, den) for e in _entries(fld, nums)]
-    return tuple(tuple(entries[r:r + cols]) for r in range(0, len(entries), cols))
-
-
 def _mul_nums(fld: CycloField, k: int, m: int, x: Sequence[int], y: Sequence[int]) -> list[int]:
     """Numerators of (rows x k) times (k x m), integer matrices over Z[zeta_N]."""
     if fld.degree == 1:
@@ -95,29 +93,10 @@ def _int_mul(fld: CycloField, k: int, m: int, a: IntMatrix, b: IntMatrix) -> Int
     return _lowest_terms(a[0] * b[0], _mul_nums(fld, k, m, a[1], b[1]))
 
 
-def mat_identity(fld: CycloField, n: int) -> Matrix:
-    one, zero = fld.one(), fld.zero()
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a times b, computed on integer forms."""
-    fld = a[0][0].field
-    k, m = len(b), len(b[0])
-    den, nums = _int_mul(fld, k, m, _int_form(a), _int_form(b))
-    return _matrix(fld, m, den, nums)
-
-
 def mat_det(a: Matrix) -> CycloNum:
     """Determinant, computed on the integer form (`_int_det`)."""
     fld = a[0][0].field
     return fld.from_integers(*_int_det(fld, len(a), _int_form(a)))
-
-
-def mat_inv(a: Matrix) -> Matrix:
-    """Inverse, computed on the integer form (`_int_inv`)."""
-    fld = a[0][0].field
-    return _matrix(fld, len(a), *_int_inv(fld, len(a), _int_form(a)))
 
 
 def _int_inv(fld: CycloField, n: int, a: IntMatrix) -> IntMatrix:
@@ -135,10 +114,6 @@ def _int_inv(fld: CycloField, n: int, a: IntMatrix) -> IntMatrix:
     adj, out_den = fld._norm_adjugate(rows[n - 1][n - 1])
     scale = [c * den for c in adj]
     return _lowest_terms(out_den, [x for row in rows for e in row[n:] for x in fld._mul(e, scale)])
-
-
-def mat_is_diagonal(a: Matrix) -> bool:
-    return all(a[i][j].is_zero() for i in range(len(a)) for j in range(len(a)) if i != j)
 
 
 def char_poly(a: Matrix) -> tuple[CycloNum, ...]:

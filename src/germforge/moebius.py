@@ -7,12 +7,13 @@ Moebius maps loads without this module; those names are re-exported here.
 through the package, so a function replaced here by name is the one they
 run.
 
-Orders are decided exactly by the shared order routine, `element_order`;
-fixed points are eigenvector computations.  A triangular map needs no square
-root; a rational radicand's root is built exactly from Gauss sums; any other
-root is found, or proven absent, by an exact sign search modulo a prime
-power.  So a missing root means that the fixed points lie in a quadratic
-extension of the field.
+A map's projective order is the exact order of a 2x2 matrix built from it
+with one field inverse, decided on the integer kernel of `jets`
+(`linear_order`); fixed points are eigenvector computations.  A triangular
+map needs no square root; a rational radicand's root is built exactly from
+Gauss sums; any other root is found, or proven absent, by an exact sign
+search modulo a prime power.  So a missing root means that the fixed
+points lie in a quadratic extension of the field.
 """
 
 from __future__ import annotations
@@ -25,12 +26,10 @@ from .cyclo import (
     CycloNum,
     FieldMismatchError,
     OrderResult,
-    element_order,
     is_prime_power,
     prime_factors,
-    torsion_exponent,
 )
-from .jetform import GermJet
+from .jets import GermJet, linear_order
 from .mapform import ExtensionRequiredError, MoebiusMap, ProjectivePoint
 from .words import DEFAULT_CLOSURE_CAP, DEFAULT_WITNESS_BOUND
 
@@ -50,14 +49,18 @@ def moebius_compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
 def moebius_order(m: MoebiusMap) -> OrderResult:
     """Projective order: least k with m^k a scalar matrix; exact.
 
-    Maps are stored scale-normalized, so m^k is the identity map exactly when
-    the matrix power is scalar.  The eigenvalue ratio has degree <= 2 over
-    the field, so every finite order divides `torsion_exponent(N, 2)`.
+    It is the matrix order (`jets.linear_order`) of B = A^2 / det(A), for A
+    the matrix of m, taken with one field inverse.  B's eigenvalues are u
+    and 1/u, u the ratio of A's: B = I exactly when A is scalar, B is
+    unipotent and not I exactly when A is parabolic, and otherwise B^k = I
+    exactly when u^k = 1, that is when A^k is scalar.  So the order of B is
+    the projective order of A, and every finite one divides
+    `torsion_exponent(N, 2)`.
     """
-    fld = m.field
-    return element_order(
-        m, torsion_exponent(fld.conductor, 2), moebius_compose, MoebiusMap.identity(fld)
-    )
+    a, b, c, d = m.entries()
+    inv = m.det().inverse()
+    bc, t = b * c, (a + d) * inv
+    return linear_order((((a * a + bc) * inv, b * t), (c * t, (d * d + bc) * inv)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A resonance is an exact identity lambda_s = lambda^Q among the linear-part
 eigenvalues with |Q| >= 2.  Normalization removes every nonresonant monomial
 degree by degree, conjugating with Id + P_k where P_k solves the homological
 equation; the resonant/nonresonant split is exact field equality, never
-numeric.
+numeric.  The eigenvalues are read off the diagonal of the jet's integer
+linear part (`jetform.LinearPart.diagonal`), with no matrix of `CycloNum`s.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .jets import (
     grlex_key,
     invert,
     iter_multiindices,
-    mat_is_diagonal,
 )
 
 
@@ -106,11 +106,11 @@ def homological_step(
     return h, invert(h)
 
 
-def _diagonal_eigenvalues(f: GermJet) -> list[CycloNum]:
-    lin = f.linear_matrix()
-    if not mat_is_diagonal(lin):
+def _diagonal_eigenvalues(f: GermJet) -> tuple[CycloNum, ...]:
+    eigenvalues = f._linear_part().diagonal()
+    if eigenvalues is None:
         raise DiagonalLinearPartError("linear part must be diagonal")
-    return [lin[i][i] for i in range(f.n)]
+    return eigenvalues
 
 
 def poincare_dulac_normalize(f: GermJet) -> NormalizationResult:

@@ -20,6 +20,7 @@ from germforge.cyclo import (
 )
 from germforge.documents import DocumentError, parse_document
 from germforge.groupkit import check_basic_set, closure_enumerate
+from germforge.jetform import LinearPart
 from germforge.jets import (
     GermJet,
     ShapeMismatchError,
@@ -30,9 +31,6 @@ from germforge.jets import (
     invert,
     linear_order,
     mat_det,
-    mat_identity,
-    mat_inv,
-    mat_mul,
     power,
 )
 
@@ -203,7 +201,8 @@ def test_linear_part_of_composition_is_product():
     for _ in range(20):
         f = random_jet(rng, F4, 2, 3)
         g = random_jet(rng, F4, 2, 3)
-        assert compose(f, g).linear_matrix() == mat_mul(f.linear_matrix(), g.linear_matrix())
+        product = reference_mat_mul(f.linear_matrix(), g.linear_matrix())
+        assert compose(f, g).linear_matrix() == product
 
 
 # --- conjugation -----------------------------------------------------------------
@@ -351,14 +350,19 @@ def m2(fld, rows):
     return tuple(tuple(fld.from_rational(x) for x in r) for r in rows)
 
 
+def identity_matrix(fld, n):
+    one, zero = fld.one(), fld.zero()
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
 def test_linear_order_identity():
-    assert linear_order(mat_identity(F1, 2)).order == 1
+    assert linear_order(identity_matrix(F1, 2)).order == 1
 
 
 def test_linear_order_bc_infinite_certificate():
     b = m2(F1, [[Fraction(-1, 2), 1], [Fraction(3, 4), Fraction(1, 2)]])
     c = m2(F1, [[Fraction(-1, 2), 2], [Fraction(3, 8), Fraction(1, 2)]])
-    bc = mat_mul(b, c)
+    bc = reference_mat_mul(b, c)
     assert bc == m2(F1, [[Fraction(5, 8), Fraction(-1, 2)], [Fraction(-3, 16), Fraction(7, 4)]])
     res = linear_order(bc)
     assert res.is_infinite
@@ -369,16 +373,16 @@ def test_linear_order_bc_infinite_certificate():
 def test_linear_order_ab_is_three():
     a = m2(F1, [[1, 0], [0, -1]])
     b = m2(F1, [[Fraction(-1, 2), 1], [Fraction(3, 4), Fraction(1, 2)]])
-    ab = mat_mul(a, b)
+    ab = reference_mat_mul(a, b)
     assert linear_order(ab).order == 3
     # power-iteration oracle
     cur = ab
     found = None
     for m in range(1, 10):
-        if cur == mat_identity(F1, 2):
+        if cur == identity_matrix(F1, 2):
             found = m
             break
-        cur = mat_mul(cur, ab)
+        cur = reference_mat_mul(cur, ab)
     assert found == 3
 
 
@@ -395,7 +399,7 @@ def test_linear_order_diagonal_lcm():
 
 def test_linear_order_matches_power_iteration_on_random_finite():
     rng = random.Random(59)
-    ident = mat_identity(F1, 2)
+    ident = identity_matrix(F1, 2)
     finite_samples = [
         m2(F1, [[0, -1], [1, 0]]),
         m2(F1, [[0, -1], [1, -1]]),
@@ -410,13 +414,13 @@ def test_linear_order_matches_power_iteration_on_random_finite():
             if cur == ident:
                 oracle = m
                 break
-            cur = mat_mul(cur, a)
+            cur = reference_mat_mul(cur, a)
         assert res.order == oracle
     # conjugated copies keep the order
     for a in finite_samples:
         h = m2(F1, [[1, rng.randint(-3, 3)], [0, 1]])
         h_inv = m2(F1, [[1, -h[0][1].as_rational()], [0, 1]])
-        conj = mat_mul(mat_mul(h, a), h_inv)
+        conj = reference_mat_mul(reference_mat_mul(h, a), h_inv)
         assert linear_order(conj).order == linear_order(a).order
 
 
@@ -559,7 +563,7 @@ def test_mat_det_inverts_every_pivot_but_the_last(n, monkeypatch):
 
 def test_elimination_takes_no_norm_for_the_determinant_of_the_last_pivot(monkeypatch):
     """On a fixed 4 x 4 matrix over Q(zeta_5), `mat_det` divides by the two
-    inner pivots and never by the last one, and `mat_inv` divides by the
+    inner pivots and never by the last one, and `_int_inv` divides by the
     three inner pivots and then by the last; one of the first two pivots and
     two of the last three lie outside Q, so each needs a norm."""
     z = field(5).zeta()
@@ -573,7 +577,7 @@ def test_elimination_takes_no_norm_for_the_determinant_of_the_last_pivot(monkeyp
     assert jets.mat_det(a) == det
     assert sum(calls) == 1
     calls.clear()
-    assert jets.mat_inv(a) == inv
+    assert jets._int_inv(field(5), 4, jets._int_form(a)) == jets._int_form(inv)
     assert sum(calls) == 3
 
 
@@ -626,7 +630,7 @@ def reference_det(a):
 def reference_inv(a):
     n = len(a)
     fld = a[0][0].field
-    rows = [list(r) + list(mat_identity(fld, n)[i]) for i, r in enumerate(a)]
+    rows = [list(r) + list(identity_matrix(fld, n)[i]) for i, r in enumerate(a)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
         if pivot is None:
@@ -646,7 +650,7 @@ def reference_char_poly(a):
     n = len(a)
     fld = a[0][0].field
     coeffs = [fld.zero()] * n + [fld.one()]
-    m = mat_identity(fld, n)
+    m = identity_matrix(fld, n)
     for k in range(1, n + 1):
         m = reference_mat_mul(a, m)
         tr = sum((m[i][i] for i in range(1, n)), m[0][0])
@@ -659,7 +663,7 @@ def reference_char_poly(a):
 def reference_linear_order(a):
     fld, n = a[0][0].field, len(a)
     return element_order(a, torsion_exponent(fld.conductor, n), reference_mat_mul,
-                         mat_identity(fld, n))
+                         identity_matrix(fld, n))
 
 
 KERNEL_CONDUCTORS = [1, 3, 4, 5, 9, 12]
@@ -691,21 +695,23 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_kernel_matches_the_reference(case):
     a, b, c = case
-    fld, n = a[0][0].field, len(a)
-    assert mat_mul(a, a) == reference_mat_mul(a, a)
-    assert mat_mul(b, c) == reference_mat_mul(b, c)  # n x k times k x n
-    assert mat_mul(c, b) == reference_mat_mul(c, b)
+    fld, n, k = a[0][0].field, len(a), len(b[0])
+    form = jets._int_form
+    assert jets._int_mul(fld, n, n, form(a), form(a)) == form(reference_mat_mul(a, a))
+    # n x k times k x n, and k x n times n x k
+    assert jets._int_mul(fld, k, n, form(b), form(c)) == form(reference_mat_mul(b, c))
+    assert jets._int_mul(fld, n, k, form(c), form(b)) == form(reference_mat_mul(c, b))
     det = mat_det(a)
     assert det == reference_det(a)
     assert char_poly(a) == reference_char_poly(a)
     assert char_poly(a)[0] == det * (-1) ** n
     if det.is_zero():
         with pytest.raises(ZeroDivisionError):
-            mat_inv(a)
+            jets._int_inv(fld, n, form(a))
     else:
-        inv = mat_inv(a)
-        assert inv == reference_inv(a)
-        assert mat_mul(a, inv) == mat_identity(fld, n)
+        inv = jets._int_inv(fld, n, form(a))
+        assert inv == form(reference_inv(a))
+        assert jets._int_mul(fld, n, n, form(a), inv) == (1, jets._int_identity(fld.degree, n))
 
 
 @st.composite
@@ -780,7 +786,7 @@ def test_linear_order_matches_the_reference(case, row):
     if n > 1:  # a shear may give finite or infinite order; both sides must agree
         shear = tuple(tuple(fld.one() if i == j or (i, j) == (0, 1) else fld.zero()
                             for j in range(n)) for i in range(n))
-        sheared = mat_mul(a, shear)
+        sheared = reference_mat_mul(a, shear)
         assert linear_order(sheared) == reference_linear_order(sheared)
 
 
@@ -799,8 +805,9 @@ def held_linear_parts(draw):
         return fld, a
     corner = fld.from_rational(draw(st.integers(-2, 2)) if factor == "shear" else Fraction(1, 2))
     cell = (0, 1) if factor == "shear" else (0, 0)
-    return fld, mat_mul(a, tuple(tuple(corner if (i, j) == cell else fld.one() if i == j
-                                       else fld.zero() for j in range(n)) for i in range(n)))
+    return fld, reference_mat_mul(a, tuple(tuple(
+        corner if (i, j) == cell else fld.one() if i == j else fld.zero() for j in range(n))
+        for i in range(n)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -820,6 +827,29 @@ def test_linear_part_keeps_the_kernel_facts_of_its_form(case):
     assert facts[0] == linear_order(a) and facts[1] == char_poly(a)
     assert jets._int_mul(fld, n, n, part.form, facts[2]) == (1, jets._int_identity(fld.degree, n))
     assert all(x is y for x, y in zip(facts, (part.order(), part.char_poly(), part.inverse())))
+
+
+def reference_is_diagonal(a):
+    """Whether the matrix of `CycloNum`s a has zero entries off the diagonal."""
+    return all(a[i][j].is_zero() for i in range(len(a)) for j in range(len(a)) if i != j)
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_parts(), st.booleans())
+@example(((field(4).one(), field(4).zero()), (field(4).zero(), field(4).zero())), False)
+def test_linear_part_diagonal_matches_the_entry_check(a, clear_off_diagonal):
+    """`LinearPart.diagonal()` reads the diagonal off the integer form exactly
+    when the `CycloNum` matrix has zero entries off the diagonal; singular
+    matrices included."""
+    fld, n = a[0][0].field, len(a)
+    if clear_off_diagonal:
+        a = tuple(tuple(x if i == j else fld.zero() for j, x in enumerate(row))
+                  for i, row in enumerate(a))
+    diagonal = LinearPart(fld, n, jets._int_form(a)).diagonal()
+    if reference_is_diagonal(a):
+        assert diagonal == tuple(a[i][i] for i in range(n))
+    else:
+        assert diagonal is None
 
 
 def test_orders_and_invariants_run_no_field_multiplication(monkeypatch):
@@ -922,7 +952,7 @@ def reference_power(f, m):
     if m < 0:
         return reference_power(reference_invert(f), -m)
     if m == 0:
-        return GermJet.from_linear(mat_identity(f.field, f.n), f.K)
+        return GermJet.from_linear(identity_matrix(f.field, f.n), f.K)
     return binary_power(f, m, reference_compose)
 
 
@@ -1012,7 +1042,7 @@ def test_the_denominator_is_part_of_the_value():
     assert not half.is_identity() and half != GermJet.identity(F3, 2, 2)
     assert germ_order(half).is_infinite
     f = jet(F1, 1, 2, [(0, (1,), 1), (0, (2,), Fraction(1, 2))])
-    assert f.den == 2 and f.linear_matrix() == mat_identity(F1, 1)
+    assert f.den == 2 and f.linear_matrix() == identity_matrix(F1, 1)
     assert f.infinite_order_screen() == "tangent to the identity with a nonzero nonlinear slice"
     assert germ_order(f).certificate == "f^1 is tangent to identity with a nonzero nonlinear slice"
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from germforge import cli, groupkit, moebius as moebius_module
-from germforge.cyclo import cyclotomic_polynomial, field
+from germforge.cyclo import OrderResult, cyclotomic_polynomial, field
 from germforge.groupkit import (
     ClosureResult,
     GroupPresentation,
@@ -286,6 +286,13 @@ def test_non_square_discriminant_is_unresolved_without_the_numeric_search(monkey
     verdict = holonomy_check([m, m, m])
     assert verdict.finite_cyclic == "unresolved"
     assert "no square root of -3*z^2" in verdict.detail
+
+
+@pytest.mark.parametrize("n", [420, 1000])
+def test_conjugated_rotation_has_order_three_at_large_conductors(n):
+    # by powers of the map, each product renormalized by a field inverse,
+    # this took seconds at N = 420 and minutes at N = 1000
+    assert conjugated_r3(n).order() == OrderResult("finite", order=3)
 
 
 def test_square_discriminant_still_resolves():

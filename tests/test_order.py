@@ -6,7 +6,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from germforge import corpus, cyclo, jets
 from germforge.cyclo import (
@@ -18,8 +18,23 @@ from germforge.cyclo import (
     torsion_exponent,
 )
 from germforge.groupkit import GroupPresentation, evaluate_word
-from germforge.jets import GermJet, conjugate, germ_order, linear_order, mat_identity, mat_mul
+from germforge.cyclo import euler_phi
+from germforge.jets import GermJet, conjugate, germ_order, linear_order
 from germforge.moebius import MoebiusMap, moebius_compose, moebius_order
+
+
+def identity_matrix(fld, n):
+    one, zero = fld.one(), fld.zero()
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def reference_mat_mul(a, b):
+    """a times b, entry by entry in `CycloNum` arithmetic."""
+    n, m, k = len(a), len(b[0]), len(b)
+    return tuple(
+        tuple(sum((a[i][t] * b[t][j] for t in range(1, k)), a[i][0] * b[0][j]) for j in range(m))
+        for i in range(n)
+    )
 
 
 # --- the exponent -------------------------------------------------------------
@@ -41,6 +56,28 @@ def test_torsion_exponent_table(conductor, row):
 @pytest.mark.parametrize("conductor", [1, 2, 3, 5, 8, 12])
 def test_torsion_exponent_of_scalars_is_lcm_2_n(conductor):
     assert torsion_exponent(conductor, 1) == math.lcm(2, conductor)
+
+
+def scan_torsion_exponent(conductor, n):
+    """The reference: the lcm of the multiples L of N with phi(L) <= n*phi(N),
+    scanned up to 2*(n*phi(N))^2, as `torsion_exponent` scanned before it
+    bounded the cofactor L/N by 2n^2."""
+    budget = n * euler_phi(conductor)
+    limit = 2 * budget * budget
+    return math.lcm(
+        *(L for L in range(conductor, limit + 1, conductor) if euler_phi(L) <= budget)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_torsion_exponent_matches_the_scan(n):
+    for conductor in range(1, 121):
+        assert torsion_exponent(conductor, n) == scan_torsion_exponent(conductor, n)
+
+
+@pytest.mark.parametrize("conductor, n", [(997, 2), (1000, 2), (420, 3), (256, 5), (30, 8)])
+def test_torsion_exponent_matches_the_scan_at_spot_values(conductor, n):
+    assert torsion_exponent(conductor, n) == scan_torsion_exponent(conductor, n)
 
 
 def test_torsion_exponent_is_computed_once_per_conductor_and_dimension(monkeypatch):
@@ -115,9 +152,9 @@ def monomial_matrices(draw, dims=st.integers(1, 3)):
     a = tuple(map(tuple, rows))
     if n > 1 and draw(st.booleans()):
         i, j = draw(st.permutations(range(n)))[:2]
-        shear = [list(r) for r in mat_identity(fld, n)]
+        shear = [list(r) for r in identity_matrix(fld, n)]
         shear[i][j] = fld.zeta(draw(st.integers(0, fld.conductor - 1))) * draw(st.sampled_from([1, 2, -3]))
-        a = mat_mul(a, tuple(map(tuple, shear)))
+        a = reference_mat_mul(a, tuple(map(tuple, shear)))
     return fld, n, a
 
 
@@ -140,7 +177,7 @@ def test_linear_order_matches_the_scan(case):
        st.sampled_from([1, -1, 2]))
 def test_shears_have_infinite_order_as_in_the_scan(conductor, n, k, c):
     fld = field(conductor)
-    shear = [list(r) for r in mat_identity(fld, n)]
+    shear = [list(r) for r in identity_matrix(fld, n)]
     shear[0][n - 1] = fld.zeta(k) * c
     a = tuple(map(tuple, shear))
     mul, identity = int_matrix_group(fld, n)
@@ -156,6 +193,65 @@ def test_moebius_order_matches_the_scan(case):
     m = MoebiusMap(a)
     want = scan_order(m, torsion_exponent(fld.conductor, 2), moebius_compose, MoebiusMap.identity(fld))
     assert moebius_order(m) == want
+
+
+def reference_moebius_order(m):
+    """The reference: the order by powers of the map itself, each product
+    through `moebius_compose`, as `moebius_order` worked before it read the
+    order off A^2 / det(A) on the integer kernel."""
+    fld = m.field
+    return element_order(m, torsion_exponent(fld.conductor, 2), moebius_compose,
+                         MoebiusMap.identity(fld))
+
+
+@st.composite
+def moebius_cases(draw):
+    """(kind, map) over N in {1, 3, 4, 5, 8, 12}: c * H D H^-1 for a nonzero
+    c = +-zeta^k * (a/b), H a product of shears I + c E_ij (`random_shears`)
+    and D scalar, parabolic [[1, x], [0, 1]], diag(1, -1), a rotation
+    diag(zeta^i, zeta^j), or any invertible matrix of small entries."""
+    fld = field(draw(st.sampled_from([1, 3, 4, 5, 8, 12])))
+    N = fld.conductor
+
+    def unit():
+        return fld.zeta(draw(st.integers(0, N - 1))) * draw(st.sampled_from([1, -1]))
+
+    one, zero = fld.one(), fld.zero()
+    kind = draw(st.sampled_from(["scalar", "parabolic", "order-2", "rotation", "any"]))
+    if kind == "scalar":
+        d = ((one, zero), (zero, one))
+    elif kind == "parabolic":
+        d = ((one, unit() * draw(st.sampled_from([1, 2, -3]))), (zero, one))
+    elif kind == "order-2":
+        d = ((one, zero), (zero, -one))
+    elif kind == "rotation":
+        d = ((unit(), zero), (zero, unit()))
+    else:
+        entries = [fld.element([draw(st.integers(-2, 2)) for _ in range(fld.degree)])
+                   for _ in range(4)]
+        d = ((entries[0], entries[1]), (entries[2], entries[3]))
+        assume(not (d[0][0] * d[1][1] - d[0][1] * d[1][0]).is_zero())
+    h, h_inv = random_shears(random.Random(draw(st.integers(0, 2**32))), fld, 2,
+                             count=draw(st.integers(0, 3)))
+    c = unit() * fld.rational(draw(st.sampled_from([1, 2, -3])), draw(st.integers(1, 3)))
+    a = reference_mat_mul(reference_mat_mul(h, d), h_inv)
+    return kind, MoebiusMap(tuple(tuple(x * c for x in row) for row in a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(moebius_cases())
+def test_moebius_order_matches_the_order_by_map_powers(case):
+    kind, m = case
+    res = moebius_order(m)
+    assert res == reference_moebius_order(m)
+    if kind == "scalar":
+        assert (res.kind, res.order) == ("finite", 1)
+    elif kind == "parabolic":
+        assert res.is_infinite
+    elif kind == "order-2":
+        assert (res.kind, res.order) == ("finite", 2)
+    elif kind == "rotation":
+        assert res.kind == "finite"
 
 
 @settings(max_examples=80, deadline=None)
@@ -269,22 +365,22 @@ def random_shears(rng, fld, n, count=3):
 
     Each shear's inverse is I - c E_ij, so no field inverse is computed.
     """
-    h = h_inv = mat_identity(fld, n)
+    h = h_inv = identity_matrix(fld, n)
     for _ in range(count):
         i, j = rng.sample(range(n), 2)
         c = fld.zeta(rng.randrange(fld.conductor)) * rng.choice([-2, -1, 1, 2])
-        shear, unshear = ([list(r) for r in mat_identity(fld, n)] for _ in range(2))
+        shear, unshear = ([list(r) for r in identity_matrix(fld, n)] for _ in range(2))
         shear[i][j], unshear[i][j] = c, -c
-        h = mat_mul(h, tuple(map(tuple, shear)))
-        h_inv = mat_mul(tuple(map(tuple, unshear)), h_inv)
+        h = reference_mat_mul(h, tuple(map(tuple, shear)))
+        h_inv = reference_mat_mul(tuple(map(tuple, unshear)), h_inv)
     return h, h_inv
 
 
 def conjugated(rng, fld, n, jordan=False):
     d, order = random_diagonal_part(rng, fld, n, jordan)
     h, h_inv = random_shears(rng, fld, n)
-    assert mat_mul(h, h_inv) == mat_identity(fld, n)
-    return mat_mul(mat_mul(h, d), h_inv), order
+    assert reference_mat_mul(h, h_inv) == identity_matrix(fld, n)
+    return reference_mat_mul(reference_mat_mul(h, d), h_inv), order
 
 
 @pytest.mark.parametrize("conductor", [1, 3, 4, 12])
