@@ -46,9 +46,11 @@ EXIT_INPUT = 2
 EXIT_LIMIT = 3
 
 # Upper limits of --witness-bound and --closure-cap.  The witness ball of an
-# infinite group grows about 2.2x per letter (the unipotent pair
-# (x + y, y), (x, x + y) over Q takes 2.4 s at bound 11), and a closure holds
-# every element it lists.
+# infinite group grows faster the more distinct letters it has: about 2.2x per
+# letter on the unipotent pair (x + y, y), (x, x + y) over Q (2.4 s at bound
+# 11), about 3.2x on the five over Q [[1,1],[0,1]], [[1,0],[1,1]], [[2,-1],[1,0]],
+# [[0,1],[-1,2]], [[1,2],[0,1]] (`check_basic_set`: 0.4 s at bound 6, 4.1 s at
+# bound 8; 2-vCPU host, Python 3.11.7).  A closure holds every element it lists.
 MAX_WITNESS_BOUND = 10
 MAX_CLOSURE_CAP = 100_000
 

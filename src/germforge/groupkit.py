@@ -24,8 +24,7 @@ group keeps the right-multiplication table that its BFS recorded, so
 from __future__ import annotations
 
 import math
-from collections import deque
-from itertools import count, groupby
+from itertools import groupby
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional, Protocol
 
@@ -208,12 +207,13 @@ def bfs_ball(
 
     Letters are (token, value) pairs explored in list order; FIFO expansion
     yields, per element, the shortest and then lexicographically least word.
-    Elements are expanded in the order they were listed.  `stop(new, parent,
-    letter)` is called on each new element after the identity, with the
-    element it was composed from and the (token, value) letter:
-    new = parent o value.  The ball then grows only until it is true and ends
-    with that element, a prefix of the full ball in the same order.  Without
-    `stop`, or when it is never true, the whole depth-`depth` ball is built.
+    Elements are expanded in the order they were listed.  `stop(new, index,
+    parent, letter)` is called on each new element after the identity, with
+    its ball index, the ball index of the element it was composed from and the
+    (token, value) letter: ball[index] is new = ball[parent] o value.  The
+    ball then grows only until it is true and ends with that element, a prefix
+    of the full ball in the same order.  Without `stop`, or when it is never
+    true, the whole depth-`depth` ball is built.
 
     A list `table` receives the ball's Cayley graph as it is built: expanding
     the i-th element appends, per letter k, the ball index of
@@ -222,27 +222,25 @@ def bfs_ball(
     the frontier emptied: the ball is then the whole group the letters
     generate and the table its right-multiplication table.
     """
-    order = [(identity, ())]
-    seen = {identity: 0}  # element -> its index in `order`
-    frontier = list(order)
+    ball = [(identity, ())]
+    seen = {identity: 0}  # element -> its ball index
+    end = 0
     for _ in range(depth):
-        nxt = []
-        for elem, word in frontier:
+        start, end = end, len(ball)  # the frontier: the elements the last level listed
+        if start == end:
+            break
+        for parent in range(start, end):
+            elem, word = ball[parent]
             for letter in letters:
                 new = compose_fn(elem, letter[1])
-                index = seen.setdefault(new, len(order))
+                index = seen.setdefault(new, len(ball))
                 if table is not None:
                     table.append(index)
-                if index == len(order):
-                    entry = (new, word + (letter[0],))
-                    order.append(entry)
-                    nxt.append(entry)
-                    if stop is not None and stop(new, elem, letter):
-                        return order
-        if not nxt:
-            break
-        frontier = nxt
-    return order
+                if index == len(ball):
+                    ball.append((new, word + (letter[0],)))
+                    if stop is not None and stop(new, index, parent, letter):
+                        return ball
+    return ball
 
 
 def _distinct_letters(g: GroupPresentation):
@@ -309,8 +307,10 @@ def _conjugacy(g: GroupPresentation, pairs, bound: int) -> tuple[dict, list]:
     each listed pair and the list of distinct answers.
 
     The listed generators are indexed by distinct element once, and each pair
-    of distinct elements is answered once, for the first listed pair naming
-    it.  A supplied witness is verified instead of searched.  Pre-screens can
+    of elements is answered once.  Every supplied witness of the presentation
+    is verified on its own pair first, whether or not a listed pair reads it;
+    a pair of distinct elements then takes the first supplied word among the
+    listed pairs naming it, instead of a search.  Pre-screens can
     disprove conjugacy outright (order or characteristic polynomial mismatch;
     commuting generators generate an abelian group, where conjugacy is
     equality).  The pairs left share one word ball, `_ball_witnesses`, whose
@@ -321,19 +321,20 @@ def _conjugacy(g: GroupPresentation, pairs, bound: int) -> tuple[dict, list]:
     index: dict = {}  # distinct element -> its slot, in listing order
     slot = [index.setdefault(x, len(index)) for x in g.elements]
     distinct = list(index)
-    first: dict = {}  # (slot of f_i, slot of f_j) -> the first pair (i, j) naming it
-    for i, j in pairs:
-        first.setdefault((slot[i], slot[j]), (i, j))
+    for (i, j), word in g.witnesses.items():
+        if not _conjugates(evaluate_word(g, word), distinct[slot[i]], distinct[slot[j]]):
+            raise ValueError(f"supplied witness {word!r} fails for pair ({i}, {j})")
+    # (slot of f_i, slot of f_j) -> the supplied word of the first listed pair naming it
+    supplied = {(slot[i], slot[j]): g.witnesses[i, j]
+                for i, j in reversed(pairs) if (i, j) in g.witnesses}
+    keys = dict.fromkeys((slot[i], slot[j]) for i, j in pairs)  # each slot pair once, in order
     answers: dict = {}
-    for (a, b), (i, j) in first.items():
-        supplied = g.witnesses.get((i, j)) if i != j else None
-        if supplied is not None:
-            if not _conjugates(evaluate_word(g, supplied), distinct[a], distinct[b]):
-                raise ValueError(f"supplied witness {supplied!r} fails for pair ({i}, {j})")
-            answers[a, b] = WitnessResult("witness", word=supplied)
+    for a, b in keys:
+        if a != b and (a, b) in supplied:
+            answers[a, b] = WitnessResult("witness", word=supplied[a, b])
         elif (screened := _conjugation_prescreen(distinct[a], distinct[b])) is not None:
             answers[a, b] = screened
-    pending = [key for key in first if key not in answers]
+    pending = [key for key in keys if key not in answers]
     if pending and _generators_commute(distinct):
         reason = "commuting-generators: abelian group, conjugacy is equality"
         answers.update((key, WitnessResult("disproved", reason=reason)) for key in pending)
@@ -350,16 +351,18 @@ def _ball_witnesses(g: GroupPresentation, distinct: list, slot: list, pending: l
     witness within `bound` letters makes the ball the full one and is
     reported unresolved.
 
-    The test composes nothing.  A new element w = u o y, with u the element
-    being expanded and y the letter, conjugates f_b to f_a exactly when
+    The test composes nothing.  A new element w = u o y, with u its parent
+    and y the letter, conjugates f_b to f_a exactly when
     u^{-1} f_a u = y f_b y^{-1}, and both sides are held:
 
     - y f y^{-1} once per letter y and pending generator f; it is f itself
       when y is f or f^{-1}.
-    - u^{-1} f u for the element u being expanded and each f still pending
-      on the left, two composes from the value of u's parent p, with u = p o y:
+    - u^{-1} f u per expanded element u, keyed by its ball index, for each
+      f still pending on the left; computed when u is first a parent, by two
+      composes from the value of u's parent p, with u = p o y:
       y^{-1} (p^{-1} f p) y.  At level 1 (p the identity) it is the held
-      conjugate by y^{-1}.
+      conjugate by y^{-1}.  p's value is dropped once its last child has
+      its own.
 
     They live only for this call; the ball and its exact equality test are
     those of a search that composes w with each pair, so every word is too.
@@ -386,33 +389,27 @@ def _ball_witnesses(g: GroupPresentation, distinct: list, slot: list, pending: l
 
     ident = g.identity()
     found: dict = {}  # pair -> ball index of its witness
-    positions = count(1)  # `stop` sees the ball's elements from index 1 on
-    # the element being expanded and its u^{-1} f u, per slot still pending on the left
-    expanding, values = ident, {a: distinct[a] for a, _ in pending}
-    # per listed element not yet expanded, in ball order: the element, its
-    # parent's u^{-1} f u (None for the identity) and its letter
-    queue: deque = deque()
+    steps: list = [None]  # per ball index: its parent's index and its letter
+    # per expanded ball index u: its u^{-1} f u, per slot pending on the left when u was expanded
+    lefts = {0: {a: distinct[a] for a, _ in pending}}
 
-    def answered(w, u, letter) -> bool:
-        nonlocal expanding, values
-        if u is not expanding:
-            # elements are expanded in ball order; one with no new product
-            # never reaches `stop` as a parent, and its entry is dropped
-            while queue[0][0] is not u:
-                queue.popleft()
-            _, parent_values, (token, y) = queue.popleft()
+    def answered(_new, index, parent, letter) -> bool:
+        steps.append((parent, letter))
+        values = lefts.get(parent)
+        if values is None:
+            grandparent, (token, y) = steps[parent]
             inv = inverse[token]
             left = {a for a, _ in pending}
-            if parent_values is None:
+            if grandparent == 0:
                 values = {a: conjugate(inv, a) for a in left}
             else:
-                values = {a: inv[1].compose(parent_values[a]).compose(y) for a in left}
-            expanding = u
-        queue.append((w, None if u is ident else values, letter))
-        position = next(positions)
+                values = {a: inv[1].compose(lefts[grandparent][a]).compose(y) for a in left}
+            lefts[parent] = values
+            if steps[parent + 1][0] != grandparent:  # the last sibling: siblings are contiguous
+                del lefts[grandparent]
         for a, b in pending:
             if values[a] == conjugate(letter, b):
-                found[a, b] = position
+                found[a, b] = index
         pending[:] = [key for key in pending if key not in found]
         return not pending
 
@@ -544,12 +541,11 @@ def closure_enumerate(g: GroupPresentation, cap: int = DEFAULT_CLOSURE_CAP) -> C
     ident = g.identity()
     letters = _distinct_letters(g)
     products: list[int] = []
-    sizes = count(2)  # `stop` sees the ball's elements from the second on
     # every BFS level adds an element, so a group of at most `cap` elements
     # closes within depth `cap`, and a larger one passes the cap first
     ball = bfs_ball(ident, letters, cap, type(ident).compose, table=products,
-                    stop=lambda x, _parent, _letter: x.infinite_order_screen() is not None
-                    or next(sizes) > cap)
+                    stop=lambda x, index, _parent, _letter: x.infinite_order_screen() is not None
+                    or index >= cap)
     if len(products) == len(ball) * len(letters):  # the frontier emptied
         ranks = sorted(range(len(ball)), key=lambda i: ball[i][0].canonical_key())
         elements = tuple(ball[i][0] for i in ranks)

@@ -113,6 +113,35 @@ def test_witnesses_that_are_not_a_list_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: witnesses: must be a list")
 
 
+def ex21_with_witnesses(tmp_path, witnesses) -> str:
+    """ex-2-1 with only the given witnesses and no `expected` block."""
+    doc = json.loads((CORPUS_DIR / "ex-2-1.json").read_text())
+    del doc["expected"]
+    doc["witnesses"] = [{"pair": pair, "word": word} for pair, word in witnesses]
+    path = tmp_path / "ex.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("pair", [["f1", "f5"], ["f2", "f5"], ["f5", "f1"]])
+def test_wrong_supplied_witness_exits_2_on_any_pair(tmp_path, capsys, pair):
+    # f2 equals f1, so (f2, f5) is not the first pair naming its elements, and
+    # check-basic-set lists no pair (i, j) with i > j; f6^3 conjugates none of them
+    path = ex21_with_witnesses(tmp_path, [(pair, "f6^3")])
+    assert cli.main(["check-basic-set", path]) == cli.EXIT_INPUT
+    i, j = (int(name[1:]) - 1 for name in pair)
+    assert capsys.readouterr().err == f"error: supplied witness 'f6^3' fails for pair ({i}, {j})\n"
+
+
+def test_witness_supplied_on_a_later_pair_answers_its_elements(tmp_path, capsys):
+    # the corpus witness of (f1, f5), given on (f2, f5) alone: both pairs name
+    # the same elements and take it, where a search finds a shorter word
+    path = ex21_with_witnesses(tmp_path, [(["f2", "f5"], "f1^4*f5*f1")])
+    assert cli.main(["check-basic-set", path, "--format", "json"]) == cli.EXIT_OK
+    pairs = json.loads(capsys.readouterr().out)["verdict"]["pairs"]
+    assert pairs["f1,f5"] == pairs["f2,f5"] == {"status": "witness", "word": "f1^4*f5*f1"}
+
+
 def test_closure_cap_exceeded_exits_3(capsys):
     path = str(CORPUS_DIR / "prop-5-1-2-abelian.json")
     assert cli.main(["closure", path, "--closure-cap", "10", "--format", "json"]) == cli.EXIT_LIMIT

@@ -383,8 +383,9 @@ def test_held_conjugates_match_the_reference_on_a_fully_walked_ball():
 
 def test_held_conjugates_skip_elements_with_no_new_product():
     # in the ball of Ji, U, L and N over Q(zeta_4), some elements have no new
-    # product; the next element expanded must still hold its own conjugates,
-    # or pairs (1, 2) and (2, 1) are answered by words that do not conjugate them
+    # product and are never a parent; each element expanded must still read
+    # its own conjugates, held under its ball index, or pairs (1, 2) and (2, 1)
+    # are answered by words that do not conjugate them
     g = GroupPresentation(tuple(
         (f"g{k}", linear_jet(F4, POOL[name])) for k, name in enumerate(["Ji", "U", "L", "N"])
     ))
@@ -459,9 +460,12 @@ def test_ball_stops_at_the_last_answer():
     pending = [(g.elements[0], g.elements[10]), (g.elements[0], g.elements[11])]
     seen = []
 
-    def stop(w, parent, letter):
-        # the new element is its parent composed with the letter's value
-        assert w == parent.compose(letter[1]) and letter in groupkit._distinct_letters(g)
+    def stop(w, index, parent, letter):
+        # the new element is its parent composed with the letter's value;
+        # `seen` holds the ball from index 1 on
+        assert index == len(seen) + 1 and parent < index
+        u = seen[parent - 1] if parent else g.identity()
+        assert w == u.compose(letter[1]) and letter in groupkit._distinct_letters(g)
         seen.append(w)
         pending[:] = [(fi, fj) for fi, fj in pending if not groupkit._conjugates(w, fi, fj)]
         return not pending
@@ -470,6 +474,42 @@ def test_ball_stops_at_the_last_answer():
                     stop=stop)
     assert lazy == full[: len(lazy)] and len(lazy) < len(full)
     assert seen == [w for w, _ in lazy[1:]]
+
+
+def recorded_ball(g, depth, last=None):
+    """The ball of g built with `table=` and a `stop` that records each call
+    and is true at ball index `last`."""
+    ident = g.identity()
+    letters = groupkit._distinct_letters(g)
+    table, calls = [], []
+
+    def stop(new, index, parent, letter):
+        calls.append((new, index, parent, letter))
+        return index == last
+
+    ball = bfs_ball(ident, letters, depth, type(ident).compose, stop=stop, table=table)
+    return ball, letters, table, calls
+
+
+@pytest.mark.parametrize("case", ["closed-pool-group", "ex-2-2"])
+def test_stop_sees_ball_indices(case):
+    if case == "ex-2-2":
+        g = corpus.load("ex-2-2").presentation()
+        ball, letters, table, calls = recorded_ball(g, 6, last=40)
+        assert len(ball) == 41
+    else:
+        # Ji, Di and N over Q(zeta_4) generate the 32 monomial matrices G(4,1,2)
+        g = GroupPresentation(tuple(
+            (f"g{k}", linear_jet(F4, POOL[name])) for k, name in enumerate(["Ji", "Di", "N"])
+        ))
+        ball, letters, table, calls = recorded_ball(g, 32)
+        assert len(ball) == 32 and len(table) == len(ball) * len(letters)  # closed
+    assert [index for _, index, _, _ in calls] == list(range(1, len(ball)))
+    for new, index, parent, letter in calls:
+        k = letters.index(letter)
+        assert ball[index][0] is new
+        assert table[parent * len(letters) + k] == index
+        assert ball[index][1] == ball[parent][1] + (letter[0],)
 
 
 def counting(monkeypatch, name, home=jets):
@@ -707,11 +747,16 @@ def test_closure_block_group_order_18_by_independent_oracle():
 
 
 def test_closure_cap_exceeded():
-    # a finite group of 24 elements: the cap, not a verdict, ends the BFS
-    res = closure_enumerate(corpus.load("prop-5-1-2-abelian").presentation(), cap=10)
-    assert res.status == "cap-exceeded"
-    assert res.count == 11
-    assert res.elements is None and res.word is None and res.table is None
+    # a finite group of 24 elements: below 24 the cap, not a verdict, ends the
+    # BFS once cap + 1 elements are listed; from 24 on the group closes
+    g = corpus.load("prop-5-1-2-abelian").presentation()
+    for cap in range(1, 31):
+        res = closure_enumerate(g, cap=cap)
+        if cap < 24:
+            assert (res.status, res.count) == ("cap-exceeded", cap + 1), cap
+            assert res.elements is None and res.word is None and res.table is None
+        else:
+            assert (res.status, res.count) == ("closed", 24), cap
 
 
 def test_is_cyclic_small_cases():
