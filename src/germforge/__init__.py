@@ -41,7 +41,7 @@ _EXPORTS = {
         "LinearizationFailure", "LinearizationSuccess", "WitnessResult",
         "affine_conjugacy_decide", "check_basic_set", "check_product_identity",
         "closure_enumerate", "evaluate_word", "find_conjugacy_witness", "is_cyclic",
-        "linearize_group", "slice_morphism_report",
+        "linearize_group",
     ),
     "mapform": ("ExtensionRequiredError", "MoebiusMap", "ProjectivePoint"),
     "moebius": (

@@ -8,9 +8,9 @@ Every command takes `--witness-bound`, `--closure-cap`, `--truncation` and
 `--format`; the first two have upper limits.  Exit codes: 0 success (and,
 for `examples run`, verdict matched), 1 verdict mismatch, 2 input error, 3 no
 decision within the bounds or the field (a closure that reached the cap
-without proving the group finite or infinite, unresolved witnesses, an
-unresolved holonomy verdict).  Element orders and the finiteness of a closure
-are decided exactly.
+without proving the group finite or infinite, a basic set with an unresolved
+pair and none disproved, an unresolved holonomy verdict).  Element orders and
+the finiteness of a closure are decided exactly.
 """
 
 from __future__ import annotations
@@ -242,8 +242,7 @@ class Command(NamedTuple):
 COMMANDS = (
     Command("check-basic-set", "verify the two basic-set conditions", _basic_set_payload,
             check="basic_set",
-            limited=lambda v: v["verdict"] == "condition-b-unresolved"
-            and any(p["status"] == "unresolved" for p in v["pairs"].values())),
+            limited=lambda v: v["verdict"] == "condition-b-unresolved"),
     Command("resonances", "enumerate multiplicative resonances", _resonances_payload),
     Command("normalize", "Poincare-Dulac normalization of one generator", _normalize_payload,
             options=(("generator", {"help": "generator name to normalize"}),)),

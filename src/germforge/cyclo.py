@@ -11,9 +11,8 @@ package computes no floating-point value anywhere.
 
 Exact scalars enter as an int or rational (`numbers.Rational`, such as a
 `Fraction`).  `fractions` is imported only where a `Fraction` is returned or
-hashed (`CycloNum.coeffs`, `CycloNum.as_rational` and the hash of a
-non-integer rational element), so importing this module or parsing a
-document does not load it.
+hashed (`CycloNum.coeffs` and the hash of a non-integer rational element),
+so importing this module or parsing a document does not load it.
 
 `_lowest_terms` is the one place for the canonical form (den > 0, gcd 1),
 here and in `jets`, and `CycloField._norm_adjugate` the one place for
@@ -437,9 +436,6 @@ class CycloNum:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_one(self) -> bool:
-        return self.den == 1 and self.num == self.field._one.num
-
     def is_integral(self) -> bool:
         """Whether this is an algebraic integer.
 
@@ -447,14 +443,6 @@ class CycloNum:
         an integral basis of it, so this holds iff the denominator is 1.
         """
         return self.den == 1
-
-    def as_rational(self) -> Optional[Fraction]:
-        """The value as a Fraction when it lies in Q, else None."""
-        if any(self.num[1:]):
-            return None
-        from fractions import Fraction
-
-        return Fraction(self.num[0], self.den)
 
     def sort_key(self) -> "CoefficientOrder":
         """Key that sorts elements by their `coeffs` tuples, on integers."""

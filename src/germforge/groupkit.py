@@ -2,12 +2,11 @@
 
 Covers the two generator conditions (ordered product is the identity;
 generators pairwise conjugate), bounded witness search, the closure and its
-finite/infinite verdict, the degree-slice coefficient morphisms, the affine
-conjugacy criterion, and the simultaneous linearization algorithm for groups
-whose common diagonal linear part has prime-power eigenvalue orders.  Its
-homological steps are `poincare_dulac_normalize`'s, run once per distinct
-generator; given its preconditions it succeeds exactly when the listed
-generators are one jet.
+finite/infinite verdict, the affine conjugacy criterion, and the simultaneous
+linearization algorithm for groups whose common diagonal linear part has
+prime-power eigenvalue orders.  Its homological steps are
+`poincare_dulac_normalize`'s, run once per distinct generator; given its
+preconditions it succeeds exactly when the listed generators are one jet.
 
 The conditions, witness search and closure run on any `GroupElement`: jets
 and Moebius maps alike.  Both conditions cost per distinct generator: the
@@ -36,15 +35,9 @@ from .cyclo import (
     prime_factors,
     root_of_unity_order,
 )
-from .jets import (
-    GermJet,
-    Matrix,
-    MultiIndex,
-    compose,
-    grlex_key,
-    iter_multiindices,
-)
-from .resonance import eigenvalue_power, is_resonant, poincare_dulac_normalize
+# `compose` is read by benchmarks/test_bench.py::test_tracer_leaves_no_patched_function_behind
+from .jets import GermJet, Matrix, compose, grlex_key
+from .resonance import poincare_dulac_normalize
 # the word grammar and the search defaults live in `words`; they are
 # re-exported here, where the searches that use them are
 from .words import (
@@ -445,7 +438,9 @@ class BasicSetReport(NamedTuple):
     product_is_identity: bool
     residual: GroupElement
     conjugacy: dict  # (i, j), i < j -> WitnessResult
-    verdict: str  # "irreducible-verified" | "condition-a-failed" | "condition-b-unresolved"
+    # "condition-a-failed", else "condition-b-failed" when a pair is disproved,
+    # else "irreducible-verified" or "condition-b-unresolved"
+    verdict: str
 
 
 def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) -> BasicSetReport:
@@ -457,6 +452,8 @@ def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) ->
     conjugacy, answers = _conjugacy(g, [(i, j) for i in range(n) for j in range(i + 1, n)], bound)
     if not prod_ok:
         verdict = "condition-a-failed"
+    elif any(r.status == "disproved" for r in answers):
+        verdict = "condition-b-failed"
     elif all(r.found for r in answers):
         verdict = "irreducible-verified"
     else:
@@ -584,7 +581,7 @@ def is_cyclic(closure: ClosureResult) -> Optional[GroupElement]:
 
 
 # ---------------------------------------------------------------------------
-# degree-slice morphisms into (C, +) and Aff(C)
+# affine conjugacy criterion
 
 
 class AffineFamily(NamedTuple):
@@ -594,20 +591,26 @@ class AffineFamily(NamedTuple):
     translations: tuple[CycloNum, ...]
 
 
-class SliceMorphismEntry(NamedTuple):
-    coord: int
-    monomial: MultiIndex
-    resonant: bool
-    # resonant case: phi_(r,Q)(f) = a_(r,Q)/a_r per generator, an additive character
-    phi_values: Optional[tuple[CycloNum, ...]] = None
-    additive_on_pairs: Optional[bool] = None
-    phi_sum: Optional[CycloNum] = None
-    product_forces_zero: Optional[bool] = None
-    # nonresonant case: affine images w -> (lambda_r w + a_(r,Q)) / lambda^Q
-    family: Optional[AffineFamily] = None
-    multiplier_order: Optional[int] = None
-    nominal_order: Optional[int] = None
-    order_differs_from_nominal: Optional[bool] = None
+def affine_conjugacy_decide(family: AffineFamily) -> tuple[bool, str]:
+    """Pairwise conjugacy inside the group generated by w -> eta*w + beta_i.
+
+    True iff the multiplier order has two distinct prime divisors, or it is a
+    prime power and all translations coincide.
+    """
+    ell = root_of_unity_order(family.multiplier)
+    if ell is None or ell <= 1:
+        raise ValueError("multiplier must be a root of unity of order > 1")
+    primes = prime_factors(ell)
+    if len(primes) >= 2:
+        return True, f"multiplier order {ell} has distinct prime divisors {sorted(primes)}"
+    first = family.translations[0]
+    if all(b == first for b in family.translations[1:]):
+        return True, f"multiplier order {ell} is a prime power and all translations are equal"
+    return False, f"multiplier order {ell} is a prime power but translations differ"
+
+
+# ---------------------------------------------------------------------------
+# simultaneous linearization
 
 
 def _prime_power_spectrum(eigenvalues) -> tuple[tuple, Optional[str]]:
@@ -652,105 +655,6 @@ def _shared_diagonal_part(jets) -> tuple[Optional[tuple[CycloNum, ...]], Optiona
     if eigenvalues is None:
         return None, "common linear part is not diagonal"
     return eigenvalues, None
-
-
-def slice_morphism_report(g: GroupPresentation, k: int) -> list[SliceMorphismEntry]:
-    """Per-(coordinate, monomial) analysis of the degree-k coefficients.
-
-    Requires all generators to share one diagonal linear part and to carry no
-    nonlinear terms below degree k.  Resonant monomials yield an additive
-    character on the group (checked on generator pairs) whose total along the
-    listed product must vanish; nonresonant monomials yield a family of
-    affine maps whose multiplier is lambda_r / lambda^Q.
-
-    It stays public though no command calls it: it is the library's only
-    route from a jet presentation to the affine families that
-    `affine_conjugacy_decide` judges, while the `keylemma` command reads its
-    family from the document.
-    """
-    jets = g.elements
-    _, n, _ = g.shape
-    eigenvalues, problem = _shared_diagonal_part(jets)
-    if problem is not None:
-        raise ValueError(problem)
-    for name, j in g.generators:
-        low = [key for key in j.coeffs if 1 < sum(key[1]) < k]
-        if low:
-            raise ValueError(f"generator {name} has nonlinear terms below degree {k}")
-    orders, problem = _prime_power_spectrum(eigenvalues)
-    nominal = math.prod(orders) if problem is None and math.prod(orders) > 1 else None
-    distinct = list(dict.fromkeys(jets))
-    products = {(a, b): compose(a, b) for a in distinct for b in distinct}
-    entries = []
-    for s in range(n):
-        for q in iter_multiindices(n, k):
-            coeffs = [j.coeff(s, q) for j in jets]
-            if is_resonant(eigenvalues, s, q):
-                lam_r = eigenvalues[s]
-                phi = tuple(c / lam_r for c in coeffs)
-                additive = True
-                for a in range(len(jets)):
-                    for b in range(len(jets)):
-                        lhs = products[jets[a], jets[b]].coeff(s, q) / (lam_r * lam_r)
-                        if lhs != phi[a] + phi[b]:
-                            additive = False
-                total = sum(phi[1:], phi[0])
-                entries.append(
-                    SliceMorphismEntry(
-                        coord=s,
-                        monomial=q,
-                        resonant=True,
-                        phi_values=phi,
-                        additive_on_pairs=additive,
-                        phi_sum=total,
-                        product_forces_zero=total.is_zero(),
-                    )
-                )
-            else:
-                lam_q = eigenvalue_power(eigenvalues, q)
-                eta = eigenvalues[s] / lam_q
-                family = AffineFamily(eta, tuple(c / lam_q for c in coeffs))
-                eta_order = root_of_unity_order(eta)
-                entries.append(
-                    SliceMorphismEntry(
-                        coord=s,
-                        monomial=q,
-                        resonant=False,
-                        family=family,
-                        multiplier_order=eta_order,
-                        nominal_order=nominal,
-                        order_differs_from_nominal=(
-                            None if (eta_order is None or nominal is None) else eta_order != nominal
-                        ),
-                    )
-                )
-    return entries
-
-
-# ---------------------------------------------------------------------------
-# affine conjugacy criterion
-
-
-def affine_conjugacy_decide(family: AffineFamily) -> tuple[bool, str]:
-    """Pairwise conjugacy inside the group generated by w -> eta*w + beta_i.
-
-    True iff the multiplier order has two distinct prime divisors, or it is a
-    prime power and all translations coincide.
-    """
-    ell = root_of_unity_order(family.multiplier)
-    if ell is None or ell <= 1:
-        raise ValueError("multiplier must be a root of unity of order > 1")
-    primes = prime_factors(ell)
-    if len(primes) >= 2:
-        return True, f"multiplier order {ell} has distinct prime divisors {sorted(primes)}"
-    first = family.translations[0]
-    if all(b == first for b in family.translations[1:]):
-        return True, f"multiplier order {ell} is a prime power and all translations are equal"
-    return False, f"multiplier order {ell} is a prime power but translations differ"
-
-
-# ---------------------------------------------------------------------------
-# simultaneous linearization
 
 
 class LinearizationSuccess(NamedTuple):

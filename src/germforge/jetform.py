@@ -248,11 +248,11 @@ class GermJet:
     equality compares it and the cached hash is taken from it.
 
     `coeffs` is the read-only mapping of the coefficients as `CycloNum`s,
-    built on first read and cached; `coeff`, `degree_slice` and
-    `linear_matrix()` read the jet through it, and `canonical_key()` reads
-    the integer form.  The constructor checks every key and coefficient and
-    rejects a singular linear part; `_trusted` builds the results of group
-    operations, invertible by construction, without checks.
+    built on first read and cached; `degree_slice` and `linear_matrix()`
+    read the jet through it, and `canonical_key()` reads the integer form.
+    The constructor checks every key and coefficient and rejects a singular
+    linear part; `_trusted` builds the results of group operations,
+    invertible by construction, without checks.
 
     A jet is immutable, so each derived fact is kept once computed: `_lin`
     (the `LinearPart`, which keeps the linear part's integer form, order,
@@ -322,10 +322,6 @@ class GermJet:
         one = fld.one().num
         return cls._trusted(n, K, fld, 1, {(s, unit_index(n, s)): one for s in range(n)})
 
-    @classmethod
-    def from_linear(cls, matrix: Matrix, K: int) -> "GermJet":
-        return cls(len(matrix), K, matrix[0][0].field, _linear_coeffs(matrix))
-
     # -- accessors ---------------------------------------------------------------
 
     @property
@@ -336,9 +332,6 @@ class GermJet:
             self._coeffs = MappingProxyType(
                 {key: fld.from_integers(v, den) for key, v in self.nums.items()})
         return self._coeffs
-
-    def coeff(self, s: int, q: MultiIndex) -> CycloNum:
-        return self.coeffs.get((s, tuple(q)), self.field.zero())
 
     def _linear_part(self) -> LinearPart:
         """The `LinearPart` of this jet, built on first use."""
@@ -373,12 +366,6 @@ class GermJet:
 
     def is_linear(self) -> bool:
         return all(sum(q) == 1 for (_, q) in self.nums)
-
-    def truncate(self, new_k: int) -> "GermJet":
-        if new_k > self.K:
-            raise ValueError("cannot raise truncation order of an existing jet")
-        kept = {key: c for key, c in self.coeffs.items() if sum(key[1]) <= new_k}
-        return GermJet(self.n, new_k, self.field, kept)
 
     def canonical_items(self):
         return sorted(self.coeffs.items(), key=_term_order)
@@ -466,8 +453,3 @@ def _term_order(item) -> tuple:
     """Sort key of a ((coordinate, multi-index), value) item: coordinate, then grlex."""
     (s, q), _ = item
     return (s, grlex_key(q))
-
-
-def _linear_coeffs(matrix: Matrix) -> dict:
-    n = len(matrix)
-    return {(s, unit_index(n, i)): matrix[s][i] for s in range(n) for i in range(n)}

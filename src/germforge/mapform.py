@@ -49,10 +49,6 @@ class ProjectivePoint(NamedTuple):
     def infinity(fld: CycloField) -> "ProjectivePoint":
         return ProjectivePoint(fld.one(), fld.zero())
 
-    @staticmethod
-    def affine(z: CycloNum) -> "ProjectivePoint":
-        return ProjectivePoint(z, z.field.one())
-
     @property
     def is_infinity(self) -> bool:
         return self.v.is_zero()
@@ -92,16 +88,6 @@ class MoebiusMap:
         self._order = None
         self._inverse = None
         self._invariant = None
-
-    @classmethod
-    def scaling(cls, xi: CycloNum) -> "MoebiusMap":
-        one, zero = xi.field.one(), xi.field.zero()
-        return cls(((xi, zero), (zero, one)))
-
-    @classmethod
-    def inversion(cls, fld: CycloField) -> "MoebiusMap":
-        one, zero = fld.one(), fld.zero()
-        return cls(((zero, one), (one, zero)))
 
     @classmethod
     def identity(cls, fld: CycloField) -> "MoebiusMap":

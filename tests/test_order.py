@@ -410,7 +410,8 @@ def test_finite_orders_pass_every_screen(conductor, n, seed):
     rng = random.Random(seed)
     fld = field(conductor)
     a, _ = conjugated(rng, fld, n)
-    linear = GermJet.from_linear(a, 2)
+    linear = GermJet(n, 2, fld, {(r, tuple(int(i == c) for i in range(n))): a[r][c]
+                                 for r in range(n) for c in range(n)})
     # psi = Id + c x_s^2 in coordinate t; psi o linear o psi^-1 has finite order
     # and, unless the term commutes with the linear part, nonlinear terms
     s, t = rng.randrange(n), rng.randrange(n)
