@@ -43,10 +43,9 @@ _EXPORTS = {
         "closure_enumerate", "evaluate_word", "find_conjugacy_witness", "is_cyclic",
         "linearize_group",
     ),
-    "mapform": ("ExtensionRequiredError", "MoebiusMap", "ProjectivePoint"),
+    "mapform": ("MoebiusMap",),
     "moebius": (
-        "HolonomyVerdict", "cyclo_sqrt", "fixed_points", "germ_at_fixed_point",
-        "holonomy_check", "moebius_compose", "moebius_order",
+        "HolonomyVerdict", "cyclo_sqrt", "holonomy_check", "moebius_compose", "moebius_order",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

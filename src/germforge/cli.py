@@ -7,9 +7,9 @@ and the corpus runner all read that table, so a new command is one new row.
 Every command takes `--witness-bound`, `--closure-cap`, `--truncation` and
 `--format`; the first two have upper limits.  Exit codes: 0 success (and,
 for `examples run`, verdict matched), 1 verdict mismatch, 2 input error, 3 no
-decision within the bounds or the field (a closure that reached the cap
-without proving the group finite or infinite, a basic set with an unresolved
-pair and none disproved, an unresolved holonomy verdict).  Element orders and
+decision within the bounds (a closure that reached the cap without proving
+the group finite or infinite, a basic set with an unresolved pair and none
+disproved, an unresolved holonomy verdict).  Element orders and
 the finiteness of a closure are decided exactly.
 """
 

@@ -1,63 +1,25 @@
-"""The Moebius map type, `MoebiusMap`, with `ProjectivePoint`.
+"""The Moebius map type, `MoebiusMap`.
 
 Maps are 2x2 matrices up to scale, stored with the first nonzero entry in
 row-major order scaled to 1 so projective equality is plain comparison.
 
 Parsing a document of Moebius maps builds `MoebiusMap`s and uses nothing
 else of the Moebius layer.  Without a bytecode cache every module on that
-path is compiled at each start, so this module holds only the two types and
-`ExtensionRequiredError`; composition, orders, square roots, fixed points
-and the holonomy verdict are in `moebius`, which re-exports the names here.
-`MoebiusMap.compose` and `order` call `moebius.moebius_compose` and
-`moebius.moebius_order` through the package at call time: the first such
-call imports `moebius`, and a function replaced there by name is the one
-that runs.
+path is compiled at each start, so this module holds only the type;
+composition, orders and the holonomy verdict are in `moebius`, which
+re-exports it.  `MoebiusMap.compose` and `order` call
+`moebius.moebius_compose` and `moebius.moebius_order` through the package
+at call time: the first such call imports `moebius`, and a function replaced
+there by name is the one that runs.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import germforge
 
 from .cyclo import CycloField, CycloNum, OrderResult
-
-
-class ExtensionRequiredError(ArithmeticError):
-    """The working field holds no square root of the discriminant; the fixed
-    points lie in a quadratic extension of it."""
-
-
-# ---------------------------------------------------------------------------
-
-
-class ProjectivePoint(NamedTuple):
-    """Point [u : v] of P^1; canonical form is (z, 1) for affine z, (1, 0) for infinity."""
-
-    u: CycloNum
-    v: CycloNum
-
-    @staticmethod
-    def make(u: CycloNum, v: CycloNum) -> "ProjectivePoint":
-        if v.is_zero():
-            if u.is_zero():
-                raise ValueError("[0 : 0] is not a projective point")
-            return ProjectivePoint(u.field.one(), u.field.zero())
-        return ProjectivePoint(u / v, v.field.one())
-
-    @staticmethod
-    def infinity(fld: CycloField) -> "ProjectivePoint":
-        return ProjectivePoint(fld.one(), fld.zero())
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.v.is_zero()
-
-    def sort_key(self):
-        return (1 if self.is_infinity else 0, self.u.sort_key(), self.v.sort_key())
-
-    def __repr__(self) -> str:
-        return "Point(inf)" if self.is_infinity else f"Point({self.u})"
 
 
 class MoebiusMap:
@@ -154,10 +116,6 @@ class MoebiusMap:
             a, b, c, d = self.entries()
             self._inverse = MoebiusMap(((d, -b), (-c, a)))
         return self._inverse
-
-    def apply(self, p: ProjectivePoint) -> ProjectivePoint:
-        a, b, c, d = self.entries()
-        return ProjectivePoint.make(a * p.u + b * p.v, c * p.u + d * p.v)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MoebiusMap):

@@ -1,19 +1,20 @@
-"""Operations on Moebius maps: composition, orders, fixed points, holonomy.
+"""Operations on Moebius maps: composition, orders, holonomy.
 
-The map type `MoebiusMap`, with `ProjectivePoint` and
-`ExtensionRequiredError`, is in `mapform`, which parsing a document of
-Moebius maps loads without this module; those names are re-exported here.
+The map type `MoebiusMap` is in `mapform`, which parsing a document of
+Moebius maps loads without this module; it is re-exported here.
 `MoebiusMap.compose` and `order` call `moebius_compose` and `moebius_order`
 through the package, so a function replaced here by name is the one they
 run.
 
 A map's projective order is the exact order of a 2x2 matrix built from it
 with one field inverse, decided on the integer kernel of `jets`
-(`linear_order`); fixed points are eigenvector computations.  A triangular
-map needs no square root; a rational radicand's root is built exactly from
-Gauss sums; any other root is found, or proven absent, by an exact sign
-search modulo a prime power.  So a missing root means that the fixed
-points lie in a quadratic extension of the field.
+(`linear_order`).  The holonomy verdict needs no fixed point: once the
+basic set is verified, it asks only whether the listed maps are one map.
+
+`cyclo_sqrt` decides exact square roots in the field: a rational
+radicand's root is built from Gauss sums, and any other root is found, or
+proven absent, by an exact sign search modulo a prime power.  No command
+calls it; it stays until `benchmarks/tracer.py` stops patching it by name.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .cyclo import (
     is_prime_power,
     prime_factors,
 )
-from .jets import GermJet, linear_order
-from .mapform import ExtensionRequiredError, MoebiusMap, ProjectivePoint
+from .jets import linear_order
+from .mapform import MoebiusMap
 from .words import DEFAULT_CLOSURE_CAP, DEFAULT_WITNESS_BOUND
 
 
@@ -273,75 +274,13 @@ def cyclo_sqrt(a: CycloNum) -> Optional[CycloNum]:
     return None if beta is None else fld.from_integers(beta, a.den)
 
 
-def fixed_points(m: MoebiusMap) -> list[ProjectivePoint]:
-    """Fixed points, i.e. the eigendirections of the matrix; 1 or 2 of them.
-
-    Raises ExtensionRequiredError when the discriminant has no square root in
-    the field, which `cyclo_sqrt` decides exactly; the caller can embed into
-    a larger conductor and retry.
-    """
-    if m.is_identity():
-        raise ValueError("the identity fixes every point")
-    a, b, c, d = m.entries()
-    t = m.trace()
-    disc = (a - d) * (a - d) + b * c * 4
-    half = m.field.rational(1, 2)
-
-    def eigenvector(mu: CycloNum) -> ProjectivePoint:
-        if not b.is_zero():
-            return ProjectivePoint.make(b, mu - a)
-        if not c.is_zero():
-            return ProjectivePoint.make(mu - d, c)
-        # diagonal with distinct entries
-        return ProjectivePoint.infinity(m.field) if mu == a else ProjectivePoint.make(
-            m.field.zero(), m.field.one()
-        )
-
-    if disc.is_zero():
-        return [eigenvector(t * half)]
-    # a triangular matrix has the eigenvalues a and d: disc = (a - d)^2
-    s = a - d if b.is_zero() or c.is_zero() else cyclo_sqrt(disc)
-    if s is None:
-        raise ExtensionRequiredError(
-            f"no square root of {disc} found in Q(zeta_{m.field.conductor})"
-        )
-    mu1 = (t + s) * half
-    mu2 = (t - s) * half
-    pts = [eigenvector(mu1), eigenvector(mu2)]
-    pts.sort(key=lambda p: p.sort_key())
-    return pts
-
-
-def germ_at_fixed_point(m: MoebiusMap, q: ProjectivePoint, order: int) -> GermJet:
-    """K-jet at 0 of m in the local chart w = z - q (or w = 1/z at infinity).
-
-    The local expression is A*w / (1 + B*w), so the jet coefficients form the
-    geometric sequence A * (-B)**(k-1); A is the multiplier of m at q.
-    """
-    if m.apply(q) != q:
-        raise ValueError("the given point is not fixed by the map")
-    a, b, c, d = m.entries()
-    if q.is_infinity:
-        lead, ratio = d / a, b / a
-    else:
-        gamma = c * q.u + d
-        lead, ratio = (a - q.u * c) / gamma, c / gamma
-    coeffs = {}
-    cur = lead
-    for k in range(1, order + 1):
-        if not cur.is_zero():
-            coeffs[(0, (k,))] = cur
-        cur = cur * (-ratio)
-    return GermJet(1, order, m.field, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # holonomy verdict
 
 
 class HolonomyVerdict(NamedTuple):
-    """`finite_cyclic` is True, False, or "unresolved": the witness search was
-    exhausted without a disproof, or the fixed points lie outside the field."""
+    """`finite_cyclic` is True, False, or "unresolved" when the witness search
+    was exhausted without a disproof."""
 
     finite_cyclic: bool | str
     order: Optional[int] = None
@@ -362,23 +301,20 @@ def holonomy_check(
     ramification-degree hypothesis).  The generators must have finite order
     and satisfy the two basic-set conditions, checked by `check_basic_set`
     with witness words up to `word_bound` (its word ball grows only until
-    every pair is answered); a common fixed point is then
-    localized to a 1-dimensional jet presentation which is linearized
-    simultaneously.  The local germs are 2-jets: a Moebius map fixing q is
-    determined by its 2-jet there, so two maps differ at degree 2 at the
-    latest, and a single map of finite order is linearizable, so a higher
-    order changes no verdict.  The closure of the Moebius group (`closure_enumerate`,
-    listing at most `closure_cap` elements) is reported as an independent
-    finiteness certificate.
+    every pair is answered).  A cyclic group is abelian, and conjugate
+    elements of an abelian group are equal, so the group is then finite
+    cyclic exactly when the listed maps are one map, whose order is the
+    group's.  The
+    closure of the Moebius group (`closure_enumerate`, listing at most
+    `closure_cap` elements) is reported as an independent finiteness
+    certificate.
     """
     # imported here, so that parsing a document of Moebius maps loads no groupkit
     from .groupkit import (
         GroupPresentation,
-        LinearizationSuccess,
         check_basic_set,
         check_product_identity,
         closure_enumerate,
-        linearize_group,
     )
 
     gens = list(generators)
@@ -402,7 +338,7 @@ def holonomy_check(
             False, model="other", detail="ordered product of generators is not the identity"
         )
     report = check_basic_set(pres, word_bound)
-    failed = [(pair, r) for pair, r in sorted(report.conjugacy.items()) if not r.found]
+    failed = [(pair, r) for pair, r in report.conjugacy.items() if not r.found]
     if failed:
         disproved = [(pair, r) for pair, r in failed if r.status == "disproved"]
         (i, j), res = (disproved or failed)[0]
@@ -412,35 +348,21 @@ def holonomy_check(
             detail=f"generator pair ({i}, {j}): {res.reason}",
         )
 
-    nontrivial = [g for g in distinct if not g.is_identity()]
-    if not nontrivial:
+    if len(distinct) > 1:
+        (i, j), res = next(
+            (pair, r) for pair, r in report.conjugacy.items() if gens[pair[0]] != gens[pair[1]])
+        return HolonomyVerdict(
+            False,
+            model="other",
+            detail=f"generator pair ({i}, {j}): distinct but conjugate by {res.word}, "
+                   "so the group is not abelian",
+        )
+    if distinct[0].is_identity():
         return HolonomyVerdict(
             True, order=1, model="rotation", first_integral_exponent=1,
             detail="all generators are the identity",
         )
-    common: Optional[list[ProjectivePoint]] = None
-    try:
-        for g in nontrivial:
-            pts = fixed_points(g)
-            common = pts if common is None else [p for p in common if p in pts]
-    except ExtensionRequiredError as exc:
-        return HolonomyVerdict("unresolved", detail=str(exc))
-    if not common:
-        return HolonomyVerdict(
-            False, model="other", detail="generators have no common fixed point"
-        )
-    q = sorted(common, key=lambda p: p.sort_key())[0]
-
-    local = {g: germ_at_fixed_point(g, q, 2) for g in distinct}  # one germ per distinct map
-    outcome = linearize_group(GroupPresentation(
-        tuple((f"g{i+1}", local[g]) for i, g in enumerate(gens))))
-    if not isinstance(outcome, LinearizationSuccess):
-        return HolonomyVerdict(
-            False,
-            model="other",
-            detail=f"local germs at the fixed point do not linearize: {outcome.detail}",
-        )
-    k = outcome.group_order
+    k = distinct[0].order().order
 
     closure = closure_enumerate(pres, closure_cap)
     closure_note = {
@@ -449,7 +371,7 @@ def holonomy_check(
         "cap-exceeded": f"moebius closure exceeded cap {closure_cap}",
     }[closure.status]
 
-    if len(distinct) == 1 and distinct[0].order().order == 2 and len(common) == 2:
+    if k == 2:
         return HolonomyVerdict(
             True, order=2, model="inversion",
             detail=f"single order-2 generator with two fixed points; {closure_note}",

@@ -6,24 +6,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from germforge import cli, groupkit, moebius as moebius_module
-from germforge.cyclo import OrderResult, cyclotomic_polynomial, field
+from germforge.cyclo import OrderResult, cyclotomic_polynomial, field, is_prime_power
 from germforge.groupkit import (
     ClosureResult,
     GroupPresentation,
-    LinearizationFailure,
     check_basic_set,
     closure_enumerate,
-    linearize_group,
+    is_cyclic,
 )
-from germforge.moebius import (
-    MoebiusMap,
-    ProjectivePoint,
-    cyclo_sqrt,
-    fixed_points,
-    germ_at_fixed_point,
-    holonomy_check,
-    moebius_order,
-)
+from germforge.moebius import MoebiusMap, cyclo_sqrt, holonomy_check, moebius_order
 
 F1 = field(1)
 F5 = field(5)
@@ -41,7 +32,7 @@ def scaling(xi):
 # the anharmonic pair z -> 1/z and z -> 1 - z generates S3
 S = moebius(F1, [[0, 1], [1, 0]])
 T = moebius(F1, [[-1, 1], [0, 1]])
-# z -> -1/(z - 1), order 3, fixed points need sqrt(-3)
+# z -> -1/(z - 1), order 3; its fixed points need sqrt(-3), which Q lacks
 R3 = moebius(F1, [[0, -1], [1, -1]])
 
 
@@ -69,27 +60,6 @@ def test_moebius_order_examples():
     assert parabolic.kind == "infinite" and "power 12 is not" in parabolic.certificate
     assert moebius_order(S).order == 2 and moebius_order(T).order == 2
     assert moebius_order(R3).order == 3
-
-
-def test_fixed_points():
-    zero, inf = ProjectivePoint.make(F1.zero(), F1.one()), ProjectivePoint.infinity(F1)
-    assert fixed_points(moebius(F1, [[2, 0], [0, 1]])) == [zero, inf]
-    assert fixed_points(moebius(F1, [[1, 1], [0, 1]])) == [inf]
-    one, minus_one = (ProjectivePoint.make(F1.from_rational(x), F1.one()) for x in (1, -1))
-    assert sorted(fixed_points(S), key=lambda p: p.sort_key()) == sorted(
-        [one, minus_one], key=lambda p: p.sort_key()
-    )
-    for m in (S, T):
-        assert all(m.apply(p) == p for p in fixed_points(m))
-    with pytest.raises(ValueError):
-        fixed_points(MoebiusMap.identity(F1))
-
-
-def test_germ_at_fixed_point_multiplier():
-    rotation = scaling(F5.zeta())
-    germ = germ_at_fixed_point(rotation, ProjectivePoint.make(F5.zero(), F5.one()), 3)
-    assert germ.linear_matrix()[0][0] == F5.zeta()
-    assert germ.is_linear()
 
 
 def test_closure_of_anharmonic_group_has_six_elements():
@@ -130,13 +100,13 @@ def test_exhausted_witness_search_is_unresolved_not_false():
     assert "word length 0" in verdict.detail
     verdict = holonomy_check(gens, word_bound=6)
     assert verdict.finite_cyclic is False
-    assert "no common fixed point" in verdict.detail
+    assert verdict.detail == (
+        "generator pair (0, 2): distinct but conjugate by g3*g1, so the group is not abelian")
 
 
-def test_missing_square_root_is_unresolved():
+def test_rotation_with_fixed_points_outside_the_field_is_decided():
     verdict = holonomy_check([R3, R3, R3])
-    assert verdict.finite_cyclic == "unresolved"
-    assert "square root of -3" in verdict.detail
+    assert (verdict.finite_cyclic, verdict.order, verdict.model) == (True, 3, "rotation")
 
 
 def test_product_not_identity_is_false():
@@ -158,46 +128,49 @@ def test_generator_count_must_be_a_prime_power():
 
 
 @st.composite
-def maps_with_a_common_fixed_point(draw):
-    """1-4 listed maps, drawn from 1-3 maps z -> a z / (c z + 1) with a a
-    root of unity, all moved by one translation to fix a common point q;
-    returns (listed maps, q)."""
-    fld = field(draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9])))
-    N = fld.conductor
-
-    def number():
-        return fld.from_rational(draw(st.integers(-2, 2))) * fld.zeta(draw(st.integers(0, N - 1)))
-
+def moebius_listings(draw):
+    """2-4 maps drawn from a pool of finite- and infinite-order maps, one
+    finite-order map listed ord(g) times, or S, S, T, T; the listing is
+    conjugated by a drawn map h or left as it is."""
+    fld = field(draw(st.sampled_from([1, 3, 4, 5, 12])))
     one, zero = fld.one(), fld.zero()
-    shift = MoebiusMap(((one, number()), (zero, one)))
-    maps = [
-        shift.compose(MoebiusMap(((fld.zeta(draw(st.integers(0, N - 1))), zero), (number(), one))))
-        .compose(shift.inverse())
-        for _ in range(draw(st.integers(1, 3)))
-    ]
-    listed = draw(st.lists(st.sampled_from(maps), min_size=1, max_size=4))
-    return listed, shift.apply(ProjectivePoint.make(zero, one))
-
-
-@settings(max_examples=60, deadline=None)
-@given(maps_with_a_common_fixed_point())
-def test_local_linearization_verdict_is_the_same_at_orders_2_and_5(case):
-    """A Moebius map fixing q is determined by its 2-jet there, so local
-    germs of a higher order change no verdict of `linearize_group`.  The
-    product check is bypassed to reach the per-degree loop; it too is decided
-    by the 2-jets."""
-    maps, q = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groupkit, "check_product_identity", lambda g: (True, g.identity()))
-        low, high = (
-            linearize_group(GroupPresentation(tuple(
-                (f"g{i}", germ_at_fixed_point(m, q, K)) for i, m in enumerate(maps, start=1))))
-            for K in (2, 5))
-    assert type(low) is type(high)
-    if isinstance(low, LinearizationFailure):
-        assert (low.reason, low.degree, low.detail) == (high.reason, high.degree, high.detail)
+    s, t = moebius(fld, [[0, 1], [1, 0]]), moebius(fld, [[-1, 1], [0, 1]])
+    r3 = moebius(fld, [[0, -1], [1, -1]])
+    finite = [s, t, r3, r3.inverse(), moebius(fld, [[0, 2], [1, 0]]), MoebiusMap.identity(fld),
+              *(scaling(fld.zeta(k)) for k in range(1, fld.conductor))]
+    pool = finite + [moebius(fld, [[2, 0], [0, 1]]), moebius(fld, [[1, 1], [0, 1]])]
+    kind = draw(st.sampled_from(["any", "power", "anharmonic"]))
+    if kind == "any":
+        maps = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4))
+    elif kind == "power":
+        g = draw(st.sampled_from([m for m in finite if m.order().order == 1
+                                  or is_prime_power(m.order().order) is not None]))
+        maps = [g] * g.order().order
     else:
-        assert (low.diagonal_generator, low.group_order) == (high.diagonal_generator, high.group_order)
+        maps = [s, s, t, t]
+    if draw(st.booleans()):
+        b, c = (fld.rational(draw(st.integers(-2, 2))) * fld.zeta(draw(st.integers(0, 11)))
+                for _ in range(2))
+        assume(not (one - b * c).is_zero())
+        h = MoebiusMap(((one, b), (c, one)))
+        maps = [h.compose(m).compose(h.inverse()) for m in maps]
+    return maps
+
+
+@settings(max_examples=200, deadline=None)
+@given(moebius_listings())
+def test_holonomy_verdict_agrees_with_the_closure(maps):
+    """True means a closed cyclic closure of the reported order; False after
+    a verified basic set means no closed cyclic closure."""
+    verdict = holonomy_check(maps)
+    pres = GroupPresentation(tuple((f"g{i}", m) for i, m in enumerate(maps, start=1)))
+    if verdict.finite_cyclic is True:
+        closure = closure_enumerate(pres, 2000)
+        assert closure.status == "closed" and is_cyclic(closure) is not None
+        assert closure.count == verdict.order
+    elif verdict.finite_cyclic is False and check_basic_set(pres).verdict == "irreducible-verified":
+        closure = closure_enumerate(pres, 2000)
+        assert closure.status != "closed" or is_cyclic(closure) is None
 
 
 # --- square roots of rationals ----------------------------------------------------
@@ -276,9 +249,9 @@ def conjugated_r3(n):
     return MoebiusMap(((one, -one - z - z * z), (one, -one - z)))
 
 
-def test_non_square_discriminant_is_unresolved_without_the_numeric_search(monkeypatch):
-    # 3 does not divide 13, so sqrt(-3) is not in Q(zeta_13); a residue symbol
-    # proves it before the sign search over 2^11 sign choices starts
+def test_non_square_discriminant_is_decided_without_the_numeric_search(monkeypatch):
+    # 3 does not divide 13, so sqrt(-3) is not in Q(zeta_13); the verdict
+    # needs no square root, so the sign search over 2^11 sign choices never starts
     def sign_search(*args):
         raise AssertionError("the sign search ran")
 
@@ -288,8 +261,7 @@ def test_non_square_discriminant_is_unresolved_without_the_numeric_search(monkey
     (a, b), (c, d) = m.matrix
     assert (a - d) * (a - d) + b * c * 4 == field(13).zeta(2) * -3
     verdict = holonomy_check([m, m, m])
-    assert verdict.finite_cyclic == "unresolved"
-    assert "no square root of -3*z^2" in verdict.detail
+    assert (verdict.finite_cyclic, verdict.order, verdict.model) == (True, 3, "rotation")
 
 
 @pytest.mark.parametrize("n", [420, 1000])
@@ -302,6 +274,19 @@ def test_conjugated_rotation_has_order_three_at_large_conductors(n):
 def test_square_discriminant_still_resolves():
     # sqrt(-3) = 1 + 2*zeta_3 lies in Q(zeta_12)
     m = conjugated_r3(12)
+    verdict = holonomy_check([m, m, m])
+    assert (verdict.finite_cyclic, verdict.order, verdict.model) == (True, 3, "rotation")
+
+
+def test_conductor_84_is_decided_without_a_square_root(monkeypatch):
+    # the fixed points need a root of -3*zeta^2; finding it by the sign search
+    # over 2^23 sign choices took about a minute
+    def refuse(*args):
+        raise AssertionError("a square root was taken")
+
+    monkeypatch.setattr(moebius_module, "_sign_search", refuse)
+    monkeypatch.setattr(moebius_module, "cyclo_sqrt", refuse)
+    m = conjugated_r3(84)
     verdict = holonomy_check([m, m, m])
     assert (verdict.finite_cyclic, verdict.order, verdict.model) == (True, 3, "rotation")
 
@@ -356,76 +341,11 @@ def test_rotation_5_holonomy_is_unchanged():
         "local multipliers generate a cyclic group of order 5; moebius closure has 5 elements")
 
 
-@pytest.mark.parametrize("entry", ["moebius-rotation-5", "moebius-inversion"])
-def test_holonomy_builds_one_local_germ_per_distinct_map(monkeypatch, entry):
-    # moebius-rotation-5 lists one rotation 5 times, moebius-inversion one inversion twice
-    calls = []
-    original = moebius_module.germ_at_fixed_point
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(moebius_module, "germ_at_fixed_point", counted)
-    assert cli.run_corpus_entry(entry, 6, 10_000, None)["matched"]
-    assert len(calls) == 1
-
-
 def no_sign_search(monkeypatch):
     def sign_search(fld, c, *rest):
         raise AssertionError(f"the sign search ran on {c}")
 
     monkeypatch.setattr(moebius_module, "_sign_search", sign_search)
-
-
-def fixed_points_from_the_square_root(m):
-    """The eigendirections of the eigenvalues (t +- sqrt(disc)) / 2, sorted."""
-    fld = m.field
-    a, b, c, d = m.entries()
-    s = cyclo_sqrt((a - d) * (a - d) + b * c * 4)
-    points = set()
-    for mu in ((a + d + s) * Fraction(1, 2), (a + d - s) * Fraction(1, 2)):
-        if not b.is_zero():
-            points.add(ProjectivePoint.make(b, mu - a))
-        elif not c.is_zero():
-            points.add(ProjectivePoint.make(mu - d, c))
-        else:
-            points.add(ProjectivePoint.infinity(fld) if mu == a
-                       else ProjectivePoint.make(fld.zero(), fld.one()))
-    return sorted(points, key=lambda p: p.sort_key())
-
-
-@st.composite
-def triangular_maps(draw):
-    fld = field(draw(st.sampled_from([1, 3, 4, 5, 8])))
-
-    def entry(nonzero):
-        num = draw(st.lists(st.integers(-3, 3), min_size=fld.degree, max_size=fld.degree))
-        if nonzero and not any(num):
-            num[0] = 1
-        return fld.element([Fraction(c, draw(st.integers(1, 3))) for c in num])
-
-    a, d, off = entry(True), entry(True), entry(False)
-    zero = fld.zero()
-    m = MoebiusMap(((a, off), (zero, d)) if draw(st.booleans()) else ((a, zero), (off, d)))
-    if m.is_identity():
-        m = MoebiusMap(((a, zero), (zero, a + 1 if not (a + 1).is_zero() else a * 2)))
-    return m
-
-
-@settings(max_examples=60, deadline=None)
-@given(triangular_maps())
-def test_triangular_fixed_points_take_no_square_root(m):
-    want = fixed_points_from_the_square_root(m)
-    calls = []
-    original = moebius_module.cyclo_sqrt
-    moebius_module.cyclo_sqrt = lambda a, *rest: calls.append(a) or original(a, *rest)
-    try:
-        got = fixed_points(m)
-    finally:
-        moebius_module.cyclo_sqrt = original
-    assert got == want and calls == []
-    assert all(m.apply(p) == p for p in got)
 
 
 def test_rotation_5_runs_no_numeric_square_root(monkeypatch):
