@@ -5,11 +5,14 @@ builder that calls the library, the corpus `expected` check it answers, its
 own options and the test that makes its verdict exit 3.  The parser, `main`
 and the corpus runner all read that table, so a new command is one new row.
 Every command takes `--witness-bound`, `--closure-cap`, `--truncation` and
-`--format`; the first two have upper limits.  Exit codes: 0 success (and,
-for `examples run`, verdict matched), 1 verdict mismatch, 2 input error, 3 no
-decision within the bounds (a closure that reached the cap without proving
-the group finite or infinite, a basic set with an unresolved pair and none
-disproved, an unresolved holonomy verdict).  Element orders and
+`--format`; the first two have upper limits.  A document's generators are
+jets or Moebius maps: `check-basic-set`, `closure`, `order` and the cyclic
+check take either, `normalize` and `linearize` (and `resonances`, when it
+reads a generator) take jets, and `moebius-holonomy` takes Moebius maps.
+Exit codes: 0 success (and, for `examples run`, verdict matched), 1 verdict
+mismatch, 2 input error, 3 no decision within the bounds (a closure that
+reached the cap without proving the group finite or infinite, a basic set
+with an unresolved pair and none disproved, an unresolved holonomy verdict).  Element orders and
 the finiteness of a closure are decided exactly.
 """
 
@@ -36,8 +39,8 @@ from .groupkit import (
     is_cyclic,
     linearize_group,
 )
-from .jets import GermJet, germ_order
-from .moebius import holonomy_check
+from .jets import GermJet
+from .moebius import MoebiusMap, holonomy_check
 from .resonance import _diagonal_eigenvalues, enumerate_resonances, poincare_dulac_normalize
 
 EXIT_OK = 0
@@ -71,6 +74,19 @@ def matrix_payload(matrix) -> list[list[str]]:
     return [[format_coefficient(c) for c in row] for row in matrix]
 
 
+def _element_payload(x) -> list:
+    """A group element: a jet's coordinates, or a Moebius map's matrix."""
+    return jet_payload(x) if isinstance(x, GermJet) else matrix_payload(x.matrix)
+
+
+def _presentation_of(doc: InputDocument, kind: type):
+    """The document's presentation, when its generators are of type `kind`."""
+    if not (doc.generators and isinstance(doc.generators[0][1], kind)):
+        raise DocumentError("document has no jet generators" if kind is GermJet
+                            else "document has no moebius_generators")
+    return doc.presentation()
+
+
 def _basic_set_payload(doc: InputDocument, opts: Any) -> dict:
     pres = doc.presentation()
     report = check_basic_set(pres, opts.witness_bound)
@@ -95,7 +111,7 @@ def _basic_set_payload(doc: InputDocument, opts: Any) -> dict:
         "pairs": pairs,
     }
     if not report.product_is_identity:
-        payload["residual"] = jet_payload(report.residual)
+        payload["residual"] = _element_payload(report.residual)
     return payload
 
 
@@ -103,7 +119,7 @@ def _resonances_payload(doc: InputDocument, opts: Any) -> dict:
     if doc.eigenvalues is not None:
         eigenvalues = list(doc.eigenvalues)
     elif doc.generators:
-        eigenvalues = _diagonal_eigenvalues(doc.generators[0][1])
+        eigenvalues = _diagonal_eigenvalues(_presentation_of(doc, GermJet).elements[0])
     else:
         raise DocumentError("document provides neither eigenvalues nor generators")
     records = enumerate_resonances(eigenvalues, doc.truncation)
@@ -115,7 +131,7 @@ def _resonances_payload(doc: InputDocument, opts: Any) -> dict:
 
 
 def _normalize_payload(doc: InputDocument, opts: Any) -> dict:
-    pres = doc.presentation()
+    pres = _presentation_of(doc, GermJet)
     generator = opts.generator
     if generator is None:
         if len(pres.generators) > 1:
@@ -137,7 +153,7 @@ def _normalize_payload(doc: InputDocument, opts: Any) -> dict:
 
 
 def _linearize_payload(doc: InputDocument, opts: Any) -> dict:
-    outcome = linearize_group(doc.presentation())
+    outcome = linearize_group(_presentation_of(doc, GermJet))
     if isinstance(outcome, LinearizationSuccess):
         return {
             "outcome": "success",
@@ -168,7 +184,7 @@ def _closure_payload(doc: InputDocument, opts: Any) -> dict:
         payload["word"] = result.word
         payload["certificate"] = result.certificate
     if result.status == "closed" and result.count <= 64:
-        payload["elements"] = [jet_payload(e) for e in result.elements]
+        payload["elements"] = [_element_payload(e) for e in result.elements]
     return payload
 
 
@@ -182,7 +198,7 @@ def _cyclic_payload(doc: InputDocument, opts: Any) -> Optional[bool]:
 
 
 def _order_payload(doc: InputDocument, opts: Any) -> dict:
-    result = germ_order(evaluate_word(doc.presentation(), opts.element))
+    result = evaluate_word(doc.presentation(), opts.element).order()
     payload = {"element": opts.element, "kind": result.kind}
     if result.order is not None:
         payload["order"] = result.order
@@ -205,10 +221,7 @@ def _keylemma_payload(doc: InputDocument, opts: Any) -> dict:
 
 
 def _holonomy_payload(doc: InputDocument, opts: Any) -> dict:
-    if not doc.moebius_generators:
-        raise DocumentError("document has no moebius_generators")
-    gens = [m for _, m in doc.moebius_generators]
-    verdict = holonomy_check(gens, word_bound=opts.witness_bound, closure_cap=opts.closure_cap)
+    verdict = holonomy_check(_presentation_of(doc, MoebiusMap), opts.witness_bound)
     payload: dict[str, Any] = {"finite_cyclic": verdict.finite_cyclic, "model": verdict.model}
     if verdict.order is not None:
         payload["order"] = verdict.order

@@ -1,13 +1,16 @@
 """JSON input documents for the CLI.
 
 A document declares one ambient field (`conductor`), a shape (`dimension`,
-`truncation`), and named generators: jets as per-coordinate lists of
-{"coeff": <grammar string>, "monomial": [nat, ...]} in graded-lex order, or
-Moebius maps as 2x2 matrices of grammar strings.  Corpus entries additionally
-carry an `expected` block that `examples run` compares against.  The
-conductor, dimension, truncation, monomial count and number of generators
-have fixed upper limits; a larger document is a `DocumentError`, like any
-other invalid input.
+`truncation`), and named generators of one type: jets (key `generators`) as
+per-coordinate lists of {"coeff": <grammar string>, "monomial": [nat, ...]}
+in graded-lex order, or Moebius maps (key `moebius_generators`) as 2x2
+matrices of grammar strings, not both.  Either list becomes the one
+`generators` list of `InputDocument`, and so one `GroupPresentation`, which
+every group check reads whatever the element type.  Corpus entries
+additionally carry an `expected` block that `examples run` compares
+against.  The conductor, dimension, truncation, monomial count and number
+of generators have fixed upper limits; a larger document is a
+`DocumentError`, like any other invalid input.
 
 Parsing loads only what the document holds: this module imports `cyclo`,
 `jetform` (the `GermJet` type) and `words` (for the witness words),
@@ -60,17 +63,18 @@ MAX_GENERATORS = 64
 
 
 class InputDocument:
-    """A parsed document, as `parse_document` returns it; `witnesses` maps a
-    generator pair (i, j) to its word.  It builds its presentation once and
-    caches its closure per cap, so the checks of one document share them."""
+    """A parsed document, as `parse_document` returns it; `generators` lists
+    its named jets or its named Moebius maps, never both, and `witnesses`
+    maps a generator pair (i, j) to its word.  It builds its presentation
+    once and caches its closure per cap, so the checks of one document share
+    them."""
 
     __slots__ = ("conductor", "dimension", "truncation", "field", "generators",
-                 "moebius_generators", "eigenvalues", "multiplier", "translations",
+                 "eigenvalues", "multiplier", "translations",
                  "witnesses", "expected", "name", "_presentation", "_closures")
 
     def __init__(self, conductor: int, dimension: int, truncation: int, field: CycloField,
-                 generators: tuple[tuple[str, GermJet], ...] = (),
-                 moebius_generators: tuple[tuple[str, MoebiusMap], ...] = (),
+                 generators: tuple[tuple[str, GermJet | MoebiusMap], ...] = (),
                  eigenvalues: Optional[tuple[CycloNum, ...]] = None,
                  multiplier: Optional[CycloNum] = None,
                  translations: Optional[tuple[CycloNum, ...]] = None,
@@ -81,7 +85,6 @@ class InputDocument:
         self.truncation = truncation
         self.field = field
         self.generators = generators
-        self.moebius_generators = moebius_generators
         self.eigenvalues = eigenvalues
         self.multiplier = multiplier
         self.translations = translations
@@ -92,13 +95,14 @@ class InputDocument:
         self._closures: dict[int, ClosureResult] = {}
 
     def presentation(self) -> GroupPresentation:
-        """The jet generators and witnesses as a `GroupPresentation`: one
-        object, built on the first call, with the facts it memoizes."""
+        """The generators, jets or Moebius maps, and the witnesses as a
+        `GroupPresentation`: one object, built on the first call, with the
+        facts it memoizes."""
         if self._presentation is None:
             from .groupkit import GroupPresentation
 
             if not self.generators:
-                raise DocumentError("document has no jet generators")
+                raise DocumentError("document has no generators")
             self._presentation = GroupPresentation(self.generators, self.witnesses)
         return self._presentation
 
@@ -245,9 +249,12 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
             jet._lin = linear.setdefault(jet._linear(), jet._linear_part())
         generators.append((gname, jet))
 
-    moebius_generators = []
     maps: dict[tuple, MoebiusMap] = {}  # integer entries -> their one map
-    for gi, gen in enumerate(_generator_list(obj, "moebius_generators")):
+    moebius_list = _generator_list(obj, "moebius_generators")
+    # a presentation holds elements of one type
+    _expect(not (generators and moebius_list), "moebius_generators",
+            "a document lists jets or Moebius maps, not both")
+    for gi, gen in enumerate(moebius_list):
         from .mapform import MoebiusMap
 
         gname = _generator_name("moebius_generators", gi, gen, names)
@@ -264,7 +271,7 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
                 maps[key] = MoebiusMap((entries[:2], entries[2:]))
             except ValueError as exc:
                 raise DocumentError(f"{path}: {exc}") from exc
-        moebius_generators.append((gname, maps[key]))
+        generators.append((gname, maps[key]))
 
     eigenvalues = None
     if "eigenvalues" in obj:
@@ -312,7 +319,6 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
         truncation=truncation,
         field=fld,
         generators=tuple(generators),
-        moebius_generators=tuple(moebius_generators),
         eigenvalues=eigenvalues,
         multiplier=multiplier,
         translations=translations,

@@ -8,8 +8,10 @@ run.
 
 A map's projective order is the exact order of a 2x2 matrix built from it
 with one field inverse, decided on the integer kernel of `jets`
-(`linear_order`).  The holonomy verdict needs no fixed point: once the
-basic set is verified, it asks only whether the listed maps are one map.
+(`linear_order`).  The holonomy verdict reads a document's presentation,
+as every group check does, and needs no fixed point and no closure: once
+the basic set is verified, it asks only whether the listed maps are one map
+g, and the group's order is then the exact order of g.
 
 `cyclo_sqrt` decides exact square roots in the field: a rational
 radicand's root is built from Gauss sums, and any other root is found, or
@@ -20,7 +22,7 @@ calls it; it stays until `benchmarks/tracer.py` stops patching it by name.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .cyclo import (
     CycloField,
@@ -32,7 +34,10 @@ from .cyclo import (
 )
 from .jets import linear_order
 from .mapform import MoebiusMap
-from .words import DEFAULT_CLOSURE_CAP, DEFAULT_WITNESS_BOUND
+from .words import DEFAULT_WITNESS_BOUND
+
+if TYPE_CHECKING:
+    from .groupkit import GroupPresentation
 
 
 def moebius_compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
@@ -290,48 +295,33 @@ class HolonomyVerdict(NamedTuple):
     certificate: Optional[str] = None
 
 
-def holonomy_check(
-    generators: Sequence[MoebiusMap],
-    word_bound: int = DEFAULT_WITNESS_BOUND,
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
-) -> HolonomyVerdict:
-    """Decide whether the generated Moebius group is finite cyclic.
+def holonomy_check(pres: GroupPresentation,
+                   word_bound: int = DEFAULT_WITNESS_BOUND) -> HolonomyVerdict:
+    """Decide whether the group of Moebius maps `pres` presents is finite cyclic.
 
     The number of generators must be 1 or a prime power (the
     ramification-degree hypothesis).  The generators must have finite order
     and satisfy the two basic-set conditions, checked by `check_basic_set`
     with witness words up to `word_bound` (its word ball grows only until
-    every pair is answered).  A cyclic group is abelian, and conjugate
-    elements of an abelian group are equal, so the group is then finite
-    cyclic exactly when the listed maps are one map, whose order is the
-    group's.  The
-    closure of the Moebius group (`closure_enumerate`, listing at most
-    `closure_cap` elements) is reported as an independent finiteness
-    certificate.
+    every pair is answered) and with the presentation's own witnesses.  A
+    cyclic group is abelian, and conjugate elements of an abelian group are
+    equal, so the group is then finite cyclic exactly when the listed maps
+    are one map g.  The group is then <g>, and its element count, reported
+    in the closure note, is the exact order of g: no closure is enumerated.
     """
     # imported here, so that parsing a document of Moebius maps loads no groupkit
-    from .groupkit import (
-        GroupPresentation,
-        check_basic_set,
-        check_product_identity,
-        closure_enumerate,
-    )
+    from .groupkit import check_basic_set, check_product_identity
 
-    gens = list(generators)
+    gens = pres.elements
     if len(gens) != 1 and is_prime_power(len(gens)) is None:
         raise ValueError(f"generator count {len(gens)} is not a prime power")
-    pres = GroupPresentation(tuple((f"g{i+1}", g) for i, g in enumerate(gens)))
     distinct = list(dict.fromkeys(gens))
 
     for g in distinct:
         o = g.order()
         if o.kind != "finite":
-            return HolonomyVerdict(
-                False,
-                model="other",
-                detail=f"generator {g!r} has infinite projective order",
-                certificate=o.certificate,
-            )
+            return HolonomyVerdict(False, model="other", certificate=o.certificate,
+                                   detail=f"generator {g!r} has infinite projective order")
 
     if not check_product_identity(pres)[0]:
         return HolonomyVerdict(
@@ -363,23 +353,13 @@ def holonomy_check(
             detail="all generators are the identity",
         )
     k = distinct[0].order().order
-
-    closure = closure_enumerate(pres, closure_cap)
-    closure_note = {
-        "closed": f"moebius closure has {closure.count} elements",
-        "infinite": f"moebius closure is infinite: {closure.word} has infinite order",
-        "cap-exceeded": f"moebius closure exceeded cap {closure_cap}",
-    }[closure.status]
-
     if k == 2:
         return HolonomyVerdict(
             True, order=2, model="inversion",
-            detail=f"single order-2 generator with two fixed points; {closure_note}",
+            detail="single order-2 generator with two fixed points; moebius closure has 2 elements",
         )
     return HolonomyVerdict(
-        True,
-        order=k,
-        model="rotation",
-        first_integral_exponent=k,
-        detail=f"local multipliers generate a cyclic group of order {k}; {closure_note}",
+        True, order=k, model="rotation", first_integral_exponent=k,
+        detail=f"local multipliers generate a cyclic group of order {k}; "
+               f"moebius closure has {k} elements",
     )

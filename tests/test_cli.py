@@ -17,7 +17,8 @@ CORPUS_DIR = Path(cli.__file__).resolve().parent / "corpus"
 REPORTS_DIR = Path(__file__).resolve().parent / "corpus_reports"
 
 
-def moebius_document(path: Path, matrices, conductor: int = 1) -> str:
+def moebius_document(path: Path, matrices, conductor: int = 1, witnesses=()) -> str:
+    """The maps named m1..mn; `witnesses` lists (pair, word) entries."""
     doc = {
         "name": path.stem,
         "conductor": conductor,
@@ -25,6 +26,7 @@ def moebius_document(path: Path, matrices, conductor: int = 1) -> str:
             {"name": f"m{i + 1}", "matrix": [[str(x) for x in row] for row in m]}
             for i, m in enumerate(matrices)
         ],
+        "witnesses": [{"pair": pair, "word": word} for pair, word in witnesses],
     }
     path.write_text(json.dumps(doc))
     return str(path)
@@ -191,7 +193,63 @@ def test_holonomy_exhausted_search_exits_3(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert verdict["finite_cyclic"] is False
     assert verdict["detail"] == (
-        "generator pair (0, 2): distinct but conjugate by g3*g1, so the group is not abelian")
+        "generator pair (0, 2): distinct but conjugate by m3*m1, so the group is not abelian")
+
+
+def test_holonomy_ignores_closure_cap(capsys):
+    # the group of one map g is <g>, whose element count is the order of g:
+    # no closure is listed, so the cap bounds nothing
+    path = str(CORPUS_DIR / "moebius-rotation-5.json")
+    verdicts = [_holonomy([path, "--closure-cap", cap], capsys) for cap in ("3", "10000")]
+    assert verdicts[0] == verdicts[1]
+    code, verdict = verdicts[0]
+    assert code == cli.EXIT_OK
+    assert (verdict["finite_cyclic"], verdict["order"]) == (True, 5)
+    assert verdict["detail"].endswith("; moebius closure has 5 elements")
+
+
+def test_holonomy_reads_the_documents_witness_word(tmp_path, capsys):
+    # m4*m2 is the element m3*m1 that the search finds, written another way
+    path = moebius_document(tmp_path / "s3.json", [S, S, T, T],
+                            witnesses=[(["m1", "m3"], "m4*m2")])
+    code, verdict = _holonomy([path], capsys)
+    assert code == cli.EXIT_OK
+    assert verdict["detail"] == (
+        "generator pair (0, 2): distinct but conjugate by m4*m2, so the group is not abelian")
+
+
+def test_wrong_witness_word_of_a_moebius_document_exits_2(tmp_path, capsys):
+    path = moebius_document(tmp_path / "s3.json", [S, S, T, T], witnesses=[(["m1", "m3"], "m1")])
+    for command in ("moebius-holonomy", "check-basic-set"):
+        assert cli.main([command, path]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: supplied witness 'm1' fails for pair (0, 2)\n"
+
+
+def test_document_of_jets_and_maps_exits_2_at_parse(tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    jets = json.loads(Path(jet_document(tmp_path / "f.json", 1, 1, [[("-1", [1])]])).read_text())
+    maps = json.loads(Path(moebius_document(tmp_path / "m.json", [S])).read_text())
+    path.write_text(json.dumps({**jets, "moebius_generators": maps["moebius_generators"]}))
+    assert cli.main(["closure", str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: moebius_generators: a document lists jets or Moebius maps, not both\n")
+
+
+def test_group_commands_run_on_a_moebius_document(tmp_path, capsys):
+    def run(*argv):
+        assert cli.main([*argv, "--format", "json"]) == cli.EXIT_OK
+        return json.loads(capsys.readouterr().out)["verdict"]
+
+    path = moebius_document(tmp_path / "s3.json", [S, S, T, T])
+    closure = run("closure", path)
+    assert (closure["status"], closure["count"]) == ("closed", 6)
+    assert [["1", "0"], ["0", "1"]] in closure["elements"] and len(closure["elements"]) == 6
+    assert run("check-basic-set", path)["verdict"] == "irreducible-verified"
+    assert run("order", path, "--element", "m1*m3")["order"] == 3
+    # S o T is z -> 1/(1 - z), the residual of an ordered product that is not the identity
+    basic_set = run("check-basic-set", moebius_document(tmp_path / "st.json", [S, T]))
+    assert basic_set["verdict"] == "condition-a-failed"
+    assert basic_set["residual"] == [["0", "1"], ["-1", "1"]]
 
 
 def test_holonomy_fixed_points_outside_the_field_exits_0(tmp_path, capsys):
@@ -232,14 +290,6 @@ def test_too_many_generators_exit_2_at_once(tmp_path, capsys):
     assert cli.main(["check-basic-set", str(path)]) == cli.EXIT_INPUT
     assert time.monotonic() - started < 1.0
     assert capsys.readouterr().err.startswith("error: generators: 3000 generators exceed")
-
-
-def test_holonomy_honours_closure_cap(tmp_path, capsys):
-    path = str(CORPUS_DIR / "moebius-rotation-5.json")
-    code, verdict = _holonomy([path, "--closure-cap", "3"], capsys)
-    assert code == cli.EXIT_OK
-    assert verdict["finite_cyclic"] is True
-    assert "exceeded cap 3" in verdict["detail"]
 
 
 @pytest.mark.parametrize(

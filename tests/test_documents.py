@@ -14,13 +14,14 @@ from germforge.documents import (
     parse_document,
 )
 from germforge.jets import GermJet
+from germforge.moebius import MoebiusMap
 
 
 def term(coeff, monomial):
     return {"coeff": coeff, "monomial": monomial}
 
 
-# (x + y^2, -y) over Q and the inversion z -> 1/z
+# (x + y^2, -y) and the identity over Q
 VALID = {
     "conductor": 1,
     "dimension": 2,
@@ -29,9 +30,15 @@ VALID = {
         {"name": "f", "coords": [[term("1", [1, 0]), term("1", [0, 2])], [term("-1", [0, 1])]]},
         {"name": "g", "coords": [[term("1", [1, 0])], [term("1", [0, 1])]]},
     ],
-    "moebius_generators": [{"name": "m", "matrix": [["0", "1"], ["1", "0"]]}],
     # g is the identity, so it conjugates f to itself
     "witnesses": [{"pair": ["f", "f"], "word": "g"}],
+}
+# the inversion z -> 1/z over Q, listed twice: m conjugates it to itself
+MOEBIUS = {
+    "conductor": 1,
+    "moebius_generators": [{"name": name, "matrix": [["0", "1"], ["1", "0"]]}
+                           for name in ("m", "n")],
+    "witnesses": [{"pair": ["m", "n"], "word": "m"}],
 }
 
 
@@ -42,9 +49,27 @@ def test_valid_document_parses():
     assert doc.presentation().names == ["f", "g"]
 
 
-def edited(path, value):
-    """A copy of VALID with the value at `path` (keys and indices) replaced."""
-    doc = copy.deepcopy(VALID)
+def test_moebius_document_parses_into_the_one_generator_list():
+    doc = parse_document(MOEBIUS)
+    assert [name for name, _ in doc.generators] == ["m", "n"]
+    assert not hasattr(doc, "moebius_generators")
+    # witness words name the maps, as they name jets
+    assert doc.witnesses == {(0, 1): "m"}
+    pres = doc.presentation()
+    assert pres.names == ["m", "n"] and pres.witnesses == {(0, 1): "m"}
+    m, n = pres.elements
+    assert isinstance(m, MoebiusMap) and m is n
+
+
+def test_a_document_of_jets_and_maps_fails_at_parse():
+    with pytest.raises(DocumentError) as info:
+        parse_document({**VALID, "moebius_generators": MOEBIUS["moebius_generators"]})
+    assert str(info.value) == "moebius_generators: a document lists jets or Moebius maps, not both"
+
+
+def edited(path, value, base=VALID):
+    """A copy of `base` with the value at `path` (keys and indices) replaced."""
+    doc = copy.deepcopy(base)
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -69,15 +94,15 @@ def edited(path, value):
         (edited(["generators", 0, "coords", 0, 1], term("2", [1, 0])),
          "generators[0].coords[0][1]: duplicate monomial [1, 0]"),
         (edited(["generators", 1, "name"], "f"), "generators[1].name: duplicate name 'f'"),
-        (edited(["moebius_generators", 0, "name"], "g"),
-         "moebius_generators[0].name: duplicate name"),
+        (edited(["moebius_generators", 1, "name"], "m", MOEBIUS),
+         "moebius_generators[1].name: duplicate name 'm'"),
         (edited(["generators", 0, "coords", 1, 0, "coeff"], "2*"),
          "generators[0].coords[1][0].coeff:"),
         (edited(["generators", 0, "coords", 1, 0, "coeff"], "1/0"),
          "generators[0].coords[1][0].coeff:"),
-        (edited(["moebius_generators", 0, "matrix"], [["1", "0", "0"], ["0", "1", "0"]]),
+        (edited(["moebius_generators", 0, "matrix"], [["1", "0", "0"], ["0", "1", "0"]], MOEBIUS),
          "moebius_generators[0].matrix: must be a 2x2"),
-        (edited(["moebius_generators", 0, "matrix"], [["1", "2"], ["2", "4"]]),
+        (edited(["moebius_generators", 0, "matrix"], [["1", "2"], ["2", "4"]], MOEBIUS),
          "moebius_generators[0]: matrix determinant is zero"),
         (edited(["generators", 0, "coords", 1, 0, "monomial"], [1, 0]),
          "generators[0]: linear part is not invertible"),
@@ -202,17 +227,17 @@ def test_two_parses_of_one_text_share_no_holder():
 
 
 def test_equal_moebius_generators_share_one_map():
-    maps = [m for _, m in corpus.load("moebius-rotation-5").moebius_generators]
+    maps = [m for _, m in corpus.load("moebius-rotation-5").generators]
     assert len(maps) == 5 and all(m is maps[0] for m in maps)
 
 
 def test_a_repeated_singular_moebius_generator_fails_at_its_first_path():
     singular = {"name": "s", "matrix": [["1", "2"], ["2", "4"]]}
-    doc = copy.deepcopy(VALID)
+    doc = copy.deepcopy(MOEBIUS)
     doc["moebius_generators"] += [singular, {**singular, "name": "t"}]
     with pytest.raises(DocumentError) as info:
         parse_document(doc)
-    assert str(info.value) == "moebius_generators[1]: matrix determinant is zero"
+    assert str(info.value) == "moebius_generators[2]: matrix determinant is zero"
 
 
 def test_presentation_is_built_once():
@@ -258,9 +283,9 @@ def test_oversized_document_names_its_path(doc, where):
 
 
 def test_generator_count_at_the_limit_parses():
-    doc = parse_document(oversized(generators=negations(MAX_GENERATORS),
-                                   moebius_generators=moebius_negations(MAX_GENERATORS)))
-    assert len(doc.generators) == len(doc.moebius_generators) == MAX_GENERATORS
+    jets = parse_document(oversized(generators=negations(MAX_GENERATORS)))
+    maps = parse_document(oversized(moebius_generators=moebius_negations(MAX_GENERATORS)))
+    assert len(jets.generators) == len(maps.generators) == MAX_GENERATORS
 
 
 def test_truncation_override_is_bounded():

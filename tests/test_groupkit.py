@@ -1,3 +1,4 @@
+import argparse
 import cProfile
 import fractions
 import json
@@ -535,7 +536,8 @@ LAZY_DISPATCH = """
 import json, sys
 from germforge import corpus
 f, g = [x for _, x in corpus.load("ex-2-2").generators[10:12]]
-m, n = [x for _, x in corpus.load("moebius-rotation-5").moebius_generators[:2]]
+# the document's own list: its `presentation()` would load groupkit, and with it jets
+m, n = [x for _, x in corpus.load("moebius-rotation-5").generators[:2]]
 operations = ("germforge.jets", "germforge.moebius")
 before = [k for k in operations if k in sys.modules]
 results = [repr(eval(call)) for call in sys.argv[1:]]
@@ -547,7 +549,7 @@ print(json.dumps([before, results, after]))
 def corpus_elements():
     # f11 and f12 of Example 2.2, both nonlinear: the order of a linear jet takes no power
     f, g = [x for _, x in corpus.load("ex-2-2").generators[10:12]]
-    m, n = [x for _, x in corpus.load("moebius-rotation-5").moebius_generators[:2]]
+    m, n = corpus.load("moebius-rotation-5").presentation().elements[:2]
     return f, g, m, n
 
 
@@ -814,14 +816,9 @@ CORPUS_CLOSURES = {
 }
 
 
-def corpus_presentation(entry):
-    doc = corpus.load(entry)
-    return doc.presentation() if doc.generators else GroupPresentation(doc.moebius_generators)
-
-
 @pytest.mark.parametrize("entry", corpus.ENTRIES)
 def test_corpus_closure_verdicts(entry):
-    pres = corpus_presentation(entry)
+    pres = corpus.load(entry).presentation()
     res = closure_enumerate(pres)
     assert (res.status, res.count, res.word) == CORPUS_CLOSURES[entry]
     if res.status == "infinite":
@@ -831,6 +828,33 @@ def test_corpus_closure_verdicts(entry):
         assert len(res.elements) == res.count and res.certificate is None
         # closed: the BFS frontier emptied, so every element met every letter
         assert len(res.table.products) == res.count * len(res.table.letters)
+
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES)
+def test_every_command_runs_on_every_corpus_entry(entry, capsys):
+    """The group commands take jets and Moebius maps alike; the commands of
+    one element type refuse a document of the other with exit 2."""
+    path = os.path.join(os.path.dirname(cli.__file__), "corpus", f"{entry}.json")
+
+    def run(*argv):
+        code = cli.main([argv[0], path, *argv[1:], "--format", "json"])
+        out, err = capsys.readouterr()
+        return code, json.loads(out)["verdict"] if out else err
+
+    status, count, _ = CORPUS_CLOSURES[entry]
+    code, verdict = run("closure")
+    assert code == cli.EXIT_OK and (verdict["status"], verdict["count"]) == (status, count)
+    assert run("check-basic-set")[0] in (cli.EXIT_OK, cli.EXIT_LIMIT)
+    assert run("order", "--element", corpus.load(entry).generators[0][0])[0] == cli.EXIT_OK
+    cyclic = cli._cyclic_payload(corpus.load(entry), argparse.Namespace(closure_cap=10_000))
+    assert (cyclic is None) == (status != "closed")
+    if entry.startswith("moebius-"):
+        # without eigenvalues, `resonances` reads the first generator
+        for command in ("normalize", "linearize", "resonances"):
+            assert run(command) == (cli.EXIT_INPUT, "error: document has no jet generators\n")
+    else:
+        assert run("moebius-holonomy") == (
+            cli.EXIT_INPUT, "error: document has no moebius_generators\n")
 
 
 def g41n_presentation(n):
@@ -855,7 +879,7 @@ def test_closed_group_keeps_its_multiplication_table(entry):
     if entry == "G(4,1,3)":
         pres, order = g41n_presentation(3), 4 ** 3 * 6
     else:
-        pres, order = corpus_presentation(entry), CORPUS_CLOSURES[entry][1]
+        pres, order = corpus.load(entry).presentation(), CORPUS_CLOSURES[entry][1]
     res = closure_enumerate(pres)
     table = res.table
     ball, letters, width = table.ball, table.letters, len(table.letters)
@@ -910,7 +934,7 @@ def small_presentations():
 @pytest.mark.parametrize("name", ["zeta-12", "moebius-rotation-3", "order-6-from-2-and-3",
                                   "anharmonic", "prop-5-1-2", "prop-5-1-2-abelian", "prop-5-1-4"])
 def test_is_cyclic_matches_the_composing_reference(name):
-    pres = small_presentations().get(name) or corpus_presentation(name)
+    pres = small_presentations().get(name) or corpus.load(name).presentation()
     res = closure_enumerate(pres)
     generator = is_cyclic(res)
     assert generator is reference_is_cyclic(res)
@@ -941,14 +965,14 @@ def test_is_cyclic_matches_the_composing_reference_on_small_linear_groups(data):
 def test_closure_certificates_name_their_proof():
     trace = closure_enumerate(prop_513_presentation())
     assert "trace 19/8 of the linear part is not an algebraic integer" in trace.certificate
-    tangent = closure_enumerate(corpus_presentation("ex-2-1"))
+    tangent = closure_enumerate(corpus.load("ex-2-1").presentation())
     assert tangent.certificate == "tangent to the identity with a nonzero nonlinear slice"
-    generator = closure_enumerate(corpus_presentation("prop-5-1-1a"))
+    generator = closure_enumerate(corpus.load("prop-5-1-1a").presentation())
     assert "every finite order divides 12" in generator.certificate
 
 
 def test_finite_closure_orders_only_its_generators(monkeypatch):
-    pres = corpus_presentation("prop-5-1-4")
+    pres = corpus.load("prop-5-1-4").presentation()
     calls = counting(monkeypatch, "germ_order")
     assert closure_enumerate(pres).status == "closed"
     assert len(calls) == len(set(pres.elements))

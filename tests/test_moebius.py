@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from germforge import cli, groupkit, moebius as moebius_module
 from germforge.cyclo import OrderResult, cyclotomic_polynomial, field, is_prime_power
 from germforge.groupkit import (
-    ClosureResult,
     GroupPresentation,
     check_basic_set,
     closure_enumerate,
@@ -22,6 +21,11 @@ F5 = field(5)
 
 def moebius(fld, rows):
     return MoebiusMap(tuple(tuple(fld.from_rational(x) for x in row) for row in rows))
+
+
+def listing(*maps):
+    """The maps as a presentation, named g1..gn."""
+    return GroupPresentation(tuple((f"g{i}", m) for i, m in enumerate(maps, start=1)))
 
 
 def scaling(xi):
@@ -78,12 +82,21 @@ def test_closure_of_two_inversions_is_infinite_by_the_screen():
     assert result.certificate.startswith("trace^2/det = 9/2 is not an algebraic integer")
 
 
-def test_holonomy_names_an_infinite_closure(monkeypatch):
-    infinite = ClosureResult("infinite", None, 3, "g1*g2", "certificate")
-    monkeypatch.setattr(groupkit, "closure_enumerate", lambda pres, cap: infinite)
-    verdict = holonomy_check([scaling(F5.zeta())] * 5)
-    assert verdict.finite_cyclic is True
-    assert verdict.detail.endswith("; moebius closure is infinite: g1*g2 has infinite order")
+def test_rotation_composes_only_its_ordered_product(monkeypatch):
+    """moebius-rotation-5 lists one map g five times: the ordered product g^5
+    by square-and-multiply is its only 3 composes.  `check_basic_set` reads
+    the product `holonomy_check` already composed, and no closure is listed."""
+    def refuse(*args):
+        raise AssertionError("a closure was enumerated")
+
+    calls = []
+    original = moebius_module.moebius_compose
+    monkeypatch.setattr(groupkit, "closure_enumerate", refuse)
+    monkeypatch.setattr(moebius_module, "moebius_compose",
+                        lambda *args: calls.append(args) or original(*args))
+    report = cli.run_corpus_entry("moebius-rotation-5", 6, 10_000, None)
+    assert report["matched"]
+    assert len(calls) == 3
 
 
 def test_basic_set_on_moebius_presentation():
@@ -94,7 +107,7 @@ def test_basic_set_on_moebius_presentation():
 
 
 def test_exhausted_witness_search_is_unresolved_not_false():
-    gens = [S, S, T, T]
+    gens = listing(S, S, T, T)
     verdict = holonomy_check(gens, word_bound=0)
     assert verdict.finite_cyclic == "unresolved"
     assert "word length 0" in verdict.detail
@@ -105,26 +118,26 @@ def test_exhausted_witness_search_is_unresolved_not_false():
 
 
 def test_rotation_with_fixed_points_outside_the_field_is_decided():
-    verdict = holonomy_check([R3, R3, R3])
+    verdict = holonomy_check(listing(R3, R3, R3))
     assert (verdict.finite_cyclic, verdict.order, verdict.model) == (True, 3, "rotation")
 
 
 def test_product_not_identity_is_false():
-    verdict = holonomy_check([S, T])
+    verdict = holonomy_check(listing(S, T))
     assert verdict.finite_cyclic is False
     assert verdict.detail == "ordered product of generators is not the identity"
 
 
 def test_non_conjugate_generators_are_disproved():
     rotation = scaling(F5.zeta())
-    verdict = holonomy_check([rotation, rotation.inverse()])
+    verdict = holonomy_check(listing(rotation, rotation.inverse()))
     assert verdict.finite_cyclic is False
     assert "commuting-generators" in verdict.detail
 
 
 def test_generator_count_must_be_a_prime_power():
     with pytest.raises(ValueError, match="prime power"):
-        holonomy_check([S] * 6)
+        holonomy_check(listing(*[S] * 6))
 
 
 @st.composite
@@ -162,8 +175,8 @@ def moebius_listings(draw):
 def test_holonomy_verdict_agrees_with_the_closure(maps):
     """True means a closed cyclic closure of the reported order; False after
     a verified basic set means no closed cyclic closure."""
-    verdict = holonomy_check(maps)
-    pres = GroupPresentation(tuple((f"g{i}", m) for i, m in enumerate(maps, start=1)))
+    pres = listing(*maps)
+    verdict = holonomy_check(pres)
     if verdict.finite_cyclic is True:
         closure = closure_enumerate(pres, 2000)
         assert closure.status == "closed" and is_cyclic(closure) is not None
@@ -260,7 +273,7 @@ def test_non_square_discriminant_is_decided_without_the_numeric_search(monkeypat
     assert m.order().order == 3
     (a, b), (c, d) = m.matrix
     assert (a - d) * (a - d) + b * c * 4 == field(13).zeta(2) * -3
-    verdict = holonomy_check([m, m, m])
+    verdict = holonomy_check(listing(m, m, m))
     assert (verdict.finite_cyclic, verdict.order, verdict.model) == (True, 3, "rotation")
 
 
@@ -274,7 +287,7 @@ def test_conjugated_rotation_has_order_three_at_large_conductors(n):
 def test_square_discriminant_still_resolves():
     # sqrt(-3) = 1 + 2*zeta_3 lies in Q(zeta_12)
     m = conjugated_r3(12)
-    verdict = holonomy_check([m, m, m])
+    verdict = holonomy_check(listing(m, m, m))
     assert (verdict.finite_cyclic, verdict.order, verdict.model) == (True, 3, "rotation")
 
 
@@ -287,7 +300,7 @@ def test_conductor_84_is_decided_without_a_square_root(monkeypatch):
     monkeypatch.setattr(moebius_module, "_sign_search", refuse)
     monkeypatch.setattr(moebius_module, "cyclo_sqrt", refuse)
     m = conjugated_r3(84)
-    verdict = holonomy_check([m, m, m])
+    verdict = holonomy_check(listing(m, m, m))
     assert (verdict.finite_cyclic, verdict.order, verdict.model) == (True, 3, "rotation")
 
 
