@@ -90,15 +90,16 @@ def _presentation_of(doc: InputDocument, kind: type):
 def _basic_set_payload(doc: InputDocument, opts: Any) -> dict:
     pres = doc.presentation()
     report = check_basic_set(pres, opts.witness_bound)
-    names = pres.names
-    entries: dict = {}  # one entry per distinct answer
+    names, slots = pres.names, report.slots
+    entries: dict = {}  # one entry per pair of distinct generators, by slot pair
     pairs = {}
     witnessed = 0
     for (i, j), res in report.conjugacy.items():  # in (i, j) order
         witnessed += res.found
-        entry = entries.get(res)
+        key = slots[i], slots[j]
+        entry = entries.get(key)
         if entry is None:
-            entry = entries[res] = {"status": res.status}
+            entry = entries[key] = {"status": res.status}
             if res.word is not None:
                 entry["word"] = res.word
             if res.reason is not None:

@@ -39,7 +39,7 @@ import math
 from typing import TYPE_CHECKING, Any, Optional
 
 from .cyclo import CycloField, CycloNum, field, parse_coefficient
-from .jetform import GermJet
+from .jetform import GermJet, _common_form, _int_det
 from .words import parse_word
 
 if TYPE_CHECKING:
@@ -176,11 +176,12 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
 
     Each distinct coefficient string is parsed once, and generators with
     equal coefficients (equal entries, for Moebius maps) share one `GermJet`
-    or `MoebiusMap`, with its constructor's check and every fact it
-    memoizes; so a singular one fails at its first listing.  Distinct jets
-    with equal linear parts share one `LinearPart`, and so its facts.  They
-    are matched on integer (num, den) pairs: hashing a rational `CycloNum`
-    would import `fractions`.
+    or `MoebiusMap`, and every fact it memoizes.  Distinct jets with equal
+    linear parts share one `LinearPart`, and so its facts; the jets are built
+    by `GermJet._trusted` from the terms checked here, and invertibility is
+    checked once per `LinearPart` (`_int_det`), so a singular one fails at
+    its first listing.  They are matched on integer (num, den) pairs:
+    hashing a rational `CycloNum` would import `fractions`.
     """
     if isinstance(obj, (str, bytes)):
         try:
@@ -242,11 +243,14 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
         key = frozenset((k, c.num, c.den) for k, c in coeffs.items())
         jet = distinct.get(key)
         if jet is None:
-            try:
-                jet = distinct[key] = GermJet(dimension, truncation, fld, coeffs)
-            except ValueError as exc:
-                raise DocumentError(f"generators[{gi}]: {exc}") from exc
-            jet._lin = linear.setdefault(jet._linear(), jet._linear_part())
+            nonzero = {k: c for k, c in coeffs.items() if not c.is_zero()}
+            den, nums = _common_form(nonzero.values())
+            jet = distinct[key] = GermJet._trusted(dimension, truncation, fld, den,
+                                                   dict(zip(nonzero, nums)))
+            part = jet._linear_part()
+            jet._lin = linear.setdefault(part.form, part)
+            if jet._lin is part and not any(_int_det(fld, dimension, part.form)[0]):
+                raise DocumentError(f"generators[{gi}]: linear part is not invertible")
         generators.append((gname, jet))
 
     maps: dict[tuple, MoebiusMap] = {}  # integer entries -> their one map

@@ -200,13 +200,14 @@ def bfs_ball(
 
     Letters are (token, value) pairs explored in list order; FIFO expansion
     yields, per element, the shortest and then lexicographically least word.
-    Elements are expanded in the order they were listed.  `stop(new, index,
-    parent, letter)` is called on each new element after the identity, with
-    its ball index, the ball index of the element it was composed from and the
-    (token, value) letter: ball[index] is new = ball[parent] o value.  The
-    ball then grows only until it is true and ends with that element, a prefix
-    of the full ball in the same order.  Without `stop`, or when it is never
-    true, the whole depth-`depth` ball is built.
+    Elements are expanded in the order they were listed; the identity's
+    products are the letters themselves, so level 1 composes nothing.
+    `stop(new, index, parent, letter)` is called on each new element after
+    the identity, with its ball index, the ball index of the element it was
+    composed from and the (token, value) letter: ball[index] is new =
+    ball[parent] o value.  The ball then grows only until it is true and ends
+    with that element, a prefix of the full ball in the same order.  Without
+    `stop`, or when it is never true, the whole depth-`depth` ball is built.
 
     A list `table` receives the ball's Cayley graph as it is built: expanding
     the i-th element appends, per letter k, the ball index of
@@ -225,7 +226,7 @@ def bfs_ball(
         for parent in range(start, end):
             elem, word = ball[parent]
             for letter in letters:
-                new = compose_fn(elem, letter[1])
+                new = compose_fn(elem, letter[1]) if parent else letter[1]
                 index = seen.setdefault(new, len(ball))
                 if table is not None:
                     table.append(index)
@@ -269,17 +270,22 @@ class WitnessResult(NamedTuple):
 
 
 def _conjugation_prescreen(fi: GroupElement, fj: GroupElement) -> Optional[WitnessResult]:
-    """Sound non-conjugacy certificates that avoid any search."""
+    """Answers that need no search, cheapest first: equality, then the
+    conjugacy invariant, with orders taken only to name its disproof."""
     if fi == fj:
         return WitnessResult("witness", word="")
+    if fi.conjugacy_invariant() != fj.conjugacy_invariant():
+        return _order_mismatch(fi, fj) or WitnessResult(
+            "disproved", reason="linear-part-charpoly-mismatch")
+    return None
+
+
+def _order_mismatch(fi: GroupElement, fj: GroupElement) -> Optional[WitnessResult]:
+    """The disproof of conjugacy by different orders, or None when the orders agree."""
     oi, oj = fi.order(), fj.order()
     if (oi.kind, oi.order) != (oj.kind, oj.order):
-        return WitnessResult(
-            "disproved",
-            reason=f"order-mismatch: {oi.order or oi.kind} vs {oj.order or oj.kind}",
-        )
-    if fi.conjugacy_invariant() != fj.conjugacy_invariant():
-        return WitnessResult("disproved", reason="linear-part-charpoly-mismatch")
+        return WitnessResult("disproved", reason=f"order-mismatch: {oi.order or oi.kind} vs "
+                                                 f"{oj.order or oj.kind}")
     return None
 
 
@@ -294,22 +300,25 @@ def _conjugates(w: GroupElement, fi: GroupElement, fj: GroupElement) -> bool:
     return w.compose(fj) == fi.compose(w)
 
 
-def _conjugacy(g: GroupPresentation, pairs, bound: int) -> tuple[dict, list]:
+def _conjugacy(g: GroupPresentation, pairs, bound: int) -> tuple[list, dict]:
     """Condition (b) for each pair (i, j) of `pairs`: the one routine behind
-    `find_conjugacy_witness` and `check_basic_set`.  Returns the answer of
-    each listed pair and the list of distinct answers.
+    `find_conjugacy_witness` and `check_basic_set`.  Returns the slot of each
+    listed generator, equal generators sharing one, and the answer of each
+    slot pair (slot[i], slot[j]) of a listed pair.
 
     The listed generators are indexed by distinct element once, and each pair
     of elements is answered once.  Every supplied witness of the presentation
     is verified on its own pair first, whether or not a listed pair reads it;
     a pair of distinct elements then takes the first supplied word among the
-    listed pairs naming it, instead of a search.  Pre-screens can
-    disprove conjugacy outright (order or characteristic polynomial mismatch;
-    commuting generators generate an abelian group, where conjugacy is
-    equality).  The pairs left share one word ball, `_ball_witnesses`, whose
-    test of a new element w = u o y (u expanded, y the letter) compares two
-    conjugates it already holds, u^{-1} f_i u and y f_j y^{-1}, and so
-    composes nothing.
+    listed pairs naming it, instead of a search.  Screens run cheapest first
+    (`_conjugation_prescreen`): equality, then the conjugacy invariant.  The
+    pairs left are disproved when the generators commute (an abelian group,
+    where conjugacy is equality), else share one word ball,
+    `_ball_witnesses`, whose test of a new element w = u o y (u expanded, y
+    the letter) compares two conjugates it already holds, u^{-1} f_i u and
+    y f_j y^{-1}, and so composes nothing.  Orders are taken only where they
+    decide: an order mismatch overrides the commuting reason and an
+    unresolved search, and names a differing invariant's disproof.
     """
     index: dict = {}  # distinct element -> its slot, in listing order
     slot = [index.setdefault(x, len(index)) for x in g.elements]
@@ -329,11 +338,16 @@ def _conjugacy(g: GroupPresentation, pairs, bound: int) -> tuple[dict, list]:
             answers[a, b] = screened
     pending = [key for key in keys if key not in answers]
     if pending and _generators_commute(distinct):
-        reason = "commuting-generators: abelian group, conjugacy is equality"
-        answers.update((key, WitnessResult("disproved", reason=reason)) for key in pending)
-    elif pending:
-        answers.update(_ball_witnesses(g, distinct, slot, pending, bound))
-    return {(i, j): answers[slot[i], slot[j]] for i, j in pairs}, list(answers.values())
+        commuting = WitnessResult(
+            "disproved", reason="commuting-generators: abelian group, conjugacy is equality")
+        searched = dict.fromkeys(pending, commuting)
+    else:
+        searched = _ball_witnesses(g, distinct, slot, pending, bound) if pending else {}
+    for (a, b), res in searched.items():
+        if not res.found:
+            res = _order_mismatch(distinct[a], distinct[b]) or res
+        answers[a, b] = res
+    return slot, answers
 
 
 def _ball_witnesses(g: GroupPresentation, distinct: list, slot: list, pending: list,
@@ -423,7 +437,8 @@ def find_conjugacy_witness(
     The pair alone through `_conjugacy`: a supplied witness, a pre-screen or
     the first element of the word ball, in BFS order, that conjugates the pair.
     """
-    return _conjugacy(g, [(i, j)], bound)[0][(i, j)]
+    slot, answers = _conjugacy(g, [(i, j)], bound)
+    return answers[slot[i], slot[j]]
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +448,8 @@ def find_conjugacy_witness(
 class BasicSetReport(NamedTuple):
     """What `check_basic_set` found.  `conjugacy` maps every generator pair
     (i, j), i < j, to its answer, with the pairs in lexicographic (i, j)
-    order: the order in which reports list them, without sorting."""
+    order: the order in which reports list them, without sorting.
+    `slots[i]` is generator i's index among the distinct generators."""
 
     product_is_identity: bool
     residual: GroupElement
@@ -441,6 +457,7 @@ class BasicSetReport(NamedTuple):
     # "condition-a-failed", else "condition-b-failed" when a pair is disproved,
     # else "irreducible-verified" or "condition-b-unresolved"
     verdict: str
+    slots: list
 
 
 def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) -> BasicSetReport:
@@ -449,16 +466,18 @@ def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) ->
     verdict is read off the answers of the distinct pairs."""
     n = len(g.generators)
     prod_ok, residual = check_product_identity(g)
-    conjugacy, answers = _conjugacy(g, [(i, j) for i in range(n) for j in range(i + 1, n)], bound)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    slot, answers = _conjugacy(g, pairs, bound)
     if not prod_ok:
         verdict = "condition-a-failed"
-    elif any(r.status == "disproved" for r in answers):
+    elif any(r.status == "disproved" for r in answers.values()):
         verdict = "condition-b-failed"
-    elif all(r.found for r in answers):
+    elif all(r.found for r in answers.values()):
         verdict = "irreducible-verified"
     else:
         verdict = "condition-b-unresolved"
-    return BasicSetReport(prod_ok, residual, conjugacy, verdict)
+    conjugacy = {(i, j): answers[slot[i], slot[j]] for i, j in pairs}
+    return BasicSetReport(prod_ok, residual, conjugacy, verdict, slot)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ hashing compare integers.  `GermJet.coeffs`, the coefficients as
 
 `GermJet(...)` validates its input: every key, every coefficient's field and,
 with the determinant of its own integer linear part (`_int_det`), the
-invertibility of the linear part.  Documents and other outside input go
-through it.  The jets that group operations return are built by
-`GermJet._trusted`, which skips all of that (see `jets`).
+invertibility of the linear part.  The jets that group operations return
+are built by `GermJet._trusted`, which skips all of that (see `jets`), and
+so are a document's jets, after parsing has checked the same, invertibility
+once per distinct linear part (see `documents.parse_document`).
 
 Parsing a document builds `GermJet`s and uses nothing else of the jet layer.
 Without a bytecode cache every module on that path is compiled at each
@@ -84,11 +85,11 @@ def unit_index(n: int, i: int) -> MultiIndex:
 #   - `jets._accumulate` and `jets._fold_sums` take every sum of products, as
 #     integer convolutions folded through Phi_N once per sum; for phi(N) = 1
 #     they are integer sums, and `jets._mul_nums` keeps its own dot products;
-#   - `_bareiss` (here) is the fraction-free elimination (Bareiss,
-#     "Sylvester's identity and multistep integer-preserving Gaussian
-#     elimination", Math. Comp. 22, 1968) of `_int_det` (here) and
-#     `jets._int_inv`; its only divisions are exact, through
-#     `CycloField._norm_adjugate`.
+#   - `_int_det` (here) is fraction-free elimination (Bareiss, "Sylvester's
+#     identity and multistep integer-preserving Gaussian elimination", Math.
+#     Comp. 22, 1968); its only divisions are exact, through
+#     `CycloField._norm_adjugate`, as is the one division of the inverse
+#     that `jets._char_poly` reads off its Faddeev-LeVerrier pass.
 # `CycloNum`s are built only at the boundary.
 
 IntMatrix = tuple[int, tuple[int, ...]]
@@ -115,13 +116,6 @@ def _int_identity(d: int, n: int) -> tuple[int, ...]:
 def _entries(fld: CycloField, nums: Sequence[int]) -> list[tuple[int, ...]]:
     d = fld.degree
     return [tuple(nums[s:s + d]) for s in range(0, len(nums), d)]
-
-
-def _int_rows(fld: CycloField, n: int, a: IntMatrix) -> tuple[int, list[list[tuple[int, ...]]]]:
-    """(D, rows): the n x n integer form a as mutable rows of entry vectors."""
-    den, nums = a
-    entries = _entries(fld, nums)
-    return den, [entries[i:i + n] for i in range(0, len(entries), n)]
 
 
 def _exact_divider(fld: CycloField, v: tuple[int, ...]) -> Callable:
@@ -154,42 +148,33 @@ def _eliminate(fld: CycloField, rows: list[list[tuple[int, ...]]], k: int, i: in
             row[j] = e if divide is None else divide(e)
 
 
-def _bareiss(fld: CycloField, rows: list[list[tuple[int, ...]]], steps: int,
-             jordan: bool) -> Optional[int]:
-    """Eliminate the first `steps` columns of the integer rows in place: step
-    k swaps a row with a nonzero entry in column k into row k and runs
-    `_eliminate` on the rows below it or, with `jordan`, on every other row.
-    Returns the sign of the row swaps, or None for a zero pivot column."""
-    n, sign = len(rows), 1
-    for k in range(steps):
+def _int_det(fld: CycloField, n: int, a: IntMatrix) -> tuple[list[int], int]:
+    """(num, den) with det(a) = num / den, by fraction-free elimination of
+    the numerators X, swapping a nonzero pivot up: det(a) = det(X) / D^n.
+    The last pivot is det(X), so no divider is built for it; num is the zero
+    vector when a is singular."""
+    den, nums = a
+    entries = _entries(fld, nums)
+    rows = [entries[i:i + n] for i in range(0, len(entries), n)]
+    sign = 1
+    for k in range(n - 1):
         pivot = next((r for r in range(k, n) if any(rows[r][k])), None)
         if pivot is None:
-            return None
+            return [0] * fld.degree, 1
         if pivot != k:
             rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
         divide = _exact_divider(fld, rows[k - 1][k - 1]) if k else None
-        for i in range(0 if jordan else k + 1, n):
-            if i != k:
-                _eliminate(fld, rows, k, i, k + 1, divide)
-    return sign
-
-
-def _int_det(fld: CycloField, n: int, a: IntMatrix) -> tuple[list[int], int]:
-    """(num, den) with det(a) = num / den, by Bareiss elimination of the
-    numerators: det(a) = det(X) / D^n.  The last pivot is det(X), so no
-    divider is built for it; num is the zero vector when a is singular."""
-    den, rows = _int_rows(fld, n, a)
-    sign = _bareiss(fld, rows, n - 1, jordan=False)
-    if sign is None:
-        return [0] * fld.degree, 1
+        for i in range(k + 1, n):
+            _eliminate(fld, rows, k, i, k + 1, divide)
     return [sign * c for c in rows[n - 1][n - 1]], den ** n
 
 
 class LinearPart:
     """The linear part of a jet: its canonical integer form `form`, and the
-    facts computed on it, each once per object, by `jets._linear_order`,
-    `jets._char_poly` and `jets._int_inv` (called through the package).
+    facts computed on it, each once per object: the order by
+    `jets._linear_order`, and the characteristic polynomial and the inverse
+    form by one `jets._char_poly` pass (called through the package).
 
     The object points at no jet, so jets that share it form no reference
     cycle through it.
@@ -214,13 +199,12 @@ class LinearPart:
     def char_poly(self) -> tuple[CycloNum, ...]:
         """The characteristic polynomial, ascending (`jets._char_poly`)."""
         if self._char_poly is None:
-            self._char_poly = germforge.jets._char_poly(self.field, self.n, self.form)
+            self._char_poly, self._inverse = germforge.jets._char_poly(self.field, self.n, self.form)
         return self._char_poly
 
     def inverse(self) -> IntMatrix:
-        """The integer form of the inverse matrix (`jets._int_inv`)."""
-        if self._inverse is None:
-            self._inverse = germforge.jets._int_inv(self.field, self.n, self.form)
+        """The integer form of the inverse matrix, from the pass of `char_poly`."""
+        self.char_poly()
         return self._inverse
 
     def diagonal(self) -> Optional[tuple[CycloNum, ...]]:
@@ -251,8 +235,8 @@ class GermJet:
     built on first read and cached; `degree_slice` and `linear_matrix()`
     read the jet through it, and `canonical_key()` reads the integer form.
     The constructor checks every key and coefficient and rejects a singular
-    linear part; `_trusted` builds the results of group operations,
-    invertible by construction, without checks.
+    linear part; `_trusted` builds, without checks, the results of group
+    operations, invertible by construction, and the jets parsing checked.
 
     A jet is immutable, so each derived fact is kept once computed: `_lin`
     (the `LinearPart`, which keeps the linear part's integer form, order,

@@ -25,11 +25,11 @@ of the linear parts and the determinant is multiplicative.
 Matrices enter as rows of `CycloNum`s only at the exported interface
 (`char_poly`, `mat_det`, `linear_order`), which puts them in the same
 integer form at once; every decision reads that form, as a jet's
-`LinearPart` holds it.  The exact linear algebra (`_int_mul`, `_int_inv`,
-`_int_det`, `_char_poly` and the `_linear_order` powers) runs on it, and
-jets and matrices share one helper per rule (see the comment above
-`IntMatrix` in `jetform`): `_common_form`, `_accumulate` with
-`_fold_sums`, `_bareiss`, and `cyclo._lowest_terms` and
+`LinearPart` holds it.  The exact linear algebra (`_int_mul`, `_int_det`,
+`_char_poly`, which also gives the inverse, and the `_linear_order` powers)
+runs on it, and jets and matrices share one helper per rule (see the
+comment above `IntMatrix` in `jetform`): `_common_form`, `_accumulate`
+with `_fold_sums`, `_int_det`, and `cyclo._lowest_terms` and
 `CycloField._norm_adjugate`.
 """
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import chain, product
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cyclo import (
     CycloField,
@@ -56,12 +56,10 @@ from .jetform import (
     Matrix,
     MultiIndex,
     ShapeMismatchError,
-    _bareiss,
     _common_form,
     _entries,
     _int_det,
     _int_identity,
-    _int_rows,
     grlex_key,
     iter_multiindices,
     unit_index,
@@ -99,47 +97,44 @@ def mat_det(a: Matrix) -> CycloNum:
     return fld.from_integers(*_int_det(fld, len(a), _int_form(a)))
 
 
-def _int_inv(fld: CycloField, n: int, a: IntMatrix) -> IntMatrix:
-    """Inverse by fraction-free Gauss-Jordan on [X | I], X the numerators of a.
-
-    The elimination ends with p * I on the left, p the last pivot, and
-    p * X^-1 on the right; so a^-1 = D * right / p, one division.
-    """
-    den, rows = _int_rows(fld, n, a)
-    unit = _entries(fld, _int_identity(fld.degree, n))
-    for i, row in enumerate(rows):
-        row += unit[i * n:(i + 1) * n]
-    if _bareiss(fld, rows, n, jordan=True) is None:
-        raise ZeroDivisionError("singular matrix")
-    adj, out_den = fld._norm_adjugate(rows[n - 1][n - 1])
-    scale = [c * den for c in adj]
-    return _lowest_terms(out_den, [x for row in rows for e in row[n:] for x in fld._mul(e, scale)])
-
-
 def char_poly(a: Matrix) -> tuple[CycloNum, ...]:
     """Characteristic polynomial coefficients, ascending, monic."""
-    return _char_poly(a[0][0].field, len(a), _int_form(a))
+    return _char_poly(a[0][0].field, len(a), _int_form(a))[0]
 
 
-def _char_poly(fld: CycloField, n: int, a: IntMatrix) -> tuple[CycloNum, ...]:
-    """`char_poly` by Faddeev-LeVerrier on the numerators X = D * a, an
-    integer matrix over Z[zeta_N]: its coefficients are algebraic integers,
-    so each division of a trace by k is exact, and a's coefficient of
-    x^(n-k) is X's over D^k.
+def _char_poly(fld: CycloField, n: int, a: IntMatrix) -> tuple[tuple[CycloNum, ...], Optional[IntMatrix]]:
+    """(`char_poly` of a, the integer form of a^-1 or None for a singular a)
+    from one Faddeev-LeVerrier pass on the numerators X = D * a, an integer
+    matrix over Z[zeta_N]: each division of a trace by k is exact, and a's
+    coefficient of x^(n-k) is X's, c_k = -tr(X M_k) / k, over D^k, with
+    M_1 = I and M_(k+1) = X M_k + c_k I.  X M_1 is X, and only the trace of
+    X M_n is needed, so the pass takes n - 2 products.  X M_n = -c_n I
+    (Cayley-Hamilton), so a^-1 = -D M_n / c_n, one exact division through
+    `CycloField._norm_adjugate` (Cohen, GTM 138, Algorithm 2.2.7).
     """
     d = fld.degree
     den, x = a
     coeffs = [fld.zero()] * n + [fld.one()]
-    m = _int_identity(d, n)
     diagonal = [(i * n + i) * d for i in range(n)]
-    for k in range(1, n + 1):
-        m = _mul_nums(fld, n, n, x, m)
+    m = _int_identity(d, n)  # M_k
+    for k in range(1, n):
+        m = list(x) if k == 1 else _mul_nums(fld, n, n, x, m)
         c = [-sum(m[s + t] for s in diagonal) // k for t in range(d)]
         coeffs[n - k] = fld.from_integers(c, den ** k)
         for s in diagonal:
             for t in range(d):
                 m[s + t] += c[t]
-    return tuple(coeffs)
+    xe, me = _entries(fld, x), _entries(fld, m)
+    trace = _fold_sums(fld, _accumulate(fld, (
+        (0, xe[i * n + j], me[j * n + i]) for i in range(n) for j in range(n)
+        if any(xe[i * n + j]) and any(me[j * n + i]))))
+    if not trace:
+        return tuple(coeffs), None
+    c = [-v // n for v in trace[0]]
+    coeffs[0] = fld.from_integers(c, den ** n)
+    adj, norm = fld._norm_adjugate(c)
+    scale = [v * den for v in adj]
+    return tuple(coeffs), _lowest_terms(-norm, [v for e in me for v in fld._mul(e, scale)])
 
 
 def _check_shapes(f: GermJet, g: GermJet) -> None:
@@ -255,9 +250,9 @@ def invert(f: GermJet) -> "GermJet":
     """Jet inverse, solved degree by degree from the linear part.
 
     It starts from the inverse L / D_L of the linear part, read from f's
-    `LinearPart` (`_int_inv`, once per linear part).  At
-    degree k, with R / D_h the degree-k slice of f o g, it sets
-    g <- g - L * R / (D_L * D_h), over the lcm m of the two denominators.
+    `LinearPart` (`_char_poly`, once per linear part).  At degree k, with
+    R / D_h the degree-k slice of f o g, it sets g <- g - L * R / (D_L * D_h),
+    over the lcm m of the two denominators.
     """
     fld, n, K = f.field, f.n, f.K
     den, flat = f._linear_part().inverse()

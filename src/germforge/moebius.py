@@ -315,13 +315,12 @@ def holonomy_check(pres: GroupPresentation,
     gens = pres.elements
     if len(gens) != 1 and is_prime_power(len(gens)) is None:
         raise ValueError(f"generator count {len(gens)} is not a prime power")
-    distinct = list(dict.fromkeys(gens))
 
-    for g in distinct:
+    for name, g in pres.generators:  # equal generators are one object: one order each
         o = g.order()
         if o.kind != "finite":
             return HolonomyVerdict(False, model="other", certificate=o.certificate,
-                                   detail=f"generator {g!r} has infinite projective order")
+                                   detail=f"generator {name} has infinite projective order")
 
     if not check_product_identity(pres)[0]:
         return HolonomyVerdict(
@@ -338,28 +337,24 @@ def holonomy_check(pres: GroupPresentation,
             detail=f"generator pair ({i}, {j}): {res.reason}",
         )
 
-    if len(distinct) > 1:
+    slots = report.slots
+    if any(slots):
         (i, j), res = next(
-            (pair, r) for pair, r in report.conjugacy.items() if gens[pair[0]] != gens[pair[1]])
+            (pair, r) for pair, r in report.conjugacy.items() if slots[pair[0]] != slots[pair[1]])
         return HolonomyVerdict(
             False,
             model="other",
             detail=f"generator pair ({i}, {j}): distinct but conjugate by {res.word}, "
                    "so the group is not abelian",
         )
-    if distinct[0].is_identity():
+    name, g = pres.generators[0]
+    if g.is_identity():
         return HolonomyVerdict(
             True, order=1, model="rotation", first_integral_exponent=1,
             detail="all generators are the identity",
         )
-    k = distinct[0].order().order
-    if k == 2:
-        return HolonomyVerdict(
-            True, order=2, model="inversion",
-            detail="single order-2 generator with two fixed points; moebius closure has 2 elements",
-        )
+    k = g.order().order
     return HolonomyVerdict(
-        True, order=k, model="rotation", first_integral_exponent=k,
-        detail=f"local multipliers generate a cyclic group of order {k}; "
-               f"moebius closure has {k} elements",
-    )
+        True, order=k, model="inversion" if k == 2 else "rotation",
+        first_integral_exponent=None if k == 2 else k,
+        detail=f"the listed maps are one map {name}, of order {k}; moebius closure has {k} elements")

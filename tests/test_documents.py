@@ -213,6 +213,28 @@ def test_distinct_generators_with_one_linear_part_share_one_holder(entry):
     assert len({id(jet._lin) for jet in distinct}) == 1
 
 
+@pytest.mark.parametrize("entry, checks", [
+    ("ex-2-1", 1), ("ex-2-2", 1), ("ex-2-3", 1), ("prop-5-1-4", 4)])
+def test_invertibility_is_checked_once_per_distinct_linear_part(monkeypatch, entry, checks):
+    """Parsing takes one determinant per `LinearPart` it shares, and builds
+    the jets the validating constructor builds from the same coefficients."""
+    calls = []
+    det = documents._int_det
+    monkeypatch.setattr(documents, "_int_det", lambda *args: calls.append(args) or det(*args))
+    doc = corpus.load(entry)
+    assert len(calls) == checks == len({id(jet._lin) for _, jet in doc.generators})
+    for _, jet in doc.generators:
+        assert jet == GermJet(jet.n, jet.K, jet.field, jet.coeffs)
+
+
+def test_a_zero_coefficient_is_absent_from_the_parsed_jet():
+    doc = copy.deepcopy(VALID)
+    doc["generators"].append({"name": "h", "coords": [
+        [term("1", [1, 0]), term("0", [1, 1]), term("1", [0, 2])], [term("-1", [0, 1])]]})
+    f, h = (jet for name, jet in parse_document(doc).generators if name in "fh")
+    assert h == f and (0, (1, 1)) not in h.nums
+
+
 def test_distinct_linear_parts_have_their_own_holders():
     distinct = set(jet for _, jet in corpus.load("prop-5-1-4").generators)
     assert len({id(jet._lin) for jet in distinct}) == len(distinct) == 4

@@ -313,6 +313,12 @@ def reference_conjugacy(g, bound):
     return {(i, j): answers[(g.elements[i], g.elements[j])] for i in range(n) for j in range(i + 1, n)}
 
 
+def listed_answers(g, pairs, bound):
+    """`groupkit._conjugacy` read per listed pair, and its answers per slot pair."""
+    slot, answers = groupkit._conjugacy(g, pairs, bound)
+    return {(i, j): answers[slot[i], slot[j]] for i, j in pairs}, answers
+
+
 @pytest.mark.parametrize("entry", JET_ENTRIES)
 def test_lazy_ball_matches_full_ball_on_corpus(entry):
     g = corpus.load(entry).presentation()
@@ -375,10 +381,10 @@ def test_held_conjugates_match_the_reference_on_a_fully_walked_ball():
     b = compose(a, linear_jet(F1, [[0, -1], [1, 0]]))
     c = invert(compose(a, b))
     g = GroupPresentation((("a", a), ("b", b), ("c", c)))
-    conjugacy, answers = groupkit._conjugacy(g, [(0, 1), (0, 2), (1, 2)], 6)
+    conjugacy, answers = listed_answers(g, [(0, 1), (0, 2), (1, 2)], 6)
     assert conjugacy == reference_conjugacy(g, 6)
     assert conjugacy[(0, 1)].status == "unresolved" and len(eager_ball(g, 6)) == 8
-    assert sorted(answers) == sorted(conjugacy.values())  # three distinct pairs
+    assert sorted(answers.values()) == sorted(conjugacy.values())  # three distinct pairs
 
 
 def test_held_conjugates_skip_elements_with_no_new_product():
@@ -390,7 +396,7 @@ def test_held_conjugates_skip_elements_with_no_new_product():
         (f"g{k}", linear_jet(F4, POOL[name])) for k, name in enumerate(["Ji", "U", "L", "N"])
     ))
     pairs = [(i, j) for i in range(4) for j in range(4)]
-    conjugacy, _ = groupkit._conjugacy(g, pairs, 3)
+    conjugacy, _ = listed_answers(g, pairs, 3)
     ball = eager_ball(g, 3)
     assert conjugacy == {(i, j): reference_answer(g, i, j, 3, ball) for i, j in pairs}
     assert conjugacy[(1, 2)] == WitnessResult("witness", word="g2*g1^-1*g3")
@@ -409,9 +415,82 @@ def test_held_conjugates_match_the_reference_on_small_linear_groups(data):
     ))
     index = st.integers(0, len(chosen) - 1)
     pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=6))
-    conjugacy, _ = groupkit._conjugacy(g, pairs, bound)
+    conjugacy, _ = listed_answers(g, pairs, bound)
     ball = eager_ball(g, bound)
     assert conjugacy == {(i, j): reference_answer(g, i, j, bound, ball) for i, j in pairs}
+
+
+def tangent_pair_jets(fld):
+    """f = L + x^3 e_0 + y^2 e_0 with L = -I, and L itself, at K = 3: equal
+    characteristic polynomials, but f^2 = (x - 2x^3, y) has infinite order
+    and L order 2, and f o L != L o f."""
+    one = fld.one()
+    f = jet(fld, 2, 3, [(0, (1, 0), -one), (0, (3, 0), one), (0, (0, 2), one),
+                        (1, (0, 1), -one)])
+    return f, linear_jet(fld, [[-1, 0], [0, -1]], K=3)
+
+
+def order_first_reference(g, bound):
+    """Every pair i < j, screened orders first: equality, then orders, then
+    characteristic polynomials, then commuting generators, then a scan of
+    the full depth-`bound` ball."""
+    ball = eager_ball(g, bound)
+    distinct = list(dict.fromkeys(g.elements))
+    commute = all(a.compose(b) == b.compose(a) for a in distinct for b in distinct)
+
+    def answer(fi, fj):
+        if fi == fj:
+            return WitnessResult("witness", word="")
+        oi, oj = fi.order(), fj.order()
+        if (oi.kind, oi.order) != (oj.kind, oj.order):
+            return WitnessResult("disproved", reason=f"order-mismatch: {oi.order or oi.kind} vs "
+                                                     f"{oj.order or oj.kind}")
+        if fi.conjugacy_invariant() != fj.conjugacy_invariant():
+            return WitnessResult("disproved", reason="linear-part-charpoly-mismatch")
+        if commute:
+            return WitnessResult(
+                "disproved", reason="commuting-generators: abelian group, conjugacy is equality")
+        for w, word in ball:
+            if w.compose(fj) == fi.compose(w):
+                return WitnessResult("witness", word=format_word(word))
+        return WitnessResult("unresolved", reason=f"no witness within word length {bound}")
+
+    n = len(g.elements)
+    return {(i, j): answer(g.elements[i], g.elements[j]) for i in range(n) for j in range(i + 1, n)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_invariant_first_screens_give_the_order_first_answers(data):
+    """Screening by characteristic polynomial first, with orders only where
+    they decide, answers every pair as screening orders first does: over
+    POOL matrices and the tangent pair f, L at K = 3, at bounds 0-2."""
+    fld = data.draw(st.sampled_from([F1, F4]))
+    f, lo = tangent_pair_jets(fld)
+    pool = {name: linear_jet(fld, POOL[name], K=3)
+            for name in (RATIONAL if fld is F1 else POOL)}
+    pool.update(f=f, L=lo)
+    chosen = data.draw(st.lists(st.sampled_from(sorted(pool)), min_size=2, max_size=3))
+    bound = data.draw(st.integers(0, 2))
+    g = GroupPresentation(tuple((f"g{k}", pool[name]) for k, name in enumerate(chosen)))
+    assert check_basic_set(g, bound).conjugacy == order_first_reference(g, bound)
+
+
+@pytest.mark.parametrize("third", [None, "S"])
+def test_equal_invariants_with_different_orders_are_an_order_mismatch(third):
+    """The tangent pair passes the characteristic-polynomial screen and does
+    not commute, so the word ball runs to the bound; its order mismatch then
+    disproves it."""
+    f, lo = tangent_pair_jets(F1)
+    gens = [("f", f), ("L", lo)]
+    if third is not None:
+        gens.append((third, linear_jet(F1, POOL[third], K=3)))
+    g = GroupPresentation(gens)
+    report = check_basic_set(g)
+    assert report.conjugacy[(0, 1)] == WitnessResult(
+        "disproved", reason="order-mismatch: infinite vs 2")
+    assert report.conjugacy == order_first_reference(g, groupkit.DEFAULT_WITNESS_BOUND)
+    assert find_conjugacy_witness(g, 0, 1) == report.conjugacy[(0, 1)]
 
 
 @pytest.mark.parametrize("entry, most", [("ex-2-2", 70), ("ex-2-3", 75)])
@@ -512,6 +591,24 @@ def test_stop_sees_ball_indices(case):
         assert ball[index][1] == ball[parent][1] + (letter[0],)
 
 
+def test_ball_takes_the_letters_as_the_products_of_the_identity():
+    """Level 1 composes nothing: each compose multiplies an element at index
+    1 or later by a letter, once per letter, on the closed 32-element ball."""
+    g = GroupPresentation(tuple(
+        (f"g{k}", linear_jet(F4, POOL[name])) for k, name in enumerate(["Ji", "Di", "N"])
+    ))
+    letters = groupkit._distinct_letters(g)
+    composed = []
+
+    def compose_fn(x, y):
+        composed.append(x)
+        return x.compose(y)
+
+    ball = bfs_ball(g.identity(), letters, 32, compose_fn)
+    assert len(ball) == 32 and [w for w, _ in ball[1:len(letters) + 1]] == [v for _, v in letters]
+    assert composed == [w for w, _ in ball[1:] for _ in letters]
+
+
 def counting(monkeypatch, name, home=jets):
     """Count calls of <home>.<name> (`jets` or `moebius`); the `GermJet` and
     `MoebiusMap` methods call it through the module."""
@@ -576,8 +673,10 @@ def test_element_methods_import_their_operations_on_first_call(monkeypatch):
     f.compose(g)
     assert composed == [(f, g)]
     f.inverse()  # `invert` corrects each degree through `jets.compose`
-    f.conjugacy_invariant()
+    # its linear start is the inverse of the `_char_poly` pass, which keeps the invariant
     assert (inverted, char_polys) == ([(f,)], [(f.field, f.n, f._linear())])
+    f.conjugacy_invariant()
+    assert len(char_polys) == 1
     m.compose(n)
     assert moebius_composed == [(m, n)]
     assert m.order().order == 5 and moebius_ordered == [(m,)]
@@ -594,12 +693,21 @@ def test_basic_set_compose_count_ex_2_2(monkeypatch):
     assert len(calls) <= 200
 
 
-@pytest.mark.parametrize("entry", ["ex-2-2", "ex-2-3", "prop-5-1-3", "prop-5-1-4"])
+ORDERS_TAKEN = {"ex-2-2": 0, "ex-2-3": 0, "prop-5-1-3": 0, "prop-5-1-4": 0,
+                "prop-5-1-1b": 3, "prop-5-1-2": 2}
+
+
+@pytest.mark.parametrize("entry", ORDERS_TAKEN)
 def test_basic_set_orders_each_distinct_generator_once(monkeypatch, entry):
+    """Orders are taken only where they decide, each at most once per
+    distinct generator: none where the word ball witnesses every pair; every
+    generator of prop-5-1-1b, whose pairs the characteristic polynomial
+    leaves open, before the commuting generators give their reason; both of
+    prop-5-1-2, whose characteristic polynomials differ, to name the reason."""
     g = corpus.load(entry).presentation()
     calls = counting(monkeypatch, "germ_order")
     check_basic_set(g)
-    assert len(calls) == len(set(g.elements))
+    assert len(calls) == len(set(calls)) == ORDERS_TAKEN[entry]
 
 
 def test_basic_set_screens_each_distinct_pair_once(monkeypatch):
@@ -612,7 +720,8 @@ def test_basic_set_screens_each_distinct_pair_once(monkeypatch):
         assert report["matched"]
     # ex-2-2 and ex-2-3 each leave three distinct pairs to the characteristic-polynomial
     # screen, among three distinct generators that share one `LinearPart`, which
-    # computes the invariant once; ex-2-1 supplies its witnesses
+    # computes the invariant once, and with it the linear inverse of every letter;
+    # ex-2-1 supplies its witnesses and inverts nothing
     assert len(calls) == 2
 
 
@@ -644,14 +753,15 @@ def test_basic_set_and_linearize_compose_one_ordered_product(monkeypatch):
 
 
 def test_basic_set_computes_each_linear_fact_once_per_document(monkeypatch):
-    """ex-2-3's three distinct generators share one linear part: one linear
-    order (at most 9 matrix products for order 18), one characteristic
-    polynomial and one linear inverse."""
+    """ex-2-3's three distinct generators share one linear part: one
+    characteristic polynomial, whose Faddeev-LeVerrier pass also gives the
+    linear inverse that inverting the letters reads, and no linear order,
+    since the word ball witnesses every pair."""
     g = corpus.load("ex-2-3").presentation()
-    products, char_polys, inverses = (
-        counting(monkeypatch, name) for name in ("_int_mul", "_char_poly", "_int_inv"))
+    products, char_polys, orders = (
+        counting(monkeypatch, name) for name in ("_int_mul", "_char_poly", "_linear_order"))
     assert check_basic_set(g).verdict == "irreducible-verified"
-    assert len(products) <= 9 and len(char_polys) == 1 and len(inverses) == 1
+    assert (len(products), len(char_polys), len(orders)) == (0, 1, 0)
 
 
 def test_order_check_of_a_tangent_word_takes_no_matrix_product(monkeypatch):
@@ -673,6 +783,8 @@ def test_corpus_entry_inverts_and_screens_each_distinct_generator_once(monkeypat
     assert report["matched"]
     distinct = set(corpus.load("prop-5-1-4").presentation().elements)
     assert len(inverts) == len(invariants) == len(distinct) == 4
+    # one `_char_poly` pass per linear part gives both its invariant and its inverse
+    assert len({form for _, _, form in invariants}) == 4
 
 
 # --- closures -----------------------------------------------------------------------------

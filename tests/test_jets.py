@@ -576,9 +576,9 @@ def test_mat_det_inverts_every_pivot_but_the_last(n, monkeypatch):
 
 def test_elimination_takes_no_norm_for_the_determinant_of_the_last_pivot(monkeypatch):
     """On a fixed 4 x 4 matrix over Q(zeta_5), `mat_det` divides by the two
-    inner pivots and never by the last one, and `_int_inv` divides by the
-    three inner pivots and then by the last; one of the first two pivots and
-    two of the last three lie outside Q, so each needs a norm."""
+    inner pivots and never by the last one, and one of those two lies
+    outside Q, so it needs a norm.  `_char_poly` divides only once, by the
+    constant coefficient, which lies outside Q, for the inverse."""
     z = field(5).zeta()
     a = tuple(tuple(z ** ((3 * i + 2 * j) % 5) + 2 * (i == j) + j * z for j in range(4))
               for i in range(4))
@@ -590,8 +590,8 @@ def test_elimination_takes_no_norm_for_the_determinant_of_the_last_pivot(monkeyp
     assert jets.mat_det(a) == det
     assert sum(calls) == 1
     calls.clear()
-    assert jets._int_inv(field(5), 4, jets._int_form(a)) == jets._int_form(inv)
-    assert sum(calls) == 3
+    assert jets._char_poly(field(5), 4, jets._int_form(a))[1] == jets._int_form(inv)
+    assert calls == [True]
 
 
 def test_parsing_inverts_once_per_two_by_two_generator(monkeypatch):
@@ -716,15 +716,45 @@ def test_kernel_matches_the_reference(case):
     assert jets._int_mul(fld, n, k, form(c), form(b)) == form(reference_mat_mul(c, b))
     det = mat_det(a)
     assert det == reference_det(a)
+    # `char_poly` of a singular matrix too: its pass then gives no inverse
     assert char_poly(a) == reference_char_poly(a)
     assert char_poly(a)[0] == det * (-1) ** n
+    polynomial, inv = jets._char_poly(fld, n, form(a))
+    assert polynomial == char_poly(a)
     if det.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            jets._int_inv(fld, n, form(a))
+        assert inv is None
     else:
-        inv = jets._int_inv(fld, n, form(a))
         assert inv == form(reference_inv(a))
         assert jets._int_mul(fld, n, n, form(a), inv) == (1, jets._int_identity(fld.degree, n))
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n matrices, n = 1..4, over every kernel conductor."""
+    fld = field(draw(st.sampled_from(KERNEL_CONDUCTORS)))
+    n = draw(st.integers(1, 4))
+    return draw(field_matrices(fld, n, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices())
+def test_one_faddeev_leverrier_pass_gives_the_inverse(a):
+    """`_char_poly` returns the characteristic polynomial unchanged and,
+    for an invertible matrix, the inverse: a * a^-1 = a^-1 * a = I, the
+    inverse's polynomial is the reversed one over the constant coefficient,
+    and the pass on the inverse gives a back."""
+    fld, n, form = a[0][0].field, len(a), jets._int_form
+    polynomial, inv = jets._char_poly(fld, n, form(a))
+    assert polynomial == reference_char_poly(a)
+    if mat_det(a).is_zero():
+        assert inv is None
+        return
+    identity = (1, jets._int_identity(fld.degree, n))
+    assert jets._int_mul(fld, n, n, form(a), inv) == identity
+    assert jets._int_mul(fld, n, n, inv, form(a)) == identity
+    inverse_polynomial, back = jets._char_poly(fld, n, inv)
+    assert inverse_polynomial == tuple(c / polynomial[0] for c in reversed(polynomial))
+    assert back == form(a)
 
 
 @st.composite
@@ -828,15 +858,14 @@ def held_linear_parts(draw):
 def test_linear_part_keeps_the_kernel_facts_of_its_form(case):
     """A jet's `LinearPart` holds the integer form of its linear matrix, and
     its order, characteristic polynomial and inverse form are those of
-    `_linear_order`, `_char_poly` and `_int_inv` on that form, each computed
-    once."""
+    `_linear_order` and of the one `_char_poly` pass on that form, each
+    computed once."""
     fld, a = case
     n = len(a)
     part = linear_jet(a, 2)._linear_part()
     assert part.form == jets._int_form(a)
     facts = (part.order(), part.char_poly(), part.inverse())
-    assert facts == (jets._linear_order(fld, n, part.form), jets._char_poly(fld, n, part.form),
-                     jets._int_inv(fld, n, part.form))
+    assert facts == (jets._linear_order(fld, n, part.form), *jets._char_poly(fld, n, part.form))
     assert facts[0] == linear_order(a) and facts[1] == char_poly(a)
     assert jets._int_mul(fld, n, n, part.form, facts[2]) == (1, jets._int_identity(fld.degree, n))
     assert all(x is y for x, y in zip(facts, (part.order(), part.char_poly(), part.inverse())))

@@ -351,7 +351,7 @@ def test_rotation_5_holonomy_is_unchanged():
     report = cli.run_corpus_entry("moebius-rotation-5", 6, 10_000, None)
     assert report["matched"]
     assert report["checks"]["holonomy"]["actual"]["detail"] == (
-        "local multipliers generate a cyclic group of order 5; moebius closure has 5 elements")
+        "the listed maps are one map m1, of order 5; moebius closure has 5 elements")
 
 
 def no_sign_search(monkeypatch):
