@@ -29,7 +29,10 @@ only where a caller asks for one.
 Each distinct coefficient string is parsed once per document (the
 documents of the paper's Examples 2.1-2.3 hold 14, 26 and 74 coefficient
 strings, 4 distinct in each), and each distinct generator becomes one
-`GermJet` (they list 6, 12 and 36 generators, 3 distinct in each).
+`GermJet` (they list 6, 12 and 36 generators, 3 distinct in each).  Each
+distinct linear part takes one Faddeev-LeVerrier pass (one in each of those
+documents), which decides its invertibility and gives every later linear
+fact but the order; parsing divides by no field element.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import math
 from typing import TYPE_CHECKING, Any, Optional
 
 from .cyclo import CycloField, CycloNum, field, parse_coefficient
-from .jetform import GermJet, _common_form, _int_det
+from .jetform import GermJet, _common_form
 from .words import parse_word
 
 if TYPE_CHECKING:
@@ -179,9 +182,13 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
     or `MoebiusMap`, and every fact it memoizes.  Distinct jets with equal
     linear parts share one `LinearPart`, and so its facts; the jets are built
     by `GermJet._trusted` from the terms checked here, and invertibility is
-    checked once per `LinearPart` (`_int_det`), so a singular one fails at
-    its first listing.  They are matched on integer (num, den) pairs:
-    hashing a rational `CycloNum` would import `fractions`.
+    checked once per `LinearPart`, on the constant term of its
+    characteristic polynomial, so a singular one fails at its first listing.
+    That Faddeev-LeVerrier pass divides by no field element, and the
+    `LinearPart` keeps it: the conjugacy invariant and the inverse read it
+    later.  The jets are matched on integer (num, den) pairs: hashing a
+    rational `CycloNum` would import `fractions`.  A pair of generators takes
+    at most one witness word.
     """
     if isinstance(obj, (str, bytes)):
         try:
@@ -249,7 +256,7 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
                                                    dict(zip(nonzero, nums)))
             part = jet._linear_part()
             jet._lin = linear.setdefault(part.form, part)
-            if jet._lin is part and not any(_int_det(fld, dimension, part.form)[0]):
+            if jet._lin is part and part.char_poly()[0].is_zero():
                 raise DocumentError(f"generators[{gi}]: linear part is not invertible")
         generators.append((gname, jet))
 
@@ -315,7 +322,10 @@ def parse_document(obj: Any, name: str = "", truncation_override: Optional[int] 
             raise DocumentError(f"{path}.word: {exc}") from exc
         for wname, _ in tokens:
             _expect(wname in gen_names, f"{path}.word", f"unknown generator {wname!r}")
-        witnesses[(gen_names.index(pair[0]), gen_names.index(pair[1]))] = w["word"]
+        key = (gen_names.index(pair[0]), gen_names.index(pair[1]))
+        # a second word for the pair would replace the first unverified
+        _expect(key not in witnesses, f"{path}.pair", f"duplicate pair ({pair[0]}, {pair[1]})")
+        witnesses[key] = w["word"]
 
     return InputDocument(
         conductor=conductor,

@@ -300,11 +300,12 @@ def _conjugates(w: GroupElement, fi: GroupElement, fj: GroupElement) -> bool:
     return w.compose(fj) == fi.compose(w)
 
 
-def _conjugacy(g: GroupPresentation, pairs, bound: int) -> tuple[list, dict]:
+def _conjugacy(g: GroupPresentation, pairs: list, bound: int) -> tuple[list, list, dict]:
     """Condition (b) for each pair (i, j) of `pairs`: the one routine behind
     `find_conjugacy_witness` and `check_basic_set`.  Returns the slot of each
-    listed generator, equal generators sharing one, and the answer of each
-    slot pair (slot[i], slot[j]) of a listed pair.
+    listed generator, equal generators sharing one, the slot pair
+    (slot[i], slot[j]) of each listed pair, computed once, and the answer of
+    each slot pair.
 
     The listed generators are indexed by distinct element once, and each pair
     of elements is answered once.  Every supplied witness of the presentation
@@ -323,20 +324,23 @@ def _conjugacy(g: GroupPresentation, pairs, bound: int) -> tuple[list, dict]:
     index: dict = {}  # distinct element -> its slot, in listing order
     slot = [index.setdefault(x, len(index)) for x in g.elements]
     distinct = list(index)
-    for (i, j), word in g.witnesses.items():
+    witnesses = g.witnesses
+    for (i, j), word in witnesses.items():
         if not _conjugates(evaluate_word(g, word), distinct[slot[i]], distinct[slot[j]]):
-            raise ValueError(f"supplied witness {word!r} fails for pair ({i}, {j})")
-    # (slot of f_i, slot of f_j) -> the supplied word of the first listed pair naming it
-    supplied = {(slot[i], slot[j]): g.witnesses[i, j]
-                for i, j in reversed(pairs) if (i, j) in g.witnesses}
-    keys = dict.fromkeys((slot[i], slot[j]) for i, j in pairs)  # each slot pair once, in order
+            raise ValueError(f"supplied witness {word!r} fails for pair "
+                             f"({g.names[i]}, {g.names[j]})")
+    keys = [(slot[i], slot[j]) for i, j in pairs]
+    # slot pair -> the supplied word of the first listed pair naming it
+    supplied = {key: witnesses[pair] for pair, key in zip(reversed(pairs), reversed(keys))
+                if pair in witnesses} if witnesses else {}
+    unique = dict.fromkeys(keys)  # each slot pair once, in order
     answers: dict = {}
-    for a, b in keys:
+    for a, b in unique:
         if a != b and (a, b) in supplied:
             answers[a, b] = WitnessResult("witness", word=supplied[a, b])
         elif (screened := _conjugation_prescreen(distinct[a], distinct[b])) is not None:
             answers[a, b] = screened
-    pending = [key for key in keys if key not in answers]
+    pending = [key for key in unique if key not in answers]
     if pending and _generators_commute(distinct):
         commuting = WitnessResult(
             "disproved", reason="commuting-generators: abelian group, conjugacy is equality")
@@ -347,7 +351,7 @@ def _conjugacy(g: GroupPresentation, pairs, bound: int) -> tuple[list, dict]:
         if not res.found:
             res = _order_mismatch(distinct[a], distinct[b]) or res
         answers[a, b] = res
-    return slot, answers
+    return slot, keys, answers
 
 
 def _ball_witnesses(g: GroupPresentation, distinct: list, slot: list, pending: list,
@@ -437,8 +441,8 @@ def find_conjugacy_witness(
     The pair alone through `_conjugacy`: a supplied witness, a pre-screen or
     the first element of the word ball, in BFS order, that conjugates the pair.
     """
-    slot, answers = _conjugacy(g, [(i, j)], bound)
-    return answers[slot[i], slot[j]]
+    _, keys, answers = _conjugacy(g, [(i, j)], bound)
+    return answers[keys[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +471,7 @@ def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) ->
     n = len(g.generators)
     prod_ok, residual = check_product_identity(g)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    slot, answers = _conjugacy(g, pairs, bound)
+    slot, keys, answers = _conjugacy(g, pairs, bound)
     if not prod_ok:
         verdict = "condition-a-failed"
     elif any(r.status == "disproved" for r in answers.values()):
@@ -476,7 +480,7 @@ def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) ->
         verdict = "irreducible-verified"
     else:
         verdict = "condition-b-unresolved"
-    conjugacy = {(i, j): answers[slot[i], slot[j]] for i, j in pairs}
+    conjugacy = {pair: answers[key] for pair, key in zip(pairs, keys)}
     return BasicSetReport(prod_ok, residual, conjugacy, verdict, slot)
 
 

@@ -1,4 +1,4 @@
-"""The jet element type, `GermJet`, and the integer kernel its constructor checks with.
+"""The jet element type, `GermJet`, and the integer kernel of its linear part.
 
 A jet is held in one canonical integer form: a positive denominator D and a
 sparse dict from (coordinate, multi-index), 1 <= |Q| <= K, to the phi(N)
@@ -7,39 +7,43 @@ coefficients are absent and gcd(D, *all numerators) = 1, so equality and
 hashing compare integers.  `GermJet.coeffs`, the coefficients as
 `CycloNum`s, is a read-only view built on first read.
 
-`GermJet(...)` validates its input: every key, every coefficient's field and,
-with the determinant of its own integer linear part (`_int_det`), the
-invertibility of the linear part.  The jets that group operations return
-are built by `GermJet._trusted`, which skips all of that (see `jets`), and
-so are a document's jets, after parsing has checked the same, invertibility
-once per distinct linear part (see `documents.parse_document`).
+A jet's linear part is a `LinearPart`: its integer form and the facts
+computed on it, each once per object.  One Faddeev-LeVerrier pass
+(`_char_poly`) gives every fact but the order: the characteristic
+polynomial, which is the conjugacy invariant; invertibility and the
+determinant, from its constant term; and the inverse form, by one exact
+division of the pass's last auxiliary matrix, made on the first call.  The
+exact order is `jets._linear_order`'s, and the diagonal is read off the
+form.  That integer form is the only matrix that any decision reads;
+`GermJet.linear_matrix()`, rows of `CycloNum`s, is for reports.
+
+`GermJet(...)` validates its input: every key, every coefficient's field and
+the invertibility of the linear part.  The jets that group operations
+return are built by `GermJet._trusted`, which skips all of that (see
+`jets`), and so are a document's jets, after parsing has checked the same,
+invertibility once per distinct linear part: jets that one document lists
+with equal linear parts share one `LinearPart` (see
+`documents.parse_document`), and the pass that checked it gives its
+invariant and its inverse later.
 
 Parsing a document builds `GermJet`s and uses nothing else of the jet layer.
 Without a bytecode cache every module on that path is compiled at each
 start, so this module holds only the type, its multi-index helpers and the
-part of the integer kernel that `_int_det` runs on.  The operations on jets
-(compose, invert, power, conjugate, the orders) and the matrix algebra are
-in `jets`, which re-exports every name here.  The methods that need an
-operation call it through the package at call time, as
+part of the integer kernel that the pass runs on.  The operations on jets
+(compose, invert, power, conjugate, the orders) and the exported matrix
+functions are in `jets`, which re-exports every name here.  The methods that
+need an operation call it through the package at call time, as
 `germforge.jets.compose(...)`: the first such call imports `jets`, and a
 function replaced on `jets` by name is the one that runs.
-
-A jet's linear part is a `LinearPart`: its integer form and the facts
-computed on it (the exact order, the characteristic polynomial and the
-inverse form), each computed once per object, and its diagonal read off
-the form.  That integer form is the only matrix that any decision reads;
-`GermJet.linear_matrix()`, rows of `CycloNum`s, is for reports.  Jets
-that one document lists with equal linear parts share one object (see
-`documents.parse_document`), so each fact is computed once per distinct
-linear part of the document.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from itertools import product
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import germforge
 
@@ -80,16 +84,14 @@ def unit_index(n: int, i: int) -> MultiIndex:
 # numerators, phi(N) per entry, of the entries over D.  The form is
 # canonical, gcd(D, *nums) = 1, so two matrices are equal iff their forms
 # are.  Each rule has one helper, shared by matrices and jets:
-#   - `_common_form` (here) puts `CycloNum`s over one denominator;
+#   - `_common_form` puts `CycloNum`s over one denominator;
 #     `cyclo._lowest_terms` divides out the gcd of any other result;
-#   - `jets._accumulate` and `jets._fold_sums` take every sum of products, as
-#     integer convolutions folded through Phi_N once per sum; for phi(N) = 1
-#     they are integer sums, and `jets._mul_nums` keeps its own dot products;
-#   - `_int_det` (here) is fraction-free elimination (Bareiss, "Sylvester's
-#     identity and multistep integer-preserving Gaussian elimination", Math.
-#     Comp. 22, 1968); its only divisions are exact, through
-#     `CycloField._norm_adjugate`, as is the one division of the inverse
-#     that `jets._char_poly` reads off its Faddeev-LeVerrier pass.
+#   - `_accumulate` and `_fold_sums` take every sum of products, as integer
+#     convolutions folded through Phi_N once per sum; for phi(N) = 1 they
+#     are integer sums, and `_mul_nums` keeps its own dot products;
+#   - `_char_poly` is the one Faddeev-LeVerrier pass, which divides only by
+#     integers; the only division by a field element is that of
+#     `LinearPart.inverse`, exact, through `CycloField._norm_adjugate`.
 # `CycloNum`s are built only at the boundary.
 
 IntMatrix = tuple[int, tuple[int, ...]]
@@ -118,69 +120,98 @@ def _entries(fld: CycloField, nums: Sequence[int]) -> list[tuple[int, ...]]:
     return [tuple(nums[s:s + d]) for s in range(0, len(nums), d)]
 
 
-def _exact_divider(fld: CycloField, v: tuple[int, ...]) -> Callable:
-    """x -> x / v on the x in Z[zeta_N] that v divides; v nonzero.
+def _mul_nums(fld: CycloField, k: int, m: int, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """Numerators of (rows x k) times (k x m), integer matrices over Z[zeta_N]."""
+    if fld.degree == 1:
+        cols = [y[j::m] for j in range(m)]
+        return [sum(map(operator.mul, x[i:i + k], col)) for i in range(0, len(x), k) for col in cols]
+    a, b = _entries(fld, x), _entries(fld, y)
+    pairs = list(product([a[i:i + k] for i in range(0, len(a), k)], [b[j::m] for j in range(m)]))
+    sums = _fold_sums(fld, _accumulate(fld, (
+        (s, u, v) for s, (row, col) in enumerate(pairs)
+        for u, v in zip(row, col) if any(u) and any(v))))
+    zero = (0,) * fld.degree
+    return [c for s in range(len(pairs)) for c in sums.get(s, zero)]
 
-    x / v = x * P / n with (P, n) from `CycloField._norm_adjugate`; for a
-    rational v, P = 1 and x is divided by n alone.
+
+def _accumulate(fld: CycloField, terms: Iterable) -> dict:
+    """{key: the sum of a * b over the (key, a, b) in terms}, for integer
+    vectors a, b over Z[zeta_N], unreduced: an int for phi(N) = 1, else the
+    convolution list, to be folded through Phi_N once per key."""
+    acc: dict = {}
+    if fld.degree == 1:
+        for key, a, b in terms:
+            acc[key] = acc.get(key, 0) + a[0] * b[0]
+        return acc
+    width = 2 * fld.degree - 1
+    for key, a, b in terms:
+        conv = acc.get(key)
+        if conv is None:
+            conv = acc[key] = [0] * width
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        conv[j] += x * y
+    return acc
+
+
+def _fold_sums(fld: CycloField, acc: dict) -> dict:
+    """The nonzero sums of `_accumulate` as reduced numerator vectors."""
+    if fld.degree == 1:
+        return {key: (x,) for key, x in acc.items() if x}
+    out = {}
+    for key, conv in acc.items():
+        v = fld._reduce(conv)
+        if any(v):
+            out[key] = v
+    return out
+
+
+def _char_poly(fld: CycloField, n: int, a: IntMatrix) -> tuple[tuple[CycloNum, ...], Sequence[int]]:
+    """(the characteristic polynomial of a, ascending and monic, the
+    numerators of M_n) from one Faddeev-LeVerrier pass on X = D * a, an
+    integer matrix over Z[zeta_N]: each division of a trace by k is exact,
+    and a's coefficient of x^(n-k) is X's, c_k = -tr(X M_k) / k, over D^k,
+    with M_1 = I and M_(k+1) = X M_k + c_k I.  X M_1 is X, and only the
+    trace of X M_n is needed, so the pass takes n - 2 products and divides
+    by nothing but k.  X M_n = -c_n I (Cayley-Hamilton), so a is singular
+    exactly when c_n = 0, det(a) = (-1)^n c_n / D^n, and a^-1 = -D M_n / c_n
+    (Cohen, GTM 138, Algorithm 2.2.7; `LinearPart.inverse`).
     """
-    adj, norm = fld._norm_adjugate(v)
-    if adj == fld.one().num:
-        return lambda x: tuple(c // norm for c in x)
-    return lambda x: tuple(c // norm for c in fld._mul(x, adj))
-
-
-def _eliminate(fld: CycloField, rows: list[list[tuple[int, ...]]], k: int, i: int,
-               start: int, divide: Optional[Callable]) -> None:
-    """One fraction-free step on row i with pivot row k, from column `start` on:
-    row_i = (p * row_i - row_i[k] * row_k) / previous pivot.  Zeros are skipped."""
-    mul = fld._mul
-    p, f, pivot_row, row = rows[k][k], rows[i][k], rows[k], rows[i]
-    if not any(f):
-        f = None
-    for j in range(start, len(row)):
-        x, y = row[j], pivot_row[j]
-        e = mul(p, x) if any(x) else None
-        if f is not None and any(y):
-            fy = mul(f, y)
-            e = tuple(-c for c in fy) if e is None else tuple(map(operator.sub, e, fy))
-        if e is not None:
-            row[j] = e if divide is None else divide(e)
-
-
-def _int_det(fld: CycloField, n: int, a: IntMatrix) -> tuple[list[int], int]:
-    """(num, den) with det(a) = num / den, by fraction-free elimination of
-    the numerators X, swapping a nonzero pivot up: det(a) = det(X) / D^n.
-    The last pivot is det(X), so no divider is built for it; num is the zero
-    vector when a is singular."""
-    den, nums = a
-    entries = _entries(fld, nums)
-    rows = [entries[i:i + n] for i in range(0, len(entries), n)]
-    sign = 1
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if any(rows[r][k])), None)
-        if pivot is None:
-            return [0] * fld.degree, 1
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        divide = _exact_divider(fld, rows[k - 1][k - 1]) if k else None
-        for i in range(k + 1, n):
-            _eliminate(fld, rows, k, i, k + 1, divide)
-    return [sign * c for c in rows[n - 1][n - 1]], den ** n
+    d = fld.degree
+    den, x = a
+    coeffs = [fld.zero()] * n + [fld.one()]
+    diagonal = [(i * n + i) * d for i in range(n)]
+    m = _int_identity(d, n)  # M_k
+    for k in range(1, n):
+        m = list(x) if k == 1 else _mul_nums(fld, n, n, x, m)
+        c = [-sum(m[s + t] for s in diagonal) // k for t in range(d)]
+        coeffs[n - k] = fld.from_integers(c, den ** k)
+        for s in diagonal:
+            for t in range(d):
+                m[s + t] += c[t]
+    xe, me = _entries(fld, x), _entries(fld, m)
+    trace = _fold_sums(fld, _accumulate(fld, (
+        (0, xe[i * n + j], me[j * n + i]) for i in range(n) for j in range(n)
+        if any(xe[i * n + j]) and any(me[j * n + i]))))
+    if trace:
+        coeffs[0] = fld.from_integers([-v // n for v in trace[0]], den ** n)
+    return tuple(coeffs), m
 
 
 class LinearPart:
     """The linear part of a jet: its canonical integer form `form`, and the
     facts computed on it, each once per object: the order by
-    `jets._linear_order`, and the characteristic polynomial and the inverse
-    form by one `jets._char_poly` pass (called through the package).
+    `jets._linear_order` (called through the package), and the
+    characteristic polynomial by one `_char_poly` pass, whose M_n gives the
+    inverse form with one exact division on the first call of `inverse()`.
 
     The object points at no jet, so jets that share it form no reference
     cycle through it.
     """
 
-    __slots__ = ("field", "n", "form", "_order", "_char_poly", "_inverse")
+    __slots__ = ("field", "n", "form", "_order", "_char_poly", "_m_n", "_inverse")
 
     def __init__(self, fld: CycloField, n: int, form: IntMatrix):
         self.field = fld
@@ -188,6 +219,7 @@ class LinearPart:
         self.form = form
         self._order = None
         self._char_poly = None
+        self._m_n = None
         self._inverse = None
 
     def order(self) -> OrderResult:
@@ -197,14 +229,23 @@ class LinearPart:
         return self._order
 
     def char_poly(self) -> tuple[CycloNum, ...]:
-        """The characteristic polynomial, ascending (`jets._char_poly`)."""
+        """The characteristic polynomial, ascending (`_char_poly`); its
+        constant term is zero exactly when the matrix is singular."""
         if self._char_poly is None:
-            self._char_poly, self._inverse = germforge.jets._char_poly(self.field, self.n, self.form)
+            self._char_poly, self._m_n = _char_poly(self.field, self.n, self.form)
         return self._char_poly
 
     def inverse(self) -> IntMatrix:
-        """The integer form of the inverse matrix, from the pass of `char_poly`."""
-        self.char_poly()
+        """The integer form of the inverse of an invertible matrix, from the
+        pass of `char_poly`: with c_0 = r / s in lowest terms the constant
+        term, D^n c_0 = c_n, so a^-1 = -D M_n / c_n = -s M_n / (D^(n-1) r),
+        one exact division through `CycloField._norm_adjugate`."""
+        if self._inverse is None:
+            fld, c0 = self.field, self.char_poly()[0]
+            adj, norm = fld._norm_adjugate(c0.num)
+            scale = [v * c0.den for v in adj]
+            self._inverse = _lowest_terms(-norm * self.form[0] ** (self.n - 1), [
+                v for e in _entries(fld, self._m_n) for v in fld._mul(e, scale)])
         return self._inverse
 
     def diagonal(self) -> Optional[tuple[CycloNum, ...]]:
@@ -278,7 +319,7 @@ class GermJet:
         self._hash = None
         self._order = None
         self._inverse = None
-        if not any(_int_det(fld, n, self._linear())[0]):
+        if self._linear_part().char_poly()[0].is_zero():
             raise ValueError("linear part is not invertible")
 
     # -- constructors ----------------------------------------------------------

@@ -5,10 +5,10 @@ check are in `jetform`, which parsing a document loads without this module;
 every name of `jetform` that callers use is re-exported here.  This module
 holds what a parsed jet is used for: `compose`, `invert`, `power`,
 `conjugate`, the orders (`germ_order`, `linear_order`) and the matrix
-algebra (`char_poly`, `mat_det`).  `GermJet.compose`, `inverse`, `order` and
-`conjugacy_invariant`, and the facts a `jetform.LinearPart` keeps, call
-these functions through the package, so a function replaced here by name is
-the one they run.
+algebra (`char_poly`, `mat_det`).  `GermJet.compose`, `inverse` and
+`order`, and the order a `jetform.LinearPart` keeps, call these functions
+through the package, so a function replaced here by name is the one they
+run.
 
 Composition runs on the integer form: the products G^Q of the substituted
 components are memoized per jet (`_monomial`), each coefficient of the
@@ -25,20 +25,21 @@ of the linear parts and the determinant is multiplicative.
 Matrices enter as rows of `CycloNum`s only at the exported interface
 (`char_poly`, `mat_det`, `linear_order`), which puts them in the same
 integer form at once; every decision reads that form, as a jet's
-`LinearPart` holds it.  The exact linear algebra (`_int_mul`, `_int_det`,
-`_char_poly`, which also gives the inverse, and the `_linear_order` powers)
-runs on it, and jets and matrices share one helper per rule (see the
-comment above `IntMatrix` in `jetform`): `_common_form`, `_accumulate`
-with `_fold_sums`, `_int_det`, and `cyclo._lowest_terms` and
-`CycloField._norm_adjugate`.
+`LinearPart` holds it.  The exact linear algebra runs on it: `_int_mul` and
+the `_linear_order` powers here, and the Faddeev-LeVerrier pass
+`_char_poly` in `jetform`, which gives the characteristic polynomial, the
+determinant as (-1)^n times its constant term, and the inverse.  Jets and
+matrices share one helper per rule (see the comment above `IntMatrix` in
+`jetform`): `_common_form`, `_accumulate` with `_fold_sums`, and
+`cyclo._lowest_terms`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import chain, product
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Iterable
 
 from .cyclo import (
     CycloField,
@@ -56,10 +57,13 @@ from .jetform import (
     Matrix,
     MultiIndex,
     ShapeMismatchError,
+    _accumulate,
+    _char_poly,
     _common_form,
     _entries,
-    _int_det,
+    _fold_sums,
     _int_identity,
+    _mul_nums,
     grlex_key,
     iter_multiindices,
     unit_index,
@@ -72,69 +76,20 @@ def _int_form(a: Matrix) -> IntMatrix:
     return den, tuple(chain.from_iterable(nums))
 
 
-def _mul_nums(fld: CycloField, k: int, m: int, x: Sequence[int], y: Sequence[int]) -> list[int]:
-    """Numerators of (rows x k) times (k x m), integer matrices over Z[zeta_N]."""
-    if fld.degree == 1:
-        cols = [y[j::m] for j in range(m)]
-        return [sum(map(operator.mul, x[i:i + k], col)) for i in range(0, len(x), k) for col in cols]
-    a, b = _entries(fld, x), _entries(fld, y)
-    pairs = list(product([a[i:i + k] for i in range(0, len(a), k)], [b[j::m] for j in range(m)]))
-    sums = _fold_sums(fld, _accumulate(fld, (
-        (s, u, v) for s, (row, col) in enumerate(pairs)
-        for u, v in zip(row, col) if any(u) and any(v))))
-    zero = (0,) * fld.degree
-    return [c for s in range(len(pairs)) for c in sums.get(s, zero)]
-
-
 def _int_mul(fld: CycloField, k: int, m: int, a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """a (rows x k) times b (k x m) in canonical form, with one gcd."""
     return _lowest_terms(a[0] * b[0], _mul_nums(fld, k, m, a[1], b[1]))
 
 
 def mat_det(a: Matrix) -> CycloNum:
-    """Determinant, computed on the integer form (`_int_det`)."""
-    fld = a[0][0].field
-    return fld.from_integers(*_int_det(fld, len(a), _int_form(a)))
+    """Determinant, (-1)^n times the constant term of `char_poly`."""
+    c0 = char_poly(a)[0]
+    return -c0 if len(a) % 2 else c0
 
 
 def char_poly(a: Matrix) -> tuple[CycloNum, ...]:
     """Characteristic polynomial coefficients, ascending, monic."""
     return _char_poly(a[0][0].field, len(a), _int_form(a))[0]
-
-
-def _char_poly(fld: CycloField, n: int, a: IntMatrix) -> tuple[tuple[CycloNum, ...], Optional[IntMatrix]]:
-    """(`char_poly` of a, the integer form of a^-1 or None for a singular a)
-    from one Faddeev-LeVerrier pass on the numerators X = D * a, an integer
-    matrix over Z[zeta_N]: each division of a trace by k is exact, and a's
-    coefficient of x^(n-k) is X's, c_k = -tr(X M_k) / k, over D^k, with
-    M_1 = I and M_(k+1) = X M_k + c_k I.  X M_1 is X, and only the trace of
-    X M_n is needed, so the pass takes n - 2 products.  X M_n = -c_n I
-    (Cayley-Hamilton), so a^-1 = -D M_n / c_n, one exact division through
-    `CycloField._norm_adjugate` (Cohen, GTM 138, Algorithm 2.2.7).
-    """
-    d = fld.degree
-    den, x = a
-    coeffs = [fld.zero()] * n + [fld.one()]
-    diagonal = [(i * n + i) * d for i in range(n)]
-    m = _int_identity(d, n)  # M_k
-    for k in range(1, n):
-        m = list(x) if k == 1 else _mul_nums(fld, n, n, x, m)
-        c = [-sum(m[s + t] for s in diagonal) // k for t in range(d)]
-        coeffs[n - k] = fld.from_integers(c, den ** k)
-        for s in diagonal:
-            for t in range(d):
-                m[s + t] += c[t]
-    xe, me = _entries(fld, x), _entries(fld, m)
-    trace = _fold_sums(fld, _accumulate(fld, (
-        (0, xe[i * n + j], me[j * n + i]) for i in range(n) for j in range(n)
-        if any(xe[i * n + j]) and any(me[j * n + i]))))
-    if not trace:
-        return tuple(coeffs), None
-    c = [-v // n for v in trace[0]]
-    coeffs[0] = fld.from_integers(c, den ** n)
-    adj, norm = fld._norm_adjugate(c)
-    scale = [v * den for v in adj]
-    return tuple(coeffs), _lowest_terms(-norm, [v for e in me for v in fld._mul(e, scale)])
 
 
 def _check_shapes(f: GermJet, g: GermJet) -> None:
@@ -146,40 +101,6 @@ def _check_shapes(f: GermJet, g: GermJet) -> None:
         raise FieldMismatchError(
             f"conductor mismatch: {f.field.conductor} vs {g.field.conductor}"
         )
-
-
-def _accumulate(fld: CycloField, terms: Iterable) -> dict:
-    """{key: the sum of a * b over the (key, a, b) in terms}, for integer
-    vectors a, b over Z[zeta_N], unreduced: an int for phi(N) = 1, else the
-    convolution list, to be folded through Phi_N once per key."""
-    acc: dict = {}
-    if fld.degree == 1:
-        for key, a, b in terms:
-            acc[key] = acc.get(key, 0) + a[0] * b[0]
-        return acc
-    width = 2 * fld.degree - 1
-    for key, a, b in terms:
-        conv = acc.get(key)
-        if conv is None:
-            conv = acc[key] = [0] * width
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    if y:
-                        conv[j] += x * y
-    return acc
-
-
-def _fold_sums(fld: CycloField, acc: dict) -> dict:
-    """The nonzero sums of `_accumulate` as reduced numerator vectors."""
-    if fld.degree == 1:
-        return {key: (x,) for key, x in acc.items() if x}
-    out = {}
-    for key, conv in acc.items():
-        v = fld._reduce(conv)
-        if any(v):
-            out[key] = v
-    return out
 
 
 def _canonical_sums(fld: CycloField, den: int, terms: Iterable) -> tuple[int, dict]:
@@ -250,7 +171,7 @@ def invert(f: GermJet) -> "GermJet":
     """Jet inverse, solved degree by degree from the linear part.
 
     It starts from the inverse L / D_L of the linear part, read from f's
-    `LinearPart` (`_char_poly`, once per linear part).  At degree k, with
+    `LinearPart` (`LinearPart.inverse`, once per linear part).  At degree k, with
     R / D_h the degree-k slice of f o g, it sets g <- g - L * R / (D_L * D_h),
     over the lcm m of the two denominators.
     """

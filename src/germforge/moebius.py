@@ -327,6 +327,7 @@ def holonomy_check(pres: GroupPresentation,
             False, model="other", detail="ordered product of generators is not the identity"
         )
     report = check_basic_set(pres, word_bound)
+    names = pres.names
     failed = [(pair, r) for pair, r in report.conjugacy.items() if not r.found]
     if failed:
         disproved = [(pair, r) for pair, r in failed if r.status == "disproved"]
@@ -334,7 +335,7 @@ def holonomy_check(pres: GroupPresentation,
         return HolonomyVerdict(
             False if disproved else "unresolved",
             model="other" if disproved else None,
-            detail=f"generator pair ({i}, {j}): {res.reason}",
+            detail=f"generator pair ({names[i]}, {names[j]}): {res.reason}",
         )
 
     slots = report.slots
@@ -344,8 +345,8 @@ def holonomy_check(pres: GroupPresentation,
         return HolonomyVerdict(
             False,
             model="other",
-            detail=f"generator pair ({i}, {j}): distinct but conjugate by {res.word}, "
-                   "so the group is not abelian",
+            detail=f"generator pair ({names[i]}, {names[j]}): distinct but conjugate by "
+                   f"{res.word}, so the group is not abelian",
         )
     name, g = pres.generators[0]
     if g.is_identity():

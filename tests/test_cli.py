@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from germforge import cli, corpus
+from germforge.cyclo import field, parse_coefficient
+from germforge.jetform import GermJet
 
 CORPUS_DIR = Path(cli.__file__).resolve().parent / "corpus"
 # `germ-forge examples run E --format json` of each corpus entry, without
@@ -125,14 +127,50 @@ def ex21_with_witnesses(tmp_path, witnesses) -> str:
     return str(path)
 
 
+# singular linear parts over Q and Q(zeta_5) whose first pivot is zero, so
+# that elimination would swap rows: the last row is a combination of the others
+SINGULAR = [
+    (1, [["0", "1", "2"], ["1", "0", "3"], ["2", "1", "8"]]),
+    (5, [["0", "1", "z"], ["z", "0", "1"], ["z", "z", "z^2+1"]]),
+    (1, [["0", "1", "2", "0"], ["0", "0", "1", "1"], ["1", "0", "0", "1"], ["1", "1", "3", "2"]]),
+    (5, [["0", "1", "z", "0"], ["0", "0", "1", "z"], ["z", "0", "0", "1"],
+         ["z^3", "z", "z^2+1", "z+z^2"]]),
+]
+
+
+@pytest.mark.parametrize("conductor, rows", SINGULAR)
+def test_singular_linear_part_exits_2(tmp_path, capsys, conductor, rows):
+    n = len(rows)
+    coords = [[(c, [int(i == j) for j in range(n)]) for i, c in enumerate(row) if c != "0"]
+              for row in rows]
+    coords[0].append(("1", [2] + [0] * (n - 1)))
+    path = jet_document(tmp_path / "f.json", conductor, 2, coords)
+    assert cli.main(["check-basic-set", path]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: generators[0]: linear part is not invertible\n"
+    fld = field(conductor)
+    coeffs = {(s, tuple(m)): parse_coefficient(c, fld)
+              for s, terms in enumerate(coords) for c, m in terms}
+    with pytest.raises(ValueError, match="^linear part is not invertible$"):
+        GermJet(n, 2, fld, coeffs)
+
+
 @pytest.mark.parametrize("pair", [["f1", "f5"], ["f2", "f5"], ["f5", "f1"]])
 def test_wrong_supplied_witness_exits_2_on_any_pair(tmp_path, capsys, pair):
     # f2 equals f1, so (f2, f5) is not the first pair naming its elements, and
     # check-basic-set lists no pair (i, j) with i > j; f6^3 conjugates none of them
     path = ex21_with_witnesses(tmp_path, [(pair, "f6^3")])
     assert cli.main(["check-basic-set", path]) == cli.EXIT_INPUT
-    i, j = (int(name[1:]) - 1 for name in pair)
-    assert capsys.readouterr().err == f"error: supplied witness 'f6^3' fails for pair ({i}, {j})\n"
+    assert capsys.readouterr().err == (
+        f"error: supplied witness 'f6^3' fails for pair ({pair[0]}, {pair[1]})\n")
+
+
+def test_repeated_witness_pair_exits_2(tmp_path, capsys):
+    # a second word for (f1, f5) used to replace the wrong first one unread
+    corpus_witnesses = [(w["pair"], w["word"])
+                        for w in json.loads((CORPUS_DIR / "ex-2-1.json").read_text())["witnesses"]]
+    path = ex21_with_witnesses(tmp_path, [(["f1", "f5"], "f6"), *corpus_witnesses])
+    assert cli.main(["check-basic-set", path]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: witnesses[1].pair: duplicate pair (f1, f5)\n"
 
 
 def test_witness_supplied_on_a_later_pair_answers_its_elements(tmp_path, capsys):
@@ -193,7 +231,7 @@ def test_holonomy_exhausted_search_exits_3(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert verdict["finite_cyclic"] is False
     assert verdict["detail"] == (
-        "generator pair (0, 2): distinct but conjugate by m3*m1, so the group is not abelian")
+        "generator pair (m1, m3): distinct but conjugate by m3*m1, so the group is not abelian")
 
 
 def test_holonomy_ignores_closure_cap(capsys):
@@ -215,14 +253,14 @@ def test_holonomy_reads_the_documents_witness_word(tmp_path, capsys):
     code, verdict = _holonomy([path], capsys)
     assert code == cli.EXIT_OK
     assert verdict["detail"] == (
-        "generator pair (0, 2): distinct but conjugate by m4*m2, so the group is not abelian")
+        "generator pair (m1, m3): distinct but conjugate by m4*m2, so the group is not abelian")
 
 
 def test_wrong_witness_word_of_a_moebius_document_exits_2(tmp_path, capsys):
     path = moebius_document(tmp_path / "s3.json", [S, S, T, T], witnesses=[(["m1", "m3"], "m1")])
     for command in ("moebius-holonomy", "check-basic-set"):
         assert cli.main([command, path]) == cli.EXIT_INPUT
-        assert capsys.readouterr().err == "error: supplied witness 'm1' fails for pair (0, 2)\n"
+        assert capsys.readouterr().err == "error: supplied witness 'm1' fails for pair (m1, m3)\n"
 
 
 def test_document_of_jets_and_maps_exits_2_at_parse(tmp_path, capsys):

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from germforge import corpus, documents
-from germforge.cyclo import field, parse_coefficient
+from germforge import corpus, documents, jetform
+from germforge.cyclo import CycloField, field, parse_coefficient
 from germforge.documents import (
     MAX_CONDUCTOR,
     MAX_DIMENSION,
@@ -121,6 +121,7 @@ def edited(path, value, base=VALID):
         # literal above Python's 4300-digit limit for str-to-int conversion
         ("[" * 100_000, "$: not valid JSON: nested too deeply"),
         ('{"conductor": 1' + "0" * 5000 + "}", "$: not valid JSON: Exceeds the limit"),
+        (edited(["witnesses"], VALID["witnesses"] * 2), "witnesses[1].pair: duplicate pair (f, f)"),
     ],
 )
 def test_malformed_document_names_its_path(doc, where):
@@ -216,15 +217,33 @@ def test_distinct_generators_with_one_linear_part_share_one_holder(entry):
 @pytest.mark.parametrize("entry, checks", [
     ("ex-2-1", 1), ("ex-2-2", 1), ("ex-2-3", 1), ("prop-5-1-4", 4)])
 def test_invertibility_is_checked_once_per_distinct_linear_part(monkeypatch, entry, checks):
-    """Parsing takes one determinant per `LinearPart` it shares, and builds
-    the jets the validating constructor builds from the same coefficients."""
+    """Parsing takes one Faddeev-LeVerrier pass per `LinearPart` it shares,
+    and keeps it there, and builds the jets the validating constructor builds
+    from the same coefficients."""
     calls = []
-    det = documents._int_det
-    monkeypatch.setattr(documents, "_int_det", lambda *args: calls.append(args) or det(*args))
+    char_poly = jetform._char_poly
+    monkeypatch.setattr(jetform, "_char_poly", lambda *args: calls.append(args) or char_poly(*args))
     doc = corpus.load(entry)
-    assert len(calls) == checks == len({id(jet._lin) for _, jet in doc.generators})
+    parts = {id(jet._lin): jet._lin for _, jet in doc.generators}
+    assert len(calls) == checks == len(parts)
+    assert all(part._char_poly is not None for part in parts.values())
     for _, jet in doc.generators:
         assert jet == GermJet(jet.n, jet.K, jet.field, jet.coeffs)
+
+
+@pytest.mark.parametrize("entry", [e for e in corpus.ENTRIES if not e.startswith("moebius")])
+def test_parsing_a_jet_document_takes_no_norm(monkeypatch, entry):
+    """Invertibility is read off the constant term of the characteristic
+    polynomial, whose pass divides only by integers; the one division by a
+    field element, for the inverse, waits for the first `inverse()`."""
+    calls = []
+    adjugate = CycloField._norm_adjugate
+    monkeypatch.setattr(CycloField, "_norm_adjugate",
+                        lambda fld, v: calls.append(v) or adjugate(fld, v))
+    doc = corpus.load(entry)
+    assert calls == []
+    doc.generators[0][1].inverse()
+    assert len(calls) == 1
 
 
 def test_a_zero_coefficient_is_absent_from_the_parsed_jet():

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germforge import cli, corpus, groupkit, jets, moebius
+from germforge import cli, corpus, groupkit, jetform, jets, moebius
 from germforge.cyclo import binary_power, field, prime_factors, root_of_unity_order
 from germforge.groupkit import (
     AffineFamily,
@@ -315,7 +315,8 @@ def reference_conjugacy(g, bound):
 
 def listed_answers(g, pairs, bound):
     """`groupkit._conjugacy` read per listed pair, and its answers per slot pair."""
-    slot, answers = groupkit._conjugacy(g, pairs, bound)
+    slot, keys, answers = groupkit._conjugacy(g, pairs, bound)
+    assert keys == [(slot[i], slot[j]) for i, j in pairs]
     return {(i, j): answers[slot[i], slot[j]] for i, j in pairs}, answers
 
 
@@ -610,8 +611,8 @@ def test_ball_takes_the_letters_as_the_products_of_the_identity():
 
 
 def counting(monkeypatch, name, home=jets):
-    """Count calls of <home>.<name> (`jets` or `moebius`); the `GermJet` and
-    `MoebiusMap` methods call it through the module."""
+    """Count calls of <home>.<name> (`jets`, `jetform` or `moebius`); the
+    `GermJet`, `LinearPart` and `MoebiusMap` methods call it through the module."""
     calls = []
     original = getattr(home, name)
 
@@ -665,16 +666,19 @@ def test_element_methods_import_their_operations_on_first_call(monkeypatch):
     scope = {"f": f, "g": g, "m": m, "n": n}
     assert fresh == [repr(eval(call, scope)) for call in ELEMENT_CALLS]
 
+    char_polys = counting(monkeypatch, "_char_poly", jetform)
     f, g, m, n = corpus_elements()  # fresh objects: `order()` is cached per element
-    composed, inverted, ordered, char_polys = (
-        counting(monkeypatch, name) for name in ("compose", "invert", "germ_order", "_char_poly"))
+    # parsing checked invertibility on the `_char_poly` pass of the one linear part
+    assert char_polys == [(f.field, f.n, f._linear())] and f._lin is g._lin
+    composed, inverted, ordered = (
+        counting(monkeypatch, name) for name in ("compose", "invert", "germ_order"))
     moebius_composed, moebius_ordered = (
         counting(monkeypatch, name, moebius) for name in ("moebius_compose", "moebius_order"))
     f.compose(g)
     assert composed == [(f, g)]
     f.inverse()  # `invert` corrects each degree through `jets.compose`
-    # its linear start is the inverse of the `_char_poly` pass, which keeps the invariant
-    assert (inverted, char_polys) == ([(f,)], [(f.field, f.n, f._linear())])
+    # its linear start divides the M_n of that pass, which also keeps the invariant
+    assert inverted == [(f,)]
     f.conjugacy_invariant()
     assert len(char_polys) == 1
     m.compose(n)
@@ -711,18 +715,18 @@ def test_basic_set_orders_each_distinct_generator_once(monkeypatch, entry):
 
 
 def test_basic_set_screens_each_distinct_pair_once(monkeypatch):
-    # `GermJet.conjugacy_invariant` and `char_poly` both run `_char_poly`
-    calls = counting(monkeypatch, "_char_poly")
+    # `GermJet.conjugacy_invariant` and the parse's invertibility check both
+    # read the one `_char_poly` pass of a `LinearPart`
+    calls = counting(monkeypatch, "_char_poly", jetform)
     for entry in ("ex-2-1", "ex-2-2", "ex-2-3"):
         report = cli.run_corpus_entry(
             entry, groupkit.DEFAULT_WITNESS_BOUND, groupkit.DEFAULT_CLOSURE_CAP, None
         )
         assert report["matched"]
-    # ex-2-2 and ex-2-3 each leave three distinct pairs to the characteristic-polynomial
-    # screen, among three distinct generators that share one `LinearPart`, which
-    # computes the invariant once, and with it the linear inverse of every letter;
-    # ex-2-1 supplies its witnesses and inverts nothing
-    assert len(calls) == 2
+    # each has three distinct generators that share one `LinearPart`: its pass is
+    # taken at parse, and the screen of ex-2-2's and ex-2-3's three distinct pairs
+    # and the linear inverse of every letter read it; ex-2-1 supplies its witnesses
+    assert len(calls) == 3
 
 
 def test_letters_invert_each_distinct_generator_once(monkeypatch):
@@ -757,9 +761,10 @@ def test_basic_set_computes_each_linear_fact_once_per_document(monkeypatch):
     characteristic polynomial, whose Faddeev-LeVerrier pass also gives the
     linear inverse that inverting the letters reads, and no linear order,
     since the word ball witnesses every pair."""
+    char_polys = counting(monkeypatch, "_char_poly", jetform)
     g = corpus.load("ex-2-3").presentation()
-    products, char_polys, orders = (
-        counting(monkeypatch, name) for name in ("_int_mul", "_char_poly", "_linear_order"))
+    assert len(char_polys) == 1  # taken at parse
+    products, orders = (counting(monkeypatch, name) for name in ("_int_mul", "_linear_order"))
     assert check_basic_set(g).verdict == "irreducible-verified"
     assert (len(products), len(char_polys), len(orders)) == (0, 1, 0)
 
@@ -775,15 +780,16 @@ def test_order_check_of_a_tangent_word_takes_no_matrix_product(monkeypatch):
 
 
 def test_corpus_entry_inverts_and_screens_each_distinct_generator_once(monkeypatch):
+    distinct = set(corpus.load("prop-5-1-4").presentation().elements)
     inverts = counting(monkeypatch, "invert")
-    invariants = counting(monkeypatch, "_char_poly")
+    invariants = counting(monkeypatch, "_char_poly", jetform)
     report = cli.run_corpus_entry(
         "prop-5-1-4", groupkit.DEFAULT_WITNESS_BOUND, groupkit.DEFAULT_CLOSURE_CAP, None
     )
     assert report["matched"]
-    distinct = set(corpus.load("prop-5-1-4").presentation().elements)
     assert len(inverts) == len(invariants) == len(distinct) == 4
-    # one `_char_poly` pass per linear part gives both its invariant and its inverse
+    # one `_char_poly` pass per linear part, taken at parse, gives its
+    # invertibility, its invariant and its inverse
     assert len({form for _, _, form in invariants}) == 4
 
 

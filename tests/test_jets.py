@@ -553,32 +553,38 @@ def _leibniz_det(a):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_mat_det_inverts_every_pivot_but_the_last(n, monkeypatch):
-    """Elimination over the field inverts every pivot but the last; the
-    fraction-free kernel's Bareiss elimination inverts no field element."""
+    """Elimination over the field inverts every pivot but the last; `mat_det`,
+    the constant term of the Faddeev-LeVerrier pass, inverts no field element
+    and takes no norm, and equals the Leibniz sum at conductors 1, 3, 4, 5
+    and 12, singular matrices included."""
     rng = random.Random(n)
     calls = []
-    inverse = CycloNum.inverse
+    inverse, adjugate = CycloNum.inverse, CycloField._norm_adjugate
     monkeypatch.setattr(CycloNum, "inverse", lambda self: calls.append(self) or inverse(self))
-    nonsingular = 0
-    for fld in (F1, F3, F4):
+    monkeypatch.setattr(CycloField, "_norm_adjugate",
+                        lambda fld, v: calls.append(v) or adjugate(fld, v))
+    nonsingular = singular = 0
+    for fld in map(field, (1, 3, 4, 5, 12)):
         values = [fld.zero(), fld.one(), -fld.one(), fld.from_rational(Fraction(3, 2)), fld.zeta()]
-        for _ in range(10):
+        for t in range(10):
             a = tuple(tuple(rng.choice(values) for _ in range(n)) for _ in range(n))
+            if n > 1 and t % 3 == 0:  # a singular matrix: row 1 is zeta * row 0
+                a = (a[0], tuple(fld.zeta() * x for x in a[0])) + a[2:]
             calls.clear()
             det = jets.mat_det(a)
             calls_made = len(calls)
             assert det == _leibniz_det(a)
             assert calls_made == 0
-            if not det.is_zero():
-                nonsingular += 1
-    assert nonsingular >= 10
+            nonsingular += not det.is_zero()
+            singular += det.is_zero()
+    assert nonsingular >= 10 and singular >= (10 if n > 1 else 0)
 
 
 def test_elimination_takes_no_norm_for_the_determinant_of_the_last_pivot(monkeypatch):
-    """On a fixed 4 x 4 matrix over Q(zeta_5), `mat_det` divides by the two
-    inner pivots and never by the last one, and one of those two lies
-    outside Q, so it needs a norm.  `_char_poly` divides only once, by the
-    constant coefficient, which lies outside Q, for the inverse."""
+    """On a fixed 4 x 4 matrix over Q(zeta_5), whose determinant lies outside
+    Q, `mat_det` takes no norm: the pass divides only by integers.  The one
+    division by the constant coefficient, for the inverse, is made by the
+    first `LinearPart.inverse()` call, and the second makes none."""
     z = field(5).zeta()
     a = tuple(tuple(z ** ((3 * i + 2 * j) % 5) + 2 * (i == j) + j * z for j in range(4))
               for i in range(4))
@@ -587,16 +593,17 @@ def test_elimination_takes_no_norm_for_the_determinant_of_the_last_pivot(monkeyp
     adjugate = CycloField._norm_adjugate
     monkeypatch.setattr(CycloField, "_norm_adjugate",
                         lambda fld, v: calls.append(any(v[1:])) or adjugate(fld, v))
-    assert jets.mat_det(a) == det
-    assert sum(calls) == 1
-    calls.clear()
-    assert jets._char_poly(field(5), 4, jets._int_form(a))[1] == jets._int_form(inv)
+    assert jets.mat_det(a) == det and any(det.num[1:])
+    part = LinearPart(field(5), 4, jets._int_form(a))
+    assert part.char_poly()[0] == det and calls == []
+    assert part.inverse() == jets._int_form(inv)
+    assert part.inverse() == jets._int_form(inv)
     assert calls == [True]
 
 
 def test_parsing_inverts_once_per_two_by_two_generator(monkeypatch):
     """Each of the 36 generators is validated by `mat_det`, which inverted its
-    pivot over the field; the fraction-free determinant inverts nothing."""
+    pivot over the field; the characteristic polynomial inverts nothing."""
     calls = []
     inverse = CycloNum.inverse
     monkeypatch.setattr(CycloNum, "inverse", lambda self: calls.append(self) or inverse(self))
@@ -719,11 +726,10 @@ def test_kernel_matches_the_reference(case):
     # `char_poly` of a singular matrix too: its pass then gives no inverse
     assert char_poly(a) == reference_char_poly(a)
     assert char_poly(a)[0] == det * (-1) ** n
-    polynomial, inv = jets._char_poly(fld, n, form(a))
-    assert polynomial == char_poly(a)
-    if det.is_zero():
-        assert inv is None
-    else:
+    part = LinearPart(fld, n, form(a))
+    assert part.char_poly() == char_poly(a)
+    if not det.is_zero():
+        inv = part.inverse()
         assert inv == form(reference_inv(a))
         assert jets._int_mul(fld, n, n, form(a), inv) == (1, jets._int_identity(fld.degree, n))
 
@@ -739,22 +745,28 @@ def square_matrices(draw):
 @settings(max_examples=80, deadline=None)
 @given(square_matrices())
 def test_one_faddeev_leverrier_pass_gives_the_inverse(a):
-    """`_char_poly` returns the characteristic polynomial unchanged and,
-    for an invertible matrix, the inverse: a * a^-1 = a^-1 * a = I, the
+    """`_char_poly` returns the characteristic polynomial unchanged and M_n,
+    with X M_n = -c_n I for X = D * a; for an invertible matrix the
+    `LinearPart` inverse divides it once: a * a^-1 = a^-1 * a = I, the
     inverse's polynomial is the reversed one over the constant coefficient,
-    and the pass on the inverse gives a back."""
+    and the inverse of the inverse is a."""
     fld, n, form = a[0][0].field, len(a), jets._int_form
-    polynomial, inv = jets._char_poly(fld, n, form(a))
+    (den, x), d = form(a), fld.degree
+    polynomial, m_n = jets._char_poly(fld, n, (den, x))
     assert polynomial == reference_char_poly(a)
-    if mat_det(a).is_zero():
-        assert inv is None
+    # X M_n = -c_n I, with c_n = D^n c_0 (Cayley-Hamilton)
+    minus_c_n, zero = (polynomial[0] * fld.from_rational(-den ** n)).num, (0,) * d
+    assert jets._mul_nums(fld, n, n, x, m_n) == [
+        c for s in range(n * n) for c in (zero if s % (n + 1) else minus_c_n)]
+    if polynomial[0].is_zero():
         return
-    identity = (1, jets._int_identity(fld.degree, n))
+    inv = LinearPart(fld, n, form(a)).inverse()
+    identity = (1, jets._int_identity(d, n))
     assert jets._int_mul(fld, n, n, form(a), inv) == identity
     assert jets._int_mul(fld, n, n, inv, form(a)) == identity
-    inverse_polynomial, back = jets._char_poly(fld, n, inv)
-    assert inverse_polynomial == tuple(c / polynomial[0] for c in reversed(polynomial))
-    assert back == form(a)
+    back = LinearPart(fld, n, inv)
+    assert back.char_poly() == tuple(c / polynomial[0] for c in reversed(polynomial))
+    assert back.inverse() == form(a)
 
 
 @st.composite
@@ -865,7 +877,8 @@ def test_linear_part_keeps_the_kernel_facts_of_its_form(case):
     part = linear_jet(a, 2)._linear_part()
     assert part.form == jets._int_form(a)
     facts = (part.order(), part.char_poly(), part.inverse())
-    assert facts == (jets._linear_order(fld, n, part.form), *jets._char_poly(fld, n, part.form))
+    assert facts[:2] == (jets._linear_order(fld, n, part.form),
+                         jets._char_poly(fld, n, part.form)[0])
     assert facts[0] == linear_order(a) and facts[1] == char_poly(a)
     assert jets._int_mul(fld, n, n, part.form, facts[2]) == (1, jets._int_identity(fld.degree, n))
     assert all(x is y for x, y in zip(facts, (part.order(), part.char_poly(), part.inverse())))

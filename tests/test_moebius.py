@@ -114,7 +114,7 @@ def test_exhausted_witness_search_is_unresolved_not_false():
     verdict = holonomy_check(gens, word_bound=6)
     assert verdict.finite_cyclic is False
     assert verdict.detail == (
-        "generator pair (0, 2): distinct but conjugate by g3*g1, so the group is not abelian")
+        "generator pair (g1, g3): distinct but conjugate by g3*g1, so the group is not abelian")
 
 
 def test_rotation_with_fixed_points_outside_the_field_is_decided():
