@@ -12,8 +12,8 @@ reads a generator) take jets, and `moebius-holonomy` takes Moebius maps.
 Exit codes: 0 success (and, for `examples run`, verdict matched), 1 verdict
 mismatch, 2 input error, 3 no decision within the bounds (a closure that
 reached the cap without proving the group finite or infinite, a basic set
-with an unresolved pair and none disproved, an unresolved holonomy verdict).  Element orders and
-the finiteness of a closure are decided exactly.
+with an unresolved pair and none disproved).  Element orders, the finiteness
+of a closure and the holonomy verdict are decided exactly.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def _keylemma_payload(doc: InputDocument, opts: Any) -> dict:
 
 
 def _holonomy_payload(doc: InputDocument, opts: Any) -> dict:
-    verdict = holonomy_check(_presentation_of(doc, MoebiusMap), opts.witness_bound)
+    verdict = holonomy_check(_presentation_of(doc, MoebiusMap))
     payload: dict[str, Any] = {"finite_cyclic": verdict.finite_cyclic, "model": verdict.model}
     if verdict.order is not None:
         payload["order"] = verdict.order
@@ -270,7 +270,7 @@ COMMANDS = (
             options=(("element", {"required": True, "help": "word such as 'f1^4*f5*f1'"}),)),
     Command("keylemma", "pairwise conjugacy in an affine family", _keylemma_payload),
     Command("moebius-holonomy", "finite-cyclic holonomy verdict", _holonomy_payload,
-            check="holonomy", limited=lambda v: v["finite_cyclic"] == "unresolved"),
+            check="holonomy"),
 )
 
 _CHECKS = {c.check: c for c in COMMANDS if c.check is not None}
@@ -361,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--witness-bound", type=_int_between(0, MAX_WITNESS_BOUND),
                         default=DEFAULT_WITNESS_BOUND,
-                        help="longest conjugacy witness word searched (default %(default)s, at "
-                        f"most {MAX_WITNESS_BOUND}); the word ball grows only until every "
-                        "generator pair is answered, and reaches this length only for a pair "
-                        "left unresolved")
+                        help="longest conjugacy witness word that check-basic-set searches "
+                        f"(default %(default)s, at most {MAX_WITNESS_BOUND}); the word ball "
+                        "grows only until every generator pair is answered, and reaches this "
+                        "length only for a pair left unresolved")
     common.add_argument("--closure-cap", type=_int_between(1, MAX_CLOSURE_CAP),
                         default=DEFAULT_CLOSURE_CAP,
                         help="most elements a closure lists (default %(default)s, at most "

@@ -25,7 +25,6 @@ import functools
 import math
 import operator
 import re
-import threading
 from numbers import Rational
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
@@ -185,23 +184,17 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
 
 
 _CYCLO_CACHE: dict[int, tuple[int, ...]] = {1: (-1, 1)}
-_CYCLO_LOCK = threading.Lock()
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending; computed as (x^n - 1) / prod Phi_d."""
-    with _CYCLO_LOCK:
-        return _cyclotomic_locked(n)
-
-
-def _cyclotomic_locked(n: int) -> tuple[int, ...]:
     hit = _CYCLO_CACHE.get(n)
     if hit is not None:
         return hit
     poly = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n):
         if d != n:
-            poly = _poly_div_exact(poly, list(_cyclotomic_locked(d)))
+            poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
     out = tuple(poly)
     _CYCLO_CACHE[n] = out
     return out
@@ -211,7 +204,6 @@ def _cyclotomic_locked(n: int) -> tuple[int, ...]:
 
 
 _FIELD_CACHE: dict[int, "CycloField"] = {}
-_FIELD_LOCK = threading.Lock()
 
 
 class CycloField:
@@ -342,12 +334,10 @@ class CycloField:
 
 def field(conductor: int) -> CycloField:
     """Shared field instance for the given conductor."""
-    with _FIELD_LOCK:
-        f = _FIELD_CACHE.get(conductor)
-        if f is None:
-            f = CycloField(conductor)
-            _FIELD_CACHE[conductor] = f
-        return f
+    f = _FIELD_CACHE.get(conductor)
+    if f is None:
+        f = _FIELD_CACHE[conductor] = CycloField(conductor)
+    return f
 
 
 def _exact(q: int | Rational) -> int | Rational:

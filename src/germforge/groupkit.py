@@ -38,16 +38,11 @@ from .cyclo import (
 # `compose` is read by benchmarks/test_bench.py::test_tracer_leaves_no_patched_function_behind
 from .jets import GermJet, Matrix, compose, grlex_key
 from .resonance import poincare_dulac_normalize
-# the word grammar and the search defaults live in `words`; they are
-# re-exported here, where the searches that use them are
-from .words import (
-    DEFAULT_CLOSURE_CAP,
-    DEFAULT_WITNESS_BOUND,
-    MAX_WORD_LETTERS,
-    WordError,
-    format_word,
-    parse_word,
-)
+# the word grammar lives in `words`, so that parsing a document loads no groupkit
+from .words import WordError, format_word, parse_word
+
+DEFAULT_WITNESS_BOUND = 6
+DEFAULT_CLOSURE_CAP = 10_000
 
 
 class GroupElement(Protocol):

@@ -9,9 +9,10 @@ run.
 A map's projective order is the exact order of a 2x2 matrix built from it
 with one field inverse, decided on the integer kernel of `jets`
 (`linear_order`).  The holonomy verdict reads a document's presentation,
-as every group check does, and needs no fixed point and no closure: once
-the basic set is verified, it asks only whether the listed maps are one map
-g, and the group's order is then the exact order of g.
+as every group check does, and needs no fixed point, no witness word and no
+closure: a cyclic group is abelian, so it asks only whether the listed maps
+are one map g whose ordered product is the identity, and the group's order
+is then the exact order of g.  Every verdict is exact.
 
 `cyclo_sqrt` decides exact square roots in the field: a rational
 radicand's root is built from Gauss sums, and any other root is found, or
@@ -34,7 +35,6 @@ from .cyclo import (
 )
 from .jets import linear_order
 from .mapform import MoebiusMap
-from .words import DEFAULT_WITNESS_BOUND
 
 if TYPE_CHECKING:
     from .groupkit import GroupPresentation
@@ -284,10 +284,9 @@ def cyclo_sqrt(a: CycloNum) -> Optional[CycloNum]:
 
 
 class HolonomyVerdict(NamedTuple):
-    """`finite_cyclic` is True, False, or "unresolved" when the witness search
-    was exhausted without a disproof."""
+    """`finite_cyclic` is a bool: every holonomy verdict is exact."""
 
-    finite_cyclic: bool | str
+    finite_cyclic: bool
     order: Optional[int] = None
     model: Optional[str] = None  # "rotation" | "inversion" | "other"
     first_integral_exponent: Optional[int] = None
@@ -295,22 +294,22 @@ class HolonomyVerdict(NamedTuple):
     certificate: Optional[str] = None
 
 
-def holonomy_check(pres: GroupPresentation,
-                   word_bound: int = DEFAULT_WITNESS_BOUND) -> HolonomyVerdict:
-    """Decide whether the group of Moebius maps `pres` presents is finite cyclic.
+def holonomy_check(pres: GroupPresentation) -> HolonomyVerdict:
+    """Decide whether the listed Moebius maps are a basic set of a finite
+    cyclic group.
 
     The number of generators must be 1 or a prime power (the
-    ramification-degree hypothesis).  The generators must have finite order
-    and satisfy the two basic-set conditions, checked by `check_basic_set`
-    with witness words up to `word_bound` (its word ball grows only until
-    every pair is answered) and with the presentation's own witnesses.  A
-    cyclic group is abelian, and conjugate elements of an abelian group are
-    equal, so the group is then finite cyclic exactly when the listed maps
-    are one map g.  The group is then <g>, and its element count, reported
-    in the closure note, is the exact order of g: no closure is enumerated.
+    ramification-degree hypothesis), and each generator must have finite
+    order.  A cyclic group is abelian, and conjugate elements of an abelian
+    group are equal, so the listing is a basic set of a finite cyclic group
+    exactly when its ordered product is the identity and it lists one map g.
+    Equal generators of a presentation are one object, so that is a test of
+    identity; no witness word is searched or read.  The group is then <g>,
+    and its element count, reported in the closure note, is the exact order
+    of g: no closure is enumerated.
     """
     # imported here, so that parsing a document of Moebius maps loads no groupkit
-    from .groupkit import check_basic_set, check_product_identity
+    from .groupkit import check_product_identity
 
     gens = pres.elements
     if len(gens) != 1 and is_prime_power(len(gens)) is None:
@@ -326,29 +325,13 @@ def holonomy_check(pres: GroupPresentation,
         return HolonomyVerdict(
             False, model="other", detail="ordered product of generators is not the identity"
         )
-    report = check_basic_set(pres, word_bound)
-    names = pres.names
-    failed = [(pair, r) for pair, r in report.conjugacy.items() if not r.found]
-    if failed:
-        disproved = [(pair, r) for pair, r in failed if r.status == "disproved"]
-        (i, j), res = (disproved or failed)[0]
+    (first, g), *rest = pres.generators
+    other = next((name for name, x in rest if x is not g), None)
+    if other is not None:
         return HolonomyVerdict(
-            False if disproved else "unresolved",
-            model="other" if disproved else None,
-            detail=f"generator pair ({names[i]}, {names[j]}): {res.reason}",
-        )
-
-    slots = report.slots
-    if any(slots):
-        (i, j), res = next(
-            (pair, r) for pair, r in report.conjugacy.items() if slots[pair[0]] != slots[pair[1]])
-        return HolonomyVerdict(
-            False,
-            model="other",
-            detail=f"generator pair ({names[i]}, {names[j]}): distinct but conjugate by "
-                   f"{res.word}, so the group is not abelian",
-        )
-    name, g = pres.generators[0]
+            False, model="other",
+            detail=f"generator pair ({first}, {other}): distinct maps; "
+                   "a basic set of a cyclic group lists one map")
     if g.is_identity():
         return HolonomyVerdict(
             True, order=1, model="rotation", first_integral_exponent=1,
@@ -358,4 +341,4 @@ def holonomy_check(pres: GroupPresentation,
     return HolonomyVerdict(
         True, order=k, model="inversion" if k == 2 else "rotation",
         first_integral_exponent=None if k == 2 else k,
-        detail=f"the listed maps are one map {name}, of order {k}; moebius closure has {k} elements")
+        detail=f"the listed maps are one map {first}, of order {k}; moebius closure has {k} elements")

@@ -1,10 +1,9 @@
-"""The word grammar and the search defaults, shared without the group machinery.
+"""The word grammar, shared without the group machinery.
 
 A word is a product of generator names with integer exponents, such as
 'f1^4*f5*f1'.  `documents` checks the witness words of a document with
-`parse_word`, and `moebius` takes its default bounds from here, so parsing
-a document never loads `groupkit`.  This module imports only `re` and
-`typing`; `groupkit` imports every name of it back.
+`parse_word`, so parsing a document never loads `groupkit`.  This module
+imports only `re` and `typing`.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-DEFAULT_WITNESS_BOUND = 6
-DEFAULT_CLOSURE_CAP = 10_000
 # Longest word, in letters (the sum of |exponent| over its factors), that
 # `parse_word` accepts: far above every corpus word and every witness the
 # default bound can find, and low enough that `evaluate_word` answers in well

@@ -58,6 +58,8 @@ def jet_document(path: Path, conductor: int, truncation: int, coords) -> str:
 S = [[0, 1], [1, 0]]
 T = [[-1, 1], [0, 1]]
 R3 = [[0, -1], [1, -1]]
+# z -> 2/z: with S it generates the infinite dihedral group
+D2 = [[0, 2], [1, 0]]
 
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES)
@@ -222,16 +224,18 @@ def _holonomy(argv, capsys):
     return code, json.loads(capsys.readouterr().out)["verdict"]
 
 
-def test_holonomy_exhausted_search_exits_3(tmp_path, capsys):
-    path = moebius_document(tmp_path / "s3.json", [S, S, T, T])
-    code, verdict = _holonomy([path, "--witness-bound", "0"], capsys)
-    assert code == cli.EXIT_LIMIT
-    assert verdict["finite_cyclic"] == "unresolved"
-    code, verdict = _holonomy([path, "--witness-bound", "6"], capsys)
+@pytest.mark.parametrize("maps", [[S, S, T, T], [S, S, D2, D2]], ids=["S3", "dihedral"])
+def test_holonomy_is_decided_at_every_witness_bound(maps, tmp_path, capsys):
+    # S3 and the infinite dihedral group are not cyclic: a basic set of a
+    # cyclic group lists one map, so no witness search can change the verdict
+    path = moebius_document(tmp_path / "maps.json", maps)
+    verdicts = [_holonomy([path, "--witness-bound", bound], capsys) for bound in ("0", "6", "10")]
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    code, verdict = verdicts[0]
     assert code == cli.EXIT_OK
-    assert verdict["finite_cyclic"] is False
+    assert (verdict["finite_cyclic"], verdict["model"]) == (False, "other")
     assert verdict["detail"] == (
-        "generator pair (m1, m3): distinct but conjugate by m3*m1, so the group is not abelian")
+        "generator pair (m1, m3): distinct maps; a basic set of a cyclic group lists one map")
 
 
 def test_holonomy_ignores_closure_cap(capsys):
@@ -246,21 +250,16 @@ def test_holonomy_ignores_closure_cap(capsys):
     assert verdict["detail"].endswith("; moebius closure has 5 elements")
 
 
-def test_holonomy_reads_the_documents_witness_word(tmp_path, capsys):
-    # m4*m2 is the element m3*m1 that the search finds, written another way
-    path = moebius_document(tmp_path / "s3.json", [S, S, T, T],
-                            witnesses=[(["m1", "m3"], "m4*m2")])
-    code, verdict = _holonomy([path], capsys)
-    assert code == cli.EXIT_OK
-    assert verdict["detail"] == (
-        "generator pair (m1, m3): distinct but conjugate by m4*m2, so the group is not abelian")
-
-
 def test_wrong_witness_word_of_a_moebius_document_exits_2(tmp_path, capsys):
     path = moebius_document(tmp_path / "s3.json", [S, S, T, T], witnesses=[(["m1", "m3"], "m1")])
-    for command in ("moebius-holonomy", "check-basic-set"):
-        assert cli.main([command, path]) == cli.EXIT_INPUT
-        assert capsys.readouterr().err == "error: supplied witness 'm1' fails for pair (m1, m3)\n"
+    assert cli.main(["check-basic-set", path]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: supplied witness 'm1' fails for pair (m1, m3)\n"
+    # the commands that read no witness word decide the document
+    for argv in (["closure", path], ["order", path, "--element", "m1*m3"]):
+        assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    code, verdict = _holonomy([path], capsys)
+    assert code == cli.EXIT_OK and verdict["finite_cyclic"] is False
 
 
 def test_document_of_jets_and_maps_exits_2_at_parse(tmp_path, capsys):
@@ -609,16 +608,22 @@ def test_import_and_parse_load_only_the_modules_a_document_needs():
 def test_console_script_start_loads_no_resource_machinery():
     """`import germforge.cli` lists and reads the corpus without
     `importlib.resources`, so the `germ-forge` start loads neither it nor
-    `zipfile`.  `-S` skips `site`, whose `.pth` files may import either."""
+    `zipfile`; nothing starts a thread, so neither the start nor running
+    every corpus entry loads `threading`.  `-S` skips `site`, whose `.pth`
+    files may import any of them."""
     env = dict(os.environ, PYTHONPATH=str(CORPUS_DIR.parents[1]))
     code = ("import json, sys, germforge.cli\n"
             "from germforge import corpus\n"
             "corpus.load(corpus.ENTRIES[0])\n"
-            "print(json.dumps(sorted({'importlib.resources', 'zipfile'} & set(sys.modules))))\n")
+            "excluded = {'importlib.resources', 'threading', 'zipfile'}\n"
+            "print(json.dumps(sorted(excluded & set(sys.modules))))\n"
+            "for entry in corpus.ENTRIES:\n"
+            "    assert germforge.cli.run_corpus_entry(entry, 6, 10_000, None)['matched'], entry\n"
+            "print(json.dumps(sorted(excluded & set(sys.modules))))\n")
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == []
+    assert [json.loads(line) for line in done.stdout.splitlines()] == [[], []]
 
 
 def test_every_public_name_resolves_to_its_home_module():

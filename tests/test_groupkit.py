@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germforge import cli, corpus, groupkit, jetform, jets, moebius
+from germforge import cli, corpus, groupkit, jetform, jets, moebius, words
 from germforge.cyclo import binary_power, field, prime_factors, root_of_unity_order
 from germforge.groupkit import (
     AffineFamily,
@@ -130,9 +130,9 @@ def test_word_round_trip():
 
 def test_word_length_is_bounded():
     # letters are counted as the sum of |exponent| over the factors
-    half = groupkit.MAX_WORD_LETTERS // 2
-    at_limit = f"f^{half}*g^-{groupkit.MAX_WORD_LETTERS - half}"
-    assert sum(abs(e) for _, e in parse_word(at_limit)) == groupkit.MAX_WORD_LETTERS
+    half = words.MAX_WORD_LETTERS // 2
+    at_limit = f"f^{half}*g^-{words.MAX_WORD_LETTERS - half}"
+    assert sum(abs(e) for _, e in parse_word(at_limit)) == words.MAX_WORD_LETTERS
     with pytest.raises(WordError, match="above the limit"):
         parse_word(at_limit + "*f")
 

@@ -38,6 +38,8 @@ S = moebius(F1, [[0, 1], [1, 0]])
 T = moebius(F1, [[-1, 1], [0, 1]])
 # z -> -1/(z - 1), order 3; its fixed points need sqrt(-3), which Q lacks
 R3 = moebius(F1, [[0, -1], [1, -1]])
+# z -> 2/z: with S it generates the infinite dihedral group
+D2 = moebius(F1, [[0, 2], [1, 0]])
 
 
 @pytest.mark.parametrize(
@@ -106,15 +108,14 @@ def test_basic_set_on_moebius_presentation():
     assert report.conjugacy[(1, 2)].found
 
 
-def test_exhausted_witness_search_is_unresolved_not_false():
-    gens = listing(S, S, T, T)
-    verdict = holonomy_check(gens, word_bound=0)
-    assert verdict.finite_cyclic == "unresolved"
-    assert "word length 0" in verdict.detail
-    verdict = holonomy_check(gens, word_bound=6)
-    assert verdict.finite_cyclic is False
-    assert verdict.detail == (
-        "generator pair (g1, g3): distinct but conjugate by g3*g1, so the group is not abelian")
+def test_distinct_conjugate_maps_are_not_a_cyclic_basic_set():
+    # S3 and the infinite dihedral group: the pairs are conjugate, or left
+    # unresolved by any bounded search, but a cyclic group is abelian
+    for maps in ((S, S, T, T), (S, S, D2, D2)):
+        verdict = holonomy_check(listing(*maps))
+        assert (verdict.finite_cyclic, verdict.model) == (False, "other")
+        assert verdict.detail == (
+            "generator pair (g1, g3): distinct maps; a basic set of a cyclic group lists one map")
 
 
 def test_rotation_with_fixed_points_outside_the_field_is_decided():
@@ -131,8 +132,21 @@ def test_product_not_identity_is_false():
 def test_non_conjugate_generators_are_disproved():
     rotation = scaling(F5.zeta())
     verdict = holonomy_check(listing(rotation, rotation.inverse()))
-    assert verdict.finite_cyclic is False
-    assert "commuting-generators" in verdict.detail
+    assert (verdict.finite_cyclic, verdict.model) == (False, "other")
+    assert verdict.detail == (
+        "generator pair (g1, g2): distinct maps; a basic set of a cyclic group lists one map")
+
+
+def test_holonomy_runs_no_witness_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the holonomy verdict searched a word ball")
+
+    monkeypatch.setattr(groupkit, "check_basic_set", refuse)
+    monkeypatch.setattr(groupkit, "bfs_ball", refuse)
+    for entry in ("moebius-rotation-5", "moebius-inversion", "moebius-dilation"):
+        assert cli.run_corpus_entry(entry, 6, 10_000, None)["matched"]
+    for maps in ((S, S, T, T), (S, S, D2, D2)):
+        assert holonomy_check(listing(*maps)).finite_cyclic is False
 
 
 def test_generator_count_must_be_a_prime_power():
@@ -172,18 +186,19 @@ def moebius_listings(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(moebius_listings())
+@example([S, S, D2, D2])
 def test_holonomy_verdict_agrees_with_the_closure(maps):
-    """True means a closed cyclic closure of the reported order; False after
-    a verified basic set means no closed cyclic closure."""
+    """True exactly when the listing is a verified basic set whose closure
+    closes cyclic, of the reported order."""
     pres = listing(*maps)
     verdict = holonomy_check(pres)
-    if verdict.finite_cyclic is True:
-        closure = closure_enumerate(pres, 2000)
-        assert closure.status == "closed" and is_cyclic(closure) is not None
+    assert type(verdict.finite_cyclic) is bool
+    closure = closure_enumerate(pres, 2000)
+    assert verdict.finite_cyclic == (check_basic_set(pres).verdict == "irreducible-verified"
+                                     and closure.status == "closed"
+                                     and is_cyclic(closure) is not None)
+    if verdict.finite_cyclic:
         assert closure.count == verdict.order
-    elif verdict.finite_cyclic is False and check_basic_set(pres).verdict == "irreducible-verified":
-        closure = closure_enumerate(pres, 2000)
-        assert closure.status != "closed" or is_cyclic(closure) is None
 
 
 # --- square roots of rationals ----------------------------------------------------
