@@ -90,16 +90,15 @@ def _presentation_of(doc: InputDocument, kind: type):
 def _basic_set_payload(doc: InputDocument, opts: Any) -> dict:
     pres = doc.presentation()
     report = check_basic_set(pres, opts.witness_bound)
-    names, slots = pres.names, report.slots
-    entries: dict = {}  # one entry per pair of distinct generators, by slot pair
+    names = pres.names
+    entries: dict = {}  # one entry per distinct answer
     pairs = {}
     witnessed = 0
     for (i, j), res in report.conjugacy.items():  # in (i, j) order
         witnessed += res.found
-        key = slots[i], slots[j]
-        entry = entries.get(key)
+        entry = entries.get(res)
         if entry is None:
-            entry = entries[key] = {"status": res.status}
+            entry = entries[res] = {"status": res.status}
             if res.word is not None:
                 entry["word"] = res.word
             if res.reason is not None:
@@ -167,9 +166,7 @@ def _linearize_payload(doc: InputDocument, opts: Any) -> dict:
     if outcome.degree is not None:
         payload["degree"] = outcome.degree
     if outcome.eigenvalue_orders is not None:
-        payload["eigenvalue_orders"] = [
-            o if o is not None else "not-a-root-of-unity" for o in outcome.eigenvalue_orders
-        ]
+        payload["eigenvalue_orders"] = list(outcome.eigenvalue_orders)
     if outcome.offending:
         payload["offending"] = [
             {"generator": name, "coord": s, "monomial": list(q), "coeff": format_coefficient(c)}

@@ -3,10 +3,10 @@
 Covers the two generator conditions (ordered product is the identity;
 generators pairwise conjugate), bounded witness search, the closure and its
 finite/infinite verdict, the affine conjugacy criterion, and the simultaneous
-linearization algorithm for groups whose common diagonal linear part has
-prime-power eigenvalue orders.  Its homological steps are
-`poincare_dulac_normalize`'s, run once per distinct generator; given its
-preconditions it succeeds exactly when the listed generators are one jet.
+linearization of groups whose common diagonal linear part has prime-power
+eigenvalue orders.  Given its preconditions it succeeds exactly when the
+listed generators are one jet, so it reads the answer off the presentation:
+one `poincare_dulac_normalize` on success, none on failure.
 
 The conditions, witness search and closure run on any `GroupElement`: jets
 and Moebius maps alike.  Both conditions cost per distinct generator: the
@@ -36,7 +36,7 @@ from .cyclo import (
     root_of_unity_order,
 )
 # `compose` is read by benchmarks/test_bench.py::test_tracer_leaves_no_patched_function_behind
-from .jets import GermJet, Matrix, compose, grlex_key
+from .jets import GermJet, Matrix, compose, term_order
 from .resonance import poincare_dulac_normalize
 # the word grammar lives in `words`, so that parsing a document loads no groupkit
 from .words import WordError, format_word, parse_word
@@ -295,12 +295,12 @@ def _conjugates(w: GroupElement, fi: GroupElement, fj: GroupElement) -> bool:
     return w.compose(fj) == fi.compose(w)
 
 
-def _conjugacy(g: GroupPresentation, pairs: list, bound: int) -> tuple[list, list, dict]:
+def _conjugacy(g: GroupPresentation, pairs: list, bound: int) -> tuple[list, dict]:
     """Condition (b) for each pair (i, j) of `pairs`: the one routine behind
-    `find_conjugacy_witness` and `check_basic_set`.  Returns the slot of each
-    listed generator, equal generators sharing one, the slot pair
-    (slot[i], slot[j]) of each listed pair, computed once, and the answer of
-    each slot pair.
+    `find_conjugacy_witness` and `check_basic_set`.  Returns the slot pair
+    (slot[i], slot[j]) of each listed pair, computed once, where a slot
+    indexes the distinct generators (equal generators share one), and the
+    answer of each slot pair.
 
     The listed generators are indexed by distinct element once, and each pair
     of elements is answered once.  Every supplied witness of the presentation
@@ -346,7 +346,7 @@ def _conjugacy(g: GroupPresentation, pairs: list, bound: int) -> tuple[list, lis
         if not res.found:
             res = _order_mismatch(distinct[a], distinct[b]) or res
         answers[a, b] = res
-    return slot, keys, answers
+    return keys, answers
 
 
 def _ball_witnesses(g: GroupPresentation, distinct: list, slot: list, pending: list,
@@ -436,7 +436,7 @@ def find_conjugacy_witness(
     The pair alone through `_conjugacy`: a supplied witness, a pre-screen or
     the first element of the word ball, in BFS order, that conjugates the pair.
     """
-    _, keys, answers = _conjugacy(g, [(i, j)], bound)
+    keys, answers = _conjugacy(g, [(i, j)], bound)
     return answers[keys[0]]
 
 
@@ -447,8 +447,8 @@ def find_conjugacy_witness(
 class BasicSetReport(NamedTuple):
     """What `check_basic_set` found.  `conjugacy` maps every generator pair
     (i, j), i < j, to its answer, with the pairs in lexicographic (i, j)
-    order: the order in which reports list them, without sorting.
-    `slots[i]` is generator i's index among the distinct generators."""
+    order: the order in which reports list them, without sorting.  Pairs
+    that name the same two elements share one answer object."""
 
     product_is_identity: bool
     residual: GroupElement
@@ -456,7 +456,6 @@ class BasicSetReport(NamedTuple):
     # "condition-a-failed", else "condition-b-failed" when a pair is disproved,
     # else "irreducible-verified" or "condition-b-unresolved"
     verdict: str
-    slots: list
 
 
 def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) -> BasicSetReport:
@@ -466,7 +465,7 @@ def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) ->
     n = len(g.generators)
     prod_ok, residual = check_product_identity(g)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    slot, keys, answers = _conjugacy(g, pairs, bound)
+    keys, answers = _conjugacy(g, pairs, bound)
     if not prod_ok:
         verdict = "condition-a-failed"
     elif any(r.status == "disproved" for r in answers.values()):
@@ -476,7 +475,7 @@ def check_basic_set(g: GroupPresentation, bound: int = DEFAULT_WITNESS_BOUND) ->
     else:
         verdict = "condition-b-unresolved"
     conjugacy = {pair: answers[key] for pair, key in zip(pairs, keys)}
-    return BasicSetReport(prod_ok, residual, conjugacy, verdict, slot)
+    return BasicSetReport(prod_ok, residual, conjugacy, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -633,34 +632,23 @@ def affine_conjugacy_decide(family: AffineFamily) -> tuple[bool, str]:
 
 def _prime_power_spectrum(eigenvalues) -> tuple[tuple, Optional[str]]:
     """Root-of-unity orders of the eigenvalues, and why they are not all
-    powers of one prime (None when they are, 1 included).
-
-    The orders stop at the first eigenvalue that is not a root of unity,
-    which is recorded as None.
-    """
-    orders = []
-    for lam in eigenvalues:
-        orders.append(root_of_unity_order(lam))
-        if orders[-1] is None:
-            return tuple(orders), f"eigenvalue {lam} is not a root of unity"
+    powers of one prime (None when they are, 1 included).  Every eigenvalue
+    is a root of unity: the caller has checked that the listed product, whose
+    linear part is the m-th power of the shared one, is the identity."""
+    orders = tuple(root_of_unity_order(lam) for lam in eigenvalues)
     powers = [(o, is_prime_power(o)) for o in orders if o > 1]
     for o, pp in powers:
         if pp is None:
-            return tuple(orders), f"eigenvalue order {o} is not a prime power"
+            return orders, f"eigenvalue order {o} is not a prime power"
     primes = sorted({pp[0] for _, pp in powers})
     if len(primes) > 1:
-        return tuple(orders), (
+        return orders, (
             "eigenvalue orders "
             + ", ".join(str(o) for o in orders)
             + " are powers of distinct primes "
             + ", ".join(str(p) for p in primes)
         )
-    return tuple(orders), None
-
-
-def _key_order(key) -> tuple:
-    """Sort key of a (coordinate, multi-index) key: coordinate, then grlex."""
-    return key[0], grlex_key(key[1])
+    return orders, None
 
 
 def _shared_diagonal_part(jets) -> tuple[Optional[tuple[CycloNum, ...]], Optional[str]]:
@@ -682,7 +670,10 @@ class LinearizationSuccess(NamedTuple):
 
 
 class LinearizationFailure(NamedTuple):
-    reason: str  # "generators-differ" | "resonant-coefficient-nonzero" | "precondition-violated"
+    # "precondition-violated", or "generators-differ": the listed jets are not
+    # one jet, and `offending` holds their coefficients that differ from the
+    # first's at `degree`, the lowest degree where any does
+    reason: str
     degree: Optional[int] = None
     offending: tuple = ()
     detail: str = ""
@@ -692,22 +683,23 @@ class LinearizationFailure(NamedTuple):
 def linearize_group(g: GroupPresentation):
     """Conjugate all generators to their common diagonal linear part at once.
 
-    Preconditions (any violation is a structured failure): the ordered product
-    of the generators is the identity, all generators share one diagonal
-    linear part, and every eigenvalue is a root of unity whose order is a
-    power of one common prime.  The rest is read off one Poincare-Dulac
-    normalization per distinct generator: below the first degree at which
-    two generators differ they are equal, so their normalizations take the
-    same homological steps, and a generator's degree-k slice is what its
-    normalization removed at degree k plus its normal form's (resonant)
-    degree-k slice.  The loop compares these slices; the conjugator is the
-    first generator's.  Given the preconditions it succeeds exactly when the
-    listed generators are one jet, as a jet of finite order has no resonant
-    term in its normal form.
+    Preconditions (any violation is a structured failure), in this order: the
+    ordered product of the generators is the identity, all generators share
+    one diagonal linear part L, and every eigenvalue's root-of-unity order is
+    a power of one common prime.  They settle the outcome: linearization
+    succeeds exactly when the listed generators are one jet f.
+
+    With m generators listed, the product's linear part is L^m = I, so every
+    eigenvalue is a root of unity.  When every generator is f, f^m = id, and
+    f's Poincare-Dulac normal form N = L + R_k + ... with a lowest resonant
+    term R_k, which commutes with L, would have N^m = id + m L^(m-1) R_k + ...
+    != id; so N = L and f's conjugator, from one normalization, linearizes the
+    group.  Otherwise the generators cannot all be conjugated to L by one
+    jet, and the failure names the lowest degree at which a listed jet's
+    coefficients differ from f's and each such coefficient, read off the
+    listed jets: no normalization runs.
     """
     jets = g.elements
-    fld, _, K = g.shape
-    names = g.names
     if not check_product_identity(g)[0]:
         return LinearizationFailure(
             "precondition-violated",
@@ -722,39 +714,25 @@ def linearize_group(g: GroupPresentation):
             "precondition-violated", detail=problem, eigenvalue_orders=orders
         )
 
-    normal = {j: poincare_dulac_normalize(j) for j in dict.fromkeys(jets)}
-    # each generator's coefficients at the degree where its normalization met them
-    met = [{**{(s, q): c for s, q, c in normal[j].removed}, **normal[j].normal_form.coeffs}
-           for j in jets]
-    zero = fld.zero()
-    for k in range(2, K + 1):
-        slices = [{key: c for key, c in m.items() if sum(key[1]) == k} for m in met]
-        reference = slices[0]
-        keys = sorted({key for sl in slices for key in sl}, key=_key_order)
-        offending = tuple(
-            (names[idx], s, q, sl.get((s, q), zero))
-            for idx, sl in enumerate(slices[1:], start=1)
-            for s, q in keys
-            if sl.get((s, q), zero) != reference.get((s, q), zero)
+    f = jets[0]
+    if all(j is f for j in jets):  # equal generators are one object
+        return LinearizationSuccess(
+            conjugator=poincare_dulac_normalize(f).conjugator,
+            diagonal_generator=f.linear_matrix(),
+            group_order=math.lcm(*orders),
         )
-        if offending:
-            return LinearizationFailure(
-                "generators-differ",
-                degree=k,
-                offending=offending,
-                detail=f"degree-{k} coefficients differ from generator {names[0]}",
-            )
-        resonant = normal[jets[0]].normal_form.degree_slice(k)
-        if resonant:
-            return LinearizationFailure(
-                "resonant-coefficient-nonzero",
-                degree=k,
-                offending=tuple((names[0], s, q, resonant[s, q])
-                                for s, q in sorted(resonant, key=_key_order)),
-                detail=f"nonzero resonant coefficients survive at degree {k}",
-            )
-    return LinearizationSuccess(
-        conjugator=normal[jets[0]].conjugator,
-        diagonal_generator=jets[0].linear_matrix(),
-        group_order=math.lcm(*orders),
+    # (generator index, key, coefficient) of each coefficient that differs from
+    # f's, by generator, then coordinate, then grlex; the shared linear part
+    # puts every one at degree 2 or more
+    zero, first = g.shape[0].zero(), f.coeffs
+    differing = [(idx, key, c) for idx, j in enumerate(jets) if j is not f
+                 for key in sorted(j.coeffs.keys() | first.keys(), key=term_order)
+                 if (c := j.coeffs.get(key, zero)) != first.get(key, zero)]
+    k = min(sum(q) for _, (_, q), _ in differing)
+    names = g.names
+    return LinearizationFailure(
+        "generators-differ",
+        degree=k,
+        offending=tuple((names[idx], s, q, c) for idx, (s, q), c in differing if sum(q) == k),
+        detail=f"degree-{k} coefficients differ from generator {names[0]}",
     )

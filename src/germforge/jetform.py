@@ -58,8 +58,11 @@ class ShapeMismatchError(ValueError):
     """Jets with different dimension, truncation order, or field."""
 
 
-def grlex_key(q: MultiIndex) -> tuple[int, MultiIndex]:
-    return (sum(q), q)
+def term_order(key: tuple[int, MultiIndex]) -> tuple[int, int, MultiIndex]:
+    """Sort key of a (coordinate, multi-index) key: the coordinate, then the
+    multi-index in grlex order (total degree, then lexicographic)."""
+    s, q = key
+    return s, sum(q), q
 
 
 def iter_multiindices(n: int, degree: int) -> Iterator[MultiIndex]:
@@ -393,7 +396,8 @@ class GermJet:
         return all(sum(q) == 1 for (_, q) in self.nums)
 
     def canonical_items(self):
-        return sorted(self.coeffs.items(), key=_term_order)
+        coeffs = self.coeffs
+        return [(key, coeffs[key]) for key in sorted(coeffs, key=term_order)]
 
     # -- group structure -----------------------------------------------------------
 
@@ -447,8 +451,8 @@ class GermJet:
         by `CycloNum.sort_key`, each read off the integer form in its own
         lowest terms, without the `coeffs` view."""
         items = []
-        for (s, q), v in sorted(self.nums.items(), key=_term_order):
-            den, num = _lowest_terms(self.den, v)
+        for s, q in sorted(self.nums, key=term_order):
+            den, num = _lowest_terms(self.den, self.nums[s, q])
             items.append((s, q, CoefficientOrder(num, den)))
         return (self.n, self.K, self.field.conductor, tuple(items))
 
@@ -472,9 +476,3 @@ class GermJet:
             ]
             parts.append(" + ".join(terms) if terms else "0")
         return f"GermJet[{'; '.join(parts)}]"
-
-
-def _term_order(item) -> tuple:
-    """Sort key of a ((coordinate, multi-index), value) item: coordinate, then grlex."""
-    (s, q), _ = item
-    return (s, grlex_key(q))

@@ -64,8 +64,8 @@ from .jetform import (
     _fold_sums,
     _int_identity,
     _mul_nums,
-    grlex_key,
     iter_multiindices,
+    term_order,
     unit_index,
 )
 

@@ -17,9 +17,9 @@ from .jets import (
     GermJet,
     MultiIndex,
     compose,
-    grlex_key,
     invert,
     iter_multiindices,
+    term_order,
 )
 
 
@@ -65,7 +65,7 @@ def enumerate_resonances(
             for q in iter_multiindices(n, deg):
                 if eigenvalue_power(eigenvalues, q) == eigenvalues[s]:
                     out.append(ResonanceRecord(s, q))
-    out.sort(key=lambda r: (r.coord, grlex_key(r.order)))
+    out.sort(key=term_order)
     return out
 
 
@@ -132,8 +132,7 @@ def poincare_dulac_normalize(f: GermJet) -> NormalizationResult:
         }
         if not nonres:
             continue
-        for (s, q), c in sorted(nonres.items(), key=lambda kv: (kv[0][0], grlex_key(kv[0][1]))):
-            removed.append((s, q, c))
+        removed += ((s, q, nonres[s, q]) for s, q in sorted(nonres, key=term_order))
         h, h_inv = homological_step(eigenvalues, nonres, f.shape)
         current = compose(h_inv, compose(current, h))
         chi = compose(h_inv, chi)

@@ -405,6 +405,22 @@ def test_linearize_reports_the_generators_that_differ(tmp_path, capsys):
     assert _linearize(path, capsys) == PINNED_DIFFER
 
 
+def test_linearize_reports_the_listed_coefficients_that_differ(tmp_path, capsys):
+    # a = -z - z^2 and b = -z - z^2 - 2z^3 over Q: a o b = Id at K = 3.  The
+    # report gives b's own cubic coefficient, -2, not the -1 of b's conjugate
+    # by the quadratic step that normalizes a
+    path = jets_document(tmp_path / "ab.json", 1, 3, [
+        ("a", [[("-1", [1]), ("-1", [2])]]),
+        ("b", [[("-1", [1]), ("-1", [2]), ("-2", [3])]])])
+    assert _linearize(path, capsys) == {
+        "outcome": "failure",
+        "reason": "generators-differ",
+        "detail": "degree-3 coefficients differ from generator a",
+        "degree": 3,
+        "offending": [{"generator": "b", "coord": 0, "monomial": [3], "coeff": "-2"}],
+    }
+
+
 def test_linearize_returns_the_conjugator_of_a_conjugated_group(tmp_path, capsys):
     # four copies of psi o diag(i, -1) o psi^-1, psi = Id + (z2^2, z1 z2), K = 3
     f = [[("z", [1, 0]), ("1 - z", [0, 2]), ("-2 + 2*z", [1, 2])],

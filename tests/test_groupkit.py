@@ -39,10 +39,10 @@ from germforge.jets import (
     compose,
     conjugate,
     germ_order,
-    grlex_key,
     invert,
     iter_multiindices,
     power,
+    term_order,
 )
 from germforge.resonance import homological_step, is_resonant
 
@@ -315,7 +315,9 @@ def reference_conjugacy(g, bound):
 
 def listed_answers(g, pairs, bound):
     """`groupkit._conjugacy` read per listed pair, and its answers per slot pair."""
-    slot, keys, answers = groupkit._conjugacy(g, pairs, bound)
+    index: dict = {}  # distinct element -> its slot, in listing order
+    slot = [index.setdefault(x, len(index)) for x in g.elements]
+    keys, answers = groupkit._conjugacy(g, pairs, bound)
     assert keys == [(slot[i], slot[j]) for i, j in pairs]
     return {(i, j): answers[slot[i], slot[j]] for i, j in pairs}, answers
 
@@ -1320,13 +1322,17 @@ def reference_is_diagonal(a):
 def reference_linearize(g: GroupPresentation):
     """Simultaneous linearization by its own per-degree loop: at each degree
     every listed generator is conjugated by one homological step, built from
-    the first generator's slice.  `linearize_group` must agree with it in
-    every field."""
+    the first generator's slice, and the product check composes the listed
+    jets itself.  A failure's degree and keys are those where the conjugated
+    slices first differ, and its values are read off the listed jets.
+    `linearize_group` must agree with it in every field."""
     jets = g.elements
     fld, n, K = g.shape
     names = g.names
-    prod_ok, residual = groupkit.check_product_identity(g)
-    if not prod_ok:
+    product = jets[0]
+    for j in jets[1:]:
+        product = compose(product, j)
+    if not product.is_identity():
         return LinearizationFailure(
             "precondition-violated",
             detail="ordered product of generators is not the identity",
@@ -1348,44 +1354,34 @@ def reference_linearize(g: GroupPresentation):
             "precondition-violated", detail=problem, eigenvalue_orders=orders
         )
 
-    current = jets
+    current = {j: j for j in jets}  # listed jet -> its conjugate so far
     chi = g.identity()
+    zero = fld.zero()
     for k in range(2, K + 1):
-        slices = [j.degree_slice(k) for j in current]
-        keys = sorted(
-            {key for sl in slices for key in sl}, key=lambda key: (key[0], grlex_key(key[1]))
-        )
+        slices = [current[j].degree_slice(k) for j in jets]
+        keys = sorted({key for sl in slices for key in sl}, key=term_order)
         reference = slices[0]
-        offending = []
-        for idx, sl in enumerate(slices[1:], start=1):
-            for key in keys:
-                if sl.get(key, fld.zero()) != reference.get(key, fld.zero()):
-                    offending.append((names[idx], key[0], key[1], sl.get(key, fld.zero())))
+        offending = tuple(
+            (names[idx], s, q, jets[idx].coeffs.get((s, q), zero))
+            for idx, sl in enumerate(slices[1:], start=1)
+            for s, q in keys
+            if sl.get((s, q), zero) != reference.get((s, q), zero)
+        )
         if offending:
             return LinearizationFailure(
                 "generators-differ",
                 degree=k,
-                offending=tuple(offending),
+                offending=offending,
                 detail=f"degree-{k} coefficients differ from generator {names[0]}",
             )
-        resonant_bad = tuple(
-            (names[0], s, q, c)
-            for (s, q), c in sorted(reference.items(), key=lambda kv: (kv[0][0], grlex_key(kv[0][1])))
-            if is_resonant(eigenvalues, s, q)
-        )
-        if resonant_bad:
-            return LinearizationFailure(
-                "resonant-coefficient-nonzero",
-                degree=k,
-                offending=resonant_bad,
-                detail=f"nonzero resonant coefficients survive at degree {k}",
-            )
+        # the listed product is the identity, so no resonant term survives
+        assert not any(is_resonant(eigenvalues, s, q) for s, q in reference), k
         if reference:
             h, h_inv = homological_step(eigenvalues, reference, g.shape)
-            current = [compose(h_inv, compose(j, h)) for j in current]
+            current = {j: compose(h_inv, compose(c, h)) for j, c in current.items()}
             chi = compose(h_inv, chi)
     linear_target = linear_jet(fld, lin, K)
-    assert all(j == linear_target for j in current), "linearization left nonlinear residue"
+    assert all(c == linear_target for c in current.values()), "linearization left nonlinear residue"
     return LinearizationSuccess(
         conjugator=chi,
         diagonal_generator=lin,
@@ -1394,84 +1390,84 @@ def reference_linearize(g: GroupPresentation):
 
 
 @st.composite
-def shared_diagonal_cases(draw):
-    """(N, n, K, exponents, conjugated, base terms, generators): a diagonal
-    linear part diag(zeta_N^e) shared by 1-4 generators.  The base jet is
-    psi o L o psi^-1 when `conjugated` (psi = Id + base terms), else L + base
-    terms; each generator is (d, terms): the base jet plus those of its terms
-    of degree d or more, so it agrees with the base below degree d."""
-    N = draw(st.sampled_from([1, 2, 3, 4, 8, 9]))
+def telescoping_cases(draw):
+    """(N, n, K, exponents, pool, picks): L = diag(zeta_N^e) and a pool of
+    1-3 jets phi = Id + terms.  The listing is a_i = phi_(i-1)^-1 o L o phi_i,
+    i = 1..m, with phi_i = pool[picks[i - 1]] and phi_0 = phi_m; m, the
+    number of picks, is a multiple of the order of L, so the ordered product
+    telescopes to phi_m^-1 o L^m o phi_m = Id.  Equal picks give equal
+    generators, and all picks equal give a listing of one jet."""
+    N = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 9]))
     n = draw(st.integers(1, 3))
-    K = draw(st.integers(1, 4))
+    K = draw(st.integers(2, 4))
     exponents = tuple(draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n)))
+    order = math.lcm(*(N // math.gcd(N, e) for e in exponents))
     keys = [(s, q) for k in range(2, K + 1) for q in iter_multiindices(n, k) for s in range(n)]
     term = st.tuples(st.sampled_from(keys), st.integers(-2, 2), st.integers(0, N - 1))
-    terms = st.lists(term, max_size=3) if keys else st.just([])
-    conjugated = draw(st.booleans())
-    base = tuple(draw(terms))
-    generators = tuple(
-        (d, tuple(t)) for d, t in draw(st.lists(st.tuples(st.integers(2, K + 1), terms),
-                                                min_size=1, max_size=4)))
-    return N, n, K, exponents, conjugated, base, generators
+    terms = st.lists(term, min_size=1, max_size=3)
+    pool = tuple(tuple(t) for t in draw(st.lists(terms, min_size=1, max_size=3)))
+    m = order * draw(st.integers(1, max(1, 4 // order)))
+    index = st.integers(0, len(pool) - 1)
+    picks = tuple(draw(st.lists(index, min_size=m, max_size=m)))
+    return N, n, K, exponents, pool, picks
 
 
-def shared_diagonal_presentation(case) -> GroupPresentation:
-    N, n, K, exponents, conjugated, base, generators = case
+def telescoping_presentation(case) -> GroupPresentation:
+    N, n, K, exponents, pool, picks = case
     fld = field(N)
+    lin = GermJet(n, K, fld, {(s, tuple(int(t == s) for t in range(n))): fld.zeta(e)
+                              for s, e in enumerate(exponents)})
 
-    def plus(coeffs, terms, low=2):
-        out = dict(coeffs)
-        for (s, q), a, b in terms:
-            if sum(q) >= low:
-                out[(s, q)] = out.get((s, q), fld.zero()) + fld.from_rational(a) * fld.zeta(b)
-        return out
+    def tangent(terms):
+        coeffs = dict(GermJet.identity(fld, n, K).coeffs)
+        for key, a, b in terms:
+            coeffs[key] = coeffs.get(key, fld.zero()) + fld.from_rational(a) * fld.zeta(b)
+        return GermJet(n, K, fld, coeffs)
 
-    lin = {(s, tuple(int(t == s) for t in range(n))): fld.zeta(e) for s, e in enumerate(exponents)}
-    if conjugated:
-        psi = GermJet(n, K, fld, plus(GermJet.identity(fld, n, K).coeffs, base))
-        f = conjugate(psi, GermJet(n, K, fld, lin))
-    else:
-        f = GermJet(n, K, fld, plus(lin, base))
+    phis = [tangent(terms) for terms in pool]
+    chain = [phis[p] for p in picks]  # phi_1, ..., phi_m; chain[-1] is phi_0
     return GroupPresentation(tuple(
-        (f"g{i}", GermJet(n, K, fld, plus(f.coeffs, terms, low=d)))
-        for i, (d, terms) in enumerate(generators, start=1)))
+        (f"a{i}", compose(chain[i - 2].inverse(), compose(lin, chain[i - 1])))
+        for i in range(1, len(chain) + 1)))
 
 
-def assert_linearize_matches_reference(case) -> str:
-    """Compare every field of both outcomes, the product check bypassed;
-    return the outcome's reason ("success" on success)."""
+def assert_linearize_matches_reference(g: GroupPresentation) -> str:
+    """Compare every field of both outcomes, and count the normalizations
+    `linearize_group` runs: one, of the first generator, on success and none
+    on failure.  Return the outcome's reason ("success" on success)."""
+    normalized = []
+    normalize = groupkit.poincare_dulac_normalize
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groupkit, "check_product_identity", lambda g: (True, g.identity()))
-        g = shared_diagonal_presentation(case)
-        want = reference_linearize(g)
+        mp.setattr(groupkit, "poincare_dulac_normalize",
+                   lambda f: normalized.append(f) or normalize(f))
         got = linearize_group(g)
+    want = reference_linearize(g)
     assert repr(got) == repr(want)
     assert got == want
+    assert normalized == ([g.elements[0]] if isinstance(got, LinearizationSuccess) else [])
     return getattr(got, "reason", "success")
 
 
-# one case of each outcome, reached on every run
+# one case of each outcome that the preconditions leave, reached on every run
 LINEARIZE_CASES = {
-    # iz conjugated by z + z^2, listed twice
-    "success": (4, 1, 3, (1,), True, (((0, (2,)), 1, 0),), ((4, ()), (4, ()))),
-    # iz + z^2 and iz - z^2
-    "generators-differ": (4, 1, 2, (1,), False, (((0, (2,)), 1, 0),),
-                          ((3, ()), (2, (((0, (2,)), -2, 0),)))),
-    # diag(-1, 1) + (z1 z2, 0): z1 z2 is resonant for the first coordinate
-    "resonant-coefficient-nonzero": (2, 2, 2, (1, 0), False, (((0, (1, 1)), 1, 0),),
-                                     ((3, ()),)),
+    # iz conjugated by z + z^2, listed four times
+    "success": (4, 1, 3, (1,), ((((0, (2,)), 1, 0),),), (0, 0, 0, 0)),
+    # -z - z^2 and -z - z^2 - 2z^3 over Q: phi_1 = Id, phi_2 = z + z^2 + 2z^3
+    "generators-differ": (2, 1, 3, (1,), ((), (((0, (2,)), 1, 0), ((0, (3,)), 2, 0))), (0, 1)),
 }
 
 
 def test_linearize_cases_reach_every_outcome():
-    assert {reason: assert_linearize_matches_reference(case)
+    assert {reason: assert_linearize_matches_reference(telescoping_presentation(case))
             for reason, case in LINEARIZE_CASES.items()} == {r: r for r in LINEARIZE_CASES}
 
 
 @settings(max_examples=150, deadline=None)
-@given(shared_diagonal_cases())
+@given(telescoping_cases())
 def test_linearize_group_matches_reference_loop(case):
-    assert_linearize_matches_reference(case)
+    g = telescoping_presentation(case)
+    assert check_product_identity(g)[0]
+    assert_linearize_matches_reference(g)
 
 
 def test_group_searches_run_no_fraction_arithmetic():
