@@ -13,6 +13,8 @@ Exact scalars enter as an int or rational (`numbers.Rational`, such as a
 `Fraction`).  `fractions` is imported only where a `Fraction` is returned or
 hashed (`CycloNum.coeffs` and the hash of a non-integer rational element),
 so importing this module or parsing a document does not load it.
+Coefficients are written in a regular grammar, which `parse_coefficient`
+matches one signed term at a time with one regular expression.
 
 `_lowest_terms` is the one place for the canonical form (den > 0, gcd 1),
 here and in `jets`, and `CycloField._norm_adjugate` the one place for
@@ -42,18 +44,6 @@ class CoefficientParseError(ValueError):
 
 # ---------------------------------------------------------------------------
 # small integer utilities shared across the package
-
-
-def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def prime_factors(n: int) -> dict[int, int]:
@@ -168,7 +158,7 @@ def element_order(x, exponent: int, mul: Callable, identity) -> OrderResult:
 # cyclotomic polynomials (integer coefficients, ascending order, monic)
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
+def _poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
     # den is monic; division is exact by construction.
     num = list(num)
     dn, dd = len(num) - 1, len(den) - 1
@@ -183,27 +173,18 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return quot
 
 
-_CYCLO_CACHE: dict[int, tuple[int, ...]] = {1: (-1, 1)}
-
-
+@functools.cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending; computed as (x^n - 1) / prod Phi_d."""
-    hit = _CYCLO_CACHE.get(n)
-    if hit is not None:
-        return hit
+    """Coefficients of Phi_n, ascending; computed as (x^n - 1) / prod Phi_d
+    over the proper divisors d of n."""
     poly = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n):
-        if d != n:
-            poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
-    out = tuple(poly)
-    _CYCLO_CACHE[n] = out
-    return out
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
 
 
 # ---------------------------------------------------------------------------
-
-
-_FIELD_CACHE: dict[int, "CycloField"] = {}
 
 
 class CycloField:
@@ -332,12 +313,10 @@ class CycloField:
         return hash(("CycloField", self.conductor))
 
 
+@functools.cache
 def field(conductor: int) -> CycloField:
     """Shared field instance for the given conductor."""
-    f = _FIELD_CACHE.get(conductor)
-    if f is None:
-        f = _FIELD_CACHE[conductor] = CycloField(conductor)
-    return f
+    return CycloField(conductor)
 
 
 def _exact(q: int | Rational) -> int | Rational:
@@ -583,89 +562,43 @@ def root_of_unity_order(a: CycloNum) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# textual coefficient grammar:
+# textual coefficient grammar, which is regular:
 #   coeff    := ["+"|"-"] term (("+"|"-") term)*
 #   term     := rational ("*" zpart)? | zpart
 #   zpart    := "z" ("^" nat)?
 #   rational := nat ("/" nat)?
 #   nat      := ASCII digits 0-9, one or more
-# where z denotes zeta_N of the ambient field.
+# where z denotes zeta_N of the ambient field.  Whitespace may stand between
+# any two tokens, but not inside a number.  `_TERM` matches one signed term
+# and the whitespace around it; its groups are the sign, the rational, and
+# "z" and its exponent, after the rational's "*" or alone.
 
-_TOKEN = re.compile(r"\s*([0-9]+|z|\^|\*|/|\+|\-)")
-
-
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise CoefficientParseError(
-                    f"unexpected character {text[pos:].strip()[0]!r} at position {pos}"
-                )
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+_ZPART = r"(z)(?:\s*\^\s*([0-9]+))?"
+_TERM = re.compile(rf"\s*([+-]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?(?:\s*\*\s*{_ZPART})?|{_ZPART})\s*")
 
 
 def parse_coefficient(text: str, fld: CycloField) -> CycloNum:
-    toks = _tokenize(text)
-    if not toks:
-        raise CoefficientParseError("empty coefficient")
-    pos = 0
+    """The element of `fld` that `text` writes in the coefficient grammar.
 
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def take():
-        nonlocal pos
-        t = peek()
-        pos += 1
-        return t
-
-    def parse_nat() -> int:
-        t = take()
-        if t is None or not t.isdigit():
-            raise CoefficientParseError(f"expected integer, got {t!r} in {text!r}")
-        return int(t)
-
-    def parse_zpart() -> int:
-        t = take()
-        if t != "z":
-            raise CoefficientParseError(f"expected 'z', got {t!r} in {text!r}")
-        if peek() == "^":
-            take()
-            return parse_nat()
-        return 1
-
-    def parse_term() -> CycloNum:
-        if peek() == "z":
-            return fld.zeta(parse_zpart())
-        num = parse_nat()
-        den = 1
-        if peek() == "/":
-            take()
-            den = parse_nat()
-            if den == 0:
-                raise CoefficientParseError(f"zero denominator in {text!r}")
-        q = fld.rational(num, den)
-        if peek() == "*":
-            take()
-            return fld.zeta(parse_zpart()) * q
-        return q
-
-    sign = 1
-    if peek() in ("+", "-"):
-        sign = -1 if take() == "-" else 1
-    total = parse_term() * sign
-    while peek() is not None:
-        op = take()
-        if op not in ("+", "-"):
-            raise CoefficientParseError(f"expected '+' or '-', got {op!r} in {text!r}")
-        term = parse_term()
-        total = total + term if op == "+" else total - term
+    Matches one signed term at a time, the sign optional on the first term
+    only, and sums the terms from the first; a "-" negates its term.
+    """
+    total, pos = None, 0
+    while total is None or pos < len(text):
+        m = _TERM.match(text, pos)
+        if m is None or (total is not None and not m[1]):
+            signed = "signed " if total is not None else ""
+            raise CoefficientParseError(f"expected a {signed}term at position {pos} in {text!r}")
+        num, den, z, exp = m[2], int(m[3] or 1), m[4] or m[6], int(m[5] or m[7] or 1)
+        if not den:
+            raise CoefficientParseError(f"zero denominator in {text!r}")
+        term = fld.rational(int(num), den) if num else fld.zeta(exp)
+        if num and z:  # rational "*" zpart
+            term = fld.zeta(exp) * term
+        if m[1] == "-":
+            term = -term
+        total = term if total is None else total + term
+        pos = m.end()
     return total
 
 
@@ -675,24 +608,19 @@ def format_coefficient(a: CycloNum) -> str:
     Reads the integer numerators over the one denominator: each nonzero
     coefficient c/D is reduced by gcd(c, D) alone, with no Fraction built.
     """
-    den = a.den
-    pieces: list[tuple[int, str]] = []  # (sign, body without sign)
+    den, out = a.den, ""
     for i, c in enumerate(a.num):
         if not c:
             continue
         g = math.gcd(c, den)
         p, q = abs(c) // g, den // g
-        mag = str(p) if q == 1 else f"{p}/{q}"
-        if i == 0:
-            body = mag
-        else:
+        body = str(p) if q == 1 else f"{p}/{q}"
+        if i:
             z = "z" if i == 1 else f"z^{i}"
-            body = z if mag == "1" else f"{mag}*{z}"
-        pieces.append((1 if c > 0 else -1, body))
-    if not pieces:
-        return "0"
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign < 0 else "") + first_body
-    for sign, body in pieces[1:]:
-        out += (" - " if sign < 0 else " + ") + body
-    return out
+            body = z if body == "1" else f"{body}*{z}"
+        if out:
+            out += " - " if c < 0 else " + "
+        elif c < 0:
+            out = "-"
+        out += body
+    return out or "0"

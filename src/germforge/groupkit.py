@@ -15,9 +15,12 @@ ordered product composes a run of one generator as one power, and condition
 `_conjugacy`: `find_conjugacy_witness` asks it about one pair and
 `check_basic_set` about all of them at once.  Its word ball tests each new
 element by comparing two conjugates it already holds, so the test composes
-nothing.  Witness search and closure share one BFS, `bfs_ball`; a closed
-group keeps the right-multiplication table that its BFS recorded, so
-`is_cyclic` takes its powers by table lookups and composes nothing.
+nothing; a ball whose frontier empties within the bound is the whole group,
+so a pair it leaves without a witness is disproved, not unresolved (the
+exhausted-group rule).  Witness search and closure share one BFS,
+`bfs_ball`; a closed group keeps the right-multiplication table that its
+BFS recorded, so `is_cyclic` takes its powers by table lookups and composes
+nothing.
 """
 
 from __future__ import annotations
@@ -312,9 +315,11 @@ def _conjugacy(g: GroupPresentation, pairs: list, bound: int) -> tuple[list, dic
     where conjugacy is equality), else share one word ball,
     `_ball_witnesses`, whose test of a new element w = u o y (u expanded, y
     the letter) compares two conjugates it already holds, u^{-1} f_i u and
-    y f_j y^{-1}, and so composes nothing.  Orders are taken only where they
-    decide: an order mismatch overrides the commuting reason and an
-    unresolved search, and names a differing invariant's disproof.
+    y f_j y^{-1}, and so composes nothing.  A ball that is the whole group
+    within the bound disproves the pairs it leaves without a witness
+    ("exhausted-group").  Orders are taken only where they decide: an order
+    mismatch overrides the commuting reason and every search answer other
+    than a witness, and names a differing invariant's disproof.
     """
     index: dict = {}  # distinct element -> its slot, in listing order
     slot = [index.setdefault(x, len(index)) for x in g.elements]
@@ -354,8 +359,10 @@ def _ball_witnesses(g: GroupPresentation, distinct: list, slot: list, pending: l
     """The answer of each pending pair (a, b) of slots in `distinct`, from
     one word ball that grows in BFS order only until each pair has its
     witness: the first element w with w o f_b o w^{-1} = f_a.  A pair with no
-    witness within `bound` letters makes the ball the full one and is
-    reported unresolved.
+    witness within `bound` letters makes the ball the full one.  It is
+    disproved when that ball's frontier emptied within the bound (its table
+    is complete): the ball is then the whole, finite group, and none of its
+    elements conjugates the pair.  Otherwise it is reported unresolved.
 
     The test composes nothing.  A new element w = u o y, with u its parent
     and y the letter, conjugates f_b to f_a exactly when
@@ -419,12 +426,18 @@ def _ball_witnesses(g: GroupPresentation, distinct: list, slot: list, pending: l
         pending[:] = [key for key in pending if key not in found]
         return not pending
 
-    ball = bfs_ball(ident, letters, bound, type(ident).compose, stop=answered)
+    table: list = []
+    ball = bfs_ball(ident, letters, bound, type(ident).compose, stop=answered, table=table)
     answers = {key: WitnessResult("witness", word=format_word(ball[k][1]))
                for key, k in found.items()}
-    # the pairs still pending after the full ball
-    unresolved = WitnessResult("unresolved", reason=f"no witness within word length {bound}")
-    answers.update((key, unresolved) for key in pending)
+    # the pairs still pending after the full ball: disproved when its frontier
+    # emptied within the bound, since the ball is then the whole group
+    if len(table) == len(ball) * len(letters):
+        left = WitnessResult("disproved", reason=f"exhausted-group: none of its {len(ball)} "
+                                                 "elements conjugates the pair")
+    else:
+        left = WitnessResult("unresolved", reason=f"no witness within word length {bound}")
+    answers.update((key, left) for key in pending)
     return answers
 
 

@@ -481,6 +481,21 @@ def test_basic_set_with_a_disproved_pair_fails_condition_b(tmp_path, capsys):
         "U,L": "unresolved", "U,W": "disproved", "L,W": "disproved"}
 
 
+def test_a_group_walked_within_the_bound_disproves_its_pair(tmp_path, capsys):
+    # a = diag(1, -1) and b = a o r, r the quarter turn, are reflections of D4
+    # in different classes; a, b, b, a has the identity as product, and the
+    # whole group of 8 is walked within the bound without conjugating a to b
+    a = [[("1", [1, 0])], [("-1", [0, 1])]]
+    b = [[("-1", [0, 1])], [("-1", [1, 0])]]
+    path = jets_document(tmp_path / "abba.json", 1, 1, [("a", a), ("b", b), ("b2", b), ("a2", a)])
+    code = cli.main(["check-basic-set", path, "--format", "json"])
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert code == cli.EXIT_OK
+    assert (verdict["product_identity"], verdict["verdict"]) == (True, "condition-b-failed")
+    assert verdict["pairs"]["a,b"] == {
+        "status": "disproved", "reason": "exhausted-group: none of its 8 elements conjugates the pair"}
+
+
 # --- the command table ------------------------------------------------------------
 
 TABLE_CAP = 200  # above every finite corpus closure (at most 24 elements)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -238,6 +239,114 @@ def test_parse_errors():
     for bad in ("", "z^", "1//2", "q", "1 +", "1/0"):
         with pytest.raises(CoefficientParseError):
             parse_coefficient(bad, f)
+
+
+_REFERENCE_TOKEN = re.compile(r"\s*([0-9]+|z|\^|\*|/|\+|\-)")
+
+
+def reference_tokenize(text):
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise CoefficientParseError(
+                    f"unexpected character {text[pos:].strip()[0]!r} at position {pos}"
+                )
+            break
+        out.append(m.group(1))
+        pos = m.end()
+    return out
+
+
+def reference_parse_coefficient(text, fld):
+    """The tokenizer and recursive-descent parser that read the grammar
+    before `parse_coefficient` matched it one signed term at a time: the oracle."""
+    toks = reference_tokenize(text)
+    if not toks:
+        raise CoefficientParseError("empty coefficient")
+    pos = 0
+
+    def peek():
+        return toks[pos] if pos < len(toks) else None
+
+    def take():
+        nonlocal pos
+        t = peek()
+        pos += 1
+        return t
+
+    def parse_nat():
+        t = take()
+        if t is None or not t.isdigit():
+            raise CoefficientParseError(f"expected integer, got {t!r} in {text!r}")
+        return int(t)
+
+    def parse_zpart():
+        t = take()
+        if t != "z":
+            raise CoefficientParseError(f"expected 'z', got {t!r} in {text!r}")
+        if peek() == "^":
+            take()
+            return parse_nat()
+        return 1
+
+    def parse_term():
+        if peek() == "z":
+            return fld.zeta(parse_zpart())
+        num = parse_nat()
+        den = 1
+        if peek() == "/":
+            take()
+            den = parse_nat()
+            if den == 0:
+                raise CoefficientParseError(f"zero denominator in {text!r}")
+        q = fld.rational(num, den)
+        if peek() == "*":
+            take()
+            return fld.zeta(parse_zpart()) * q
+        return q
+
+    sign = 1
+    if peek() in ("+", "-"):
+        sign = -1 if take() == "-" else 1
+    total = parse_term() * sign
+    while peek() is not None:
+        op = take()
+        if op not in ("+", "-"):
+            raise CoefficientParseError(f"expected '+' or '-', got {op!r} in {text!r}")
+        term = parse_term()
+        total = total + term if op == "+" else total - term
+    return total
+
+
+def parse_or_error(parse, text, fld):
+    try:
+        return parse(text, fld)
+    except CoefficientParseError:
+        return CoefficientParseError
+
+
+# the grammar's alphabet, with a tab, a letter and a non-ASCII (Arabic-Indic) digit
+GRAMMAR_PIECES = ("0", "1", "2", "12", "z", "^", "*", "/", "+", "-", " ", "\t", "q", "٣")
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=8).map("".join))
+def test_parse_matches_the_recursive_descent_reference(text):
+    for n in (3, 12):
+        f = field(n)
+        assert parse_or_error(parse_coefficient, text, f) == \
+            parse_or_error(reference_parse_coefficient, text, f)
+
+
+@pytest.mark.parametrize("text", ["", " ", "z^", "1//2", "2 z", "2*", "--1", "1/0", "1 2",
+                                  "z^-1", "+", "1 +", "z*2", "1/2/3", "١", "１"])
+def test_parse_rejects_what_the_reference_rejects(text):
+    for parse in (parse_coefficient, reference_parse_coefficient):
+        with pytest.raises(CoefficientParseError):
+            parse(text, field(3))
 
 
 def test_format_round_trip_random():

@@ -283,8 +283,16 @@ def eager_ball(g, bound):
     return bfs_ball(ident, groupkit._distinct_letters(g), bound, type(ident).compose)
 
 
+def ball_is_the_group(g, bound):
+    """Whether the depth-`bound` ball holds no element of word length `bound`:
+    its frontier emptied, so it is the whole group.  At bound 0 the identity
+    is never expanded, so that ball is never known to be the group."""
+    return bound >= 1 and len(eager_ball(g, bound - 1)) == len(eager_ball(g, bound))
+
+
 def reference_answer(g, i, j, bound, ball):
-    """Pair (i, j) with every search scanning the full depth-`bound` ball."""
+    """Pair (i, j) with every search scanning the full depth-`bound` ball; a
+    pair left without a witness by a ball that is the whole group is disproved."""
     fi, fj = g.elements[i], g.elements[j]
     # the depth-0 ball, the identity alone, answers nothing a screen leaves open
     screened = find_conjugacy_witness(g, i, j, 0)
@@ -293,6 +301,9 @@ def reference_answer(g, i, j, bound, ball):
     for w, word in ball:
         if w.compose(fj) == fi.compose(w):
             return WitnessResult("witness", word=format_word(word))
+    if ball_is_the_group(g, bound):
+        return WitnessResult("disproved", reason=f"exhausted-group: none of its {len(ball)} "
+                                                 "elements conjugates the pair")
     return WitnessResult("unresolved", reason=f"no witness within word length {bound}")
 
 
@@ -374,20 +385,50 @@ def test_first_letter_can_be_the_witness():
     # S o C o S^-1 = T: the first letter answers pair (1, 2)
     assert conjugacy[(1, 2)] == WitnessResult("witness", word="S")
     assert conjugacy == reference_conjugacy(g, 6)
+    # the group has order 12 and is walked within the bound: S is conjugate to neither
+    assert conjugacy[(0, 1)] == conjugacy[(0, 2)] == WitnessResult(
+        "disproved", reason="exhausted-group: none of its 12 elements conjugates the pair")
 
 
 def test_held_conjugates_match_the_reference_on_a_fully_walked_ball():
     # D4 over Q: a = diag(1, -1), b = a o r with r the quarter turn, c = (a o b)^-1.
     # a and b are reflections in different classes, with equal orders and
-    # characteristic polynomials, so their pair walks the whole ball
+    # characteristic polynomials, so their pair walks the whole ball: the
+    # group, whose 8 elements do not conjugate them
     a = linear_jet(F1, [[1, 0], [0, -1]])
     b = compose(a, linear_jet(F1, [[0, -1], [1, 0]]))
     c = invert(compose(a, b))
     g = GroupPresentation((("a", a), ("b", b), ("c", c)))
     conjugacy, answers = listed_answers(g, [(0, 1), (0, 2), (1, 2)], 6)
     assert conjugacy == reference_conjugacy(g, 6)
-    assert conjugacy[(0, 1)].status == "unresolved" and len(eager_ball(g, 6)) == 8
+    assert conjugacy[(0, 1)] == WitnessResult(
+        "disproved", reason="exhausted-group: none of its 8 elements conjugates the pair")
+    assert len(eager_ball(g, 6)) == 8
     assert sorted(answers.values()) == sorted(conjugacy.values())  # three distinct pairs
+
+
+# subsets of POOL whose groups are finite: of orders 12 and 8 over Q, and the
+# 32 monomial 2x2 matrices with entries powers of i over Q(zeta_4)
+FINITE_POOLS = [(F1, ["S", "T", "R3"]), (F1, ["S", "N"]), (F4, ["S", "N", "Di", "Ji"])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_group_walked_within_the_bound_leaves_no_pair_unresolved(data):
+    """Whenever the ball is the whole group, every pair is decided; and no
+    element of the ball conjugates a disproved pair."""
+    fld, names = data.draw(st.sampled_from(FINITE_POOLS + [(F1, RATIONAL), (F4, list(POOL))]))
+    chosen = data.draw(st.lists(st.sampled_from(names), min_size=2, max_size=4))
+    bound = data.draw(st.integers(1, 6))
+    g = GroupPresentation(tuple(
+        (f"g{k}", linear_jet(fld, POOL[name])) for k, name in enumerate(chosen)
+    ))
+    walked = ball_is_the_group(g, bound)
+    ball = [w for w, _ in eager_ball(g, bound)]
+    for (i, j), answer in check_basic_set(g, bound).conjugacy.items():
+        assert not (walked and answer.status == "unresolved")
+        if answer.status == "disproved":
+            assert not any(groupkit._conjugates(w, g.elements[i], g.elements[j]) for w in ball)
 
 
 def test_held_conjugates_skip_elements_with_no_new_product():
